@@ -44,6 +44,7 @@ from .pricing import (
 )
 from .ucp import (
     InfeasibleError,
+    QuadraticCost,
     no_startup_value,
     quadratic_fit,
     relaxed_value,
@@ -69,6 +70,8 @@ TRACE_COLUMNS = ("t", "k", "price", "demand", "supply", "step", "dual_value",
 SUMMARY_COLUMNS = ("price_min", "price_mean", "price_max", "total_demand",
                    "total_utility_gross", "total_utility_net", "total_profit",
                    "total_welfare", "total_uplift", "settled_hours")
+# the methods that iterate, and so read lambda0, n_iters and the step
+ITERATIVE_METHODS = ("chp_subgradient", "lmp")
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ class ExperimentConfig:
     utility_constant: float
     lambda0: float
     n_iters: int
-    step_coef: float
+    step_coef: float | None  # None for the closed-form methods
     seed: int = 0
     jobs: int = 1
     no_noise: bool = False
@@ -97,6 +100,8 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.method in ITERATIVE_METHODS and self.step_coef is None:
+            raise ValueError(f"{self.method} needs a step coefficient")
 
 
 def _resolve_fleet(source: str) -> Fleet:
@@ -128,14 +133,14 @@ def _single_record_trace(method: str, fleet: Fleet, model: DemandModel,
 
 def _price_hour(t: int, fleet: Fleet, model: DemandModel, profile: DayProfile,
                 method: str, lambda0: float, n_iters: int,
-                step_rule: HarmonicStep) -> PricingTrace:
+                step_rule: HarmonicStep | None,
+                quad: QuadraticCost | None) -> PricingTrace:
     if method == "chp_subgradient":
         return run_subgradient(fleet, model, profile, t, lambda0, n_iters, step_rule)
     if method == "chp_exact":
         price, demand = exact_dual(fleet, model, profile, t)
         return _single_record_trace(method, fleet, model, profile, t, price, demand)
     if method == "lmp":
-        quad = quadratic_fit(fleet)
         return run_lmp(quad, model, profile, t, lambda0, n_iters, step_rule,
                        uplift_fleet=fleet)
     if method == "dispatchable":
@@ -146,9 +151,10 @@ def _price_hour(t: int, fleet: Fleet, model: DemandModel, profile: DayProfile,
 
 def _run_one_hour(t: int, fleet: Fleet, model: DemandModel, profile: DayProfile,
                   method: str, lambda0: float, n_iters: int,
-                  step_rule: HarmonicStep
+                  step_rule: HarmonicStep | None, quad: QuadraticCost | None
                   ) -> tuple[int, PricingTrace, HourResult | None, str]:
-    trace = _price_hour(t, fleet, model, profile, method, lambda0, n_iters, step_rule)
+    trace = _price_hour(t, fleet, model, profile, method, lambda0, n_iters,
+                        step_rule, quad)
     try:
         result = settle_hour(fleet, model, profile, t, trace.final_price)
         return t, trace, result, "ok"
@@ -171,13 +177,14 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     model = DemandModel(a=config.a, mu1=config.mu1, mu2=config.mu2, nu=config.nu,
                         utility_constant=config.utility_constant)
     profile = _resolve_profile(config)
-    step_rule = HarmonicStep(config.step_coef)
+    step_rule = None if config.step_coef is None else HarmonicStep(config.step_coef)
+    quad = quadratic_fit(fleet) if config.method == "lmp" else None
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     worker = partial(_run_one_hour, fleet=fleet, model=model, profile=profile,
                      method=config.method, lambda0=config.lambda0,
-                     n_iters=config.n_iters, step_rule=step_rule)
+                     n_iters=config.n_iters, step_rule=step_rule, quad=quad)
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(worker, range(HOURS)))
@@ -341,13 +348,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     lambda0 = args.lambda0 if args.lambda0 is not None \
         else defaults.get("lambda0", 100.0)
     n_iters = args.iters if args.iters is not None else defaults.get("n_iters", 100)
+    method = args.method.replace("-", "_")
     config = ExperimentConfig(
         fleet=args.fleet,
-        method=args.method.replace("-", "_"),
+        method=method,
         out_dir=args.out,
         lambda0=lambda0,
         n_iters=n_iters,
-        step_coef=_parse_step(args.step, args.fleet),
+        step_coef=(_parse_step(args.step, args.fleet)
+                   if method in ITERATIVE_METHODS else None),
         seed=args.seed,
         jobs=args.jobs,
         no_noise=args.no_noise,

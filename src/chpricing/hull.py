@@ -2,17 +2,26 @@
 
 Everything is computed through the conjugate: the hull value at demand y
 is max over prices of price*y - conjugate(price), a concave piecewise
-linear function whose derivative sign is y minus the best-response supply.
-The supply staircase is monotone, so a bisection on the derivative sign
-locates the maximizing price without ever constructing the hull's graph.
+linear function whose derivative is y minus the best-response supply.
+That supply is the fleet's staircase (``ucp.supply_staircase``), so the
+maximizing prices are read off it: the first breakpoint whose cumulative
+supply reaches y, up to the first one whose supply exceeds y.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
 from .fleet import Fleet
-from .ucp import FEAS_EPS, InfeasibleError, conjugate, fleet_supply, ucp_value
+from .ucp import (
+    FEAS_EPS,
+    InfeasibleError,
+    conjugate,
+    fleet_supply,
+    supply_staircase,
+    ucp_value,
+)
 
 __all__ = [
     "HullPoint",
@@ -23,7 +32,7 @@ __all__ = [
     "bisect_first_true",
 ]
 
-# absolute price tolerance for all bisections ($/MWh)
+# default tolerance of bisect_first_true ($/MWh)
 PRICE_TOL = 1e-9
 
 
@@ -77,32 +86,25 @@ def hull_value(fleet: Fleet, y: float, price_cap: float | None = None) -> HullPo
 
     price_lo is the smallest price whose maximal best-response supply
     reaches y; price_hi the largest price whose minimal supply does not
-    exceed y.  The hull value is the conjugate-based objective evaluated
-    inside that interval (exact there, since the whole interval maximizes
-    it).  At y = 0 the interval starts at 0; at full capacity it is
-    truncated at the price cap.
+    exceed y.  Both are breakpoints of the supply staircase, except that
+    the interval starts at 0 when y = 0 and is truncated at the price cap.
+    The hull value is the conjugate-based objective at price_lo, which
+    maximizes it.
     """
     cap_mw = fleet.total_capacity
     if y < -FEAS_EPS or y > cap_mw + FEAS_EPS:
         raise InfeasibleError(f"demand {y} outside [0, {cap_mw}] MW")
     y = min(max(y, 0.0), cap_mw)
     price_cap = default_price_cap(fleet) if price_cap is None else price_cap
-    if fleet_supply(fleet, price_cap, maximal=True) < y - FEAS_EPS:
+    if fleet_supply(fleet, price_cap) < y - FEAS_EPS:
         raise ValueError(
             f"price cap {price_cap} cannot elicit {y} MW of supply")
 
-    lo = bisect_first_true(
-        lambda p: fleet_supply(fleet, p, maximal=True) >= y - FEAS_EPS,
-        0.0, price_cap)
-    if fleet_supply(fleet, price_cap, maximal=False) <= y + FEAS_EPS:
-        hi = price_cap
-    else:
-        hi = bisect_first_true(
-            lambda p: fleet_supply(fleet, p, maximal=False) > y + FEAS_EPS,
-            0.0, price_cap)
-    lo, hi = min(lo, hi), max(lo, hi)
-    value = max(p * y - conjugate(fleet, p) for p in (lo, 0.5 * (lo + hi), hi))
-    return HullPoint(y, value, lo, hi)
+    prices, supply = supply_staircase(fleet)
+    lo = 0.0 if y <= FEAS_EPS else prices[bisect_left(supply, y - FEAS_EPS)]
+    above = bisect_right(supply, y + FEAS_EPS)
+    hi = price_cap if above == len(prices) else min(prices[above], price_cap)
+    return HullPoint(y, lo * y - conjugate(fleet, lo), lo, hi)
 
 
 def chp_fixed_demand(fleet: Fleet, y: float, price_cap: float | None = None) -> float:

@@ -20,6 +20,7 @@ __all__ = [
     "hourly_demand",
     "hourly_utility",
     "inelastic_share",
+    "demand_terms",
     "load_profile",
     "synthetic_profile",
     "default_profile",
@@ -103,6 +104,12 @@ def inelastic_share(model: DemandModel, profile: DayProfile, t: int) -> float:
     return model.mu1 * model.nu * profile.base_demand[t]
 
 
+def demand_terms(model: DemandModel, profile: DayProfile, t: int) -> tuple[float, float]:
+    """(inelastic floor, elastic coefficient): demand is floor + coef/price."""
+    floor = inelastic_share(model, profile, t)  # also validates the hour
+    return floor, model.a * model.mu2 * (1.0 + profile.noise[t])
+
+
 def hourly_demand(model: DemandModel, profile: DayProfile, t: int, price: float) -> float:
     """Total demand at hour t and the given price (MW)."""
     base = inelastic_share(model, profile, t)  # also validates the hour
@@ -115,8 +122,7 @@ def hourly_utility(model: DemandModel, profile: DayProfile, t: int, demand: floa
     Defined for demand strictly above the inelastic floor; calibrated so
     that its marginal value at hourly_demand(price) equals the price.
     """
-    floor = inelastic_share(model, profile, t)
-    coef = model.a * model.mu2 * (1.0 + profile.noise[t])
+    floor, coef = demand_terms(model, profile, t)
     if coef == 0.0:
         if demand < floor - 1e-9:
             raise ValueError(f"demand {demand} below the inelastic floor {floor}")

@@ -3,26 +3,27 @@
 The hourly partial dual is phi(p) = [U(D(p)) - p*D(p)] + conjugate(p),
 convex in the price with subgradient supply(p) - demand(p).  The dynamic
 pricing loop walks down phi with diminishing steps; the exact dual price
-is the bisected sign change of the subgradient.
+is the sign change of the subgradient, in closed form on the fleet's
+supply staircase.  Relaxed (dispatchable) supply is that same staircase.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .fleet import Fleet
-from .hull import bisect_first_true, default_price_cap
-from .market import DayProfile, DemandModel, hourly_demand, hourly_utility
+from .hull import default_price_cap, uplift
+from .market import DayProfile, DemandModel, demand_terms, hourly_demand, hourly_utility
 from .ucp import (
     InfeasibleError,
     QuadraticCost,
     best_response,
     conjugate,
     fleet_supply,
-    relaxed_supply,
     relaxed_value,
-    ucp_value,
+    supply_staircase,
 )
 
 __all__ = [
@@ -104,14 +105,41 @@ def dual_value(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
     return phi, fleet_supply(fleet, price) - demand
 
 
-def _iterate_uplift(fleet: Fleet, price: float, demand: float,
-                    profit: float) -> float:
-    # conjugate(price) == profit from the best response already in hand
-    try:
-        value, _dispatch = ucp_value(fleet, demand)
-    except InfeasibleError:
-        return math.inf
-    return profit - (price * demand - value)
+def _price_loop(method: str, respond: Callable[[float], tuple[float, float]],
+                model: DemandModel, profile: DayProfile, t: int, price0: float,
+                n_iters: int, step_rule: HarmonicStep,
+                uplift_fleet: Fleet | None) -> PricingTrace:
+    """Price iteration against ``respond(price) -> (supply, profit)``.
+
+    Each round p_k = p_{k-1} - gamma_k * (supply - demand), clamped to the
+    floor; after n_iters rounds the final price is accepted.  Uplift is
+    priced against uplift_fleet: NaN without one, inf if demand is infeasible.
+    """
+    _check_price(price0)
+    if n_iters < 1:
+        raise ValueError(f"n_iters must be >= 1, got {n_iters}")
+    start = time.perf_counter()
+    price = price0
+    demand = hourly_demand(model, profile, t, price)
+    supply, _profit = respond(price)
+    records = []
+    for k in range(1, n_iters + 1):
+        step = step_rule(k)
+        price = max(PRICE_FLOOR, price - step * (supply - demand))
+        demand = hourly_demand(model, profile, t, price)
+        supply, profit = respond(price)
+        phi = hourly_utility(model, profile, t, demand) - price * demand + profit
+        if uplift_fleet is None:
+            up = math.nan
+        else:
+            try:
+                up = uplift(uplift_fleet, price, demand)
+            except InfeasibleError:
+                up = math.inf
+        records.append(IterateRecord(
+            k=k, price=price, demand=demand, supply=supply, step=step,
+            dual_value=phi, uplift=up, elapsed_s=time.perf_counter() - start))
+    return PricingTrace(method, tuple(records), price, demand)
 
 
 def run_subgradient(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
@@ -120,40 +148,23 @@ def run_subgradient(fleet: Fleet, model: DemandModel, profile: DayProfile, t: in
     """Dynamic pricing by subgradient descent on the hourly dual.
 
     Starting from price0, each round the suppliers and the consumer report
-    their best responses and the price moves against the imbalance:
-    p_k = p_{k-1} - gamma_k * (supply - demand), clamped to the floor.
-    Runs a fixed n_iters rounds and accepts the final price.
+    their best responses and the price moves against the imbalance.
     """
-    _check_price(price0)
-    if n_iters < 1:
-        raise ValueError(f"n_iters must be >= 1, got {n_iters}")
-    start = time.perf_counter()
-    price = price0
-    demand = hourly_demand(model, profile, t, price)
-    reaction = best_response(fleet, price)
-    records = []
-    for k in range(1, n_iters + 1):
-        step = step_rule(k)
-        price = max(PRICE_FLOOR, price - step * (reaction.supply - demand))
-        demand = hourly_demand(model, profile, t, price)
+    def respond(price: float) -> tuple[float, float]:
         reaction = best_response(fleet, price)
-        phi = (hourly_utility(model, profile, t, demand) - price * demand
-               + reaction.profit)
-        records.append(IterateRecord(
-            k=k, price=price, demand=demand, supply=reaction.supply, step=step,
-            dual_value=phi,
-            uplift=_iterate_uplift(fleet, price, demand, reaction.profit),
-            elapsed_s=time.perf_counter() - start))
-    return PricingTrace("chp_subgradient", tuple(records), price, demand)
+        return reaction.supply, reaction.profit
+
+    return _price_loop("chp_subgradient", respond, model, profile, t, price0,
+                       n_iters, step_rule, uplift_fleet=fleet)
 
 
 def exact_dual(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
                price_cap: float | None = None) -> tuple[float, float]:
-    """Exact dual price: the bisected sign change of supply minus demand.
+    """Exact dual price: the sign change of supply minus demand.
 
     Returns (price, demand at that price).  The price is the smallest one
-    whose maximal best-response supply covers the demand, located to the
-    bisection tolerance.
+    whose maximal best-response supply covers the demand floor + coef/p:
+    a staircase breakpoint, or coef/(s - floor) inside a step of supply s.
     """
     price_cap = default_price_cap(fleet) if price_cap is None else price_cap
     demand_at_cap = hourly_demand(model, profile, t, price_cap)
@@ -161,11 +172,19 @@ def exact_dual(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
         raise InfeasibleError(
             f"no crossing: demand {demand_at_cap} MW exceeds supply at the "
             f"price cap {price_cap}")
-
-    def covered(price: float) -> bool:
-        return fleet_supply(fleet, price) >= hourly_demand(model, profile, t, price)
-
-    price = bisect_first_true(covered, PRICE_FLOOR, price_cap)
+    floor, coef = demand_terms(model, profile, t)
+    prices, supply = supply_staircase(fleet)
+    # step i supplies levels[i] from starts[i] up to the next start
+    starts = (PRICE_FLOOR,) + prices
+    levels = (0.0,) + supply
+    for i, level in enumerate(levels):
+        price = max(starts[i], PRICE_FLOOR)
+        if level >= hourly_demand(model, profile, t, price):
+            break
+        if level > floor:
+            price = max(price, coef / (level - floor))
+            if i + 1 == len(levels) or price < starts[i + 1]:
+                break
     return price, hourly_demand(model, profile, t, price)
 
 
@@ -179,45 +198,29 @@ def run_lmp(quad: QuadraticCost, model: DemandModel, profile: DayProfile, t: int
     true nonconvex fleet, which is what the convex model's prices will
     actually have to pay.
     """
-    _check_price(price0)
-    if n_iters < 1:
-        raise ValueError(f"n_iters must be >= 1, got {n_iters}")
-    start = time.perf_counter()
-    price = price0
-    demand = hourly_demand(model, profile, t, price)
-    supply = quad.supply(price)
-    records = []
-    for k in range(1, n_iters + 1):
-        step = step_rule(k)
-        price = max(PRICE_FLOOR, price - step * (supply - demand))
-        demand = hourly_demand(model, profile, t, price)
-        supply = quad.supply(price)
-        phi = (hourly_utility(model, profile, t, demand) - price * demand
-               + quad.conjugate(price))
-        if uplift_fleet is None:
-            up = math.nan
-        else:
-            up = _iterate_uplift(uplift_fleet, price, demand,
-                                 conjugate(uplift_fleet, price))
-        records.append(IterateRecord(
-            k=k, price=price, demand=demand, supply=supply, step=step,
-            dual_value=phi, uplift=up, elapsed_s=time.perf_counter() - start))
-    return PricingTrace("lmp", tuple(records), price, demand)
+    def respond(price: float) -> tuple[float, float]:
+        return quad.supply(price), quad.conjugate(price)
+
+    return _price_loop("lmp", respond, model, profile, t, price0, n_iters,
+                       step_rule, uplift_fleet)
 
 
 def lmp_equilibrium(quad: QuadraticCost, model: DemandModel, profile: DayProfile,
                     t: int) -> tuple[float, float]:
-    """Exact crossing of the quadratic supply curve with hourly demand."""
-    hi = quad.beta + 2.0 * quad.alpha * quad.capacity + 1.0
-    while quad.supply(hi) < hourly_demand(model, profile, t, hi):
-        hi *= 2.0
-        if hi > 1e12:
+    """Exact crossing of the quadratic supply curve with hourly demand.
+
+    Below capacity, (p - beta)/(2 alpha) = floor + coef/p: the positive
+    root of p^2 - b p - c with b = beta + 2 alpha floor, c = 2 alpha coef.
+    Past capacity, demand falls to capacity at p = coef/(capacity - floor).
+    """
+    floor, coef = demand_terms(model, profile, t)
+    b = quad.beta + 2.0 * quad.alpha * floor
+    price = 0.5 * (b + math.sqrt(b * b + 8.0 * quad.alpha * coef))
+    if price > quad.beta + 2.0 * quad.alpha * quad.capacity:
+        if quad.capacity <= floor:
             raise InfeasibleError("no crossing for the quadratic supply curve")
-
-    def covered(price: float) -> bool:
-        return quad.supply(price) >= hourly_demand(model, profile, t, price)
-
-    price = bisect_first_true(covered, PRICE_FLOOR, hi)
+        price = coef / (quad.capacity - floor)
+    price = max(price, PRICE_FLOOR)
     return price, hourly_demand(model, profile, t, price)
 
 
@@ -229,16 +232,9 @@ def dispatchable_price(fleet: Fleet, y: float) -> float:
 
 def dispatchable_equilibrium(fleet: Fleet, model: DemandModel, profile: DayProfile,
                              t: int) -> tuple[float, float]:
-    """Clear the relaxed merit-order supply curve against hourly demand."""
-    price_cap = default_price_cap(fleet)
-    demand_at_cap = hourly_demand(model, profile, t, price_cap)
-    if relaxed_supply(fleet, price_cap) < demand_at_cap:
-        raise InfeasibleError(
-            f"no crossing: demand {demand_at_cap} MW exceeds relaxed supply "
-            f"at the price cap {price_cap}")
+    """Clear the relaxed merit-order supply curve against hourly demand.
 
-    def covered(price: float) -> bool:
-        return relaxed_supply(fleet, price) >= hourly_demand(model, profile, t, price)
-
-    price = bisect_first_true(covered, PRICE_FLOOR, price_cap)
-    return price, hourly_demand(model, profile, t, price)
+    Relaxed supply is the best-response staircase, so this is the exact
+    dual price at the default price cap.
+    """
+    return exact_dual(fleet, model, profile, t)

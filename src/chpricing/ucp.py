@@ -2,12 +2,13 @@
 
 Exact value function by commitment enumeration, merit-order dispatch,
 closed-form supplier best response (the Fenchel conjugate of the cost
-function), the continuous commitment relaxation, and the startup-free
-convex baselines used for LMP-style pricing.
+function), the continuous commitment relaxation and the supply staircase
+read off it, and the startup-free convex baselines used for LMP-style
+pricing.
 """
 from __future__ import annotations
 
-import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -27,6 +28,7 @@ __all__ = [
     "ucp_value",
     "best_response",
     "fleet_supply",
+    "supply_staircase",
     "conjugate",
     "relaxed_unit_cost",
     "relaxed_blocks",
@@ -219,18 +221,17 @@ def ucp_value(fleet: Fleet, y: float) -> tuple[float, Dispatch]:
     return best.total_cost, best
 
 
-def _unit_best(gtype: GeneratorType, price: float, maximal: bool) -> tuple[float, float]:
+def _unit_best(gtype: GeneratorType, price: float) -> tuple[float, float]:
     """Optimal committed output and profit of one unit at a price.
 
     The committed profit price*g - C(g) - S is concave in g, so the
-    unconstrained optimum takes every segment cheaper than the price and
-    is then clamped to the minimum output.  ``maximal`` decides whether
-    zero-margin segments are taken in full (the maximal-supply optimizer)
-    or left out (the minimal one); both have equal profit.
+    optimum takes every segment priced at or below the price (zero-margin
+    segments in full: the maximal optimizer) and is then clamped to the
+    minimum output.
     """
     g = 0.0
     for seg in gtype.segments:
-        if price > seg.marginal_cost or (maximal and price == seg.marginal_cost):
+        if price >= seg.marginal_cost:
             g += seg.capacity
     if g < gtype.min_output:
         g = gtype.min_output
@@ -238,25 +239,35 @@ def _unit_best(gtype: GeneratorType, price: float, maximal: bool) -> tuple[float
     return g, profit
 
 
-def _commit(g: float, profit: float, maximal: bool) -> bool:
-    # profit-neutral units commit under the maximal tie-break (unless idle)
-    if maximal:
-        return profit > 0.0 or (profit == 0.0 and g > 0.0)
-    return profit > 0.0
+@lru_cache(maxsize=None)
+def supply_staircase(fleet: Fleet) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Best-response supply as a step function: (prices, cumulative MW).
+
+    Supply is the subdifferential of the conjugate of v, which is also the
+    conjugate of the relaxed cost, so it steps up at the distinct relaxed
+    block slopes ``prices``; ``supply[i]`` is the capacity priced <= prices[i].
+    """
+    prices: list[float] = []
+    supply: list[float] = []
+    total = 0.0
+    for slope, _ti, _bi, width in _fleet_blocks(fleet):
+        total += width
+        if prices and prices[-1] == slope:
+            supply[-1] = total
+        else:
+            prices.append(slope)
+            supply.append(total)
+    return tuple(prices), tuple(supply)
 
 
 def fleet_supply(fleet: Fleet, price: float, maximal: bool = True) -> float:
-    """Aggregate best-response supply at a price (MW).
+    """Aggregate best-response supply at a price (MW), read off the staircase.
 
-    Nondecreasing step function of the price; ``maximal`` picks the upper
-    or lower value at tie prices.
+    ``maximal`` picks the upper or lower value at breakpoint prices.
     """
-    supply = 0.0
-    for gtype in fleet.types:
-        g, profit = _unit_best(gtype, price, maximal)
-        if _commit(g, profit, maximal):
-            supply += gtype.unit_count * g
-    return supply
+    prices, supply = supply_staircase(fleet)
+    i = bisect_right(prices, price) if maximal else bisect_left(prices, price)
+    return supply[i - 1] if i else 0.0
 
 
 def best_response(fleet: Fleet, price: float) -> BestResponse:
@@ -272,8 +283,9 @@ def best_response(fleet: Fleet, price: float) -> BestResponse:
     profit_total = 0.0
     cost_total = 0.0
     for gtype in fleet.types:
-        g, profit = _unit_best(gtype, price, maximal=True)
-        if _commit(g, profit, maximal=True):
+        g, profit = _unit_best(gtype, price)
+        # profit-neutral units commit (the maximal tie-break) unless idle
+        if profit > 0.0 or (profit == 0.0 and g > 0.0):
             n = gtype.unit_count
             supply += n * g
             profit_total += n * max(profit, 0.0)
@@ -292,7 +304,7 @@ def conjugate(fleet: Fleet, price: float) -> float:
     """max_y (price*y - v(y)): the fleet's best-response profit at the price."""
     total = 0.0
     for gtype in fleet.types:
-        _g, profit = _unit_best(gtype, price, maximal=True)
+        _g, profit = _unit_best(gtype, price)
         if profit > 0.0:
             total += gtype.unit_count * profit
     return total
@@ -302,39 +314,13 @@ def relaxed_unit_cost(gtype: GeneratorType, g: float) -> float:
     """Optimal cost of one unit at output g with a continuous commitment.
 
     Solves min S*z + sum(c_s * g_s) over z in [0,1], 0 <= g_s <= cap_s * z,
-    m*z <= sum(g_s) = g.  For fixed z the inner fill is a merit order over
-    the scaled segments, and the outer objective is piecewise linear in z,
-    so only finitely many z are candidates: the feasibility endpoints and
-    the points where g exactly exhausts a scaled segment prefix.
+    m*z <= sum(g_s) = g.  Its graph is the lower convex envelope that
+    relaxed_blocks describes, so the cost is the merit fill of those blocks:
+    the relaxed value of a one-unit fleet.
     """
     if g < -FEAS_EPS or g > gtype.max_output + FEAS_EPS:
         raise ValueError(f"{gtype.name}: output {g} outside [0, {gtype.max_output}]")
-    if g <= FEAS_EPS:
-        return 0.0
-    g = min(g, gtype.max_output)
-    z_lo = g / gtype.max_output
-    z_hi = 1.0 if gtype.min_output == 0 else min(1.0, g / gtype.min_output)
-    candidates = {z_lo, z_hi}
-    cum = 0.0
-    for seg in gtype.segments:
-        cum += seg.capacity
-        z = g / cum
-        if z_lo - 1e-12 <= z <= z_hi + 1e-12:
-            candidates.add(min(max(z, z_lo), z_hi))
-    best = math.inf
-    for z in candidates:
-        remaining = g
-        cost = gtype.startup_cost * z
-        for seg in gtype.segments:
-            take = min(remaining, seg.capacity * z)
-            cost += take * seg.marginal_cost
-            remaining -= take
-            if remaining <= 0.0:
-                break
-        if remaining > FEAS_EPS:
-            continue
-        best = min(best, cost)
-    return best
+    return relaxed_value(Fleet((replace(gtype, unit_count=1),)), g)[0]
 
 
 @lru_cache(maxsize=None)
@@ -408,9 +394,8 @@ def relaxed_value(fleet: Fleet, y: float) -> tuple[float, float]:
 
 
 def relaxed_supply(fleet: Fleet, price: float) -> float:
-    """Capacity of relaxed merit-order blocks priced at or below price (MW)."""
-    return sum(width for slope, _ti, _bi, width in _fleet_blocks(fleet)
-               if slope <= price)
+    """Relaxed merit-order capacity priced <= price: by duality, fleet_supply."""
+    return fleet_supply(fleet, price)
 
 
 @lru_cache(maxsize=None)

@@ -71,6 +71,28 @@ def fleet_value_grid(fleet: Fleet, step: float) -> np.ndarray:
     return best
 
 
+def grid_hull(values: np.ndarray, step: float) -> np.ndarray:
+    """Biconjugate of a grid function: its lower convex envelope on the grid.
+
+    Monotone-chain lower hull over the finite grid points, interpolated
+    back onto the grid; +inf entries are outside the domain.
+    """
+    hull: list[tuple[float, float]] = []
+    for i, v in enumerate(values):
+        if not np.isfinite(v):
+            continue
+        p = (i * step, float(v))
+        while len(hull) >= 2:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    xs, ys = zip(*hull)
+    return np.interp(np.arange(values.size) * step, xs, ys)
+
+
 def unit_best_response_grid(gtype: GeneratorType, price: float,
                             step: float = 0.01) -> tuple[float, float]:
     """One unit's profit-maximal (supply, profit) by grid search over g.

@@ -173,8 +173,8 @@ def test_criterion_07_hull_properties():
         for idx in range(0, ys.size, stride):
             y = float(ys[idx])
             ref = float(np.max(lam * y - conj))
-            # bisected support prices sit within 1e-9 of a kink, so the
-            # hull value can dip below the grid max by slope * tolerance
+            # the hull value is exact up to rounding, which may put it a
+            # hair below the grid max
             assert hull[idx] >= ref - 1e-6
             assert abs(hull[idx] - ref) <= dlam * cap + 1e-6
 

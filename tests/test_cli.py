@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import chpricing as ch
+from chpricing import cli
 from chpricing.cli import main
 
 
@@ -120,6 +121,15 @@ class TestRunMethods:
         assert len(trace) == 2400
         assert all(not math.isnan(float(r[7])) for r in trace)
 
+    def test_lmp_fits_once_per_day(self, tmp_path, monkeypatch):
+        fits = []
+        fit = cli.quadratic_fit
+        monkeypatch.setattr(cli, "quadratic_fit",
+                            lambda fleet: fits.append(fleet) or fit(fleet))
+        assert run_cli("run", "--fleet", "gribik", "--method", "lmp", "--iters", "1",
+                       "--out", str(tmp_path)) == 0
+        assert len(fits) == 1
+
     def test_dispatchable_day(self, tmp_path):
         assert run_cli("run", "--fleet", "gribik", "--method", "dispatchable",
                        "--no-noise", "--out", str(tmp_path)) == 0
@@ -196,6 +206,15 @@ class TestCustomFleetFile:
                      "chp-subgradient", "--a", "3.9e4", "--nu", "0.01",
                      "--out", str(tmp_path / "out"))
         assert rc == 1
+
+    @pytest.mark.parametrize("method", ["chp-exact", "dispatchable"])
+    def test_closed_form_methods_take_no_step(self, tmp_path, method):
+        # neither method reads a step, so the default '--step paper' is fine
+        fleet_path = tmp_path / "fleet.json"
+        fleet_path.write_text(ch.dump_fleet(ch.builtin_fleet("gribik")))
+        rc = run_cli("run", "--fleet", str(fleet_path), "--method", method,
+                     "--a", "3.9e4", "--nu", "0.01", "--out", str(tmp_path / "out"))
+        assert rc == 0
 
 
 class TestCurves:

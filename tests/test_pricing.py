@@ -180,7 +180,8 @@ class TestExactDual:
 
     def test_gribik_mean_hour(self, gribik, gribik_model, mean_profile):
         price, _ = exact_dual(gribik, gribik_model, mean_profile, 0)
-        assert price == pytest.approx(95.0, abs=1e-6)
+        # the crossing is B's break-even breakpoint, in closed form
+        assert price == 95.0
 
     def test_inelastic_demand_lands_in_hull_interval(self, gribik):
         model = DemandModel(a=1.0, mu1=1.0, mu2=0.0, nu=0.01)

@@ -1,0 +1,147 @@
+"""Property tests of the supply staircase over random small fleets.
+
+Fleets have integer costs, capacities and minimum outputs, so every
+vertex of v lies on the unit demand grid and the grid oracles are exact.
+"""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from chpricing import (
+    CostSegment,
+    DayProfile,
+    DemandModel,
+    Fleet,
+    GeneratorType,
+    best_response,
+    default_price_cap,
+    dual_value,
+    exact_dual,
+    fleet_supply,
+    hourly_demand,
+    hull_value,
+)
+from chpricing.pricing import PRICE_FLOOR
+from chpricing.ucp import relaxed_supply, relaxed_unit_cost, supply_staircase
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def generator_types(draw, name):
+    n_segments = draw(st.integers(1, 3))
+    costs = sorted(draw(st.lists(st.integers(0, 60), min_size=n_segments,
+                                 max_size=n_segments)))
+    caps = draw(st.lists(st.integers(1, 12), min_size=n_segments,
+                         max_size=n_segments))
+    return GeneratorType(
+        name, float(draw(st.integers(0, 400))),
+        float(draw(st.integers(0, sum(caps)))),
+        tuple(CostSegment(float(c), float(w)) for c, w in zip(costs, caps)),
+        draw(st.integers(1, 2)))
+
+
+@st.composite
+def fleets(draw):
+    n_types = draw(st.integers(1, 3))
+    return Fleet(tuple(draw(generator_types(f"T{i}")) for i in range(n_types)))
+
+
+@st.composite
+def priced_hours(draw):
+    """A fleet with a one-hour demand model that clears below the price cap."""
+    fleet = draw(fleets())
+    cap_mw = fleet.total_capacity
+    mu1 = draw(st.floats(0.0, 0.9))
+    elastic = draw(st.floats(0.001, 0.09))  # share of capacity at the price cap
+    mu2 = 0.2
+    model = DemandModel(a=elastic * cap_mw * default_price_cap(fleet) / mu2,
+                        mu1=mu1, mu2=mu2, nu=1.0)
+    return fleet, model, DayProfile((cap_mw,) * 24)
+
+
+def probe_prices(fleet):
+    """Every breakpoint, the midpoints between them, and prices beyond both ends."""
+    prices, _supply = supply_staircase(fleet)
+    mids = [0.5 * (a + b) for a, b in zip(prices, prices[1:])]
+    return list(prices) + mids + [0.5 * prices[0], prices[-1] + 1.0]
+
+
+@PROPERTY
+@given(fleets())
+def test_relaxed_supply_is_best_response_supply(fleet):
+    prices, _supply = supply_staircase(fleet)
+    tol = 1e-9 * fleet.total_capacity
+    for p in probe_prices(fleet):
+        assert fleet_supply(fleet, p) == relaxed_supply(fleet, p)
+        if p not in prices:
+            # off a breakpoint the unit-by-unit best response agrees
+            assert best_response(fleet, p).supply == \
+                pytest.approx(fleet_supply(fleet, p), abs=tol)
+            assert fleet_supply(fleet, p, maximal=False) == fleet_supply(fleet, p)
+
+
+@PROPERTY
+@given(priced_hours())
+def test_exact_dual_is_the_crossing(hour):
+    fleet, model, profile = hour
+    price, demand = exact_dual(fleet, model, profile, 0)
+    assert demand == hourly_demand(model, profile, 0, price)
+    # inside a step supply equals demand up to rounding
+    assert fleet_supply(fleet, price) >= demand * (1.0 - 1e-12)
+    if price != PRICE_FLOOR:
+        below = price * (1.0 - 1e-9)
+        assert fleet_supply(fleet, below) < hourly_demand(model, profile, 0, below)
+
+
+@PROPERTY
+@given(fleets())
+def test_hull_value_endpoints_and_grid_biconjugate(fleet):
+    prices, _supply = supply_staircase(fleet)
+    price_cap = default_price_cap(fleet)
+    values = oracles.fleet_value_grid(fleet, 1.0)
+    hull = oracles.grid_hull(values, 1.0)
+    for y in range(int(fleet.total_capacity) + 1):
+        point = hull_value(fleet, float(y))
+        assert point.price_lo == 0.0 or point.price_lo in prices
+        assert point.price_hi == price_cap or point.price_hi in prices
+        assert point.price_lo <= point.price_hi
+        assert point.hull_value == pytest.approx(
+            hull[y], abs=1e-9 * max(1.0, abs(hull[y])))
+
+
+@PROPERTY
+@given(generator_types("U"), st.floats(0.0, 1.0))
+def test_relaxed_unit_cost_matches_z_grid(gtype, frac):
+    g = frac * gtype.max_output
+    z_steps = 2000
+    ref = oracles.relaxed_unit_grid(gtype, g, z_steps=z_steps)
+    got = relaxed_unit_cost(gtype, g)
+    # the z grid misses the optimum by at most one grid cell of the
+    # objective, whose slope in z is at most S + max_c * max_output
+    z_lo = g / gtype.max_output
+    z_hi = 1.0 if gtype.min_output == 0 else min(1.0, g / gtype.min_output)
+    slope = gtype.startup_cost + gtype.segments[-1].marginal_cost * gtype.max_output
+    assert got <= ref + 1e-9 * max(1.0, ref)
+    assert got >= ref - slope * (z_hi - z_lo) / z_steps - 1e-9 * max(1.0, ref)
+
+
+def test_breakeven_breakpoint_takes_upper_step():
+    # the committed profit at the rounded break-even 12 + 700/13 is about
+    # -1e-13, so a commitment decided by its sign would drop the step
+    fleet = Fleet((GeneratorType("U", 700.0, 0.0, (CostSegment(12.0, 13.0),)),))
+    (breakeven,), (full,) = supply_staircase(fleet)
+    assert (breakeven, full) == (12.0 + 700.0 / 13.0, 13.0)
+    assert fleet_supply(fleet, breakeven) == 13.0
+    assert fleet_supply(fleet, breakeven, maximal=False) == 0.0
+    # inelastic demand inside the step clears at the break-even price with
+    # the upper step supplied
+    model = DemandModel(a=1.0, mu1=1.0, mu2=0.0, nu=1.0)
+    profile = DayProfile((6.5,) * 24)
+    price, demand = exact_dual(fleet, model, profile, 0)
+    assert (price, demand) == (breakeven, 6.5)
+    _phi, imbalance = dual_value(fleet, model, profile, 0, price)
+    assert imbalance == 13.0 - 6.5
+    point = hull_value(fleet, 6.5)
+    assert point.price_lo == point.price_hi == breakeven
