@@ -19,6 +19,7 @@ __all__ = [
 ]
 
 BUILTIN_FLEETS = ("gribik", "scarf")
+_INF = float("inf")
 
 
 class FleetValidationError(ValueError):
@@ -33,12 +34,13 @@ class CostSegment:
     capacity: float       # MW
 
     def __post_init__(self) -> None:
-        if not self.capacity > 0:
+        # chained comparisons are False for NaN, so NaN is rejected too
+        if not 0 < self.capacity < _INF:
             raise FleetValidationError(
-                f"segment capacity must be > 0, got {self.capacity}")
-        if self.marginal_cost < 0:
+                f"segment capacity must be finite and > 0, got {self.capacity}")
+        if not 0 <= self.marginal_cost < _INF:
             raise FleetValidationError(
-                f"segment marginal_cost must be >= 0, got {self.marginal_cost}")
+                f"segment marginal_cost must be finite and >= 0, got {self.marginal_cost}")
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,9 @@ class GeneratorType:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.name:
             raise FleetValidationError("generator type name must be nonempty")
-        if self.startup_cost < 0:
+        if not 0 <= self.startup_cost < _INF:
             raise FleetValidationError(
-                f"{self.name}: startup_cost must be >= 0, got {self.startup_cost}")
+                f"{self.name}: startup_cost must be finite and >= 0, got {self.startup_cost}")
         if not self.segments:
             raise FleetValidationError(f"{self.name}: segments must be nonempty")
         costs = [s.marginal_cost for s in self.segments]
@@ -76,7 +78,7 @@ class GeneratorType:
                 f"[0, {self.max_output}]")
         if not (isinstance(self.unit_count, int) and self.unit_count >= 1):
             raise FleetValidationError(
-                f"{self.name}: unit_count must be an integer >= 1, got {self.unit_count}")
+                f"{self.name}: unit_count must be an integer >= 1, got {self.unit_count!r}")
 
     @property
     def max_output(self) -> float:
@@ -182,10 +184,11 @@ def load_fleet(document: str) -> Fleet:
                     f"{label}: segments[{j}] must have marginal_cost and capacity")
             segments.append(CostSegment(float(seg["marginal_cost"]),
                                         float(seg["capacity"])))
-        try:
-            unit_count = int(raw["unit_count"])
-        except (TypeError, ValueError) as exc:
-            raise FleetValidationError(f"{label}: unit_count must be an integer") from exc
+        # an integral float such as 2.0 is a count; 2.7 is left for
+        # GeneratorType to reject rather than truncated
+        unit_count = raw["unit_count"]
+        if isinstance(unit_count, float) and unit_count.is_integer():
+            unit_count = int(unit_count)
         types.append(GeneratorType(
             name=str(raw["name"]),
             startup_cost=float(raw["startup_cost"]),

@@ -1,17 +1,18 @@
 """Unit commitment economics for startup-cost fleets.
 
-Exact value function by commitment enumeration, merit-order dispatch,
-closed-form supplier best response (the Fenchel conjugate of the cost
-function), the continuous commitment relaxation and the supply staircase
-read off it, and the startup-free convex baselines used for LMP-style
-pricing.
+Exact value function v(y) read off a per-fleet commitment table (every
+per-type count vector with its output range, fixed cost and merit-order
+fill, built once and evaluated with numpy; the cheapest commitments are
+then re-dispatched exactly), merit-order dispatch, closed-form supplier
+best response (the Fenchel conjugate of the cost function), the
+continuous commitment relaxation and the supply staircase read off it,
+and the startup-free convex baselines used for LMP-style pricing.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -42,6 +43,9 @@ __all__ = [
 FEAS_EPS = 1e-9
 # positivity floor for the fitted quadratic curvature ($/MW^2)
 ALPHA_FLOOR = 1e-9
+# most float64 values in a commitment table (64 MB); evaluating v(y) from
+# it takes about as much again
+MAX_TABLE_CELLS = 1 << 23
 
 
 class InfeasibleError(Exception):
@@ -140,6 +144,29 @@ def _validate_commitment(fleet: Fleet, commitment: Commitment) -> None:
                 f"{gtype.name}: committed {n} of {gtype.unit_count} units")
 
 
+def _free_blocks(fleet: Fleet, counts: tuple[int, ...]
+                 ) -> list[tuple[float, int, int, float]]:
+    """Segment capacity left once every committed unit runs at its minimum.
+
+    Returns (marginal_cost, type_idx, seg_idx, free MW) in merit order.
+    The order does not depend on the counts, since (type, segment) pairs
+    are distinct: it is the same for every commitment of a fleet.
+    """
+    blocks = []
+    for ti, (gtype, n) in enumerate(zip(fleet.types, counts)):
+        if n == 0:
+            continue
+        rem_min = gtype.min_output
+        for si, seg in enumerate(gtype.segments):
+            used = min(rem_min, seg.capacity)
+            rem_min -= used
+            free = (seg.capacity - used) * n
+            if free > 0.0:
+                blocks.append((seg.marginal_cost, ti, si, free))
+    blocks.sort()
+    return blocks
+
+
 def dispatch_committed(fleet: Fleet, commitment: Commitment, y: float) -> Dispatch:
     """Cheapest dispatch of a fixed commitment meeting total output y.
 
@@ -159,23 +186,9 @@ def dispatch_committed(fleet: Fleet, commitment: Commitment, y: float) -> Dispat
             f"commitment {commitment.counts} covers [{floor_mw}, {ceil_mw}] MW, "
             f"cannot meet {y} MW")
 
-    # residual segment capacity after the mandatory minimum runs
-    blocks = []  # (marginal_cost, type_idx, seg_idx, free MW)
-    for ti, (gtype, n) in enumerate(zip(fleet.types, commitment.counts)):
-        if n == 0:
-            continue
-        rem_min = gtype.min_output
-        for si, seg in enumerate(gtype.segments):
-            used = min(rem_min, seg.capacity)
-            rem_min -= used
-            free = (seg.capacity - used) * n
-            if free > 0.0:
-                blocks.append((seg.marginal_cost, ti, si, free))
-    blocks.sort()
-
     residual = max(y - floor_mw, 0.0)
     extra = [0.0] * len(fleet.types)
-    for cost, ti, _si, free in blocks:
+    for _cost, ti, _si, free in _free_blocks(fleet, commitment.counts):
         if residual <= 0.0:
             break
         take = min(residual, free)
@@ -196,28 +209,100 @@ def dispatch_committed(fleet: Fleet, commitment: Commitment, y: float) -> Dispat
     return Dispatch(commitment, tuple(outputs), total_output, total_cost)
 
 
-def ucp_value(fleet: Fleet, y: float) -> tuple[float, Dispatch]:
-    """Exact unit commitment cost at demand y, by commitment enumeration.
+@dataclass(frozen=True)
+class _CommitmentTable:
+    """Every commitment of a fleet, in itertools.product order, as arrays.
 
-    Units of a type are interchangeable, so only per-type counts are
-    enumerated.  Raises InfeasibleError when no commitment covers y.
+    ``floor``/``ceil`` are summed type by type as in dispatch_committed, so
+    feasibility is decided bit for bit as there.  ``base`` is the startup
+    plus minimum-output cost.  A commitment's merit-order cost of the
+    residual r above its floor is convex piecewise linear in r, so it is
+    the largest of the lines ``lines[b] + slopes[b] * r``, one per free
+    block b in merit order (a block a commitment leaves empty gives a
+    supporting line at its breakpoint).
+    """
+
+    counts: np.ndarray  # (C, T) per-type counts, small unsigned ints
+    floor: np.ndarray   # (C,) MW
+    ceil: np.ndarray    # (C,) MW
+    base: np.ndarray    # (C,) $
+    slopes: np.ndarray  # (B,) $/MWh
+    lines: np.ndarray   # (B, C) $, each line's value at r = 0
+
+
+# a table can reach 64 MB; a run needs two (its fleet and _zero_startup's)
+@lru_cache(maxsize=8)
+def _commitment_table(fleet: Fleet) -> _CommitmentTable:
+    blocks = _free_blocks(fleet, (1,) * len(fleet.types))
+    shape = tuple(t.unit_count + 1 for t in fleet.types)
+    commitments = 1
+    for size in shape:
+        commitments *= size
+    # floor, ceil, base and one line per block: float64 values per commitment
+    cells = commitments * (len(blocks) + 3)
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"fleet has {commitments} commitments x {len(blocks)} free blocks: "
+            f"its commitment table of {cells} values exceeds the limit of "
+            f"{MAX_TABLE_CELLS}")
+    counts = np.indices(shape, dtype=np.min_scalar_type(max(shape)))
+    counts = counts.reshape(len(shape), commitments).T
+    floor = np.zeros(commitments)
+    ceil = np.zeros(commitments)
+    base = np.zeros(commitments)
+    for ti, gtype in enumerate(fleet.types):
+        n = counts[:, ti]
+        floor += n * gtype.min_output
+        ceil += n * gtype.max_output
+        base += n * (gtype.startup_cost + unit_variable_cost(gtype, gtype.min_output))
+    slopes = np.array([b[0] for b in blocks])
+    lines = np.empty((len(blocks), commitments))
+    start = np.zeros(commitments)
+    filled = np.zeros(commitments)
+    for b, (slope, ti, _si, free) in enumerate(blocks):
+        lines[b] = filled - slope * start
+        width = counts[:, ti] * free
+        start += width
+        filled += slope * width
+    table = _CommitmentTable(counts, floor, ceil, base, slopes, lines)
+    for array in vars(table).values():
+        array.flags.writeable = False
+    return table
+
+
+def ucp_value(fleet: Fleet, y: float) -> tuple[float, Dispatch]:
+    """Exact unit commitment cost at demand y and its cheapest dispatch.
+
+    Units of a type are interchangeable, so a commitment is a vector of
+    per-type counts.  Every commitment's merit-order cost is computed at
+    once from the fleet's cached commitment table; the few whose cost lies
+    within rounding of the minimum are then dispatched exactly with
+    dispatch_committed, in itertools.product order, and the first strict
+    minimum wins.  Raises InfeasibleError when no commitment covers y, and
+    ValueError when the table would exceed MAX_TABLE_CELLS.
     """
     if y < -FEAS_EPS or y > fleet.total_capacity + FEAS_EPS:
         raise InfeasibleError(
             f"demand {y} outside feasible range [0, {fleet.total_capacity}] MW")
+    table = _commitment_table(fleet)
+    feasible = (y >= table.floor - FEAS_EPS) & (y <= table.ceil + FEAS_EPS)
+    if not feasible.any():
+        raise InfeasibleError(f"no commitment can meet {y} MW")
+    residual = np.clip(y - table.floor, 0.0, table.ceil - table.floor)
+    fill = np.multiply.outer(table.slopes, residual)
+    fill += table.lines
+    # costs are nonnegative, so 0 bounds the fill from below (and is the
+    # fill of a commitment without free blocks)
+    approx = np.where(feasible, table.base + fill.max(axis=0, initial=0.0), np.inf)
+    # the table sums in another order than dispatch_committed: keep every
+    # commitment within a rounding margin of the minimum, then decide exactly
+    least = approx.min()
+    margin = 1e-9 * max(1.0, abs(least), y * float(table.slopes.max(initial=0.0)))
     best: Dispatch | None = None
-    mins = [t.min_output for t in fleet.types]
-    maxs = [t.max_output for t in fleet.types]
-    for counts in product(*(range(t.unit_count + 1) for t in fleet.types)):
-        floor_mw = sum(n * m for n, m in zip(counts, mins))
-        ceil_mw = sum(n * m for n, m in zip(counts, maxs))
-        if y < floor_mw - FEAS_EPS or y > ceil_mw + FEAS_EPS:
-            continue
-        cand = dispatch_committed(fleet, Commitment(counts), y)
+    for i in np.flatnonzero(approx <= least + margin):
+        cand = dispatch_committed(fleet, Commitment(tuple(table.counts[i])), y)
         if best is None or cand.total_cost < best.total_cost:
             best = cand
-    if best is None:
-        raise InfeasibleError(f"no commitment can meet {y} MW")
     return best.total_cost, best
 
 

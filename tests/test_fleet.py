@@ -13,6 +13,17 @@ from chpricing import (
 )
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+def one_type_document(**fields):
+    raw = {"name": "X", "startup_cost": 0.0, "min_output": 0.0, "unit_count": 1,
+           "segments": [{"marginal_cost": 1.0, "capacity": 1.0}]}
+    raw.update(fields)
+    return json.dumps({"types": [raw]})
+
+
 def seg_pairs(gtype):
     return [(s.marginal_cost, s.capacity) for s in gtype.segments]
 
@@ -89,6 +100,21 @@ class TestValidation:
         with pytest.raises(FleetValidationError):
             Fleet(())
 
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_nonfinite_marginal_cost(self, value):
+        with pytest.raises(FleetValidationError, match="marginal_cost"):
+            CostSegment(value, 10.0)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_nonfinite_segment_capacity(self, value):
+        with pytest.raises(FleetValidationError, match="capacity"):
+            CostSegment(10.0, value)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_nonfinite_startup(self, value):
+        with pytest.raises(FleetValidationError, match="startup_cost"):
+            GeneratorType("X", value, 0.0, (CostSegment(1.0, 1.0),))
+
 
 class TestSerialization:
     @pytest.mark.parametrize("name", ["gribik", "scarf"])
@@ -122,3 +148,21 @@ class TestSerialization:
     def test_load_missing_types_key(self):
         with pytest.raises(FleetValidationError):
             load_fleet(json.dumps({"fleet": []}))
+
+    @pytest.mark.parametrize("fields", [
+        {"startup_cost": NAN},
+        {"segments": [{"marginal_cost": NAN, "capacity": 1.0}]},
+        {"segments": [{"marginal_cost": 1.0, "capacity": INF}]},
+    ])
+    def test_load_nonfinite_number(self, fields):
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        with pytest.raises(FleetValidationError, match="finite"):
+            load_fleet(one_type_document(**fields))
+
+    @pytest.mark.parametrize("count", [2.7, "3", None, INF])
+    def test_load_non_integral_unit_count(self, count):
+        with pytest.raises(FleetValidationError, match="unit_count"):
+            load_fleet(one_type_document(unit_count=count))
+
+    def test_load_integral_float_unit_count(self):
+        assert load_fleet(one_type_document(unit_count=3.0)).types[0].unit_count == 3

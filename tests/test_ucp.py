@@ -1,8 +1,12 @@
 import dataclasses
 import math
+import time
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import oracles
 from chpricing import (
@@ -21,7 +25,62 @@ from chpricing import (
     relaxed_value,
     ucp_value,
 )
-from chpricing.ucp import relaxed_supply, relaxed_unit_cost, unit_variable_cost
+from chpricing.ucp import (
+    FEAS_EPS,
+    MAX_TABLE_CELLS,
+    relaxed_supply,
+    relaxed_unit_cost,
+    unit_variable_cost,
+)
+from test_staircase import PROPERTY, fleets
+
+
+def enumerated_value(fleet, y):
+    """v(y) by enumerating every commitment, the first strict minimum winning.
+
+    The loop ucp_value replaced, kept as its reference: ucp_value must pick
+    the same commitment and return the same float.
+    """
+    if y < -FEAS_EPS or y > fleet.total_capacity + FEAS_EPS:
+        raise InfeasibleError(f"demand {y} outside [0, {fleet.total_capacity}] MW")
+    best = None
+    mins = [t.min_output for t in fleet.types]
+    maxs = [t.max_output for t in fleet.types]
+    for counts in product(*(range(t.unit_count + 1) for t in fleet.types)):
+        floor_mw = sum(n * m for n, m in zip(counts, mins))
+        ceil_mw = sum(n * m for n, m in zip(counts, maxs))
+        if y < floor_mw - FEAS_EPS or y > ceil_mw + FEAS_EPS:
+            continue
+        cand = dispatch_committed(fleet, Commitment(counts), y)
+        if best is None or cand.total_cost < best.total_cost:
+            best = cand
+    if best is None:
+        raise InfeasibleError(f"no commitment can meet {y} MW")
+    return best.total_cost, best
+
+
+def value_and_counts(value_fn, fleet, y):
+    try:
+        v, dispatch = value_fn(fleet, y)
+    except InfeasibleError:
+        return None
+    return v, dispatch.commitment.counts
+
+
+def assert_matches_enumeration(fleet, demands):
+    for y in demands:
+        assert value_and_counts(ucp_value, fleet, y) == \
+            value_and_counts(enumerated_value, fleet, y), y
+
+
+def commitment_edges(fleet):
+    """Every commitment's floor and ceil, and those points +- FEAS_EPS/2."""
+    edges = set()
+    for counts in product(*(range(t.unit_count + 1) for t in fleet.types)):
+        for edge in (sum(n * t.min_output for n, t in zip(counts, fleet.types)),
+                     sum(n * t.max_output for n, t in zip(counts, fleet.types))):
+            edges.update((edge - 0.5 * FEAS_EPS, edge, edge + 0.5 * FEAS_EPS))
+    return sorted(edges)
 
 
 def by_name(fleet, name):
@@ -133,6 +192,69 @@ class TestUcpValue:
         for i in range(grid.size):
             v, _ = ucp_value(gribik, float(i))
             assert v == pytest.approx(grid[i], abs=1e-9)
+
+    @PROPERTY
+    @given(fleets())
+    def test_matches_enumeration(self, fleet):
+        integers = range(int(fleet.total_capacity) + 1)
+        assert_matches_enumeration(fleet, [float(y) for y in integers])
+        assert_matches_enumeration(fleet, commitment_edges(fleet))
+
+    def test_builtin_fleets_match_enumeration(self, gribik, scarf):
+        for fleet in (gribik, scarf):
+            ys = np.linspace(0.0, fleet.total_capacity, 121)
+            assert_matches_enumeration(fleet, [float(y) for y in ys])
+
+    def test_ties_go_to_first_commitment_in_product_order(self):
+        twin = GeneratorType("A", 100.0, 5.0,
+                             (CostSegment(10.0, 10.0), CostSegment(20.0, 10.0)), 2)
+        fleet = Fleet((twin, dataclasses.replace(twin, name="B")))
+        # one unit of either type serves 12 MW: (0, 1) precedes (1, 0)
+        v, d = ucp_value(fleet, 12.0)
+        assert d.commitment.counts == (0, 1)
+        assert v == 100.0 + 10.0 * 10.0 + 20.0 * 2.0
+        ys = [0.5 * k for k in range(int(2 * fleet.total_capacity) + 1)]
+        assert_matches_enumeration(fleet, ys + commitment_edges(fleet))
+
+    def test_units_without_free_capacity(self):
+        # every unit runs at its only output level, so no block is left to fill
+        fleet = Fleet((GeneratorType("A", 3.0, 4.0, (CostSegment(2.0, 4.0),), 2),
+                       GeneratorType("B", 1.0, 6.0, (CostSegment(1.0, 6.0),), 1)))
+        assert ucp_value(fleet, 10.0) == enumerated_value(fleet, 10.0)
+        assert ucp_value(fleet, 10.0)[1].commitment.counts == (1, 1)
+        with pytest.raises(InfeasibleError):
+            ucp_value(fleet, 5.0)
+        assert_matches_enumeration(fleet, [float(y) for y in range(15)])
+
+    def test_table_size_bounded_before_allocation(self, monkeypatch):
+        gtype = GeneratorType("T0", 10.0, 0.0, (CostSegment(5.0, 10.0),), 10)
+        fleet = Fleet(tuple(dataclasses.replace(gtype, name=f"T{i}") for i in range(10)))
+        commitments = 11 ** 10
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("commitment table allocated")
+
+        monkeypatch.setattr(np, "indices", no_table)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"{commitments} commitments.*{MAX_TABLE_CELLS}"):
+                ucp_value(fleet, 50.0)
+            elapsed = time.perf_counter() - start
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    def test_largest_three_type_fleet_fits(self):
+        fleet = Fleet(tuple(GeneratorType(f"T{i}", 10.0 * i, 1.0,
+                                          (CostSegment(5.0 + i, 10.0),), 40)
+                            for i in range(3)))
+        v, d = ucp_value(fleet, 555.5)
+        assert d.total_output == pytest.approx(555.5, abs=1e-9)
+        all_on = dispatch_committed(fleet, Commitment((40, 40, 40)), 555.5)
+        assert relaxed_value(fleet, 555.5)[0] <= v < all_on.total_cost
 
     def test_reduced_scarf_against_enumeration_oracle(self, scarf):
         small = oracles.reduced_scarf(scarf)
