@@ -11,14 +11,14 @@ seed, except for the wall-clock column of trace.csv.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
 from .fleet import Fleet, FleetValidationError, builtin_fleet, load_fleet
-from .hull import chp_fixed_demand, hull_value, uplift
+from .hull import chp_fixed_demand, hull_value, uplift, uplifts
 from .market import (
     HOURS,
     DayProfile,
@@ -45,10 +45,10 @@ from .pricing import (
 from .ucp import (
     InfeasibleError,
     QuadraticCost,
-    no_startup_value,
+    no_startup_values,
     quadratic_fit,
     relaxed_value,
-    ucp_value,
+    ucp_values,
 )
 from .welfare import HourResult, settle_hour, summarize_day
 
@@ -186,7 +186,10 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
                      method=config.method, lambda0=config.lambda0,
                      n_iters=config.n_iters, step_rule=step_rule, quad=quad)
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # imported here: the pool module costs every command's set-up, and
+        # a pool forks all its workers at once, so more than HOURS would idle
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(config.jobs, HOURS)) as pool:
             outcomes = list(pool.map(worker, range(HOURS)))
     else:
         outcomes = [worker(t) for t in range(HOURS)]
@@ -245,6 +248,13 @@ def _demand_grid(capacity: float, step_mw: float) -> list[float]:
     return grid
 
 
+def _require_feasible(grid: list[float], values: list[float]) -> None:
+    """Refuse a curve with a demand that no commitment covers (value +inf)."""
+    for y, value in zip(grid, values):
+        if math.isinf(value):
+            raise InfeasibleError(f"no commitment can meet {y} MW")
+
+
 def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
                      model: DemandModel | None = None,
                      profile: DayProfile | None = None) -> Path:
@@ -254,9 +264,12 @@ def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
     are left empty.
     """
     quad = quadratic_fit(fleet)
+    grid = _demand_grid(fleet.total_capacity, grid_step)
+    values = ucp_values(fleet, grid).tolist()
+    _require_feasible(grid, values)
+    no_startup = no_startup_values(fleet, grid).tolist()
     rows = []
-    for y in _demand_grid(fleet.total_capacity, grid_step):
-        v, _ = ucp_value(fleet, y)
+    for y, v, v_no_startup in zip(grid, values, no_startup):
         v_relaxed, _ = relaxed_value(fleet, y)
         point = hull_value(fleet, y)
         if model is not None and profile is not None \
@@ -264,9 +277,8 @@ def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
             u1 = _fmt(hourly_utility(model, profile, 0, y))
         else:
             u1 = ""
-        rows.append([_fmt(y), _fmt(v), _fmt(v_relaxed),
-                     _fmt(no_startup_value(fleet, y)), _fmt(quad.cost(y)),
-                     _fmt(point.hull_value), u1])
+        rows.append([_fmt(y), _fmt(v), _fmt(v_relaxed), _fmt(v_no_startup),
+                     _fmt(quad.cost(y)), _fmt(point.hull_value), u1])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "curves.csv"
@@ -280,13 +292,15 @@ def emit_uplift_curves(fleet: Fleet, rule: str, grid_step: float,
     """Write uplift_curve.csv: price and uplift over demand for one rule."""
     if rule not in ("chp", "dispatchable"):
         raise ValueError(f"rule must be 'chp' or 'dispatchable', got {rule}")
-    rows = []
-    for y in _demand_grid(fleet.total_capacity, grid_step):
-        if rule == "chp":
-            price = chp_fixed_demand(fleet, y)
-        else:
-            price = dispatchable_price(fleet, y)
-        rows.append([_fmt(y), _fmt(price), _fmt(uplift(fleet, price, y))])
+    grid = _demand_grid(fleet.total_capacity, grid_step)
+    if rule == "chp":
+        prices = [chp_fixed_demand(fleet, y) for y in grid]
+    else:
+        prices = [dispatchable_price(fleet, y) for y in grid]
+    billed = uplifts(fleet, prices, grid)
+    _require_feasible(grid, billed)
+    rows = [[_fmt(y), _fmt(price), _fmt(up)]
+            for y, price, up in zip(grid, prices, billed)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "uplift_curve.csv"

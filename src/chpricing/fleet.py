@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "CostSegment",
@@ -80,7 +81,7 @@ class GeneratorType:
             raise FleetValidationError(
                 f"{self.name}: unit_count must be an integer >= 1, got {self.unit_count!r}")
 
-    @property
+    @cached_property
     def max_output(self) -> float:
         """Maximum output of one committed unit (MW)."""
         return sum(s.capacity for s in self.segments)
@@ -100,7 +101,22 @@ class Fleet:
         if len(set(names)) != len(names):
             raise FleetValidationError(f"duplicate type names in fleet: {names}")
 
-    @property
+    # Fleets key every per-fleet cache, so the hash is computed once.  It
+    # hashes type names, and str hashes differ between processes, so the
+    # cached value is left out of the pickled state.
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = hash((self.types,))
+            return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    @cached_property
     def total_capacity(self) -> float:
         """Fleet-wide maximum output with every unit committed (MW)."""
         return sum(t.unit_count * t.max_output for t in self.types)
@@ -146,6 +162,17 @@ def builtin_fleet(name: str) -> Fleet:
     raise ValueError(f"unknown builtin fleet {name!r}; choose from {BUILTIN_FLEETS}")
 
 
+def _number(raw: dict, key: str, label: str) -> float:
+    """A JSON number field as a float; null, strings, booleans and containers are refused."""
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FleetValidationError(f"{label}: {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond float range
+        raise FleetValidationError(f"{label}: {key} must be finite, got {value}") from None
+
+
 def load_fleet(document: str) -> Fleet:
     """Parse a JSON fleet document.
 
@@ -167,13 +194,16 @@ def load_fleet(document: str) -> Fleet:
         raise FleetValidationError("'types' must be a nonempty list")
     types = []
     for i, raw in enumerate(raw_types):
-        label = raw.get("name", f"types[{i}]") if isinstance(raw, dict) else f"types[{i}]"
+        name = raw.get("name") if isinstance(raw, dict) else None
+        label = name if isinstance(name, str) and name else f"types[{i}]"
         if not isinstance(raw, dict):
             raise FleetValidationError(f"{label}: type entry must be an object")
         missing = {"name", "startup_cost", "min_output", "unit_count",
                    "segments"} - raw.keys()
         if missing:
             raise FleetValidationError(f"{label}: missing fields {sorted(missing)}")
+        if not isinstance(name, str):
+            raise FleetValidationError(f"{label}: name must be a string, got {name!r}")
         raw_segments = raw["segments"]
         if not isinstance(raw_segments, list) or not raw_segments:
             raise FleetValidationError(f"{label}: 'segments' must be a nonempty list")
@@ -182,17 +212,18 @@ def load_fleet(document: str) -> Fleet:
             if not isinstance(seg, dict) or {"marginal_cost", "capacity"} - seg.keys():
                 raise FleetValidationError(
                     f"{label}: segments[{j}] must have marginal_cost and capacity")
-            segments.append(CostSegment(float(seg["marginal_cost"]),
-                                        float(seg["capacity"])))
+            segments.append(CostSegment(
+                _number(seg, "marginal_cost", f"{label}: segments[{j}]"),
+                _number(seg, "capacity", f"{label}: segments[{j}]")))
         # an integral float such as 2.0 is a count; 2.7 is left for
         # GeneratorType to reject rather than truncated
         unit_count = raw["unit_count"]
         if isinstance(unit_count, float) and unit_count.is_integer():
             unit_count = int(unit_count)
         types.append(GeneratorType(
-            name=str(raw["name"]),
-            startup_cost=float(raw["startup_cost"]),
-            min_output=float(raw["min_output"]),
+            name=name,
+            startup_cost=_number(raw, "startup_cost", label),
+            min_output=_number(raw, "min_output", label),
             segments=tuple(segments),
             unit_count=unit_count,
         ))

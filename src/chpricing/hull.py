@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .fleet import Fleet
@@ -21,6 +22,7 @@ from .ucp import (
     fleet_supply,
     supply_staircase,
     ucp_value,
+    ucp_values,
 )
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "hull_value",
     "chp_fixed_demand",
     "uplift",
+    "uplifts",
     "bisect_first_true",
 ]
 
@@ -67,6 +70,7 @@ def bisect_first_true(pred: Callable[[float], bool], lo: float, hi: float,
     return hi
 
 
+@lru_cache(maxsize=None)
 def default_price_cap(fleet: Fleet) -> float:
     """A price at which every unit runs flat out.
 
@@ -122,3 +126,14 @@ def uplift(fleet: Fleet, price: float, y: float) -> float:
     """
     value, _dispatch = ucp_value(fleet, y)
     return conjugate(fleet, price) - (price * y - value)
+
+
+def uplifts(fleet: Fleet, prices, demands) -> list[float]:
+    """uplift at each (price, demand) pair, from one batched v (ucp_values).
+
+    Each value is the float uplift returns; a demand that no commitment
+    covers, where uplift raises InfeasibleError, gets +inf.
+    """
+    values = ucp_values(fleet, demands).tolist()
+    return [conjugate(fleet, price) - (price * y - value)
+            for price, y, value in zip(prices, demands, values)]

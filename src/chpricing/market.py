@@ -58,6 +58,9 @@ class DemandModel:
     utility_constant: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("a", "mu1", "mu2", "nu", "utility_constant"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.a > 0:
             raise ValueError(f"a must be > 0, got {self.a}")
         if not self.nu > 0:

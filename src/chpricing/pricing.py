@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .fleet import Fleet
-from .hull import default_price_cap, uplift
+from .hull import default_price_cap, uplifts
 from .market import DayProfile, DemandModel, demand_terms, hourly_demand, hourly_utility
 from .ucp import (
     InfeasibleError,
@@ -114,6 +114,8 @@ def _price_loop(method: str, respond: Callable[[float], tuple[float, float]],
     Each round p_k = p_{k-1} - gamma_k * (supply - demand), clamped to the
     floor; after n_iters rounds the final price is accepted.  Uplift is
     priced against uplift_fleet: NaN without one, inf if demand is infeasible.
+    The loop never reads it, so every iterate is billed in one batch after
+    the loop, and elapsed_s excludes that time.
     """
     _check_price(price0)
     if n_iters < 1:
@@ -122,24 +124,22 @@ def _price_loop(method: str, respond: Callable[[float], tuple[float, float]],
     price = price0
     demand = hourly_demand(model, profile, t, price)
     supply, _profit = respond(price)
-    records = []
+    rounds = []
     for k in range(1, n_iters + 1):
         step = step_rule(k)
         price = max(PRICE_FLOOR, price - step * (supply - demand))
         demand = hourly_demand(model, profile, t, price)
         supply, profit = respond(price)
         phi = hourly_utility(model, profile, t, demand) - price * demand + profit
-        if uplift_fleet is None:
-            up = math.nan
-        else:
-            try:
-                up = uplift(uplift_fleet, price, demand)
-            except InfeasibleError:
-                up = math.inf
-        records.append(IterateRecord(
-            k=k, price=price, demand=demand, supply=supply, step=step,
-            dual_value=phi, uplift=up, elapsed_s=time.perf_counter() - start))
-    return PricingTrace(method, tuple(records), price, demand)
+        rounds.append(dict(k=k, price=price, demand=demand, supply=supply, step=step,
+                           dual_value=phi, elapsed_s=time.perf_counter() - start))
+    if uplift_fleet is None:
+        billed = [math.nan] * n_iters
+    else:
+        billed = uplifts(uplift_fleet, [r["price"] for r in rounds],
+                         [r["demand"] for r in rounds])
+    records = tuple(IterateRecord(uplift=up, **r) for r, up in zip(rounds, billed))
+    return PricingTrace(method, records, price, demand)
 
 
 def run_subgradient(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,

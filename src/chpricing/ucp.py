@@ -7,6 +7,13 @@ then re-dispatched exactly), merit-order dispatch, closed-form supplier
 best response (the Fenchel conjugate of the cost function), the
 continuous commitment relaxation and the supply staircase read off it,
 and the startup-free convex baselines used for LMP-style pricing.
+
+v comes one demand at a time (ucp_value, with the cheapest Dispatch) or
+for a whole set of demands (ucp_values).  The batch reads the table in
+chunks of demands whose working arrays hold at most BATCH_CELLS values,
+keeps the same near-minimal candidates as ucp_value, and costs them all
+in one vectorised pass that makes dispatch_committed's float operations
+in its order, so both give the same floats.
 """
 from __future__ import annotations
 
@@ -27,6 +34,7 @@ __all__ = [
     "unit_variable_cost",
     "dispatch_committed",
     "ucp_value",
+    "ucp_values",
     "best_response",
     "fleet_supply",
     "supply_staircase",
@@ -36,6 +44,7 @@ __all__ = [
     "relaxed_value",
     "relaxed_supply",
     "no_startup_value",
+    "no_startup_values",
     "quadratic_fit",
 ]
 
@@ -46,6 +55,9 @@ ALPHA_FLOOR = 1e-9
 # most float64 values in a commitment table (64 MB); evaluating v(y) from
 # it takes about as much again
 MAX_TABLE_CELLS = 1 << 23
+# most demand x commitment x block values in one working array of
+# ucp_values (512 KB), so each chunk of demands stays in cache
+BATCH_CELLS = 1 << 16
 
 
 class InfeasibleError(Exception):
@@ -213,21 +225,27 @@ def dispatch_committed(fleet: Fleet, commitment: Commitment, y: float) -> Dispat
 class _CommitmentTable:
     """Every commitment of a fleet, in itertools.product order, as arrays.
 
-    ``floor``/``ceil`` are summed type by type as in dispatch_committed, so
-    feasibility is decided bit for bit as there.  ``base`` is the startup
-    plus minimum-output cost.  A commitment's merit-order cost of the
-    residual r above its floor is convex piecewise linear in r, so it is
-    the largest of the lines ``lines[b] + slopes[b] * r``, one per free
-    block b in merit order (a block a commitment leaves empty gives a
-    supporting line at its breakpoint).
+    The floor and ceil are summed type by type as in dispatch_committed,
+    and ``lo``/``hi`` are them minus/plus FEAS_EPS, so feasibility is
+    decided bit for bit as there.  ``base`` is the startup plus
+    minimum-output cost.  A commitment's merit-order cost of the residual
+    r above its floor (at most ``span``) is convex piecewise linear in r,
+    so it is the largest of the lines ``lines[b] + slopes[b] * r``, one
+    per free block b in merit order (a block a commitment leaves empty
+    gives a supporting line at its breakpoint).  ``blocks`` are those
+    blocks as _free_blocks gives them for one unit of every type.
     """
 
     counts: np.ndarray  # (C, T) per-type counts, small unsigned ints
     floor: np.ndarray   # (C,) MW
-    ceil: np.ndarray    # (C,) MW
+    span: np.ndarray    # (C,) MW, ceil - floor
+    lo: np.ndarray      # (C,) MW
+    hi: np.ndarray      # (C,) MW
     base: np.ndarray    # (C,) $
-    slopes: np.ndarray  # (B,) $/MWh
+    slopes: np.ndarray  # (B, 1) $/MWh
     lines: np.ndarray   # (B, C) $, each line's value at r = 0
+    blocks: tuple[tuple[float, int, int, float], ...]
+    max_slope: float    # $/MWh, 0 without blocks
 
 
 # a table can reach 64 MB; a run needs two (its fleet and _zero_startup's)
@@ -238,8 +256,9 @@ def _commitment_table(fleet: Fleet) -> _CommitmentTable:
     commitments = 1
     for size in shape:
         commitments *= size
-    # floor, ceil, base and one line per block: float64 values per commitment
-    cells = commitments * (len(blocks) + 3)
+    # floor, span, lo, hi, base and one line per block: float64 values per
+    # commitment
+    cells = commitments * (len(blocks) + 5)
     if cells > MAX_TABLE_CELLS:
         raise ValueError(
             f"fleet has {commitments} commitments x {len(blocks)} free blocks: "
@@ -264,10 +283,72 @@ def _commitment_table(fleet: Fleet) -> _CommitmentTable:
         width = counts[:, ti] * free
         start += width
         filled += slope * width
-    table = _CommitmentTable(counts, floor, ceil, base, slopes, lines)
+    table = _CommitmentTable(counts, floor, ceil - floor, floor - FEAS_EPS,
+                             ceil + FEAS_EPS, base, slopes[:, None], lines,
+                             tuple(blocks), float(slopes.max(initial=0.0)))
     for array in vars(table).values():
-        array.flags.writeable = False
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
     return table
+
+
+def _near_minimal(table: _CommitmentTable, ys: np.ndarray) -> np.ndarray:
+    """Which commitments are candidates for the cheapest at each demand.
+
+    A mask of shape ys.shape + (commitments,), in product order.  Every
+    commitment's merit-order cost at each demand comes from the table at
+    once.  The table sums in another order than dispatch_committed, so
+    every commitment within a rounding margin of a demand's least cost
+    stays a candidate, to be decided exactly.  A demand that no
+    commitment covers has none.
+    """
+    column = ys[..., None]
+    feasible = (column >= table.lo) & (column <= table.hi)
+    residual = np.clip(column - table.floor, 0.0, table.span)
+    fill = residual[..., None, :] * table.slopes
+    fill += table.lines
+    # costs are nonnegative, so 0 bounds the fill from below (and is the
+    # fill of a commitment without free blocks)
+    approx = np.where(feasible, table.base + fill.max(axis=-2, initial=0.0), np.inf)
+    least = approx.min(axis=-1, keepdims=True)
+    margin = 1e-9 * np.maximum(np.maximum(1.0, np.abs(least)), column * table.max_slope)
+    # where no commitment is feasible, least and the margin are inf
+    return (approx <= least + margin) & feasible
+
+
+def _variable_costs(gtype: GeneratorType, g: np.ndarray) -> np.ndarray:
+    """unit_variable_cost at every output of g, float for float."""
+    remaining = np.minimum(np.maximum(g, 0.0), gtype.max_output)
+    cost = np.zeros(g.shape)
+    for seg in gtype.segments:
+        # once remaining is 0 every take is 0, where the loop stops instead
+        take = np.minimum(remaining, seg.capacity)
+        cost += take * seg.marginal_cost
+        remaining -= take
+    return cost
+
+
+def _dispatch_costs(fleet: Fleet, table: _CommitmentTable, ys: np.ndarray,
+                    commitments: np.ndarray) -> np.ndarray:
+    """dispatch_committed's total_cost of commitments[k] at ys[k], float for float.
+
+    Each array operation is the one dispatch_committed makes, in its
+    order.  A type a commitment leaves off adds 0.0 where the loop skips
+    it, which changes no sum.
+    """
+    counts = table.counts[commitments]
+    residual = np.maximum(ys - table.floor[commitments], 0.0)
+    extra = np.zeros((len(fleet.types), len(commitments)))
+    for _cost, ti, _si, free in table.blocks:
+        take = np.minimum(residual, free * counts[:, ti])
+        extra[ti] += take
+        residual -= take
+    total = np.zeros(len(commitments))
+    for ti, gtype in enumerate(fleet.types):
+        n = counts[:, ti]
+        per_unit = gtype.min_output + extra[ti] / np.maximum(n, 1)
+        total += n * (gtype.startup_cost + _variable_costs(gtype, per_unit))
+    return total
 
 
 def ucp_value(fleet: Fleet, y: float) -> tuple[float, Dispatch]:
@@ -276,34 +357,55 @@ def ucp_value(fleet: Fleet, y: float) -> tuple[float, Dispatch]:
     Units of a type are interchangeable, so a commitment is a vector of
     per-type counts.  Every commitment's merit-order cost is computed at
     once from the fleet's cached commitment table; the few whose cost lies
-    within rounding of the minimum are then dispatched exactly with
-    dispatch_committed, in itertools.product order, and the first strict
-    minimum wins.  Raises InfeasibleError when no commitment covers y, and
-    ValueError when the table would exceed MAX_TABLE_CELLS.
+    within rounding of the minimum (_near_minimal, shared with ucp_values)
+    are then dispatched exactly with dispatch_committed, in
+    itertools.product order, and the first strict minimum wins.  Raises
+    InfeasibleError when no commitment covers y, and ValueError when the
+    table would exceed MAX_TABLE_CELLS.
     """
     if y < -FEAS_EPS or y > fleet.total_capacity + FEAS_EPS:
         raise InfeasibleError(
             f"demand {y} outside feasible range [0, {fleet.total_capacity}] MW")
     table = _commitment_table(fleet)
-    feasible = (y >= table.floor - FEAS_EPS) & (y <= table.ceil + FEAS_EPS)
-    if not feasible.any():
+    candidates = np.flatnonzero(_near_minimal(table, np.float64(y)))
+    if not candidates.size:
         raise InfeasibleError(f"no commitment can meet {y} MW")
-    residual = np.clip(y - table.floor, 0.0, table.ceil - table.floor)
-    fill = np.multiply.outer(table.slopes, residual)
-    fill += table.lines
-    # costs are nonnegative, so 0 bounds the fill from below (and is the
-    # fill of a commitment without free blocks)
-    approx = np.where(feasible, table.base + fill.max(axis=0, initial=0.0), np.inf)
-    # the table sums in another order than dispatch_committed: keep every
-    # commitment within a rounding margin of the minimum, then decide exactly
-    least = approx.min()
-    margin = 1e-9 * max(1.0, abs(least), y * float(table.slopes.max(initial=0.0)))
     best: Dispatch | None = None
-    for i in np.flatnonzero(approx <= least + margin):
+    for i in candidates:
         cand = dispatch_committed(fleet, Commitment(tuple(table.counts[i])), y)
         if best is None or cand.total_cost < best.total_cost:
             best = cand
     return best.total_cost, best
+
+
+def ucp_values(fleet: Fleet, demands) -> np.ndarray:
+    """Exact unit commitment cost at each of a 1-D sequence of demands.
+
+    The batched ucp_value: each value is the float ucp_value returns, and
+    +inf where ucp_value raises InfeasibleError.  Demands go through the
+    commitment table in chunks of at most BATCH_CELLS working values; the
+    candidates _near_minimal keeps are costed exactly in one vectorised
+    pass (_dispatch_costs) and each demand takes the least, which is the
+    value of ucp_value's first strict minimum.  Demands that no
+    commitment covers are never costed.
+    """
+    table = _commitment_table(fleet)
+    ys = np.asarray(demands, dtype=float)
+    values = np.full(ys.shape, np.inf)
+    if not ys.size:
+        return values
+    width = len(table.floor)
+    chunk = max(1, BATCH_CELLS // (width * max(len(table.blocks), 1)))
+    # flat indices into the (demand, commitment) grid, demand by demand
+    flat = np.concatenate([
+        np.flatnonzero(_near_minimal(table, ys[start:start + chunk])) + start * width
+        for start in range(0, ys.size, chunk)])
+    rows, cols = np.divmod(flat, width)
+    if rows.size:
+        costs = _dispatch_costs(fleet, table, ys[rows], cols)
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        values[rows[first]] = np.minimum.reduceat(costs, first)
+    return values
 
 
 def _unit_best(gtype: GeneratorType, price: float) -> tuple[float, float]:
@@ -441,13 +543,14 @@ def relaxed_blocks(gtype: GeneratorType) -> tuple[tuple[float, float], ...]:
     return tuple(blocks)
 
 
-def _fleet_blocks(fleet: Fleet) -> list[tuple[float, int, int, float]]:
+@lru_cache(maxsize=None)
+def _fleet_blocks(fleet: Fleet) -> tuple[tuple[float, int, int, float], ...]:
     blocks = []
     for ti, gtype in enumerate(fleet.types):
         for bi, (slope, width) in enumerate(relaxed_blocks(gtype)):
             blocks.append((slope, ti, bi, width * gtype.unit_count))
     blocks.sort()
-    return blocks
+    return tuple(blocks)
 
 
 def relaxed_value(fleet: Fleet, y: float) -> tuple[float, float]:
@@ -493,6 +596,11 @@ def no_startup_value(fleet: Fleet, y: float) -> float:
     return ucp_value(_zero_startup(fleet), y)[0]
 
 
+def no_startup_values(fleet: Fleet, demands) -> np.ndarray:
+    """no_startup_value at every demand (ucp_values: +inf where infeasible)."""
+    return ucp_values(_zero_startup(fleet), demands)
+
+
 def quadratic_fit(fleet: Fleet, sample_count: int = 121) -> QuadraticCost:
     """Least-squares fit of alpha*y^2 + beta*y to the startup-free cost curve.
 
@@ -504,7 +612,9 @@ def quadratic_fit(fleet: Fleet, sample_count: int = 121) -> QuadraticCost:
         raise ValueError(f"sample_count must be >= 3, got {sample_count}")
     cap = fleet.total_capacity
     ys = np.linspace(0.0, cap, sample_count)
-    target = np.array([no_startup_value(fleet, float(y)) for y in ys])
+    target = no_startup_values(fleet, ys)
+    if np.isinf(target).any():
+        raise InfeasibleError(f"no commitment can meet {ys[np.isinf(target)][0]} MW")
     if not np.any(target > 0.0):
         raise ValueError("degenerate cost curve: all sampled costs are zero")
     design = np.column_stack([ys * ys, ys])

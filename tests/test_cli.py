@@ -1,5 +1,9 @@
+import concurrent.futures
 import csv
+import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +26,37 @@ def read_rows(path):
 def strip_elapsed(path):
     lines = Path(path).read_text().splitlines()
     return [line.rsplit(",", 1)[0] for line in lines]
+
+
+def gap_fleet_file(tmp_path):
+    """A fleet that cannot serve (100, 100.3) MW; no quadratic-fit sample lands there."""
+    doc = {"types": [
+        {"name": "A", "startup_cost": 0.0, "min_output": 0.0, "unit_count": 1,
+         "segments": [{"marginal_cost": 10.0, "capacity": 100.0}]},
+        {"name": "B", "startup_cost": 50.0, "min_output": 100.3, "unit_count": 1,
+         "segments": [{"marginal_cost": 20.0, "capacity": 101.0}]},
+    ]}
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in this process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +130,24 @@ class TestDeterminism:
         assert run_cli(*self.ARGS, "--out", str(b), "--jobs", "3") == 0
         assert (a / "hours.csv").read_bytes() == (b / "hours.csv").read_bytes()
         assert strip_elapsed(a / "trace.csv") == strip_elapsed(b / "trace.csv")
+
+    @pytest.mark.parametrize("jobs", ["2", "24", "25", "100000"])
+    def test_pool_has_at_most_one_worker_per_hour(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "created", [])
+        a, b = tmp_path / "serial", tmp_path / "pool"
+        assert run_cli(*self.ARGS, "--out", str(a)) == 0
+        assert RecordingPool.created == []
+        assert run_cli(*self.ARGS, "--out", str(b), "--jobs", jobs) == 0
+        assert RecordingPool.created == [min(int(jobs), 24)]
+        assert (a / "hours.csv").read_bytes() == (b / "hours.csv").read_bytes()
+
+    def test_import_loads_no_process_pool(self):
+        code = ("import sys, chpricing.cli; "
+                "print('concurrent.futures.process' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "s0", tmp_path / "s1"
@@ -250,6 +303,22 @@ class TestCurves:
             assert v_hull <= v + 1e-6
             assert v_relaxed <= v + 1e-6
 
+    def test_value_columns_match_scalar(self, scarf, tmp_path):
+        assert run_cli("curves", "--fleet", "scarf", "--step-mw", "0.5",
+                       "--out", str(tmp_path)) == 0
+        header, rows = read_rows(tmp_path / "curves.csv")
+        assert len(rows) == 323
+        for row in rows:
+            record = dict(zip(header, row))
+            y = float(record["y"])
+            assert record["v"] == repr(ch.ucp_value(scarf, y)[0])
+            assert record["v_no_startup"] == repr(ch.no_startup_value(scarf, y))
+
+    def test_uncoverable_demand_fails_loud(self, tmp_path, capsys):
+        assert run_cli("curves", "--fleet", str(gap_fleet_file(tmp_path)),
+                       "--step-mw", "0.1", "--out", str(tmp_path)) == 1
+        assert "error: no commitment can meet 100.09999" in capsys.readouterr().err
+
     def test_custom_fleet_without_model_leaves_u1_empty(self, tmp_path):
         fleet_path = tmp_path / "fleet.json"
         fleet_path.write_text(ch.dump_fleet(ch.builtin_fleet("gribik")))
@@ -271,6 +340,20 @@ class TestUpliftCurve:
         assert float(first["price"]) == pytest.approx(22.0 / 7.0, abs=1e-6)
         assert float(first["uplift"]) == pytest.approx(0.0, abs=1e-9)
         assert all(float(r[2]) >= -1e-9 for r in rows)
+
+    @pytest.mark.parametrize("rule", ["chp", "dispatchable"])
+    def test_uplift_column_matches_scalar(self, gribik, tmp_path, rule):
+        assert run_cli("uplift-curve", "--fleet", "gribik", "--rule", rule,
+                       "--step-mw", "1.7", "--out", str(tmp_path)) == 0
+        _, rows = read_rows(tmp_path / "uplift_curve.csv")
+        assert len(rows) == 354
+        for y, price, uplift in rows:
+            assert uplift == repr(ch.uplift(gribik, float(price), float(y)))
+
+    def test_uncoverable_demand_fails_loud(self, tmp_path, capsys):
+        assert run_cli("uplift-curve", "--fleet", str(gap_fleet_file(tmp_path)),
+                       "--rule", "chp", "--step-mw", "0.1", "--out", str(tmp_path)) == 1
+        assert "error: no commitment can meet 100.09999" in capsys.readouterr().err
 
     def test_chp_never_needs_more_uplift(self, tmp_path):
         a, b = tmp_path / "chp", tmp_path / "disp"
@@ -319,6 +402,21 @@ class TestErrorPaths:
             run_cli("run", "--fleet", "gribik", "--method", "magic",
                     "--out", str(tmp_path))
         assert err.value.code == 2
+
+    def test_null_fleet_field(self, tmp_path, capsys):
+        doc = json.loads(ch.dump_fleet(ch.builtin_fleet("gribik")))
+        doc["types"][1]["segments"][0]["capacity"] = None
+        fleet_path = tmp_path / "fleet.json"
+        fleet_path.write_text(json.dumps(doc))
+        assert run_cli("run", "--fleet", str(fleet_path), "--method", "chp-exact",
+                       "--a", "3.9e4", "--nu", "0.01", "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: B: segments[0]: capacity must be a number")
+
+    def test_infinite_demand_parameter(self, tmp_path, capsys):
+        assert run_cli("run", "--fleet", "gribik", "--method", "chp-exact",
+                       "--a", "inf", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("error: a must be finite")
 
     def test_nonpositive_grid_step(self, tmp_path):
         assert run_cli("curves", "--fleet", "gribik", "--step-mw", "0",

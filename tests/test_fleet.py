@@ -1,7 +1,13 @@
 import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chpricing
 from chpricing import (
     CostSegment,
     Fleet,
@@ -166,3 +172,56 @@ class TestSerialization:
 
     def test_load_integral_float_unit_count(self):
         assert load_fleet(one_type_document(unit_count=3.0)).types[0].unit_count == 3
+
+    @pytest.mark.parametrize("value", [None, [1.0], {"x": 1.0}, "3", True])
+    @pytest.mark.parametrize("field", ["startup_cost", "min_output"])
+    def test_load_non_numeric_type_field(self, field, value):
+        with pytest.raises(FleetValidationError, match=f"X: {field} must be a number"):
+            load_fleet(one_type_document(**{field: value}))
+
+    @pytest.mark.parametrize("value", [None, [1.0], {"x": 1.0}, "3", True])
+    @pytest.mark.parametrize("field", ["marginal_cost", "capacity"])
+    def test_load_non_numeric_segment_field(self, field, value):
+        seg = {"marginal_cost": 1.0, "capacity": 1.0, field: value}
+        with pytest.raises(FleetValidationError,
+                           match=rf"X: segments\[0\]: {field} must be a number"):
+            load_fleet(one_type_document(segments=[seg]))
+
+    def test_load_integer_beyond_float_range(self):
+        document = one_type_document().replace('"startup_cost": 0.0',
+                                               '"startup_cost": 1' + "0" * 400)
+        with pytest.raises(FleetValidationError, match="startup_cost must be finite"):
+            load_fleet(document)
+
+    @pytest.mark.parametrize("name", [None, 3, ["X"]])
+    def test_load_non_string_name(self, name):
+        with pytest.raises(FleetValidationError, match=r"types\[0\]: name must be a string"):
+            load_fleet(one_type_document(name=name))
+
+
+class TestHash:
+    def test_equal_fleets_hash_equal(self, gribik):
+        assert hash(load_fleet(dump_fleet(gribik))) == hash(gribik)
+
+    def test_unpickled_fleet_rehashes_under_another_hash_seed(self, tmp_path):
+        # type names are str, whose hashes differ between processes: a hash
+        # cached here must not travel to a worker with another seed
+        fleet = load_fleet(dump_fleet(builtin_fleet("gribik")))
+        here = hash(fleet)
+        blob = tmp_path / "fleet.pkl"
+        blob.write_bytes(pickle.dumps(fleet))
+        code = ("import pickle, sys; from chpricing import builtin_fleet; "
+                "fleet = pickle.loads(open(sys.argv[1], 'rb').read()); "
+                "print(hash(fleet), hash(builtin_fleet('gribik')))")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(chpricing.__file__).resolve().parents[1]))
+        there = []
+        for seed in ("1", "2"):
+            done = subprocess.run([sys.executable, "-c", code, str(blob)],
+                                  env=dict(env, PYTHONHASHSEED=seed), capture_output=True,
+                                  text=True, timeout=60, check=True)
+            unpickled, fresh = done.stdout.split()
+            assert unpickled == fresh
+            there.append(int(fresh))
+        # at least one child ran under a seed other than this process's
+        assert any(h != here for h in there)

@@ -189,6 +189,14 @@ class TestSampleNoise:
         with pytest.raises(ValueError):
             DayProfile((0.0,) + (100.0,) * 23)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["a", "mu1", "mu2", "nu", "utility_constant"])
+    def test_model_fields_must_be_finite(self, field, value):
+        params = dict(a=1.0, mu1=0.8, mu2=0.2, nu=0.01, utility_constant=0.0)
+        params[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DemandModel(**params)
+
     def test_model_validation(self):
         with pytest.raises(ValueError):
             DemandModel(a=0.0, mu1=0.8, mu2=0.2, nu=0.01)

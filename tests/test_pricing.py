@@ -254,9 +254,19 @@ class TestLmp:
         priced = run_lmp(quad, gribik_model, day_profile, 0, 100.0, 5,
                          HarmonicStep(0.1), uplift_fleet=gribik)
         for rec in priced.records:
-            assert rec.uplift == pytest.approx(
-                ch.uplift(gribik, rec.price, rec.demand), abs=1e-9)
+            assert rec.uplift == ch.uplift(gribik, rec.price, rec.demand)
             assert rec.uplift >= -1e-9
+
+    def test_infeasible_iterates_bill_infinite_uplift(self, gribik, gribik_model,
+                                                       day_profile):
+        # at about 1 $/MWh elastic demand alone is some 7800 MW, past 600 MW
+        trace = run_subgradient(gribik, gribik_model, day_profile, 0, 1.0, 3,
+                                HarmonicStep(1e-9))
+        for rec in trace.records:
+            assert rec.demand > gribik.total_capacity
+            assert rec.uplift == math.inf
+            with pytest.raises(InfeasibleError):
+                ch.uplift(gribik, rec.price, rec.demand)
 
     def test_method_tag(self, gribik, gribik_model, mean_profile):
         quad = quadratic_fit(gribik)

@@ -24,10 +24,13 @@ from chpricing import (
     quadratic_fit,
     relaxed_value,
     ucp_value,
+    ucp_values,
 )
+from chpricing import ucp
 from chpricing.ucp import (
     FEAS_EPS,
     MAX_TABLE_CELLS,
+    no_startup_values,
     relaxed_supply,
     relaxed_unit_cost,
     unit_variable_cost,
@@ -71,6 +74,29 @@ def assert_matches_enumeration(fleet, demands):
     for y in demands:
         assert value_and_counts(ucp_value, fleet, y) == \
             value_and_counts(enumerated_value, fleet, y), y
+
+
+def enumerated_values(fleet, demands):
+    """enumerated_value at each demand, +inf where it raises InfeasibleError."""
+    values = []
+    for y in demands:
+        try:
+            values.append(enumerated_value(fleet, y)[0])
+        except InfeasibleError:
+            values.append(math.inf)
+    return values
+
+
+def batch_demands(fleet):
+    """Integer demands, commitment edges, 0, capacity and infeasible points.
+
+    The infeasible points lie below 0, above capacity, and (when every
+    type has a minimum output) in the gap between 0 and the smallest one.
+    """
+    cap = fleet.total_capacity
+    gap = 0.5 * min(t.min_output for t in fleet.types)
+    return ([float(y) for y in range(int(cap) + 1)] + commitment_edges(fleet)
+            + [0.0, cap, -1.0, -2 * FEAS_EPS, cap + 2 * FEAS_EPS, cap + 1.0, gap])
 
 
 def commitment_edges(fleet):
@@ -216,6 +242,20 @@ class TestUcpValue:
         ys = [0.5 * k for k in range(int(2 * fleet.total_capacity) + 1)]
         assert_matches_enumeration(fleet, ys + commitment_edges(fleet))
 
+    def test_rounding_near_tie_is_decided_exactly(self):
+        # the table's sum for the cheapest commitment rounds above another
+        # commitment's; only the margin keeps the true minimum a candidate
+        gtype = GeneratorType("T0", 49.99728236586185, 2.2322924378479447,
+                              (CostSegment(48.30903919059715, 5.722652655298768),
+                               CostSegment(49.40903919059715, 4.005856858709137)), 2)
+        fleet = Fleet((gtype, dataclasses.replace(gtype, name="T1", unit_count=1),
+                       dataclasses.replace(gtype, name="T2", unit_count=1)))
+        y = 12.164358907444809
+        expected = enumerated_value(fleet, y)
+        assert value_and_counts(ucp_value, fleet, y) == \
+            (expected[0], expected[1].commitment.counts)
+        assert ucp_values(fleet, [y]).tolist() == [expected[0]]
+
     def test_units_without_free_capacity(self):
         # every unit runs at its only output level, so no block is left to fill
         fleet = Fleet((GeneratorType("A", 3.0, 4.0, (CostSegment(2.0, 4.0),), 2),
@@ -255,6 +295,58 @@ class TestUcpValue:
         assert d.total_output == pytest.approx(555.5, abs=1e-9)
         all_on = dispatch_committed(fleet, Commitment((40, 40, 40)), 555.5)
         assert relaxed_value(fleet, 555.5)[0] <= v < all_on.total_cost
+
+    @PROPERTY
+    @given(fleets())
+    def test_batch_matches_enumeration(self, fleet):
+        demands = batch_demands(fleet)
+        assert ucp_values(fleet, demands).tolist() == enumerated_values(fleet, demands)
+
+    def test_batch_matches_scalar(self, gribik, scarf):
+        # the drawn fleet's costs and sizes are not integers, so its sums
+        # round, and only dispatch_committed's order reproduces them
+        rng = np.random.default_rng(5)
+        drawn = Fleet(tuple(
+            GeneratorType(f"T{i}", float(rng.uniform(0, 900)), float(rng.uniform(1, 9)),
+                          (CostSegment(float(c), float(rng.uniform(10, 30))),
+                           CostSegment(float(c + rng.uniform(1, 20)),
+                                       float(rng.uniform(5, 15)))), 2)
+            for i, c in enumerate(rng.uniform(5, 50, size=3))))
+        for fleet in (gribik, scarf, drawn):
+            demands = [float(y) for y in np.linspace(-1.0, fleet.total_capacity + 1, 243)]
+            scalar = [value_and_counts(ucp_value, fleet, y) for y in demands]
+            assert ucp_values(fleet, demands).tolist() == \
+                [math.inf if v is None else v[0] for v in scalar]
+
+    def test_batch_chunks_do_not_change_values(self, scarf, monkeypatch):
+        # 252 commitments x 3 blocks: whole chunks of 86 demands by default
+        demands = [float(y) for y in np.linspace(-2.0, 163.0, 701)]
+        whole = ucp_values(scarf, demands)
+        assert np.isinf(whole).sum() == sum(not 0.0 <= y <= 161.0 for y in demands)
+        for cells in (1, 756 * 3, 756 * 7 + 5):
+            monkeypatch.setattr(ucp, "BATCH_CELLS", cells)
+            assert ucp_values(scarf, demands).tolist() == whole.tolist()
+
+    def test_batch_costs_no_infeasible_demand(self, monkeypatch):
+        fleet = Fleet((GeneratorType("A", 3.0, 4.0, (CostSegment(2.0, 6.0),), 2),
+                       GeneratorType("B", 1.0, 5.0, (CostSegment(1.0, 6.0),), 1)))
+        costed = []
+        dispatch_costs = ucp._dispatch_costs
+
+        def spy(fleet, table, ys, commitments):
+            costed.extend(ys.tolist())
+            return dispatch_costs(fleet, table, ys, commitments)
+
+        monkeypatch.setattr(ucp, "_dispatch_costs", spy)
+        infeasible = [-1.0, 2.0, 18.5, 30.0]
+        assert ucp_values(fleet, infeasible).tolist() == [math.inf] * 4
+        assert costed == []
+        assert ucp_values(fleet, infeasible + [10.0]).tolist() == [math.inf] * 4 + [
+            ucp_value(fleet, 10.0)[0]]
+        assert set(costed) == {10.0}
+
+    def test_batch_of_no_demands(self, gribik):
+        assert ucp_values(gribik, []).shape == (0,)
 
     def test_reduced_scarf_against_enumeration_oracle(self, scarf):
         small = oracles.reduced_scarf(scarf)
@@ -398,6 +490,12 @@ class TestNoStartup:
         assert no_startup_value(gribik, 0.0) == 0.0
         assert no_startup_value(gribik, 600.0) == pytest.approx(36500.0)
 
+    def test_batch_matches_scalar(self, gribik, scarf):
+        for fleet in (gribik, scarf):
+            ys = [float(y) for y in np.linspace(0.0, fleet.total_capacity, 121)]
+            assert no_startup_values(fleet, ys).tolist() == \
+                [no_startup_value(fleet, y) for y in ys]
+
 
 class TestQuadraticFit:
     def test_linear_target_degenerates_to_slope(self):
@@ -422,6 +520,12 @@ class TestQuadraticFit:
     def test_sample_count_validated(self, gribik):
         with pytest.raises(ValueError):
             quadratic_fit(gribik, sample_count=2)
+
+    def test_uncoverable_sample_rejected(self):
+        # a 4-5 MW unit cannot serve the 1.25 MW sample of its grid
+        fleet = Fleet((GeneratorType("A", 0.0, 4.0, (CostSegment(1.0, 5.0),)),))
+        with pytest.raises(InfeasibleError, match="1.25 MW"):
+            quadratic_fit(fleet, sample_count=5)
 
     def test_degenerate_target_rejected(self):
         fleet = Fleet((GeneratorType("free", 0.0, 0.0,
