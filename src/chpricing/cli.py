@@ -18,7 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from .fleet import Fleet, FleetValidationError, builtin_fleet, load_fleet
-from .hull import chp_fixed_demand, hull_value, uplift, uplifts
+from .hull import chp_fixed_demand, hull_value, uplifts
 from .market import (
     HOURS,
     DayProfile,
@@ -121,45 +121,37 @@ def _resolve_profile(config: ExperimentConfig) -> DayProfile:
     return DayProfile(base.base_demand, noise)
 
 
-def _single_record_trace(method: str, fleet: Fleet, model: DemandModel,
-                         profile: DayProfile, t: int, price: float,
-                         demand: float) -> PricingTrace:
-    phi, sub = dual_value(fleet, model, profile, t, price)
-    record = IterateRecord(
-        k=0, price=price, demand=demand, supply=sub + demand, step=0.0,
-        dual_value=phi, uplift=uplift(fleet, price, demand), elapsed_s=0.0)
-    return PricingTrace(method, (record,), price, demand)
-
-
-def _price_hour(t: int, fleet: Fleet, model: DemandModel, profile: DayProfile,
-                method: str, lambda0: float, n_iters: int,
-                step_rule: HarmonicStep | None,
-                quad: QuadraticCost | None) -> PricingTrace:
-    if method == "chp_subgradient":
-        return run_subgradient(fleet, model, profile, t, lambda0, n_iters, step_rule)
-    if method == "chp_exact":
-        price, demand = exact_dual(fleet, model, profile, t)
-        return _single_record_trace(method, fleet, model, profile, t, price, demand)
-    if method == "lmp":
-        return run_lmp(quad, model, profile, t, lambda0, n_iters, step_rule,
-                       uplift_fleet=fleet)
-    if method == "dispatchable":
-        price, demand = dispatchable_equilibrium(fleet, model, profile, t)
-        return _single_record_trace(method, fleet, model, profile, t, price, demand)
-    raise ValueError(f"unknown method {method}")
-
-
 def _run_one_hour(t: int, fleet: Fleet, model: DemandModel, profile: DayProfile,
                   method: str, lambda0: float, n_iters: int,
                   step_rule: HarmonicStep | None, quad: QuadraticCost | None
-                  ) -> tuple[int, PricingTrace, HourResult | None, str]:
-    trace = _price_hour(t, fleet, model, profile, method, lambda0, n_iters,
-                        step_rule, quad)
+                  ) -> tuple[PricingTrace, HourResult | None]:
+    """Price hour t with the method and settle it once at the final price.
+
+    The result is None when no commitment covers the cleared demand.  A
+    closed-form method's trace is one record, billed the settlement's
+    uplift, or inf like an uncoverable iterate of the loops.
+    """
+    if method == "chp_subgradient":
+        trace = run_subgradient(fleet, model, profile, t, lambda0, n_iters, step_rule)
+    elif method == "lmp":
+        trace = run_lmp(quad, model, profile, t, lambda0, n_iters, step_rule,
+                        uplift_fleet=fleet)
+    else:
+        closed_form = exact_dual if method == "chp_exact" else dispatchable_equilibrium
+        price, demand = closed_form(fleet, model, profile, t)
+        trace = None
     try:
-        result = settle_hour(fleet, model, profile, t, trace.final_price)
-        return t, trace, result, "ok"
+        result = settle_hour(fleet, model, profile, t,
+                             price if trace is None else trace.final_price)
     except InfeasibleError:
-        return t, trace, None, "infeasible"
+        result = None
+    if trace is None:
+        phi, sub = dual_value(fleet, model, profile, t, price)
+        record = IterateRecord(
+            k=0, price=price, demand=demand, supply=sub + demand, step=0.0,
+            dual_value=phi, uplift=math.inf if result is None else result.uplift)
+        trace = PricingTrace(method, (record,), price, demand)
+    return trace, result
 
 
 def _fmt(x: float) -> str:
@@ -193,26 +185,25 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
             outcomes = list(pool.map(worker, range(HOURS)))
     else:
         outcomes = [worker(t) for t in range(HOURS)]
-    outcomes.sort(key=lambda item: item[0])
 
     hour_rows = []
     trace_rows = []
     settled: list[HourResult] = []
-    for t, trace, result, status in outcomes:
+    for t, (trace, result) in enumerate(outcomes):
         for rec in trace.records:
             trace_rows.append([str(t), str(rec.k), _fmt(rec.price), _fmt(rec.demand),
                                _fmt(rec.supply), _fmt(rec.step), _fmt(rec.dual_value),
                                _fmt(rec.uplift), _fmt(rec.elapsed_s)])
         if result is None:
             hour_rows.append([str(t), _fmt(trace.final_price), _fmt(trace.final_demand),
-                              "", "", "", "", "", "", status])
+                              "", "", "", "", "", "", "infeasible"])
         else:
             settled.append(result)
             hour_rows.append([str(t), _fmt(result.price), _fmt(result.demand),
                               _fmt(result.supply_cost), _fmt(result.uplift),
                               _fmt(result.utility_gross), _fmt(result.utility_net),
                               _fmt(result.supplier_profit), _fmt(result.social_welfare),
-                              status])
+                              "ok"])
 
     if len(settled) == HOURS:
         s = summarize_day(settled)
@@ -315,10 +306,8 @@ def _parse_step(text: str, fleet: str) -> float:
                 "--step paper needs a builtin fleet; use --step c/k:VALUE")
         return FIXTURE_DEFAULTS[fleet]["step_coef"]
     if text.startswith("c/k:"):
-        coef = float(text[len("c/k:"):])
-        if coef <= 0:
-            raise ValueError(f"step coefficient must be > 0, got {coef}")
-        return coef
+        # HarmonicStep validates the value
+        return float(text[len("c/k:"):])
     raise ValueError(f"--step must be 'paper' or 'c/k:VALUE', got {text!r}")
 
 

@@ -19,7 +19,6 @@ from .ucp import (
     FEAS_EPS,
     InfeasibleError,
     conjugate,
-    fleet_supply,
     supply_staircase,
     ucp_value,
     ucp_values,
@@ -85,35 +84,31 @@ def default_price_cap(fleet: Fleet) -> float:
     return worst + 1.0
 
 
-def hull_value(fleet: Fleet, y: float, price_cap: float | None = None) -> HullPoint:
+def hull_value(fleet: Fleet, y: float) -> HullPoint:
     """Hull value and supporting price interval at demand y.
 
     price_lo is the smallest price whose maximal best-response supply
     reaches y; price_hi the largest price whose minimal supply does not
     exceed y.  Both are breakpoints of the supply staircase, except that
-    the interval starts at 0 when y = 0 and is truncated at the price cap.
-    The hull value is the conjugate-based objective at price_lo, which
-    maximizes it.
+    the interval starts at 0 when y = 0 and ends at the default price cap
+    when y is the fleet's capacity.  Every breakpoint lies below that cap,
+    where the whole fleet supplies.  The hull value is the conjugate-based
+    objective at price_lo, which maximizes it.
     """
     cap_mw = fleet.total_capacity
     if y < -FEAS_EPS or y > cap_mw + FEAS_EPS:
         raise InfeasibleError(f"demand {y} outside [0, {cap_mw}] MW")
     y = min(max(y, 0.0), cap_mw)
-    price_cap = default_price_cap(fleet) if price_cap is None else price_cap
-    if fleet_supply(fleet, price_cap) < y - FEAS_EPS:
-        raise ValueError(
-            f"price cap {price_cap} cannot elicit {y} MW of supply")
-
     prices, supply = supply_staircase(fleet)
     lo = 0.0 if y <= FEAS_EPS else prices[bisect_left(supply, y - FEAS_EPS)]
     above = bisect_right(supply, y + FEAS_EPS)
-    hi = price_cap if above == len(prices) else min(prices[above], price_cap)
+    hi = default_price_cap(fleet) if above == len(prices) else prices[above]
     return HullPoint(y, lo * y - conjugate(fleet, lo), lo, hi)
 
 
-def chp_fixed_demand(fleet: Fleet, y: float, price_cap: float | None = None) -> float:
+def chp_fixed_demand(fleet: Fleet, y: float) -> float:
     """Hull price at a fixed demand: midpoint of the supporting interval."""
-    point = hull_value(fleet, y, price_cap)
+    point = hull_value(fleet, y)
     return 0.5 * (point.price_lo + point.price_hi)
 
 

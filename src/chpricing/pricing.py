@@ -57,8 +57,8 @@ class HarmonicStep:
     coef: float
 
     def __post_init__(self) -> None:
-        if not self.coef > 0:
-            raise ValueError(f"step coefficient must be > 0, got {self.coef}")
+        if not 0 < self.coef < math.inf:
+            raise ValueError(f"step coefficient must be finite and > 0, got {self.coef}")
 
     def __call__(self, k: int) -> float:
         return self.coef / k
@@ -86,9 +86,10 @@ class PricingTrace:
     final_demand: float
 
 
-def _check_price(price: float) -> None:
-    if price <= PRICE_FLOOR:
-        raise ValueError(f"price must exceed the floor {PRICE_FLOOR}, got {price}")
+def _check_start_price(price: float) -> None:
+    if not PRICE_FLOOR < price < math.inf:
+        raise ValueError(
+            f"start price must be finite and exceed the floor {PRICE_FLOOR}, got {price}")
 
 
 def dual_value(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
@@ -97,8 +98,11 @@ def dual_value(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
 
     phi carries the utility's additive constant; the subgradient is
     supply minus demand, positive when the price is above the crossing.
+    The price may sit on the floor, where a closed-form crossing can land.
     """
-    _check_price(price)
+    if not PRICE_FLOOR <= price < math.inf:
+        raise ValueError(
+            f"price must be finite and at least the floor {PRICE_FLOOR}, got {price}")
     demand = hourly_demand(model, profile, t, price)
     utility = hourly_utility(model, profile, t, demand)
     phi = utility - price * demand + conjugate(fleet, price)
@@ -108,16 +112,16 @@ def dual_value(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
 def _price_loop(method: str, respond: Callable[[float], tuple[float, float]],
                 model: DemandModel, profile: DayProfile, t: int, price0: float,
                 n_iters: int, step_rule: HarmonicStep,
-                uplift_fleet: Fleet | None) -> PricingTrace:
+                uplift_fleet: Fleet) -> PricingTrace:
     """Price iteration against ``respond(price) -> (supply, profit)``.
 
     Each round p_k = p_{k-1} - gamma_k * (supply - demand), clamped to the
     floor; after n_iters rounds the final price is accepted.  Uplift is
-    priced against uplift_fleet: NaN without one, inf if demand is infeasible.
-    The loop never reads it, so every iterate is billed in one batch after
-    the loop, and elapsed_s excludes that time.
+    priced against uplift_fleet, inf if demand is infeasible.  The loop
+    never reads it, so every iterate is billed in one batch after the
+    loop, and elapsed_s excludes that time.
     """
-    _check_price(price0)
+    _check_start_price(price0)
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
     start = time.perf_counter()
@@ -133,11 +137,8 @@ def _price_loop(method: str, respond: Callable[[float], tuple[float, float]],
         phi = hourly_utility(model, profile, t, demand) - price * demand + profit
         rounds.append(dict(k=k, price=price, demand=demand, supply=supply, step=step,
                            dual_value=phi, elapsed_s=time.perf_counter() - start))
-    if uplift_fleet is None:
-        billed = [math.nan] * n_iters
-    else:
-        billed = uplifts(uplift_fleet, [r["price"] for r in rounds],
-                         [r["demand"] for r in rounds])
+    billed = uplifts(uplift_fleet, [r["price"] for r in rounds],
+                     [r["demand"] for r in rounds])
     records = tuple(IterateRecord(uplift=up, **r) for r, up in zip(rounds, billed))
     return PricingTrace(method, records, price, demand)
 
@@ -158,15 +159,15 @@ def run_subgradient(fleet: Fleet, model: DemandModel, profile: DayProfile, t: in
                        n_iters, step_rule, uplift_fleet=fleet)
 
 
-def exact_dual(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
-               price_cap: float | None = None) -> tuple[float, float]:
+def exact_dual(fleet: Fleet, model: DemandModel, profile: DayProfile,
+               t: int) -> tuple[float, float]:
     """Exact dual price: the sign change of supply minus demand.
 
     Returns (price, demand at that price).  The price is the smallest one
     whose maximal best-response supply covers the demand floor + coef/p:
     a staircase breakpoint, or coef/(s - floor) inside a step of supply s.
     """
-    price_cap = default_price_cap(fleet) if price_cap is None else price_cap
+    price_cap = default_price_cap(fleet)
     demand_at_cap = hourly_demand(model, profile, t, price_cap)
     if fleet_supply(fleet, price_cap) < demand_at_cap:
         raise InfeasibleError(
@@ -190,13 +191,12 @@ def exact_dual(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
 
 def run_lmp(quad: QuadraticCost, model: DemandModel, profile: DayProfile, t: int,
             price0: float, n_iters: int, step_rule: HarmonicStep,
-            uplift_fleet: Fleet | None = None) -> PricingTrace:
+            uplift_fleet: Fleet) -> PricingTrace:
     """The same price iteration with the fitted convex cost model supplying.
 
-    Supply comes from the quadratic marginal-cost curve.  When
-    uplift_fleet is given, the per-iterate uplift is priced against the
-    true nonconvex fleet, which is what the convex model's prices will
-    actually have to pay.
+    Supply comes from the quadratic marginal-cost curve.  The per-iterate
+    uplift is priced against uplift_fleet, the true nonconvex fleet, which
+    is what the convex model's prices will actually have to pay.
     """
     def respond(price: float) -> tuple[float, float]:
         return quad.supply(price), quad.conjugate(price)
@@ -235,6 +235,6 @@ def dispatchable_equilibrium(fleet: Fleet, model: DemandModel, profile: DayProfi
     """Clear the relaxed merit-order supply curve against hourly demand.
 
     Relaxed supply is the best-response staircase, so this is the exact
-    dual price at the default price cap.
+    dual price.
     """
     return exact_dual(fleet, model, profile, t)

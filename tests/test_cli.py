@@ -11,6 +11,7 @@ import pytest
 import chpricing as ch
 from chpricing import cli
 from chpricing.cli import main
+from chpricing.pricing import PRICE_FLOOR
 
 
 def run_cli(*argv):
@@ -206,6 +207,49 @@ class TestRunMethods:
         assert srows[0][:9] == [""] * 9
         assert srows[0][9] == "0"
 
+    @pytest.mark.parametrize("method", ["chp-exact", "dispatchable"])
+    def test_uncoverable_closed_form_hours_are_marked(self, tmp_path, method):
+        # every hour clears at 100.15 MW, inside the gap fleet's (100, 100.3) gap
+        profile = tmp_path / "day.csv"
+        profile.write_text("hour,d1\n" + "".join(f"{t},100\n" for t in range(24)))
+        rc = run_cli("run", "--fleet", str(gap_fleet_file(tmp_path)), "--method", method,
+                     "--profile", str(profile), "--no-noise",
+                     "--a", "1040.12", "--nu", "1.125", "--out", str(tmp_path / "out"))
+        assert rc == 0
+        header, rows = read_rows(tmp_path / "out" / "hours.csv")
+        assert len(rows) == 24
+        for row in rows:
+            record = dict(zip(header, row))
+            assert record["status"] == "infeasible"
+            assert float(record["price"]) == pytest.approx(20.495, abs=1e-3)
+            assert float(record["demand"]) == pytest.approx(100.15, abs=1e-2)
+            assert record["cost"] == "" and record["uplift"] == ""
+        _, trace = read_rows(tmp_path / "out" / "trace.csv")
+        assert len(trace) == 24
+        assert all(r[7] == "inf" for r in trace)
+        _, srows = read_rows(tmp_path / "out" / "summary.csv")
+        assert srows[0] == [""] * 9 + ["0"]
+
+    @pytest.mark.parametrize("method", ["chp-exact", "dispatchable"])
+    def test_closed_form_day_at_price_floor(self, tmp_path, method):
+        # a free unit and price-inelastic demand clear at the floor price
+        doc = {"types": [{"name": "F", "startup_cost": 0.0, "min_output": 0.0,
+                          "unit_count": 1,
+                          "segments": [{"marginal_cost": 0.0, "capacity": 100.0}]}]}
+        fleet_path = tmp_path / "free.json"
+        fleet_path.write_text(json.dumps(doc))
+        rc = run_cli("run", "--fleet", str(fleet_path), "--method", method,
+                     "--mu2", "0", "--a", "1", "--nu", "0.001", "--no-noise",
+                     "--out", str(tmp_path / "out"))
+        assert rc == 0
+        header, rows = read_rows(tmp_path / "out" / "hours.csv")
+        for row in rows:
+            record = dict(zip(header, row))
+            assert record["status"] == "ok"
+            assert float(record["price"]) == PRICE_FLOOR
+        _, srows = read_rows(tmp_path / "out" / "summary.csv")
+        assert srows[0][9] == "24"
+
     def test_infeasible_exact_dual_fails_loud(self, tmp_path):
         rc = run_cli("run", "--fleet", "scarf", "--method", "chp-exact",
                      "--mu1", "5.0", "--out", str(tmp_path))
@@ -389,9 +433,15 @@ class TestErrorPaths:
                        "--a", "1.0", "--nu", "0.01",
                        "--out", str(tmp_path)) == 1
 
-    def test_bad_step_argument(self, tmp_path):
+    def test_bad_step_argument(self, tmp_path, capsys):
         assert run_cli("run", "--fleet", "gribik", "--method", "chp-subgradient",
                        "--step", "xyz", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("error: --step must be")
+        for coef in ("nan", "inf"):
+            assert run_cli("run", "--fleet", "gribik", "--method", "chp-subgradient",
+                           "--step", f"c/k:{coef}", "--out", str(tmp_path)) == 1
+            assert capsys.readouterr().err == (
+                f"error: step coefficient must be finite and > 0, got {coef}\n")
 
     def test_bad_synthetic_argument(self, tmp_path):
         assert run_cli("run", "--fleet", "gribik", "--method", "chp-exact",

@@ -70,10 +70,6 @@ class TestHullValue:
                 assert got >= ref - 1e-6
                 assert got == pytest.approx(ref, abs=dlam * cap + 1e-6)
 
-    def test_cap_too_small(self, gribik):
-        with pytest.raises(ValueError):
-            hull_value(gribik, 550.0, price_cap=80.0)
-
     def test_infeasible_demand(self, gribik):
         with pytest.raises(InfeasibleError):
             hull_value(gribik, -2.0)

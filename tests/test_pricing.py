@@ -39,7 +39,7 @@ class TestHarmonicStep:
         assert clone == rule and clone(3) == rule(3)
 
     def test_nonpositive_coef(self):
-        for coef in (0.0, -1.0):
+        for coef in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 HarmonicStep(coef)
 
@@ -116,6 +116,10 @@ class TestRunSubgradient:
         with pytest.raises(ValueError):
             run_subgradient(gribik, gribik_model, mean_profile, 0, PRICE_FLOOR,
                             5, HarmonicStep(0.1))
+        for price0 in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="start price must be finite"):
+                run_subgradient(gribik, gribik_model, mean_profile, 0, price0,
+                                5, HarmonicStep(0.1))
 
     def test_converges_on_trough_hour(self, scarf, scarf_model, day_profile):
         trace = run_subgradient(scarf, scarf_model, day_profile, 3,
@@ -235,22 +239,19 @@ class TestLmp:
         quad = quadratic_fit(scarf)
         star, _ = lmp_equilibrium(quad, scarf_model, day_profile, 9)
         trace = run_lmp(quad, scarf_model, day_profile, 9, star, 1,
-                        HarmonicStep(0.01))
+                        HarmonicStep(0.01), uplift_fleet=scarf)
         assert abs(trace.final_price - star) < 1e-6
 
     def test_converges_within_one_percent(self, gribik, gribik_model,
                                           day_profile):
         quad = quadratic_fit(gribik)
         trace = run_lmp(quad, gribik_model, day_profile, 0, 100.0, 100,
-                        HarmonicStep(0.1))
+                        HarmonicStep(0.1), uplift_fleet=gribik)
         last = trace.records[-1]
         assert abs(last.supply - last.demand) < 0.01 * last.demand
 
     def test_uplift_column(self, gribik, gribik_model, day_profile):
         quad = quadratic_fit(gribik)
-        bare = run_lmp(quad, gribik_model, day_profile, 0, 100.0, 5,
-                       HarmonicStep(0.1))
-        assert all(math.isnan(r.uplift) for r in bare.records)
         priced = run_lmp(quad, gribik_model, day_profile, 0, 100.0, 5,
                          HarmonicStep(0.1), uplift_fleet=gribik)
         for rec in priced.records:
@@ -271,7 +272,7 @@ class TestLmp:
     def test_method_tag(self, gribik, gribik_model, mean_profile):
         quad = quadratic_fit(gribik)
         trace = run_lmp(quad, gribik_model, mean_profile, 0, 100.0, 2,
-                        HarmonicStep(0.1))
+                        HarmonicStep(0.1), uplift_fleet=gribik)
         assert trace.method == "lmp"
 
 

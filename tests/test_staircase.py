@@ -3,6 +3,8 @@
 Fleets have integer costs, capacities and minimum outputs, so every
 vertex of v lies on the unit demand grid and the grid oracles are exact.
 """
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,13 +16,22 @@ from chpricing import (
     DemandModel,
     Fleet,
     GeneratorType,
+    InfeasibleError,
     best_response,
+    chp_fixed_demand,
+    conjugate,
     default_price_cap,
     dual_value,
     exact_dual,
     fleet_supply,
     hourly_demand,
+    hourly_utility,
     hull_value,
+    settle_hour,
+    ucp_value,
+    ucp_values,
+    uplift,
+    uplifts,
 )
 from chpricing.pricing import PRICE_FLOOR
 from chpricing.ucp import relaxed_supply, relaxed_unit_cost, supply_staircase
@@ -109,6 +120,101 @@ def test_hull_value_endpoints_and_grid_biconjugate(fleet):
         assert point.price_lo <= point.price_hi
         assert point.hull_value == pytest.approx(
             hull[y], abs=1e-9 * max(1.0, abs(hull[y])))
+
+
+def half_unit_demands(fleet):
+    """Every integer demand up to capacity and the midpoints between them."""
+    return [0.5 * i for i in range(int(2 * fleet.total_capacity) + 1)]
+
+
+def rounding(*terms):
+    """Absolute float tolerance for a sum of terms of these magnitudes."""
+    return 1e-9 * max([1.0] + [abs(x) for x in terms])
+
+
+@PROPERTY
+@given(fleets())
+def test_price_cap_elicits_full_fleet(fleet):
+    # hull_value ends the last supporting interval at the cap, which rests
+    # on every staircase breakpoint lying below it
+    price_cap = default_price_cap(fleet)
+    assert fleet_supply(fleet, price_cap) == fleet.total_capacity
+    prices, _supply = supply_staircase(fleet)
+    assert prices[-1] < price_cap
+
+
+@PROPERTY
+@given(fleets())
+def test_conjugate_is_its_grid_definition(fleet):
+    # integer fleets put every vertex and domain end of v on the unit grid,
+    # where the maximum of p*y - v(y) is attained
+    values = oracles.fleet_value_grid(fleet, 1.0)
+    feasible = [(y, v) for y, v in enumerate(values.tolist()) if math.isfinite(v)]
+    for p in probe_prices(fleet):
+        ref = max(p * y - v for y, v in feasible)
+        assert conjugate(fleet, p) == pytest.approx(
+            ref, abs=rounding(ref, p * fleet.total_capacity))
+
+
+@PROPERTY
+@given(fleets())
+def test_hull_below_value_and_uplift_nonnegative(fleet):
+    demands = half_unit_demands(fleet)
+    values = ucp_values(fleet, demands).tolist()
+    prices = probe_prices(fleet)
+    for y, v in zip(demands, values):
+        if math.isinf(v):
+            with pytest.raises(InfeasibleError):
+                ucp_value(fleet, y)
+            continue
+        point = hull_value(fleet, y)
+        assert point.hull_value <= v + rounding(v)
+        # zero at the supporting prices, positive elsewhere
+        for p in (point.price_lo, point.price_hi):
+            assert uplift(fleet, p, y) == pytest.approx(
+                v - point.hull_value, abs=rounding(v, p * y))
+        for p, up in zip(prices, uplifts(fleet, prices, [y] * len(prices))):
+            assert up >= -rounding(v, p * y)
+
+
+@PROPERTY
+@given(fleets())
+def test_hull_price_minimizes_uplift(fleet):
+    # criterion 5 on random fleets: no probe price bills less uplift
+    prices = probe_prices(fleet)
+    for y in half_unit_demands(fleet):
+        star = chp_fixed_demand(fleet, y)
+        billed = uplifts(fleet, [star] + prices, [y] * (len(prices) + 1))
+        if math.isinf(billed[0]):
+            continue
+        for p, up in zip(prices, billed[1:]):
+            assert billed[0] <= up + rounding(up, p * y, star * y)
+
+
+@PROPERTY
+@given(priced_hours())
+def test_settlement_identities(hour):
+    fleet, model, profile = hour
+    star, _demand = exact_dual(fleet, model, profile, 0)
+    for price in [star] + [p for p in probe_prices(fleet) if p > 0]:
+        demand = hourly_demand(model, profile, 0, price)
+        try:
+            r = settle_hour(fleet, model, profile, 0, price)
+        except InfeasibleError:
+            # only a demand that no commitment covers goes unsettled
+            assert ucp_values(fleet, [demand])[0] == math.inf
+            continue
+        assert (r.t, r.price, r.demand) == (0, price, demand)
+        assert r.supply_cost == ucp_value(fleet, demand)[0]
+        assert r.utility_gross == hourly_utility(model, profile, 0, demand)
+        assert r.social_welfare == r.utility_gross - r.supply_cost
+        assert r.utility_net == r.utility_gross - price * demand
+        assert r.supplier_profit == price * demand - r.supply_cost
+        assert r.social_welfare == pytest.approx(
+            r.utility_net + r.supplier_profit,
+            abs=rounding(r.utility_gross, price * demand, r.supply_cost))
+        assert r.uplift == uplift(fleet, price, demand)
+        assert r.uplift >= -rounding(r.supply_cost, price * demand)
 
 
 @PROPERTY
