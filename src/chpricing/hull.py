@@ -1,11 +1,12 @@
 """Convex hull of the unit commitment value function, and hull prices.
 
-Everything is computed through the conjugate: the hull value at demand y
-is max over prices of price*y - conjugate(price), a concave piecewise
-linear function whose derivative is y minus the best-response supply.
-That supply is the fleet's staircase (``ucp.supply_staircase``), so the
-maximizing prices are read off it: the first breakpoint whose cumulative
-supply reaches y, up to the first one whose supply exceeds y.
+Everything is read off the fleet's one supply staircase
+(``ucp.supply_staircase``).  The hull value at demand y is max over prices
+of price*y - conjugate(price), a concave piecewise linear function whose
+derivative is y minus the best-response supply.  For independent units
+the hull is the relaxed merit-order cost (``ucp.relaxed_value``), and the
+maximizing prices are breakpoints of the staircase: the first whose
+cumulative supply reaches y, up to the first whose supply exceeds y.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from typing import Callable
 from .fleet import Fleet
 from .ucp import (
     FEAS_EPS,
-    InfeasibleError,
     conjugate,
+    relaxed_value,
     supply_staircase,
     ucp_value,
     ucp_values,
@@ -87,23 +88,24 @@ def default_price_cap(fleet: Fleet) -> float:
 def hull_value(fleet: Fleet, y: float) -> HullPoint:
     """Hull value and supporting price interval at demand y.
 
-    price_lo is the smallest price whose maximal best-response supply
-    reaches y; price_hi the largest price whose minimal supply does not
-    exceed y.  Both are breakpoints of the supply staircase, except that
-    the interval starts at 0 when y = 0 and ends at the default price cap
-    when y is the fleet's capacity.  Every breakpoint lies below that cap,
-    where the whole fleet supplies.  The hull value is the conjugate-based
-    objective at price_lo, which maximizes it.
+    price_lo is the smallest price whose best-response supply reaches y;
+    price_hi the first breakpoint whose supply exceeds y.  Both are
+    breakpoints of the supply staircase, except that the interval starts
+    at 0 when y = 0 and ends at the default price cap when y is the
+    fleet's capacity.  Every breakpoint lies below that cap, where the
+    whole fleet supplies.  The hull value is the relaxed cost at y, read
+    off the same staircase.  Raises InfeasibleError when y lies outside
+    [0, capacity].
     """
-    cap_mw = fleet.total_capacity
-    if y < -FEAS_EPS or y > cap_mw + FEAS_EPS:
-        raise InfeasibleError(f"demand {y} outside [0, {cap_mw}] MW")
-    y = min(max(y, 0.0), cap_mw)
+    value, _price = relaxed_value(fleet, y)
+    y = min(max(y, 0.0), fleet.total_capacity)
     prices, supply = supply_staircase(fleet)
-    lo = 0.0 if y <= FEAS_EPS else prices[bisect_left(supply, y - FEAS_EPS)]
+    # the step that reaches y, as in relaxed_value
+    reach = min(bisect_left(supply, y - FEAS_EPS), len(prices) - 1)
+    lo = 0.0 if y <= FEAS_EPS else prices[reach]
     above = bisect_right(supply, y + FEAS_EPS)
     hi = default_price_cap(fleet) if above == len(prices) else prices[above]
-    return HullPoint(y, lo * y - conjugate(fleet, lo), lo, hi)
+    return HullPoint(y, value, lo, hi)
 
 
 def chp_fixed_demand(fleet: Fleet, y: float) -> float:

@@ -19,7 +19,6 @@ from .market import DayProfile, DemandModel, demand_terms, hourly_demand, hourly
 from .ucp import (
     InfeasibleError,
     QuadraticCost,
-    best_response,
     conjugate,
     fleet_supply,
     relaxed_value,
@@ -152,8 +151,7 @@ def run_subgradient(fleet: Fleet, model: DemandModel, profile: DayProfile, t: in
     their best responses and the price moves against the imbalance.
     """
     def respond(price: float) -> tuple[float, float]:
-        reaction = best_response(fleet, price)
-        return reaction.supply, reaction.profit
+        return fleet_supply(fleet, price), conjugate(fleet, price)
 
     return _price_loop("chp_subgradient", respond, model, profile, t, price0,
                        n_iters, step_rule, uplift_fleet=fleet)
@@ -164,7 +162,7 @@ def exact_dual(fleet: Fleet, model: DemandModel, profile: DayProfile,
     """Exact dual price: the sign change of supply minus demand.
 
     Returns (price, demand at that price).  The price is the smallest one
-    whose maximal best-response supply covers the demand floor + coef/p:
+    whose best-response supply covers the demand floor + coef/p:
     a staircase breakpoint, or coef/(s - floor) inside a step of supply s.
     """
     price_cap = default_price_cap(fleet)

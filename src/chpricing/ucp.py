@@ -3,10 +3,16 @@
 Exact value function v(y) read off a per-fleet commitment table (every
 per-type count vector with its output range, fixed cost and merit-order
 fill, built once and evaluated with numpy; the cheapest commitments are
-then re-dispatched exactly), merit-order dispatch, closed-form supplier
-best response (the Fenchel conjugate of the cost function), the
-continuous commitment relaxation and the supply staircase read off it,
-and the startup-free convex baselines used for LMP-style pricing.
+then re-dispatched exactly), merit-order dispatch, the continuous
+commitment relaxation, and the startup-free convex baselines used for
+LMP-style pricing.
+
+The fleet's convex side has one representation: the supply staircase,
+the relaxed blocks of every unit in merit order, with each step's
+cumulative supply and cost.  Supply (fleet_supply), the Fenchel conjugate
+of v (conjugate), the supplier best response and the relaxed cost
+(relaxed_value) are all read off it with one bisection, so at a
+break-even price every one of them takes the upper step.
 
 v comes one demand at a time (ucp_value, with the cheapest Dispatch) or
 for a whole set of demands (ucp_values).  The batch reads the table in
@@ -408,25 +414,32 @@ def ucp_values(fleet: Fleet, demands) -> np.ndarray:
     return values
 
 
-def _unit_best(gtype: GeneratorType, price: float) -> tuple[float, float]:
-    """Optimal committed output and profit of one unit at a price.
-
-    The committed profit price*g - C(g) - S is concave in g, so the
-    optimum takes every segment priced at or below the price (zero-margin
-    segments in full: the maximal optimizer) and is then clamped to the
-    minimum output.
-    """
-    g = 0.0
-    for seg in gtype.segments:
-        if price >= seg.marginal_cost:
-            g += seg.capacity
-    if g < gtype.min_output:
-        g = gtype.min_output
-    profit = price * g - unit_variable_cost(gtype, g) - gtype.startup_cost
-    return g, profit
-
-
 @lru_cache(maxsize=None)
+def _staircase(fleet: Fleet) -> tuple[tuple[float, ...], tuple[float, ...],
+                                      tuple[float, ...]]:
+    """supply_staircase with each step's cumulative cost: (prices, supply, cost).
+
+    ``cost[i]`` is the relaxed cost of supplying ``supply[i]``, the sum of
+    slope x width over the relaxed blocks priced <= prices[i].
+    """
+    prices: list[float] = []
+    supply: list[float] = []
+    cost: list[float] = []
+    total = 0.0
+    filled = 0.0
+    for slope, _ti, _bi, width in _fleet_blocks(fleet):
+        total += width
+        filled += slope * width
+        if prices and prices[-1] == slope:
+            supply[-1] = total
+            cost[-1] = filled
+        else:
+            prices.append(slope)
+            supply.append(total)
+            cost.append(filled)
+    return tuple(prices), tuple(supply), tuple(cost)
+
+
 def supply_staircase(fleet: Fleet) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Best-response supply as a step function: (prices, cumulative MW).
 
@@ -434,67 +447,54 @@ def supply_staircase(fleet: Fleet) -> tuple[tuple[float, ...], tuple[float, ...]
     conjugate of the relaxed cost, so it steps up at the distinct relaxed
     block slopes ``prices``; ``supply[i]`` is the capacity priced <= prices[i].
     """
-    prices: list[float] = []
-    supply: list[float] = []
-    total = 0.0
-    for slope, _ti, _bi, width in _fleet_blocks(fleet):
-        total += width
-        if prices and prices[-1] == slope:
-            supply[-1] = total
-        else:
-            prices.append(slope)
-            supply.append(total)
-    return tuple(prices), tuple(supply)
+    prices, supply, _cost = _staircase(fleet)
+    return prices, supply
 
 
-def fleet_supply(fleet: Fleet, price: float, maximal: bool = True) -> float:
+def fleet_supply(fleet: Fleet, price: float) -> float:
     """Aggregate best-response supply at a price (MW), read off the staircase.
 
-    ``maximal`` picks the upper or lower value at breakpoint prices.
+    At a breakpoint price the upper step is supplied.
     """
-    prices, supply = supply_staircase(fleet)
-    i = bisect_right(prices, price) if maximal else bisect_left(prices, price)
+    prices, supply, _cost = _staircase(fleet)
+    i = bisect_right(prices, price)
     return supply[i - 1] if i else 0.0
 
 
 def best_response(fleet: Fleet, price: float) -> BestResponse:
     """Fleet best response to a price, maximal-supply tie-break.
 
-    Each unit decides independently: commit when the committed profit is
-    nonnegative, produce the profit-maximizing output.  The total profit
-    equals the convex conjugate of the fleet cost function at the price.
+    Read off the staircase: supply is fleet_supply and profit is
+    conjugate.  Each unit of a type produces its relaxed blocks priced
+    at or below the price, a vertex of its committed cost, and commits
+    when that output is positive, so a break-even unit takes its upper
+    step.
     """
     counts = []
     outputs = []
-    supply = 0.0
-    profit_total = 0.0
     cost_total = 0.0
     for gtype in fleet.types:
-        g, profit = _unit_best(gtype, price)
-        # profit-neutral units commit (the maximal tie-break) unless idle
-        if profit > 0.0 or (profit == 0.0 and g > 0.0):
-            n = gtype.unit_count
-            supply += n * g
-            profit_total += n * max(profit, 0.0)
+        g = sum(width for slope, width in relaxed_blocks(gtype) if slope <= price)
+        n = gtype.unit_count if g > 0.0 else 0
+        if n:
             cost_total += n * (gtype.startup_cost + unit_variable_cost(gtype, g))
-            outputs.append((g,) * n)
-        else:
-            n = 0
-            outputs.append((0.0,) * gtype.unit_count)
+        outputs.append((g,) * n + (0.0,) * (gtype.unit_count - n))
         counts.append(n)
+    supply = fleet_supply(fleet, price)
     commitment = Commitment(tuple(counts))
     dispatch = Dispatch(commitment, tuple(outputs), supply, cost_total)
-    return BestResponse(supply, profit_total, commitment, dispatch)
+    return BestResponse(supply, conjugate(fleet, price), commitment, dispatch)
 
 
 def conjugate(fleet: Fleet, price: float) -> float:
-    """max_y (price*y - v(y)): the fleet's best-response profit at the price."""
-    total = 0.0
-    for gtype in fleet.types:
-        _g, profit = _unit_best(gtype, price)
-        if profit > 0.0:
-            total += gtype.unit_count * profit
-    return total
+    """max_y (price*y - v(y)): the fleet's best-response profit at the price.
+
+    Read off the staircase: price x supply minus the relaxed cost of that
+    supply, at the last step priced <= price; 0 below the first step.
+    """
+    prices, supply, cost = _staircase(fleet)
+    i = bisect_right(prices, price) - 1
+    return price * supply[i] - cost[i] if i >= 0 else 0.0
 
 
 def relaxed_unit_cost(gtype: GeneratorType, g: float) -> float:
@@ -556,29 +556,22 @@ def _fleet_blocks(fleet: Fleet) -> tuple[tuple[float, int, int, float], ...]:
 def relaxed_value(fleet: Fleet, y: float) -> tuple[float, float]:
     """Optimal relaxed-commitment cost at demand y and its marginal price.
 
-    Merit order over the relaxed per-unit cost pieces; the price is the
-    right-hand derivative (the slope of the next marginal MW).
+    Read off the staircase: the cost of the steps below y plus y's share
+    of the step that reaches it.  The price is the right-hand derivative
+    (the slope of the next marginal MW), the last slope at capacity.
     """
     if y < -FEAS_EPS or y > fleet.total_capacity + FEAS_EPS:
         raise InfeasibleError(
             f"demand {y} outside feasible range [0, {fleet.total_capacity}] MW")
     y = min(max(y, 0.0), fleet.total_capacity)
-    blocks = _fleet_blocks(fleet)
-    remaining = y
-    value = 0.0
-    price = blocks[0][0]
-    for i, (slope, _ti, _bi, width) in enumerate(blocks):
-        take = min(remaining, width)
-        value += take * slope
-        remaining -= take
-        if remaining <= FEAS_EPS:
-            # an exactly exhausted block prices the next MW off the next block
-            if take >= width - FEAS_EPS and i + 1 < len(blocks):
-                price = blocks[i + 1][0]
-            else:
-                price = slope
-            break
-    return value, price
+    prices, supply, cost = _staircase(fleet)
+    # the staircase sums capacity in merit order, so its top can round
+    # below total_capacity by more than FEAS_EPS on a very large fleet
+    i = min(bisect_left(supply, y - FEAS_EPS), len(prices) - 1)
+    below_cost, below_mw = (cost[i - 1], supply[i - 1]) if i else (0.0, 0.0)
+    value = below_cost + prices[i] * (y - below_mw)
+    above = bisect_right(supply, y + FEAS_EPS)
+    return value, prices[min(above, len(prices) - 1)]
 
 
 def relaxed_supply(fleet: Fleet, price: float) -> float:

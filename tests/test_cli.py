@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -357,6 +358,29 @@ class TestCurves:
             y = float(record["y"])
             assert record["v"] == repr(ch.ucp_value(scarf, y)[0])
             assert record["v_no_startup"] == repr(ch.no_startup_value(scarf, y))
+
+    def test_hull_is_relaxed_cost_on_float_fleet(self, tmp_path):
+        # for independent units the hull is the relaxed merit-order cost, and
+        # both columns are read off one staircase, so they agree to the bit
+        # even where the fleet's costs and sizes round
+        rng = random.Random(0)
+        types = []
+        for i in range(4):
+            cost = rng.uniform(10.0, 40.0)
+            types.append({
+                "name": f"T{i}", "startup_cost": rng.uniform(100.0, 2000.0),
+                "min_output": 0.0, "unit_count": 2,
+                "segments": [
+                    {"marginal_cost": cost, "capacity": rng.uniform(30.0, 40.0)},
+                    {"marginal_cost": cost + rng.uniform(5.0, 30.0),
+                     "capacity": rng.uniform(15.0, 25.0)}]})
+        fleet_path = tmp_path / "fleet.json"
+        fleet_path.write_text(json.dumps({"types": types}))
+        assert run_cli("curves", "--fleet", str(fleet_path), "--out", str(tmp_path)) == 0
+        header, rows = read_rows(tmp_path / "curves.csv")
+        relaxed, hull = header.index("v_relaxed"), header.index("v_hull")
+        assert len(rows) == 454
+        assert [r[hull] for r in rows] == [r[relaxed] for r in rows]
 
     def test_uncoverable_demand_fails_loud(self, tmp_path, capsys):
         assert run_cli("curves", "--fleet", str(gap_fleet_file(tmp_path)),

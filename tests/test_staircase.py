@@ -6,7 +6,7 @@ vertex of v lies on the unit demand grid and the grid oracles are exact.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -16,6 +16,7 @@ from chpricing import (
     DemandModel,
     Fleet,
     GeneratorType,
+    HarmonicStep,
     InfeasibleError,
     best_response,
     chp_fixed_demand,
@@ -27,6 +28,7 @@ from chpricing import (
     hourly_demand,
     hourly_utility,
     hull_value,
+    run_subgradient,
     settle_hour,
     ucp_value,
     ucp_values,
@@ -79,18 +81,26 @@ def probe_prices(fleet):
     return list(prices) + mids + [0.5 * prices[0], prices[-1] + 1.0]
 
 
+BREAKEVEN_FLEET = Fleet((GeneratorType("U", 700.0, 0.0, (CostSegment(12.0, 13.0),)),))
+
+
 @PROPERTY
 @given(fleets())
+@example(BREAKEVEN_FLEET)
 def test_relaxed_supply_is_best_response_supply(fleet):
-    prices, _supply = supply_staircase(fleet)
-    tol = 1e-9 * fleet.total_capacity
+    # breakpoints included: every reading of the staircase takes the upper step
     for p in probe_prices(fleet):
-        assert fleet_supply(fleet, p) == relaxed_supply(fleet, p)
-        if p not in prices:
-            # off a breakpoint the unit-by-unit best response agrees
-            assert best_response(fleet, p).supply == \
-                pytest.approx(fleet_supply(fleet, p), abs=tol)
-            assert fleet_supply(fleet, p, maximal=False) == fleet_supply(fleet, p)
+        supply = fleet_supply(fleet, p)
+        assert supply == relaxed_supply(fleet, p)
+        reaction = best_response(fleet, p)
+        assert reaction.supply == supply
+        assert reaction.profit == conjugate(fleet, p)
+        dispatch = reaction.dispatch
+        assert dispatch.total_output == supply
+        assert math.fsum(map(sum, dispatch.outputs)) == pytest.approx(
+            supply, abs=rounding(supply))
+        assert p * supply - dispatch.total_cost == pytest.approx(
+            reaction.profit, abs=rounding(p * supply, dispatch.total_cost))
 
 
 @PROPERTY
@@ -236,11 +246,12 @@ def test_relaxed_unit_cost_matches_z_grid(gtype, frac):
 def test_breakeven_breakpoint_takes_upper_step():
     # the committed profit at the rounded break-even 12 + 700/13 is about
     # -1e-13, so a commitment decided by its sign would drop the step
-    fleet = Fleet((GeneratorType("U", 700.0, 0.0, (CostSegment(12.0, 13.0),)),))
+    fleet = BREAKEVEN_FLEET
     (breakeven,), (full,) = supply_staircase(fleet)
     assert (breakeven, full) == (12.0 + 700.0 / 13.0, 13.0)
     assert fleet_supply(fleet, breakeven) == 13.0
-    assert fleet_supply(fleet, breakeven, maximal=False) == 0.0
+    reaction = best_response(fleet, breakeven)
+    assert (reaction.supply, reaction.commitment.counts) == (13.0, (1,))
     # inelastic demand inside the step clears at the break-even price with
     # the upper step supplied
     model = DemandModel(a=1.0, mu1=1.0, mu2=0.0, nu=1.0)
@@ -251,3 +262,6 @@ def test_breakeven_breakpoint_takes_upper_step():
     assert imbalance == 13.0 - 6.5
     point = hull_value(fleet, 6.5)
     assert point.price_lo == point.price_hi == breakeven
+    # the loop reads the same staircase, so its first step goes down
+    trace = run_subgradient(fleet, model, profile, 0, breakeven, 1, HarmonicStep(1.0))
+    assert trace.records[0].price == breakeven - 6.5

@@ -20,6 +20,7 @@ from chpricing import (
     conjugate,
     dispatch_committed,
     fleet_supply,
+    hull_value,
     no_startup_value,
     quadratic_fit,
     relaxed_value,
@@ -33,6 +34,7 @@ from chpricing.ucp import (
     no_startup_values,
     relaxed_supply,
     relaxed_unit_cost,
+    supply_staircase,
     unit_variable_cost,
 )
 from test_staircase import PROPERTY, fleets
@@ -482,6 +484,22 @@ class TestRelaxed:
     def test_infeasible(self, gribik):
         with pytest.raises(InfeasibleError):
             relaxed_value(gribik, 600.1)
+
+    def test_capacity_above_rounded_staircase_top(self):
+        # the staircase sums capacity in merit order, the fleet in type
+        # order; at this scale the staircase top rounds 1.9e-9 MW lower
+        caps = (1866397.6, 2688466.3, 1116163.2, 1886766.7)
+        fleet = Fleet(tuple(GeneratorType(f"T{i}", 0.0, 0.0,
+                                          (CostSegment(40.0 - 10.0 * i, cap),))
+                            for i, cap in enumerate(caps)))
+        cap_mw = fleet.total_capacity
+        assert supply_staircase(fleet)[1][-1] < cap_mw - FEAS_EPS
+        value, price = relaxed_value(fleet, cap_mw)
+        assert value == pytest.approx(sum((40.0 - 10.0 * i) * cap
+                                          for i, cap in enumerate(caps)))
+        assert price == 40.0
+        point = hull_value(fleet, cap_mw)
+        assert (point.hull_value, point.price_lo) == (value, 40.0)
 
 
 class TestNoStartup:
