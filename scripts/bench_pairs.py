@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two source trees, recorded in a BENCH_<n>.json file.
+
+Usage (from anywhere):
+
+    python3 scripts/bench_pairs.py PARENT_TREE CHANGED_TREE --workload W \
+        [--workload W2 ...] [--pairs 10] [--seconds 30] [--seed 1] \
+        --out BENCH_<n>.json
+
+Each tree is a checkout of this repository.  Each run is the tree's own,
+unchanged ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
+in a fresh interpreter.  A pair runs both trees once; pairs alternate
+which tree goes first.  Every run gets a fresh, empty
+PYTHONPYCACHEPREFIX with bytecode writing allowed (PYTHONDONTWRITEBYTECODE
+is dropped for the run): no run reads bytecode compiled before it, so a
+stale in-tree ``__pycache__`` cannot spare one side compile time, and
+run.py's untimed warm-up compiles what the timed commands import.
+
+The output file holds, per workload, the environment line and the
+end-to-end metrics of every run, each side's median and quartiles, and
+per metric the pairs each side won (ties count for neither) and
+``gain``: the changed tree won at least nine tenths of the pairs and
+the medians differ, in its favour, by more than the parent's
+interquartile range.  Metric directions come from the changed tree's
+BENCHMARK.json.  Only the standard library is used.  Exits 1 when a run
+fails or reports a failed command.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SIDES = ("parent", "changed")
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run of ``tree``: its environment, correctness and metrics."""
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        done = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, env=env, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"{tree}: {workload} exited {done.returncode}:\n{done.stderr}")
+    environment = next(json.loads(line.split(":", 1)[1]) for line in lines
+                       if line.startswith("environment:"))
+    result = json.loads(lines[-1])
+    return {
+        "environment": environment,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+    """Per metric: each side's median and quartiles, pair wins, and the gain rule."""
+    summary = {}
+    for name, direction in better.items():
+        values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
+        sign = 1.0 if direction == "lower" else -1.0
+        # positive where the changed tree did better
+        deltas = [sign * (p - c) for p, c in zip(values["parent"], values["changed"])]
+        wins = sum(d > 0 for d in deltas)
+        stats = {side: spread(values[side]) for side in SIDES}
+        parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        gap = sign * (stats["parent"]["median"] - stats["changed"]["median"])
+        summary[name] = {
+            "better": direction,
+            **stats,
+            "changed_wins": wins,
+            "parent_wins": sum(d < 0 for d in deltas),
+            "gain": wins >= 0.9 * len(deltas) and gap > parent_iqr,
+        }
+    return summary
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("changed", type=Path)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 10:
+        parser.error("--pairs must be at least 10")
+    trees = {"parent": args.parent.resolve(), "changed": args.changed.resolve()}
+    spec = json.loads((trees["changed"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    record = {
+        "host": {"python": platform.python_version(), "nproc": os.cpu_count(),
+                 "machine": platform.machine()},
+        "trees": {side: tree.name for side, tree in trees.items()},
+        "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
+        "workloads": {},
+    }
+    failed = False
+    for workload in args.workload:
+        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+        for pair in range(args.pairs):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for position, side in enumerate(order):
+                run = run_once(trees[side], workload, args.seed, args.seconds)
+                run["pair"], run["position"] = pair, position
+                runs[side].append(run)
+                failed |= not run["correct"] or run["failed"] > 0
+                print(f"{workload} pair {pair} {side}: "
+                      + ", ".join(f"{k} {v:.6g}" for k, v in run["metrics"].items()),
+                      flush=True)
+        summary = summarize(runs, better)
+        record["workloads"][workload] = {"summary": summary, "runs": runs}
+        for name, s in summary.items():
+            print(f"{workload} {name}: parent {s['parent']['median']:.6g} "
+                  f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}] changed "
+                  f"{s['changed']['median']:.6g} [{s['changed']['q1']:.6g}, "
+                  f"{s['changed']['q3']:.6g}], changed better in {s['changed_wins']}"
+                  f"/{args.pairs}, gain {s['gain']}")
+        # written after every workload, so an interrupted run keeps the finished ones
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,15 +15,17 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from .fleet import Fleet, FleetValidationError, builtin_fleet, load_fleet
-from .hull import chp_fixed_demand, hull_value, uplifts
+from .hull import chp_fixed_demand, default_price_cap, hull_value, uplifts
 from .market import (
     HOURS,
     DayProfile,
     DemandModel,
     default_profile,
+    hourly_demand,
     hourly_utility,
     inelastic_share,
     load_profile,
@@ -31,18 +33,19 @@ from .market import (
     synthetic_profile,
 )
 from .pricing import (
+    ITERATIVE_METHODS,
     METHODS,
     HarmonicStep,
-    IterateRecord,
-    PricingTrace,
+    PricedHours,
+    check_loop_args,
     dispatchable_equilibrium,
     dispatchable_price,
     dual_value,
     exact_dual,
-    run_lmp,
-    run_subgradient,
+    price_hours,
 )
 from .ucp import (
+    MAX_GRID_POINTS,
     InfeasibleError,
     QuadraticCost,
     no_startup_values,
@@ -70,8 +73,6 @@ TRACE_COLUMNS = ("t", "k", "price", "demand", "supply", "step", "dual_value",
 SUMMARY_COLUMNS = ("price_min", "price_mean", "price_max", "total_demand",
                    "total_utility_gross", "total_utility_net", "total_profit",
                    "total_welfare", "total_uplift", "settled_hours")
-# the methods that iterate, and so read lambda0, n_iters and the step
-ITERATIVE_METHODS = ("chp_subgradient", "lmp")
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,10 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.method in ITERATIVE_METHODS and self.step_coef is None:
-            raise ValueError(f"{self.method} needs a step coefficient")
+        if self.method in ITERATIVE_METHODS:
+            if self.step_coef is None:
+                raise ValueError(f"{self.method} needs a step coefficient")
+            check_loop_args(self.lambda0, self.n_iters)
 
 
 def _resolve_fleet(source: str) -> Fleet:
@@ -121,46 +124,79 @@ def _resolve_profile(config: ExperimentConfig) -> DayProfile:
     return DayProfile(base.base_demand, noise)
 
 
-def _run_one_hour(t: int, fleet: Fleet, model: DemandModel, profile: DayProfile,
-                  method: str, lambda0: float, n_iters: int,
-                  step_rule: HarmonicStep | None, quad: QuadraticCost | None
-                  ) -> tuple[PricingTrace, HourResult | None]:
-    """Price hour t with the method and settle it once at the final price.
+def _reprs(values: list[float]) -> list[str]:
+    """The repr of each float, cut from one repr of the whole list."""
+    return repr(values)[1:-1].split(", ")
 
-    The result is None when no commitment covers the cleared demand.  A
-    closed-form method's trace is one record, billed the settlement's
-    uplift, or inf like an uncoverable iterate of the loops.
+
+def _trace_lines(priced: PricedHours) -> list[str]:
+    """trace.csv lines of a price loop's hours, each cell the repr of its float."""
+    steps, clocks = _reprs(priced.step.tolist()), _reprs(priced.elapsed_s.tolist())
+    per_hour = zip(*([_reprs(hour) for hour in column.T.tolist()] for column in (
+        priced.price, priced.demand, priced.supply, priced.dual_value, priced.uplift)))
+    return [f"{t},{k},{price},{demand},{supply},{step},{phi},{up},{clock}"
+            for t, columns in zip(priced.hours, per_hour)
+            for k, (price, demand, supply, phi, up, step, clock)
+            in enumerate(zip(*columns, steps, clocks), 1)]
+
+
+def _run_hours(hours, fleet: Fleet, model: DemandModel, profile: DayProfile,
+               method: str, lambda0: float, n_iters: int,
+               step_rule: HarmonicStep | None, quad: QuadraticCost | None
+               ) -> tuple[list[str], list[str], list[HourResult]]:
+    """Price the hours with the method and settle each once at its final price.
+
+    Returns their trace.csv and hours.csv lines and the settled hours.  The
+    iterative methods price all the hours in one array loop.  A closed-form
+    hour's trace is one k=0 line, billed the settlement's uplift, or inf
+    like an uncoverable iterate of the loops; an hour without a crossing
+    (demand above supply at every price) is written at the price cap.  An
+    hour is infeasible when no commitment covers its cleared demand.
     """
-    if method == "chp_subgradient":
-        trace = run_subgradient(fleet, model, profile, t, lambda0, n_iters, step_rule)
-    elif method == "lmp":
-        trace = run_lmp(quad, model, profile, t, lambda0, n_iters, step_rule,
-                        uplift_fleet=fleet)
+    if method in ITERATIVE_METHODS:
+        priced = price_hours(method, fleet, model, profile, hours, lambda0, n_iters,
+                             step_rule, quad)
+        trace_lines = _trace_lines(priced)
+        finals = zip(priced.hours, priced.price[-1].tolist(), priced.demand[-1].tolist())
     else:
         closed_form = exact_dual if method == "chp_exact" else dispatchable_equilibrium
-        price, demand = closed_form(fleet, model, profile, t)
-        trace = None
-    try:
-        result = settle_hour(fleet, model, profile, t,
-                             price if trace is None else trace.final_price)
-    except InfeasibleError:
-        result = None
-    if trace is None:
-        phi, sub = dual_value(fleet, model, profile, t, price)
-        record = IterateRecord(
-            k=0, price=price, demand=demand, supply=sub + demand, step=0.0,
-            dual_value=phi, uplift=math.inf if result is None else result.uplift)
-        trace = PricingTrace(method, (record,), price, demand)
-    return trace, result
+        trace_lines, finals = [], []
+        for t in hours:
+            try:
+                price, demand = closed_form(fleet, model, profile, t)
+            except InfeasibleError:
+                price = default_price_cap(fleet)
+                demand = hourly_demand(model, profile, t, price)
+            finals.append((t, price, demand))
+    hour_lines, settled = [], []
+    for t, price, demand in finals:
+        try:
+            result = settle_hour(fleet, model, profile, t, price)
+        except InfeasibleError:
+            result = None
+        if method not in ITERATIVE_METHODS:
+            phi, sub = dual_value(fleet, model, profile, t, price)
+            up = math.inf if result is None else result.uplift
+            trace_lines.append(f"{t},0," + ",".join(
+                map(_fmt, (price, demand, sub + demand, 0.0, phi, up, 0.0))))
+        if result is None:
+            cells = [_fmt(price), _fmt(demand)] + [""] * 6 + ["infeasible"]
+        else:
+            settled.append(result)
+            cells = [_fmt(x) for x in (
+                result.price, result.demand, result.supply_cost, result.uplift,
+                result.utility_gross, result.utility_net, result.supplier_profit,
+                result.social_welfare)] + ["ok"]
+        hour_lines.append(",".join([str(t)] + cells))
+    return trace_lines, hour_lines, settled
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> None:
-    lines = [",".join(header)] + [",".join(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: tuple[str, ...], lines: list[str]) -> None:
+    path.write_text("\n".join([",".join(header)] + lines) + "\n")
 
 
 def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
@@ -174,36 +210,22 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    worker = partial(_run_one_hour, fleet=fleet, model=model, profile=profile,
+    worker = partial(_run_hours, fleet=fleet, model=model, profile=profile,
                      method=config.method, lambda0=config.lambda0,
                      n_iters=config.n_iters, step_rule=step_rule, quad=quad)
     if config.jobs > 1:
         # imported here: the pool module costs every command's set-up, and
         # a pool forks all its workers at once, so more than HOURS would idle
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(config.jobs, HOURS)) as pool:
-            outcomes = list(pool.map(worker, range(HOURS)))
+        workers = min(config.jobs, HOURS)
+        chunks = [range(HOURS * i // workers, HOURS * (i + 1) // workers)
+                  for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(worker, chunks))
     else:
-        outcomes = [worker(t) for t in range(HOURS)]
-
-    hour_rows = []
-    trace_rows = []
-    settled: list[HourResult] = []
-    for t, (trace, result) in enumerate(outcomes):
-        for rec in trace.records:
-            trace_rows.append([str(t), str(rec.k), _fmt(rec.price), _fmt(rec.demand),
-                               _fmt(rec.supply), _fmt(rec.step), _fmt(rec.dual_value),
-                               _fmt(rec.uplift), _fmt(rec.elapsed_s)])
-        if result is None:
-            hour_rows.append([str(t), _fmt(trace.final_price), _fmt(trace.final_demand),
-                              "", "", "", "", "", "", "infeasible"])
-        else:
-            settled.append(result)
-            hour_rows.append([str(t), _fmt(result.price), _fmt(result.demand),
-                              _fmt(result.supply_cost), _fmt(result.uplift),
-                              _fmt(result.utility_gross), _fmt(result.utility_net),
-                              _fmt(result.supplier_profit), _fmt(result.social_welfare),
-                              "ok"])
+        outcomes = [worker(range(HOURS))]
+    trace_lines, hour_lines, settled = (list(chain.from_iterable(part))
+                                        for part in zip(*outcomes))
 
     if len(settled) == HOURS:
         s = summarize_day(settled)
@@ -221,15 +243,19 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
         "trace": out / "trace.csv",
         "summary": out / "summary.csv",
     }
-    _write_csv(paths["hours"], HOURS_COLUMNS, hour_rows)
-    _write_csv(paths["trace"], TRACE_COLUMNS, trace_rows)
-    _write_csv(paths["summary"], SUMMARY_COLUMNS, [summary_row])
+    _write_csv(paths["hours"], HOURS_COLUMNS, hour_lines)
+    _write_csv(paths["trace"], TRACE_COLUMNS, trace_lines)
+    _write_csv(paths["summary"], SUMMARY_COLUMNS, [",".join(summary_row)])
     return paths
 
 
 def _demand_grid(capacity: float, step_mw: float) -> list[float]:
     if not step_mw > 0:
         raise ValueError(f"step-mw must be > 0, got {step_mw}")
+    if capacity / step_mw > MAX_GRID_POINTS:
+        raise ValueError(
+            f"step-mw {step_mw} over {capacity} MW makes more than "
+            f"MAX_GRID_POINTS = {MAX_GRID_POINTS} demand points")
     grid = []
     y = 0.0
     while y < capacity - 1e-9:
@@ -268,8 +294,8 @@ def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
             u1 = _fmt(hourly_utility(model, profile, 0, y))
         else:
             u1 = ""
-        rows.append([_fmt(y), _fmt(v), _fmt(v_relaxed), _fmt(v_no_startup),
-                     _fmt(quad.cost(y)), _fmt(point.hull_value), u1])
+        rows.append(",".join([_fmt(y), _fmt(v), _fmt(v_relaxed), _fmt(v_no_startup),
+                              _fmt(quad.cost(y)), _fmt(point.hull_value), u1]))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "curves.csv"
@@ -290,7 +316,7 @@ def emit_uplift_curves(fleet: Fleet, rule: str, grid_step: float,
         prices = [dispatchable_price(fleet, y) for y in grid]
     billed = uplifts(fleet, prices, grid)
     _require_feasible(grid, billed)
-    rows = [[_fmt(y), _fmt(price), _fmt(up)]
+    rows = [f"{_fmt(y)},{_fmt(price)},{_fmt(up)}"
             for y, price, up in zip(grid, prices, billed)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

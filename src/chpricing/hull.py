@@ -15,10 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+
 from .fleet import Fleet
 from .ucp import (
     FEAS_EPS,
     conjugate,
+    conjugates,
     relaxed_value,
     supply_staircase,
     ucp_value,
@@ -125,12 +128,12 @@ def uplift(fleet: Fleet, price: float, y: float) -> float:
     return conjugate(fleet, price) - (price * y - value)
 
 
-def uplifts(fleet: Fleet, prices, demands) -> list[float]:
+def uplifts(fleet: Fleet, prices, demands) -> np.ndarray:
     """uplift at each (price, demand) pair, from one batched v (ucp_values).
 
     Each value is the float uplift returns; a demand that no commitment
     covers, where uplift raises InfeasibleError, gets +inf.
     """
-    values = ucp_values(fleet, demands).tolist()
-    return [conjugate(fleet, price) - (price * y - value)
-            for price, y, value in zip(prices, demands, values)]
+    prices = np.asarray(prices, dtype=float)
+    demands = np.asarray(demands, dtype=float)
+    return conjugates(fleet, prices) - (prices * demands - ucp_values(fleet, demands))

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+
+import numpy as np
 
 from .fleet import Fleet
 from .hull import default_price_cap, uplifts
@@ -20,6 +21,8 @@ from .ucp import (
     InfeasibleError,
     QuadraticCost,
     conjugate,
+    conjugates,
+    fleet_supplies,
     fleet_supply,
     relaxed_value,
     supply_staircase,
@@ -27,11 +30,16 @@ from .ucp import (
 
 __all__ = [
     "PRICE_FLOOR",
+    "MAX_ITERS",
     "METHODS",
+    "ITERATIVE_METHODS",
     "HarmonicStep",
     "IterateRecord",
     "PricingTrace",
+    "PricedHours",
+    "check_loop_args",
     "dual_value",
+    "price_hours",
     "run_subgradient",
     "exact_dual",
     "run_lmp",
@@ -42,7 +50,12 @@ __all__ = [
 
 PRICE_FLOOR = 1e-6  # $/MWh; keeps the elastic demand term finite
 
+# most rounds of a price loop; its columns hold rounds x hours floats
+MAX_ITERS = 10_000
+
 METHODS = ("chp_subgradient", "chp_exact", "lmp", "dispatchable")
+# the methods that iterate, and so read a start price, n_iters and a step
+ITERATIVE_METHODS = ("chp_subgradient", "lmp")
 
 
 @dataclass(frozen=True)
@@ -85,10 +98,13 @@ class PricingTrace:
     final_demand: float
 
 
-def _check_start_price(price: float) -> None:
-    if not PRICE_FLOOR < price < math.inf:
+def check_loop_args(price0: float, n_iters: int) -> None:
+    """Refuse a price loop's start price or round count before it allocates."""
+    if not PRICE_FLOOR < price0 < math.inf:
         raise ValueError(
-            f"start price must be finite and exceed the floor {PRICE_FLOOR}, got {price}")
+            f"start price must be finite and exceed the floor {PRICE_FLOOR}, got {price0}")
+    if not 1 <= n_iters <= MAX_ITERS:
+        raise ValueError(f"n_iters must be in [1, MAX_ITERS = {MAX_ITERS}], got {n_iters}")
 
 
 def dual_value(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
@@ -108,38 +124,87 @@ def dual_value(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
     return phi, fleet_supply(fleet, price) - demand
 
 
-def _price_loop(method: str, respond: Callable[[float], tuple[float, float]],
-                model: DemandModel, profile: DayProfile, t: int, price0: float,
-                n_iters: int, step_rule: HarmonicStep,
-                uplift_fleet: Fleet) -> PricingTrace:
-    """Price iteration against ``respond(price) -> (supply, profit)``.
+@dataclass(frozen=True)
+class PricedHours:
+    """A price loop's iterates for several hours, as (n_iters, hours) columns.
 
-    Each round p_k = p_{k-1} - gamma_k * (supply - demand), clamped to the
-    floor; after n_iters rounds the final price is accepted.  Uplift is
-    priced against uplift_fleet, inf if demand is infeasible.  The loop
-    never reads it, so every iterate is billed in one batch after the
-    loop, and elapsed_s excludes that time.
+    Row k - 1 is round k and column j is hours[j].  Every hour takes the
+    same step, and the loop's one clock times them all.
     """
-    _check_start_price(price0)
-    if n_iters < 1:
-        raise ValueError(f"n_iters must be >= 1, got {n_iters}")
+
+    method: str
+    hours: tuple[int, ...]
+    step: np.ndarray       # (n_iters,)
+    elapsed_s: np.ndarray  # (n_iters,) wall clock since loop start
+    price: np.ndarray
+    demand: np.ndarray
+    supply: np.ndarray
+    dual_value: np.ndarray
+    uplift: np.ndarray
+
+    def trace(self, j: int) -> PricingTrace:
+        """The iterate records of hours[j]."""
+        columns = (self.price[:, j], self.demand[:, j], self.supply[:, j], self.step,
+                   self.dual_value[:, j], self.uplift[:, j], self.elapsed_s)
+        rows = zip(*(column.tolist() for column in columns))
+        records = tuple(IterateRecord(k, *row) for k, row in enumerate(rows, 1))
+        return PricingTrace(self.method, records, records[-1].price, records[-1].demand)
+
+
+def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfile,
+                hours, price0: float, n_iters: int, step_rule: HarmonicStep,
+                quad: QuadraticCost | None = None) -> PricedHours:
+    """An iterative method's price loop, for several hours at once.
+
+    The suppliers respond off the fleet's staircase (chp_subgradient) or
+    the quadratic model quad (lmp).  Each round p_k = p_{k-1} - gamma_k *
+    (supply - demand), clamped to the floor, for the vector of hours;
+    after n_iters rounds the final prices are accepted.  Each hour keeps
+    its demand floor, elastic share and noise, fixed before the loop, and
+    the float operations of hourly_demand and hourly_utility, so it prices
+    as it would alone.  Uplift is billed against the fleet, inf where
+    demand is infeasible, for every iterate in one batch after the loop;
+    elapsed_s excludes that time.
+    """
+    check_loop_args(price0, n_iters)
+    if method not in ITERATIVE_METHODS:
+        raise ValueError(f"method must be one of {ITERATIVE_METHODS}, got {method}")
+
+    def respond(prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if method == "lmp":
+            return quad.supply(prices), quad.conjugate(prices)
+        return fleet_supplies(fleet, prices), conjugates(fleet, prices)
+
+    hours = tuple(hours)
+    floor, coef = np.array([demand_terms(model, profile, t) for t in hours]).reshape(-1, 2).T
+    share = np.array([model.mu2 * (1.0 + profile.noise[t]) for t in hours])
+    inelastic = coef == 0.0
+
+    def utility(demand: np.ndarray) -> np.ndarray:
+        below = np.where(inelastic, demand < floor - 1e-9, demand <= floor)
+        if below.any():
+            j = int(below.argmax())
+            hourly_utility(model, profile, hours[j], float(demand[j]))  # raises
+        logs = [math.log(gap) if gap > 0.0 else 0.0 for gap in (demand - floor).tolist()]
+        return np.where(inelastic, model.utility_constant,
+                        coef * logs + model.utility_constant)
+
     start = time.perf_counter()
-    price = price0
-    demand = hourly_demand(model, profile, t, price)
+    price = np.full(len(hours), float(price0))
+    demand = floor + share * (model.a / price)
     supply, _profit = respond(price)
     rounds = []
     for k in range(1, n_iters + 1):
         step = step_rule(k)
-        price = max(PRICE_FLOOR, price - step * (supply - demand))
-        demand = hourly_demand(model, profile, t, price)
+        price = np.maximum(price - step * (supply - demand), PRICE_FLOOR)
+        demand = floor + share * (model.a / price)
         supply, profit = respond(price)
-        phi = hourly_utility(model, profile, t, demand) - price * demand + profit
-        rounds.append(dict(k=k, price=price, demand=demand, supply=supply, step=step,
-                           dual_value=phi, elapsed_s=time.perf_counter() - start))
-    billed = uplifts(uplift_fleet, [r["price"] for r in rounds],
-                     [r["demand"] for r in rounds])
-    records = tuple(IterateRecord(uplift=up, **r) for r, up in zip(rounds, billed))
-    return PricingTrace(method, records, price, demand)
+        phi = utility(demand) - price * demand + profit
+        rounds.append((step, time.perf_counter() - start, price, demand, supply, phi))
+    steps, elapsed, *columns = (np.array(column) for column in zip(*rounds))
+    billed = uplifts(fleet, columns[0].ravel(), columns[1].ravel())
+    return PricedHours(method, hours, steps, elapsed, *columns,
+                       billed.reshape(columns[0].shape))
 
 
 def run_subgradient(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
@@ -148,13 +213,11 @@ def run_subgradient(fleet: Fleet, model: DemandModel, profile: DayProfile, t: in
     """Dynamic pricing by subgradient descent on the hourly dual.
 
     Starting from price0, each round the suppliers and the consumer report
-    their best responses and the price moves against the imbalance.
+    their best responses and the price moves against the imbalance: the
+    one-hour price_hours.
     """
-    def respond(price: float) -> tuple[float, float]:
-        return fleet_supply(fleet, price), conjugate(fleet, price)
-
-    return _price_loop("chp_subgradient", respond, model, profile, t, price0,
-                       n_iters, step_rule, uplift_fleet=fleet)
+    return price_hours("chp_subgradient", fleet, model, profile, (t,), price0,
+                       n_iters, step_rule).trace(0)
 
 
 def exact_dual(fleet: Fleet, model: DemandModel, profile: DayProfile,
@@ -196,11 +259,8 @@ def run_lmp(quad: QuadraticCost, model: DemandModel, profile: DayProfile, t: int
     uplift is priced against uplift_fleet, the true nonconvex fleet, which
     is what the convex model's prices will actually have to pay.
     """
-    def respond(price: float) -> tuple[float, float]:
-        return quad.supply(price), quad.conjugate(price)
-
-    return _price_loop("lmp", respond, model, profile, t, price0, n_iters,
-                       step_rule, uplift_fleet)
+    return price_hours("lmp", uplift_fleet, model, profile, (t,), price0, n_iters,
+                       step_rule, quad).trace(0)
 
 
 def lmp_equilibrium(quad: QuadraticCost, model: DemandModel, profile: DayProfile,

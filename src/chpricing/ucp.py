@@ -12,7 +12,9 @@ the relaxed blocks of every unit in merit order, with each step's
 cumulative supply and cost.  Supply (fleet_supply), the Fenchel conjugate
 of v (conjugate), the supplier best response and the relaxed cost
 (relaxed_value) are all read off it with one bisection, so at a
-break-even price every one of them takes the upper step.
+break-even price every one of them takes the upper step.  Supply and
+the conjugate at an array of prices (fleet_supplies, conjugates) are one
+np.searchsorted on the same staircase, with the scalar float operations.
 
 v comes one demand at a time (ucp_value, with the cheapest Dispatch) or
 for a whole set of demands (ucp_values).  The batch reads the table in
@@ -43,8 +45,10 @@ __all__ = [
     "ucp_values",
     "best_response",
     "fleet_supply",
+    "fleet_supplies",
     "supply_staircase",
     "conjugate",
+    "conjugates",
     "relaxed_unit_cost",
     "relaxed_blocks",
     "relaxed_value",
@@ -61,6 +65,9 @@ ALPHA_FLOOR = 1e-9
 # most float64 values in a commitment table (64 MB); evaluating v(y) from
 # it takes about as much again
 MAX_TABLE_CELLS = 1 << 23
+# most demands on a curve grid; a finer step is refused before the grid
+# is built, which also keeps the step above the float spacing of capacity
+MAX_GRID_POINTS = 10 ** 6
 # most demand x commitment x block values in one working array of
 # ucp_values (512 KB), so each chunk of demands stays in cache
 BATCH_CELLS = 1 << 16
@@ -125,12 +132,13 @@ class QuadraticCost:
     def cost(self, y: float) -> float:
         return self.alpha * y * y + self.beta * y
 
-    def supply(self, price: float) -> float:
-        """Profit-maximizing output at a price: clamp((p - beta)/(2 alpha))."""
-        return min(max((price - self.beta) / (2.0 * self.alpha), 0.0), self.capacity)
+    def supply(self, price):
+        """Profit-maximizing output at a price (or array): clamp((p - beta)/(2 alpha))."""
+        return np.minimum(np.maximum((price - self.beta) / (2.0 * self.alpha), 0.0),
+                          self.capacity)
 
-    def conjugate(self, price: float) -> float:
-        """Maximum profit at a price under this cost model."""
+    def conjugate(self, price):
+        """Maximum profit at a price (or an array of prices) under this model."""
         y = self.supply(price)
         return price * y - self.cost(y)
 
@@ -440,6 +448,17 @@ def _staircase(fleet: Fleet) -> tuple[tuple[float, ...], tuple[float, ...],
     return tuple(prices), tuple(supply), tuple(cost)
 
 
+@lru_cache(maxsize=None)
+def _staircase_arrays(fleet: Fleet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_staircase as arrays, supply and cost with a 0 step in front, so the
+    np.searchsorted index of a price is its step's entry (0 below the first)."""
+    prices, supply, cost = _staircase(fleet)
+    arrays = np.array(prices), np.array((0.0,) + supply), np.array((0.0,) + cost)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def supply_staircase(fleet: Fleet) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Best-response supply as a step function: (prices, cumulative MW).
 
@@ -459,6 +478,12 @@ def fleet_supply(fleet: Fleet, price: float) -> float:
     prices, supply, _cost = _staircase(fleet)
     i = bisect_right(prices, price)
     return supply[i - 1] if i else 0.0
+
+
+def fleet_supplies(fleet: Fleet, prices) -> np.ndarray:
+    """fleet_supply at each of an array of prices, float for float."""
+    steps, supply, _cost = _staircase_arrays(fleet)
+    return supply[np.searchsorted(steps, prices, side="right")]
 
 
 def best_response(fleet: Fleet, price: float) -> BestResponse:
@@ -495,6 +520,14 @@ def conjugate(fleet: Fleet, price: float) -> float:
     prices, supply, cost = _staircase(fleet)
     i = bisect_right(prices, price) - 1
     return price * supply[i] - cost[i] if i >= 0 else 0.0
+
+
+def conjugates(fleet: Fleet, prices) -> np.ndarray:
+    """conjugate at each of an array of prices, float for float."""
+    steps, supply, cost = _staircase_arrays(fleet)
+    prices = np.asarray(prices, dtype=float)
+    i = np.searchsorted(steps, prices, side="right")
+    return np.where(i > 0, prices * supply[i] - cost[i], 0.0)
 
 
 def relaxed_unit_cost(gtype: GeneratorType, g: float) -> float:

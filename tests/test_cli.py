@@ -133,7 +133,7 @@ class TestDeterminism:
         assert (a / "hours.csv").read_bytes() == (b / "hours.csv").read_bytes()
         assert strip_elapsed(a / "trace.csv") == strip_elapsed(b / "trace.csv")
 
-    @pytest.mark.parametrize("jobs", ["2", "24", "25", "100000"])
+    @pytest.mark.parametrize("jobs", ["2", "5", "24", "25", "100000"])
     def test_pool_has_at_most_one_worker_per_hour(self, tmp_path, monkeypatch, jobs):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(RecordingPool, "created", [])
@@ -143,6 +143,7 @@ class TestDeterminism:
         assert run_cli(*self.ARGS, "--out", str(b), "--jobs", jobs) == 0
         assert RecordingPool.created == [min(int(jobs), 24)]
         assert (a / "hours.csv").read_bytes() == (b / "hours.csv").read_bytes()
+        assert strip_elapsed(a / "trace.csv") == strip_elapsed(b / "trace.csv")
 
     def test_import_loads_no_process_pool(self):
         code = ("import sys, chpricing.cli; "
@@ -251,10 +252,27 @@ class TestRunMethods:
         _, srows = read_rows(tmp_path / "out" / "summary.csv")
         assert srows[0][9] == "24"
 
-    def test_infeasible_exact_dual_fails_loud(self, tmp_path):
-        rc = run_cli("run", "--fleet", "scarf", "--method", "chp-exact",
-                     "--mu1", "5.0", "--out", str(tmp_path))
-        assert rc == 1
+    def test_day_without_crossing_is_marked_infeasible(self, scarf, tmp_path):
+        # demand exceeds supply at every price: each hour is written at the cap
+        cap = ch.default_price_cap(scarf)
+        for method in ("chp-exact", "dispatchable"):
+            out = tmp_path / method
+            rc = run_cli("run", "--fleet", "scarf", "--method", method,
+                         "--mu1", "5.0", "--out", str(out))
+            assert rc == 0
+            header, rows = read_rows(out / "hours.csv")
+            assert len(rows) == 24
+            for row in rows:
+                record = dict(zip(header, row))
+                assert record["status"] == "infeasible"
+                assert float(record["price"]) == cap
+                assert float(record["demand"]) > scarf.total_capacity
+                assert record["cost"] == "" and record["uplift"] == ""
+            _, trace = read_rows(out / "trace.csv")
+            assert [(r[1], r[2], r[7]) for r in trace] == [("0", repr(cap), "inf")] * 24
+            assert [r[3] for r in trace] == [r[2] for r in rows]
+            _, srows = read_rows(out / "summary.csv")
+            assert srows[0] == [""] * 9 + ["0"]
 
     def test_synthetic_profile(self, tmp_path):
         rc = run_cli("run", "--fleet", "scarf", "--method", "chp-exact",
@@ -495,6 +513,34 @@ class TestErrorPaths:
     def test_nonpositive_grid_step(self, tmp_path):
         assert run_cli("curves", "--fleet", "gribik", "--step-mw", "0",
                        "--out", str(tmp_path)) == 1
+
+    @pytest.mark.parametrize("command", [
+        ("curves", "--fleet", "gribik", "--step-mw", "1e-14"),
+        ("uplift-curve", "--fleet", "gribik", "--rule", "chp", "--step-mw", "1e-7"),
+        ("curves", "--fleet", "gribik", "--step-mw", "5e-324"),
+    ])
+    def test_oversized_grid_is_refused(self, tmp_path, capsys, command):
+        # each would run for hours, or forever below the float spacing of 600 MW
+        assert run_cli(*command, "--out", str(tmp_path)) == 1
+        assert "MAX_GRID_POINTS = 1000000" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_grid_at_the_limit_is_built(self):
+        grid = cli._demand_grid(1.0, 1.0 / ch.ucp.MAX_GRID_POINTS)
+        assert len(grid) in (ch.ucp.MAX_GRID_POINTS + 1, ch.ucp.MAX_GRID_POINTS + 2)
+        assert grid[0] == 0.0 and grid[-1] == 1.0
+
+    @pytest.mark.parametrize("iters", ["1000000000", "10001", "0"])
+    def test_iteration_count_is_bounded(self, tmp_path, capsys, monkeypatch, iters):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "created", [])
+        assert run_cli("run", "--fleet", "gribik", "--method", "lmp", "--iters", iters,
+                       "--jobs", "4", "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"error: n_iters must be in [1, MAX_ITERS = 10000], got {iters}\n")
+        # refused before any worker, array or output directory
+        assert RecordingPool.created == []
+        assert not (tmp_path / "out").exists()
 
     def test_bad_uplift_rule_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):

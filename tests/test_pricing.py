@@ -3,9 +3,11 @@ import math
 import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chpricing as ch
-from chpricing.pricing import PRICE_FLOOR
+from chpricing.pricing import MAX_ITERS, PRICE_FLOOR, price_hours
 from chpricing import (
     DayProfile,
     DemandModel,
@@ -148,6 +150,70 @@ class TestRunSubgradient:
                     phi_mu, _ = dual_value(fleet, model, day_profile, 15, mu)
                     bound = rec.dual_value + sub * (mu - rec.price)
                     assert phi_mu >= bound - 1e-6 * max(1.0, abs(phi_mu))
+
+
+def without_clock(trace):
+    return [dataclasses.replace(r, elapsed_s=0.0) for r in trace.records]
+
+
+class TestPriceHours:
+    """The hours-vector loop against one-hour loops, record for record."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(method=st.sampled_from(["chp_subgradient", "lmp"]),
+           fleet_name=st.sampled_from(["gribik", "scarf"]),
+           mu2=st.sampled_from([0.0, 0.2]),
+           seed=st.integers(0, 2**32),
+           price0=st.floats(1.0, 200.0),
+           coef=st.floats(1e-3, 10.0),
+           n_iters=st.integers(1, 6))
+    @example(method="chp_subgradient", fleet_name="scarf", mu2=0.2, seed=0,
+             price0=8.0, coef=10.0, n_iters=3)  # the first step hits the floor
+    @example(method="lmp", fleet_name="gribik", mu2=0.0, seed=5, price0=100.0,
+             coef=1.0, n_iters=4)  # inelastic demand, clamped at the floor
+    def test_day_equals_one_hour_loops(self, method, fleet_name, mu2, seed, price0,
+                                       coef, n_iters):
+        fleet = ch.builtin_fleet(fleet_name)
+        quad = quadratic_fit(fleet) if method == "lmp" else None
+        a, nu = (3.9e4, 0.01) if fleet_name == "gribik" else (455.0, 0.0025)
+        model = DemandModel(a=a, mu1=0.8, mu2=mu2, nu=nu, utility_constant=7.0)
+        profile = DayProfile(ch.default_profile().base_demand, ch.sample_noise(seed))
+        rule = HarmonicStep(coef)
+        day = price_hours(method, fleet, model, profile, range(24), price0, n_iters,
+                          rule, quad)
+        for t in range(24):
+            if method == "lmp":
+                one = run_lmp(quad, model, profile, t, price0, n_iters, rule,
+                              uplift_fleet=fleet)
+            else:
+                one = run_subgradient(fleet, model, profile, t, price0, n_iters, rule)
+            vector = day.trace(t)
+            assert without_clock(vector) == without_clock(one)
+            assert (vector.method, vector.final_price, vector.final_demand) == \
+                (one.method, one.final_price, one.final_demand)
+
+    def test_floor_clamp_in_a_vector(self, scarf, scarf_model, day_profile):
+        day = price_hours("chp_subgradient", scarf, scarf_model, day_profile,
+                          (0, 15), 8.0, 2, HarmonicStep(10.0))
+        assert day.price[0].tolist() == [PRICE_FLOOR, PRICE_FLOOR]
+        assert day.hours == (0, 15) and day.price.shape == (2, 2)
+
+    def test_utility_error_of_an_hour(self, gribik, gribik_model, day_profile):
+        # a/price underflows next to the floor, so demand sits on the floor
+        with pytest.raises(ValueError, match="utility undefined"):
+            price_hours("chp_subgradient", gribik, gribik_model, day_profile,
+                        range(24), 1e300, 1, lambda k: 0.0)
+
+    def test_bad_arguments(self, gribik, gribik_model, mean_profile):
+        with pytest.raises(ValueError, match="MAX_ITERS"):
+            run_subgradient(gribik, gribik_model, mean_profile, 0, 100.0,
+                            MAX_ITERS + 1, HarmonicStep(0.1))
+        with pytest.raises(ValueError, match="method must be one of"):
+            price_hours("chp_exact", gribik, gribik_model, mean_profile, [0], 100.0,
+                        1, HarmonicStep(0.1))
+        with pytest.raises(ValueError, match="hour index 24"):
+            price_hours("chp_subgradient", gribik, gribik_model, mean_profile,
+                        [0, 24], 100.0, 1, HarmonicStep(0.1))
 
 
 class TestBestIterateGap:

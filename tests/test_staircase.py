@@ -5,6 +5,7 @@ vertex of v lies on the unit demand grid and the grid oracles are exact.
 """
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,9 +22,11 @@ from chpricing import (
     best_response,
     chp_fixed_demand,
     conjugate,
+    conjugates,
     default_price_cap,
     dual_value,
     exact_dual,
+    fleet_supplies,
     fleet_supply,
     hourly_demand,
     hourly_utility,
@@ -101,6 +104,19 @@ def test_relaxed_supply_is_best_response_supply(fleet):
             supply, abs=rounding(supply))
         assert p * supply - dispatch.total_cost == pytest.approx(
             reaction.profit, abs=rounding(p * supply, dispatch.total_cost))
+
+
+@PROPERTY
+@given(fleets())
+@example(BREAKEVEN_FLEET)
+def test_array_reads_equal_scalar_reads(fleet):
+    prices, _supply = supply_staircase(fleet)
+    probes = [0.0, 0.5 * prices[0], prices[-1] + 1.0]
+    for p in prices:
+        probes += [np.nextafter(p, -math.inf), p, np.nextafter(p, math.inf)]
+    probes = [float(p) for p in probes]
+    assert fleet_supplies(fleet, probes).tolist() == [fleet_supply(fleet, p) for p in probes]
+    assert conjugates(fleet, probes).tolist() == [conjugate(fleet, p) for p in probes]
 
 
 @PROPERTY
