@@ -8,13 +8,13 @@ Usage (from anywhere):
 Each tree is a checkout of this repository.  For every workload in the
 tree's ``perfbench/workloads.py`` at seeds 0 and 3, every command that
 ``workloads.build`` returns runs in a fresh interpreter against the
-tree's own ``src/``.  The two trees' CSV files are then compared: the
-script prints how many files are identical and how many differ, and for
-every (workload, command, file, column) that moved, the number of moved
-cells, the largest |a - b|, and the largest |a - b| / max(1, |a|).  The
-wall-clock column ``elapsed_s`` of trace.csv is left out of every
-comparison.  perfbench is only imported, and only the standard library
-is used.  Exits 1 when a command fails or any file differs.
+tree's own ``src/``, through ``chpricing.cli.main``.  The two trees' CSV
+files are then compared: the script prints how many files are identical
+and how many differ, and for every (workload, command, file, column)
+that moved, the number of moved cells, the largest |a - b|, and the
+largest |a - b| / max(1, |a|).  The wall-clock column ``elapsed_s`` of
+trace.csv is left out of every comparison.  perfbench is only imported,
+and only the standard library is used.  Exits 1 when a command fails or any file differs.
 """
 from __future__ import annotations
 
@@ -29,6 +29,9 @@ from pathlib import Path
 
 SEEDS = (0, 3)
 SKIPPED_COLUMNS = ("elapsed_s",)
+# the CLI's entry point; "-m chpricing.cli" would warn that the package
+# has already imported the module it runs
+CLI_CODE = "import sys, chpricing.cli; sys.exit(chpricing.cli.main(sys.argv[1:]))"
 
 
 def _load_workloads(tree: Path, name: str):
@@ -50,7 +53,7 @@ def run_tree(tree: Path, out: Path, name: str) -> None:
             work = out / workload / str(seed)
             work.mkdir(parents=True)
             for command in workloads.build(workload, seed, work):
-                argv = [sys.executable, "-B", "-m", "chpricing.cli",
+                argv = [sys.executable, "-B", "-c", CLI_CODE,
                         *command.argv(work / command.label)]
                 done = subprocess.run(argv, env=env, capture_output=True, text=True)
                 if done.returncode != 0:

@@ -18,8 +18,10 @@ from functools import partial
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 from .fleet import Fleet, FleetValidationError, builtin_fleet, load_fleet
-from .hull import chp_fixed_demand, default_price_cap, hull_value, uplifts
+from .hull import chp_fixed_demands, default_price_cap, uplifts
 from .market import (
     HOURS,
     DayProfile,
@@ -39,7 +41,7 @@ from .pricing import (
     PricedHours,
     check_loop_args,
     dispatchable_equilibrium,
-    dispatchable_price,
+    dispatchable_prices,
     dual_value,
     exact_dual,
     price_hours,
@@ -50,7 +52,7 @@ from .ucp import (
     QuadraticCost,
     no_startup_values,
     quadratic_fit,
-    relaxed_value,
+    relaxed_values,
     ucp_values,
 )
 from .welfare import HourResult, settle_hour, summarize_day
@@ -265,11 +267,16 @@ def _demand_grid(capacity: float, step_mw: float) -> list[float]:
     return grid
 
 
-def _require_feasible(grid: list[float], values: list[float]) -> None:
+def _require_feasible(grid: list[float], values: np.ndarray) -> None:
     """Refuse a curve with a demand that no commitment covers (value +inf)."""
-    for y, value in zip(grid, values):
-        if math.isinf(value):
-            raise InfeasibleError(f"no commitment can meet {y} MW")
+    uncovered = np.flatnonzero(np.isinf(values))
+    if uncovered.size:
+        raise InfeasibleError(f"no commitment can meet {grid[uncovered[0]]} MW")
+
+
+def _write_columns(path: Path, header: tuple[str, ...], columns: list[list[str]]
+                   ) -> None:
+    _write_csv(path, header, [",".join(row) for row in zip(*columns)])
 
 
 def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
@@ -277,30 +284,32 @@ def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
                      profile: DayProfile | None = None) -> Path:
     """Write curves.csv: the cost curves and the first hour's gross utility.
 
-    Cells that are undefined (utility at or below the inelastic floor)
-    are left empty.
+    Every cost column is one array over the grid.  The hull value is the
+    relaxed cost (hull_value returns relaxed_value's), so both columns
+    are cut from one.  Cells that are undefined (utility at or below the
+    inelastic floor) are left empty.
     """
     quad = quadratic_fit(fleet)
     grid = _demand_grid(fleet.total_capacity, grid_step)
-    values = ucp_values(fleet, grid).tolist()
+    values = ucp_values(fleet, grid)
     _require_feasible(grid, values)
-    no_startup = no_startup_values(fleet, grid).tolist()
-    rows = []
-    for y, v, v_no_startup in zip(grid, values, no_startup):
-        v_relaxed, _ = relaxed_value(fleet, y)
-        point = hull_value(fleet, y)
-        if model is not None and profile is not None \
-                and y > inelastic_share(model, profile, 0):
-            u1 = _fmt(hourly_utility(model, profile, 0, y))
-        else:
-            u1 = ""
-        rows.append(",".join([_fmt(y), _fmt(v), _fmt(v_relaxed), _fmt(v_no_startup),
-                              _fmt(quad.cost(y)), _fmt(point.hull_value), u1]))
+    no_startup = no_startup_values(fleet, grid)
+    relaxed = _reprs(relaxed_values(fleet, grid)[0].tolist())
+    utility = [""] * len(grid)
+    if model is not None and profile is not None:
+        floor = inelastic_share(model, profile, 0)
+        # one hourly_utility per row: np.log may differ from its math.log
+        # in the last ulp
+        utility = [_fmt(hourly_utility(model, profile, 0, y)) if y > floor else ""
+                   for y in grid]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "curves.csv"
-    _write_csv(path, ("y", "v", "v_relaxed", "v_no_startup", "v_quadratic",
-                      "v_hull", "U_1"), rows)
+    _write_columns(path, ("y", "v", "v_relaxed", "v_no_startup", "v_quadratic",
+                          "v_hull", "U_1"),
+                   [_reprs(grid), _reprs(values.tolist()), relaxed,
+                    _reprs(no_startup.tolist()),
+                    _reprs(quad.cost(np.array(grid)).tolist()), relaxed, utility])
     return path
 
 
@@ -310,18 +319,14 @@ def emit_uplift_curves(fleet: Fleet, rule: str, grid_step: float,
     if rule not in ("chp", "dispatchable"):
         raise ValueError(f"rule must be 'chp' or 'dispatchable', got {rule}")
     grid = _demand_grid(fleet.total_capacity, grid_step)
-    if rule == "chp":
-        prices = [chp_fixed_demand(fleet, y) for y in grid]
-    else:
-        prices = [dispatchable_price(fleet, y) for y in grid]
+    prices = (chp_fixed_demands if rule == "chp" else dispatchable_prices)(fleet, grid)
     billed = uplifts(fleet, prices, grid)
     _require_feasible(grid, billed)
-    rows = [f"{_fmt(y)},{_fmt(price)},{_fmt(up)}"
-            for y, price, up in zip(grid, prices, billed)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "uplift_curve.csv"
-    _write_csv(path, ("y", "price", "uplift"), rows)
+    _write_columns(path, ("y", "price", "uplift"),
+                   [_reprs(grid), _reprs(prices.tolist()), _reprs(billed.tolist())])
     return path
 
 

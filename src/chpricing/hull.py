@@ -23,6 +23,7 @@ from .ucp import (
     conjugate,
     conjugates,
     relaxed_value,
+    relaxed_values,
     supply_staircase,
     ucp_value,
     ucp_values,
@@ -33,6 +34,7 @@ __all__ = [
     "default_price_cap",
     "hull_value",
     "chp_fixed_demand",
+    "chp_fixed_demands",
     "uplift",
     "uplifts",
     "bisect_first_true",
@@ -115,6 +117,22 @@ def chp_fixed_demand(fleet: Fleet, y: float) -> float:
     """Hull price at a fixed demand: midpoint of the supporting interval."""
     point = hull_value(fleet, y)
     return 0.5 * (point.price_lo + point.price_hi)
+
+
+def chp_fixed_demands(fleet: Fleet, demands) -> np.ndarray:
+    """chp_fixed_demand at each of a 1-D sequence of demands, float for float.
+
+    The supporting interval comes from relaxed_values' step indices, as
+    hull_value takes it from its bisections.
+    """
+    ys = np.asarray(demands, dtype=float)
+    _values, _marginal, reach, above = relaxed_values(fleet, ys)
+    prices, _supply = supply_staircase(fleet)
+    # past the top step is default_price_cap, which every breakpoint lies below
+    steps = np.array(prices + (default_price_cap(fleet),))
+    # hull_value tests the demand as relaxed_value clamps it to [0, capacity]
+    lo = np.where(np.minimum(ys, fleet.total_capacity) <= FEAS_EPS, 0.0, steps[reach])
+    return 0.5 * (lo + steps[above])
 
 
 def uplift(fleet: Fleet, price: float, y: float) -> float:

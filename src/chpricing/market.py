@@ -186,10 +186,11 @@ def synthetic_profile(low: float, mean: float, high: float) -> tuple[float, ...]
     lo_p, hi_p = 1e-8, 1e8  # shifted_mean is strictly decreasing in the power
     for _ in range(200):
         mid = math.sqrt(lo_p * hi_p)
-        if shifted_mean(mid) > theta:
-            lo_p = mid
-        else:
-            hi_p = mid
+        bracket = (mid, hi_p) if shifted_mean(mid) > theta else (lo_p, mid)
+        # an unchanged bracket would repeat every later step unchanged
+        if bracket == (lo_p, hi_p):
+            break
+        lo_p, hi_p = bracket
     power = math.sqrt(lo_p * hi_p)
     return tuple(low + (high - low) * s ** power for s in shape)
 

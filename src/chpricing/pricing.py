@@ -25,6 +25,7 @@ from .ucp import (
     fleet_supplies,
     fleet_supply,
     relaxed_value,
+    relaxed_values,
     supply_staircase,
 )
 
@@ -45,6 +46,7 @@ __all__ = [
     "run_lmp",
     "lmp_equilibrium",
     "dispatchable_price",
+    "dispatchable_prices",
     "dispatchable_equilibrium",
 ]
 
@@ -286,6 +288,12 @@ def dispatchable_price(fleet: Fleet, y: float) -> float:
     """Marginal price of the relaxed-commitment cost at demand y."""
     _value, price = relaxed_value(fleet, y)
     return price
+
+
+def dispatchable_prices(fleet: Fleet, demands) -> np.ndarray:
+    """dispatchable_price at each of a 1-D sequence of demands, float for float."""
+    _values, prices, _reach, _above = relaxed_values(fleet, demands)
+    return prices
 
 
 def dispatchable_equilibrium(fleet: Fleet, model: DemandModel, profile: DayProfile,

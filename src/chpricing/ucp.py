@@ -13,8 +13,9 @@ cumulative supply and cost.  Supply (fleet_supply), the Fenchel conjugate
 of v (conjugate), the supplier best response and the relaxed cost
 (relaxed_value) are all read off it with one bisection, so at a
 break-even price every one of them takes the upper step.  Supply and
-the conjugate at an array of prices (fleet_supplies, conjugates) are one
-np.searchsorted on the same staircase, with the scalar float operations.
+the conjugate at an array of prices (fleet_supplies, conjugates) and the
+relaxed cost at an array of demands (relaxed_values) are np.searchsorted
+reads of the same staircase, with the scalar float operations.
 
 v comes one demand at a time (ucp_value, with the cheapest Dispatch) or
 for a whole set of demands (ucp_values).  The batch reads the table in
@@ -52,6 +53,7 @@ __all__ = [
     "relaxed_unit_cost",
     "relaxed_blocks",
     "relaxed_value",
+    "relaxed_values",
     "relaxed_supply",
     "no_startup_value",
     "no_startup_values",
@@ -605,6 +607,33 @@ def relaxed_value(fleet: Fleet, y: float) -> tuple[float, float]:
     value = below_cost + prices[i] * (y - below_mw)
     above = bisect_right(supply, y + FEAS_EPS)
     return value, prices[min(above, len(prices) - 1)]
+
+
+def relaxed_values(fleet: Fleet, demands
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """relaxed_value at each of a 1-D sequence of demands, float for float.
+
+    Returns (values, marginal prices, reach, above): ``reach`` is the
+    index of the staircase step that reaches each demand and ``above``
+    the first step whose supply exceeds it, len(prices) past the top, as
+    relaxed_value bisects them.  Raises relaxed_value's InfeasibleError
+    for the first demand outside [0, capacity] (NaN included).
+    """
+    prices, supply, cost = _staircase_arrays(fleet)
+    steps = supply[1:]
+    capacity = fleet.total_capacity
+    ys = np.asarray(demands, dtype=float)
+    outside = np.flatnonzero(~((ys >= -FEAS_EPS) & (ys <= capacity + FEAS_EPS)))
+    if outside.size:
+        raise InfeasibleError(
+            f"demand {float(ys[outside[0]])} outside feasible range "
+            f"[0, {capacity}] MW")
+    ys = np.minimum(np.maximum(ys, 0.0), capacity)
+    reach = np.minimum(np.searchsorted(steps, ys - FEAS_EPS, side="left"),
+                       len(prices) - 1)
+    values = cost[reach] + prices[reach] * (ys - supply[reach])
+    above = np.searchsorted(steps, ys + FEAS_EPS, side="right")
+    return values, prices[np.minimum(above, len(prices) - 1)], reach, above
 
 
 def relaxed_supply(fleet: Fleet, price: float) -> float:

@@ -139,3 +139,24 @@ def relaxed_unit_grid(gtype: GeneratorType, g: float,
 def reduced_scarf(fleet: Fleet, per_type: int = 2) -> Fleet:
     return Fleet(tuple(dataclasses.replace(t, unit_count=per_type)
                        for t in fleet.types))
+
+
+def synthetic_profile_bisected(low: float, mean: float, high: float
+                               ) -> tuple[float, ...]:
+    """market.synthetic_profile with all 200 steps of its power bisection.
+
+    The library stops once the bracket stops moving; every later step
+    would leave it as it is, so the two must agree to the bit.
+    """
+    shape = [0.5 * (1.0 + math.sin(2.0 * math.pi * (t - 9.0) / 24.0))
+             for t in range(24)]
+    theta = (mean - low) / (high - low)
+    lo_p, hi_p = 1e-8, 1e8
+    for _ in range(200):
+        mid = math.sqrt(lo_p * hi_p)
+        if sum(s ** mid for s in shape) / 24 > theta:
+            lo_p = mid
+        else:
+            hi_p = mid
+    power = math.sqrt(lo_p * hi_p)
+    return tuple(low + (high - low) * s ** power for s in shape)

@@ -468,6 +468,79 @@ class TestUpliftCurve:
             assert abs(uplift - nearest) < 2.0
 
 
+def scalar_uplift_rows(fleet, rule, step_mw):
+    """uplift_curve.csv rows built one demand at a time from the scalar functions."""
+    price_of = ch.chp_fixed_demand if rule == "chp" else ch.dispatchable_price
+    rows = []
+    for y in cli._demand_grid(fleet.total_capacity, step_mw):
+        price = price_of(fleet, y)
+        try:
+            billed = ch.uplift(fleet, price, y)
+        except ch.InfeasibleError:
+            raise ch.InfeasibleError(f"no commitment can meet {y} MW") from None
+        rows.append(",".join(map(cli._fmt, (y, price, billed))))
+    return rows
+
+
+def scalar_cost_rows(fleet, step_mw, model, profile):
+    """curves.csv rows built one demand at a time from the scalar functions."""
+    quad = ch.quadratic_fit(fleet)
+    rows = []
+    for y in cli._demand_grid(fleet.total_capacity, step_mw):
+        try:
+            value = ch.ucp_value(fleet, y)[0]
+        except ch.InfeasibleError:
+            raise ch.InfeasibleError(f"no commitment can meet {y} MW") from None
+        u1 = ""
+        if model is not None and y > ch.inelastic_share(model, profile, 0):
+            u1 = cli._fmt(ch.hourly_utility(model, profile, 0, y))
+        rows.append(",".join([cli._fmt(x) for x in (
+            y, value, ch.relaxed_value(fleet, y)[0], ch.no_startup_value(fleet, y),
+            quad.cost(y), ch.hull_value(fleet, y).hull_value)] + [u1]))
+    return rows
+
+
+class TestCurveWritersMatchScalarRows:
+    """The curve writers price a grid as arrays; every byte is the row-by-row one."""
+
+    @pytest.mark.parametrize("name, step_mw", [("gribik", 1.7), ("scarf", 0.3)])
+    @pytest.mark.parametrize("rule", ["chp", "dispatchable"])
+    def test_uplift_curve(self, name, step_mw, rule, tmp_path):
+        fleet = ch.builtin_fleet(name)
+        path = cli.emit_uplift_curves(fleet, rule, step_mw, tmp_path)
+        assert path.read_text().splitlines()[1:] == \
+            scalar_uplift_rows(fleet, rule, step_mw)
+
+    @pytest.mark.parametrize("name, step_mw", [("gribik", 1.7), ("scarf", 0.3)])
+    @pytest.mark.parametrize("with_model", [True, False])
+    def test_cost_curves(self, name, step_mw, with_model, tmp_path):
+        fleet = ch.builtin_fleet(name)
+        params = cli.FIXTURE_DEFAULTS[name]
+        model = profile = None
+        if with_model:
+            model = ch.DemandModel(**{key: params[key] for key in (
+                "a", "mu1", "mu2", "nu", "utility_constant")})
+            profile = ch.default_profile()
+        path = cli.emit_cost_curves(fleet, step_mw, tmp_path, model, profile)
+        assert path.read_text().splitlines()[1:] == \
+            scalar_cost_rows(fleet, step_mw, model, profile)
+
+    def test_uncoverable_demand_names_the_same_first_demand(self, tmp_path):
+        fleet = ch.load_fleet(gap_fleet_file(tmp_path).read_text())
+        for rule in ("chp", "dispatchable"):
+            with pytest.raises(ch.InfeasibleError) as expected:
+                scalar_uplift_rows(fleet, rule, 0.1)
+            with pytest.raises(ch.InfeasibleError) as got:
+                cli.emit_uplift_curves(fleet, rule, 0.1, tmp_path)
+            assert str(got.value) == str(expected.value)
+        with pytest.raises(ch.InfeasibleError) as expected:
+            scalar_cost_rows(fleet, 0.1, None, None)
+        with pytest.raises(ch.InfeasibleError) as got:
+            cli.emit_cost_curves(fleet, 0.1, tmp_path)
+        assert str(got.value) == str(expected.value)
+        assert "100.09999" in str(got.value)
+
+
 class TestErrorPaths:
     def test_missing_fleet_file(self, tmp_path):
         assert run_cli("run", "--fleet", str(tmp_path / "nope.json"),

@@ -1,8 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+import oracles
 from chpricing import (
     DayProfile,
     DemandModel,
@@ -157,6 +159,17 @@ class TestSyntheticProfile:
         for args in ((1.0, 1.0, 1.0), (5.0, 4.0, 6.0), (1.0, 7.0, 6.0)):
             with pytest.raises(ValueError):
                 synthetic_profile(*args)
+
+    def test_early_stop_matches_full_bisection(self):
+        assert default_profile().base_demand == oracles.synthetic_profile_bisected(
+            PROFILE_LOW, PROFILE_MEAN, PROFILE_HIGH)
+        rng = random.Random(0)
+        for _ in range(300):
+            low = rng.uniform(1.0, 1e5)
+            high = low + rng.uniform(1e-3, 1e5)
+            mean = low + rng.uniform(0.05, 0.95) * (high - low)
+            assert synthetic_profile(low, mean, high) == \
+                oracles.synthetic_profile_bisected(low, mean, high)
 
     def test_unreachable_mean_rejected(self):
         # a 24-point curve with one point at each extreme cannot average

@@ -21,9 +21,12 @@ from chpricing import (
     InfeasibleError,
     best_response,
     chp_fixed_demand,
+    chp_fixed_demands,
     conjugate,
     conjugates,
     default_price_cap,
+    dispatchable_price,
+    dispatchable_prices,
     dual_value,
     exact_dual,
     fleet_supplies,
@@ -31,6 +34,8 @@ from chpricing import (
     hourly_demand,
     hourly_utility,
     hull_value,
+    relaxed_value,
+    relaxed_values,
     run_subgradient,
     settle_hour,
     ucp_value,
@@ -39,7 +44,7 @@ from chpricing import (
     uplifts,
 )
 from chpricing.pricing import PRICE_FLOOR
-from chpricing.ucp import relaxed_supply, relaxed_unit_cost, supply_staircase
+from chpricing.ucp import FEAS_EPS, relaxed_supply, relaxed_unit_cost, supply_staircase
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -117,6 +122,52 @@ def test_array_reads_equal_scalar_reads(fleet):
     probes = [float(p) for p in probes]
     assert fleet_supplies(fleet, probes).tolist() == [fleet_supply(fleet, p) for p in probes]
     assert conjugates(fleet, probes).tolist() == [conjugate(fleet, p) for p in probes]
+
+
+def probe_demands(fleet):
+    """0, capacity and every supply level, each exactly, +-FEAS_EPS (where the
+    bisections switch) and one float either side of all of those."""
+    _prices, supply = supply_staircase(fleet)
+    probes = set()
+    for level in (0.0, fleet.total_capacity) + supply:
+        for y in (level - FEAS_EPS, level, level + FEAS_EPS):
+            probes.update((y, float(np.nextafter(y, -math.inf)),
+                           float(np.nextafter(y, math.inf))))
+    return sorted(probes)
+
+
+@PROPERTY
+@given(fleets())
+@example(BREAKEVEN_FLEET)
+def test_array_demand_reads_equal_scalar_reads(fleet):
+    inside, refused = [], []
+    for y in probe_demands(fleet):
+        try:
+            relaxed_value(fleet, y)
+        except InfeasibleError as exc:
+            refused.append((y, str(exc)))
+        else:
+            inside.append(y)
+    # one float below -FEAS_EPS and one above capacity + FEAS_EPS
+    assert refused[0][0] < 0.0 < fleet.total_capacity < refused[-1][0]
+    values, marginal, _reach, _above = relaxed_values(fleet, inside)
+    assert list(zip(values.tolist(), marginal.tolist())) == \
+        [relaxed_value(fleet, y) for y in inside]
+    assert chp_fixed_demands(fleet, inside).tolist() == \
+        [chp_fixed_demand(fleet, y) for y in inside]
+    assert dispatchable_prices(fleet, inside).tolist() == \
+        [dispatchable_price(fleet, y) for y in inside]
+    # the first demand out of range is named, with the scalar's message
+    for y, message in refused:
+        for read in (relaxed_values, chp_fixed_demands, dispatchable_prices):
+            with pytest.raises(InfeasibleError) as info:
+                read(fleet, inside + [y, 2.0 * fleet.total_capacity])
+            assert str(info.value) == message
+
+
+def test_array_demand_reads_refuse_nan():
+    with pytest.raises(InfeasibleError, match="demand nan outside"):
+        relaxed_values(BREAKEVEN_FLEET, [1.0, math.nan])
 
 
 @PROPERTY
