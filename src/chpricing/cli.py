@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .fleet import Fleet, FleetValidationError, builtin_fleet, load_fleet
-from .hull import chp_fixed_demands, default_price_cap, uplifts
+from .hull import chp_fixed_demand, default_price_cap, uplifts
 from .market import (
     HOURS,
     DayProfile,
@@ -41,8 +41,7 @@ from .pricing import (
     PricedHours,
     check_loop_args,
     dispatchable_equilibrium,
-    dispatchable_prices,
-    dual_value,
+    dispatchable_price,
     exact_dual,
     price_hours,
 )
@@ -50,9 +49,11 @@ from .ucp import (
     MAX_GRID_POINTS,
     InfeasibleError,
     QuadraticCost,
+    conjugate,
+    fleet_supply,
     no_startup_values,
     quadratic_fit,
-    relaxed_values,
+    relaxed_value,
     ucp_values,
 )
 from .welfare import HourResult, settle_hour, summarize_day
@@ -170,6 +171,9 @@ def _run_hours(hours, fleet: Fleet, model: DemandModel, profile: DayProfile,
                 price = default_price_cap(fleet)
                 demand = hourly_demand(model, profile, t, price)
             finals.append((t, price, demand))
+        prices = [price for _t, price, _demand in finals]
+        responses = zip(fleet_supply(fleet, prices).tolist(),
+                        conjugate(fleet, prices).tolist())
     hour_lines, settled = [], []
     for t, price, demand in finals:
         try:
@@ -177,10 +181,12 @@ def _run_hours(hours, fleet: Fleet, model: DemandModel, profile: DayProfile,
         except InfeasibleError:
             result = None
         if method not in ITERATIVE_METHODS:
-            phi, sub = dual_value(fleet, model, profile, t, price)
+            # the k=0 row: dual_value's phi, in its operation order
+            supply, profit = next(responses)
+            phi = hourly_utility(model, profile, t, demand) - price * demand + profit
             up = math.inf if result is None else result.uplift
             trace_lines.append(f"{t},0," + ",".join(
-                map(_fmt, (price, demand, sub + demand, 0.0, phi, up, 0.0))))
+                map(_fmt, (price, demand, supply, 0.0, phi, up, 0.0))))
         if result is None:
             cells = [_fmt(price), _fmt(demand)] + [""] * 6 + ["infeasible"]
         else:
@@ -294,7 +300,7 @@ def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
     values = ucp_values(fleet, grid)
     _require_feasible(grid, values)
     no_startup = no_startup_values(fleet, grid)
-    relaxed = _reprs(relaxed_values(fleet, grid)[0].tolist())
+    relaxed = _reprs(relaxed_value(fleet, grid)[0].tolist())
     utility = [""] * len(grid)
     if model is not None and profile is not None:
         floor = inelastic_share(model, profile, 0)
@@ -319,7 +325,7 @@ def emit_uplift_curves(fleet: Fleet, rule: str, grid_step: float,
     if rule not in ("chp", "dispatchable"):
         raise ValueError(f"rule must be 'chp' or 'dispatchable', got {rule}")
     grid = _demand_grid(fleet.total_capacity, grid_step)
-    prices = (chp_fixed_demands if rule == "chp" else dispatchable_prices)(fleet, grid)
+    prices = (chp_fixed_demand if rule == "chp" else dispatchable_price)(fleet, grid)
     billed = uplifts(fleet, prices, grid)
     _require_feasible(grid, billed)
     out = Path(out_dir)

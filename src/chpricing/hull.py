@@ -7,10 +7,12 @@ derivative is y minus the best-response supply.  For independent units
 the hull is the relaxed merit-order cost (``ucp.relaxed_value``), and the
 maximizing prices are breakpoints of the staircase: the first whose
 cumulative supply reaches y, up to the first whose supply exceeds y.
+The hull value and that interval come from one np.searchsorted pair per
+demand, the one the relaxed cost reads; the hull price takes a demand or
+an array of demands.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -18,23 +20,14 @@ from typing import Callable
 import numpy as np
 
 from .fleet import Fleet
-from .ucp import (
-    FEAS_EPS,
-    conjugate,
-    conjugates,
-    relaxed_value,
-    relaxed_values,
-    supply_staircase,
-    ucp_value,
-    ucp_values,
-)
+from .ucp import (FEAS_EPS, _like, _locate, _staircase, conjugate, ucp_value,
+                  ucp_values)
 
 __all__ = [
     "HullPoint",
     "default_price_cap",
     "hull_value",
     "chp_fixed_demand",
-    "chp_fixed_demands",
     "uplift",
     "uplifts",
     "bisect_first_true",
@@ -90,8 +83,17 @@ def default_price_cap(fleet: Fleet) -> float:
     return worst + 1.0
 
 
-def hull_value(fleet: Fleet, y: float) -> HullPoint:
-    """Hull value and supporting price interval at demand y.
+def _supporting_prices(fleet: Fleet, y) -> tuple[np.ndarray, ...]:
+    """(clamped demands, relaxed cost, price_lo, price_hi) at y, from _locate."""
+    ys, reach, above, value = _locate(fleet, y)
+    # past the top step is default_price_cap, which every breakpoint lies below
+    steps = np.append(_staircase(fleet)[0], default_price_cap(fleet))
+    return ys, value, np.where(ys <= FEAS_EPS, 0.0, steps[reach]), steps[above]
+
+
+def hull_value(fleet: Fleet, y) -> HullPoint:
+    """Hull value and supporting price interval at demand y (fields of
+    arrays for an array of demands).
 
     price_lo is the smallest price whose best-response supply reaches y;
     price_hi the first breakpoint whose supply exceeds y.  Both are
@@ -102,37 +104,15 @@ def hull_value(fleet: Fleet, y: float) -> HullPoint:
     off the same staircase.  Raises InfeasibleError when y lies outside
     [0, capacity].
     """
-    value, _price = relaxed_value(fleet, y)
-    y = min(max(y, 0.0), fleet.total_capacity)
-    prices, supply = supply_staircase(fleet)
-    # the step that reaches y, as in relaxed_value
-    reach = min(bisect_left(supply, y - FEAS_EPS), len(prices) - 1)
-    lo = 0.0 if y <= FEAS_EPS else prices[reach]
-    above = bisect_right(supply, y + FEAS_EPS)
-    hi = default_price_cap(fleet) if above == len(prices) else prices[above]
-    return HullPoint(y, value, lo, hi)
+    ys, value, lo, hi = _supporting_prices(fleet, y)
+    return HullPoint(*(_like(ys, x) for x in (ys, value, lo, hi)))
 
 
-def chp_fixed_demand(fleet: Fleet, y: float) -> float:
-    """Hull price at a fixed demand: midpoint of the supporting interval."""
-    point = hull_value(fleet, y)
-    return 0.5 * (point.price_lo + point.price_hi)
-
-
-def chp_fixed_demands(fleet: Fleet, demands) -> np.ndarray:
-    """chp_fixed_demand at each of a 1-D sequence of demands, float for float.
-
-    The supporting interval comes from relaxed_values' step indices, as
-    hull_value takes it from its bisections.
-    """
-    ys = np.asarray(demands, dtype=float)
-    _values, _marginal, reach, above = relaxed_values(fleet, ys)
-    prices, _supply = supply_staircase(fleet)
-    # past the top step is default_price_cap, which every breakpoint lies below
-    steps = np.array(prices + (default_price_cap(fleet),))
-    # hull_value tests the demand as relaxed_value clamps it to [0, capacity]
-    lo = np.where(np.minimum(ys, fleet.total_capacity) <= FEAS_EPS, 0.0, steps[reach])
-    return 0.5 * (lo + steps[above])
+def chp_fixed_demand(fleet: Fleet, y):
+    """Hull price at a fixed demand (or each of an array of demands): the
+    midpoint of the supporting interval."""
+    ys, _value, lo, hi = _supporting_prices(fleet, y)
+    return _like(ys, 0.5 * (lo + hi))
 
 
 def uplift(fleet: Fleet, price: float, y: float) -> float:
@@ -154,4 +134,4 @@ def uplifts(fleet: Fleet, prices, demands) -> np.ndarray:
     """
     prices = np.asarray(prices, dtype=float)
     demands = np.asarray(demands, dtype=float)
-    return conjugates(fleet, prices) - (prices * demands - ucp_values(fleet, demands))
+    return conjugate(fleet, prices) - (prices * demands - ucp_values(fleet, demands))

@@ -17,17 +17,8 @@ import numpy as np
 from .fleet import Fleet
 from .hull import default_price_cap, uplifts
 from .market import DayProfile, DemandModel, demand_terms, hourly_demand, hourly_utility
-from .ucp import (
-    InfeasibleError,
-    QuadraticCost,
-    conjugate,
-    conjugates,
-    fleet_supplies,
-    fleet_supply,
-    relaxed_value,
-    relaxed_values,
-    supply_staircase,
-)
+from .ucp import (InfeasibleError, QuadraticCost, _staircase, conjugate, fleet_supply,
+                  relaxed_value)
 
 __all__ = [
     "PRICE_FLOOR",
@@ -46,7 +37,6 @@ __all__ = [
     "run_lmp",
     "lmp_equilibrium",
     "dispatchable_price",
-    "dispatchable_prices",
     "dispatchable_equilibrium",
 ]
 
@@ -175,7 +165,7 @@ def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfi
     def respond(prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if method == "lmp":
             return quad.supply(prices), quad.conjugate(prices)
-        return fleet_supplies(fleet, prices), conjugates(fleet, prices)
+        return fleet_supply(fleet, prices), conjugate(fleet, prices)
 
     hours = tuple(hours)
     floor, coef = np.array([demand_terms(model, profile, t) for t in hours]).reshape(-1, 2).T
@@ -232,15 +222,16 @@ def exact_dual(fleet: Fleet, model: DemandModel, profile: DayProfile,
     """
     price_cap = default_price_cap(fleet)
     demand_at_cap = hourly_demand(model, profile, t, price_cap)
-    if fleet_supply(fleet, price_cap) < demand_at_cap:
+    prices, supply, _cost = _staircase(fleet)
+    # step i supplies levels[i] from starts[i] up to the next start; every
+    # breakpoint lies below the cap, so the top level is the supply there
+    starts = [PRICE_FLOOR] + prices.tolist()
+    levels = supply.tolist()
+    if levels[-1] < demand_at_cap:
         raise InfeasibleError(
             f"no crossing: demand {demand_at_cap} MW exceeds supply at the "
             f"price cap {price_cap}")
     floor, coef = demand_terms(model, profile, t)
-    prices, supply = supply_staircase(fleet)
-    # step i supplies levels[i] from starts[i] up to the next start
-    starts = (PRICE_FLOOR,) + prices
-    levels = (0.0,) + supply
     for i, level in enumerate(levels):
         price = max(starts[i], PRICE_FLOOR)
         if level >= hourly_demand(model, profile, t, price):
@@ -284,16 +275,11 @@ def lmp_equilibrium(quad: QuadraticCost, model: DemandModel, profile: DayProfile
     return price, hourly_demand(model, profile, t, price)
 
 
-def dispatchable_price(fleet: Fleet, y: float) -> float:
-    """Marginal price of the relaxed-commitment cost at demand y."""
+def dispatchable_price(fleet: Fleet, y):
+    """Marginal price of the relaxed-commitment cost at demand y (or each of
+    an array of demands)."""
     _value, price = relaxed_value(fleet, y)
     return price
-
-
-def dispatchable_prices(fleet: Fleet, demands) -> np.ndarray:
-    """dispatchable_price at each of a 1-D sequence of demands, float for float."""
-    _values, prices, _reach, _above = relaxed_values(fleet, demands)
-    return prices
 
 
 def dispatchable_equilibrium(fleet: Fleet, model: DemandModel, profile: DayProfile,

@@ -9,13 +9,13 @@ LMP-style pricing.
 
 The fleet's convex side has one representation: the supply staircase,
 the relaxed blocks of every unit in merit order, with each step's
-cumulative supply and cost.  Supply (fleet_supply), the Fenchel conjugate
-of v (conjugate), the supplier best response and the relaxed cost
-(relaxed_value) are all read off it with one bisection, so at a
-break-even price every one of them takes the upper step.  Supply and
-the conjugate at an array of prices (fleet_supplies, conjugates) and the
-relaxed cost at an array of demands (relaxed_values) are np.searchsorted
-reads of the same staircase, with the scalar float operations.
+cumulative supply and cost, cached once per fleet as read-only arrays.
+Supply (fleet_supply), the Fenchel conjugate of v (conjugate), the
+supplier best response and the relaxed cost (relaxed_value) are all read
+off it with np.searchsorted, so at a break-even price every one of them
+takes the upper step.  Supply, the conjugate and the relaxed cost each
+take a number or a 1-D array: a float in gives a float out, an array in
+gives an array out, with the same float operations either way.
 
 v comes one demand at a time (ucp_value, with the cheapest Dispatch) or
 for a whole set of demands (ucp_values).  The batch reads the table in
@@ -26,7 +26,6 @@ in its order, so both give the same floats.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -46,14 +45,11 @@ __all__ = [
     "ucp_values",
     "best_response",
     "fleet_supply",
-    "fleet_supplies",
     "supply_staircase",
     "conjugate",
-    "conjugates",
     "relaxed_unit_cost",
     "relaxed_blocks",
     "relaxed_value",
-    "relaxed_values",
     "relaxed_supply",
     "no_startup_value",
     "no_startup_values",
@@ -425,16 +421,18 @@ def ucp_values(fleet: Fleet, demands) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _staircase(fleet: Fleet) -> tuple[tuple[float, ...], tuple[float, ...],
-                                      tuple[float, ...]]:
-    """supply_staircase with each step's cumulative cost: (prices, supply, cost).
+def _staircase(fleet: Fleet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The supply staircase as read-only arrays: (prices, supply, cost).
 
-    ``cost[i]`` is the relaxed cost of supplying ``supply[i]``, the sum of
-    slope x width over the relaxed blocks priced <= prices[i].
+    ``prices`` are the distinct relaxed block slopes.  ``supply`` and
+    ``cost`` have a 0 step in front: ``supply[i + 1]`` is the capacity
+    priced <= prices[i] and ``cost[i + 1]`` its relaxed cost, the sum of
+    slope x width over those blocks.  So the np.searchsorted index of a
+    price is its step's entry, 0 below the first step.
     """
     prices: list[float] = []
-    supply: list[float] = []
-    cost: list[float] = []
+    supply = [0.0]
+    cost = [0.0]
     total = 0.0
     filled = 0.0
     for slope, _ti, _bi, width in _fleet_blocks(fleet):
@@ -447,18 +445,15 @@ def _staircase(fleet: Fleet) -> tuple[tuple[float, ...], tuple[float, ...],
             prices.append(slope)
             supply.append(total)
             cost.append(filled)
-    return tuple(prices), tuple(supply), tuple(cost)
-
-
-@lru_cache(maxsize=None)
-def _staircase_arrays(fleet: Fleet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_staircase as arrays, supply and cost with a 0 step in front, so the
-    np.searchsorted index of a price is its step's entry (0 below the first)."""
-    prices, supply, cost = _staircase(fleet)
-    arrays = np.array(prices), np.array((0.0,) + supply), np.array((0.0,) + cost)
+    arrays = np.array(prices), np.array(supply), np.array(cost)
     for array in arrays:
         array.flags.writeable = False
     return arrays
+
+
+def _like(arg: np.ndarray, value):
+    """value as a float when arg is 0-d (a number came in), else as is."""
+    return value if arg.ndim else float(value)
 
 
 def supply_staircase(fleet: Fleet) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -469,23 +464,18 @@ def supply_staircase(fleet: Fleet) -> tuple[tuple[float, ...], tuple[float, ...]
     block slopes ``prices``; ``supply[i]`` is the capacity priced <= prices[i].
     """
     prices, supply, _cost = _staircase(fleet)
-    return prices, supply
+    return tuple(prices.tolist()), tuple(supply[1:].tolist())
 
 
-def fleet_supply(fleet: Fleet, price: float) -> float:
-    """Aggregate best-response supply at a price (MW), read off the staircase.
+def fleet_supply(fleet: Fleet, price):
+    """Aggregate best-response supply at a price or an array of prices (MW).
 
-    At a breakpoint price the upper step is supplied.
+    Read off the staircase; at a breakpoint price the upper step is
+    supplied.
     """
-    prices, supply, _cost = _staircase(fleet)
-    i = bisect_right(prices, price)
-    return supply[i - 1] if i else 0.0
-
-
-def fleet_supplies(fleet: Fleet, prices) -> np.ndarray:
-    """fleet_supply at each of an array of prices, float for float."""
-    steps, supply, _cost = _staircase_arrays(fleet)
-    return supply[np.searchsorted(steps, prices, side="right")]
+    steps, supply, _cost = _staircase(fleet)
+    prices = np.asarray(price, dtype=float)
+    return _like(prices, supply[steps.searchsorted(prices, side="right")])
 
 
 def best_response(fleet: Fleet, price: float) -> BestResponse:
@@ -513,23 +503,17 @@ def best_response(fleet: Fleet, price: float) -> BestResponse:
     return BestResponse(supply, conjugate(fleet, price), commitment, dispatch)
 
 
-def conjugate(fleet: Fleet, price: float) -> float:
+def conjugate(fleet: Fleet, price):
     """max_y (price*y - v(y)): the fleet's best-response profit at the price.
 
-    Read off the staircase: price x supply minus the relaxed cost of that
-    supply, at the last step priced <= price; 0 below the first step.
+    Takes a price or an array of prices.  Read off the staircase: price x
+    supply minus the relaxed cost of that supply, at the last step priced
+    <= price; 0 below the first step.
     """
-    prices, supply, cost = _staircase(fleet)
-    i = bisect_right(prices, price) - 1
-    return price * supply[i] - cost[i] if i >= 0 else 0.0
-
-
-def conjugates(fleet: Fleet, prices) -> np.ndarray:
-    """conjugate at each of an array of prices, float for float."""
-    steps, supply, cost = _staircase_arrays(fleet)
-    prices = np.asarray(prices, dtype=float)
-    i = np.searchsorted(steps, prices, side="right")
-    return np.where(i > 0, prices * supply[i] - cost[i], 0.0)
+    steps, supply, cost = _staircase(fleet)
+    prices = np.asarray(price, dtype=float)
+    i = steps.searchsorted(prices, side="right")
+    return _like(prices, np.where(i > 0, prices * supply[i] - cost[i], 0.0))
 
 
 def relaxed_unit_cost(gtype: GeneratorType, g: float) -> float:
@@ -588,52 +572,44 @@ def _fleet_blocks(fleet: Fleet) -> tuple[tuple[float, int, int, float], ...]:
     return tuple(blocks)
 
 
-def relaxed_value(fleet: Fleet, y: float) -> tuple[float, float]:
-    """Optimal relaxed-commitment cost at demand y and its marginal price.
+def _locate(fleet: Fleet, demands
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where demands sit on the staircase: (clamped demands, reach, above, cost).
 
-    Read off the staircase: the cost of the steps below y plus y's share
-    of the step that reaches it.  The price is the right-hand derivative
-    (the slope of the next marginal MW), the last slope at capacity.
+    ``reach`` is the index of the step that reaches each demand, ``above``
+    the first step whose supply exceeds it (len(prices) past the top) and
+    ``cost`` the relaxed cost there: the cost of the steps below plus the
+    demand's share of the reaching step.  Raises InfeasibleError for the
+    first demand outside [0, capacity], NaN included.
     """
-    if y < -FEAS_EPS or y > fleet.total_capacity + FEAS_EPS:
-        raise InfeasibleError(
-            f"demand {y} outside feasible range [0, {fleet.total_capacity}] MW")
-    y = min(max(y, 0.0), fleet.total_capacity)
     prices, supply, cost = _staircase(fleet)
-    # the staircase sums capacity in merit order, so its top can round
-    # below total_capacity by more than FEAS_EPS on a very large fleet
-    i = min(bisect_left(supply, y - FEAS_EPS), len(prices) - 1)
-    below_cost, below_mw = (cost[i - 1], supply[i - 1]) if i else (0.0, 0.0)
-    value = below_cost + prices[i] * (y - below_mw)
-    above = bisect_right(supply, y + FEAS_EPS)
-    return value, prices[min(above, len(prices) - 1)]
-
-
-def relaxed_values(fleet: Fleet, demands
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """relaxed_value at each of a 1-D sequence of demands, float for float.
-
-    Returns (values, marginal prices, reach, above): ``reach`` is the
-    index of the staircase step that reaches each demand and ``above``
-    the first step whose supply exceeds it, len(prices) past the top, as
-    relaxed_value bisects them.  Raises relaxed_value's InfeasibleError
-    for the first demand outside [0, capacity] (NaN included).
-    """
-    prices, supply, cost = _staircase_arrays(fleet)
-    steps = supply[1:]
     capacity = fleet.total_capacity
     ys = np.asarray(demands, dtype=float)
-    outside = np.flatnonzero(~((ys >= -FEAS_EPS) & (ys <= capacity + FEAS_EPS)))
-    if outside.size:
+    inside = (ys >= -FEAS_EPS) & (ys <= capacity + FEAS_EPS)
+    if not inside.all():
         raise InfeasibleError(
-            f"demand {float(ys[outside[0]])} outside feasible range "
+            f"demand {float(ys.flat[inside.argmin()])} outside feasible range "
             f"[0, {capacity}] MW")
-    ys = np.minimum(np.maximum(ys, 0.0), capacity)
-    reach = np.minimum(np.searchsorted(steps, ys - FEAS_EPS, side="left"),
-                       len(prices) - 1)
-    values = cost[reach] + prices[reach] * (ys - supply[reach])
-    above = np.searchsorted(steps, ys + FEAS_EPS, side="right")
-    return values, prices[np.minimum(above, len(prices) - 1)], reach, above
+    ys = ys.clip(0.0, capacity)
+    # searching below the top step caps the reaching step at the top one:
+    # the staircase sums capacity in merit order, so its top can round
+    # below total_capacity by more than FEAS_EPS on a very large fleet
+    reach = supply[1:-1].searchsorted(ys - FEAS_EPS, side="left")
+    above = supply[1:].searchsorted(ys + FEAS_EPS, side="right")
+    return ys, reach, above, cost[reach] + prices[reach] * (ys - supply[reach])
+
+
+def relaxed_value(fleet: Fleet, y):
+    """Optimal relaxed-commitment cost at demand y and its marginal price.
+
+    Takes a demand or an array of demands.  Read off the staircase: the
+    cost of the steps below y plus y's share of the step that reaches it.
+    The price is the right-hand derivative (the slope of the next
+    marginal MW), the last slope at capacity.
+    """
+    prices, _supply, _cost = _staircase(fleet)
+    ys, _reach, above, value = _locate(fleet, y)
+    return _like(ys, value), _like(ys, prices.take(above, mode="clip"))
 
 
 def relaxed_supply(fleet: Fleet, price: float) -> float:

@@ -12,10 +12,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from chpricing import Fleet, GeneratorType
+from chpricing import Fleet, GeneratorType, InfeasibleError, default_price_cap
+from chpricing.ucp import FEAS_EPS, relaxed_blocks
 
 
 def segment_fill_cost(gtype: GeneratorType, g: float) -> float:
@@ -160,3 +162,71 @@ def synthetic_profile_bisected(low: float, mean: float, high: float
             hi_p = mid
     power = math.sqrt(lo_p * hi_p)
     return tuple(low + (high - low) * s ** power for s in shape)
+
+
+def staircase_tuples(fleet: Fleet) -> tuple[tuple[float, ...], ...]:
+    """The supply staircase as tuples (prices, supply, cost), no 0 step in
+    front, summed block by block in merit order."""
+    blocks = sorted((slope, ti, bi, width * gtype.unit_count)
+                    for ti, gtype in enumerate(fleet.types)
+                    for bi, (slope, width) in enumerate(relaxed_blocks(gtype)))
+    prices: list[float] = []
+    supply: list[float] = []
+    cost: list[float] = []
+    total = filled = 0.0
+    for slope, _ti, _bi, width in blocks:
+        total += width
+        filled += slope * width
+        if prices and prices[-1] == slope:
+            supply[-1], cost[-1] = total, filled
+        else:
+            prices.append(slope)
+            supply.append(total)
+            cost.append(filled)
+    return tuple(prices), tuple(supply), tuple(cost)
+
+
+def fleet_supply_bisected(fleet: Fleet, price: float) -> float:
+    """Best-response supply by bisect on the tuple staircase (upper step at a
+    breakpoint)."""
+    prices, supply, _cost = staircase_tuples(fleet)
+    i = bisect_right(prices, price)
+    return supply[i - 1] if i else 0.0
+
+
+def conjugate_bisected(fleet: Fleet, price: float) -> float:
+    """Best-response profit by bisect on the tuple staircase."""
+    prices, supply, cost = staircase_tuples(fleet)
+    i = bisect_right(prices, price) - 1
+    return price * supply[i] - cost[i] if i >= 0 else 0.0
+
+
+def _bisect_demand(fleet: Fleet, y: float) -> tuple[float, int, int]:
+    """(clamped y, reaching step, first step above) by bisect; refuses a
+    demand outside [0, capacity] and NaN."""
+    capacity = fleet.total_capacity
+    if not -FEAS_EPS <= y <= capacity + FEAS_EPS:
+        raise InfeasibleError(
+            f"demand {y} outside feasible range [0, {capacity}] MW")
+    y = min(max(y, 0.0), capacity)
+    _prices, supply, _cost = staircase_tuples(fleet)
+    reach = min(bisect_left(supply, y - FEAS_EPS), len(supply) - 1)
+    return y, reach, bisect_right(supply, y + FEAS_EPS)
+
+
+def relaxed_value_bisected(fleet: Fleet, y: float) -> tuple[float, float]:
+    """Relaxed cost and right-hand marginal price at y, by bisect."""
+    prices, supply, cost = staircase_tuples(fleet)
+    y, i, above = _bisect_demand(fleet, y)
+    below_cost, below_mw = (cost[i - 1], supply[i - 1]) if i else (0.0, 0.0)
+    return below_cost + prices[i] * (y - below_mw), prices[min(above, len(prices) - 1)]
+
+
+def hull_interval_bisected(fleet: Fleet, y: float) -> tuple[float, float]:
+    """The hull's supporting price interval at y, by bisect: 0 at y = 0 and
+    the default price cap past the top step."""
+    prices, _supply, _cost = staircase_tuples(fleet)
+    y, reach, above = _bisect_demand(fleet, y)
+    lo = 0.0 if y <= FEAS_EPS else prices[reach]
+    hi = default_price_cap(fleet) if above == len(prices) else prices[above]
+    return lo, hi

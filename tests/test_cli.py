@@ -541,6 +541,89 @@ class TestCurveWritersMatchScalarRows:
         assert "100.09999" in str(got.value)
 
 
+def free_fleet_file(tmp_path):
+    """One free 100 MW unit: price-inelastic demand clears at the price floor."""
+    doc = {"types": [{"name": "F", "startup_cost": 0.0, "min_output": 0.0,
+                      "unit_count": 1,
+                      "segments": [{"marginal_cost": 0.0, "capacity": 100.0}]}]}
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def per_hour_trace_rows(config):
+    """A closed-form day's trace.csv rows built hour by hour: the price as
+    _run_hours finds it, phi from dual_value, the supply read at the price
+    and the uplift from settle_hour (inf where the hour does not settle)."""
+    fleet = cli._resolve_fleet(config.fleet)
+    model = ch.DemandModel(a=config.a, mu1=config.mu1, mu2=config.mu2, nu=config.nu,
+                           utility_constant=config.utility_constant)
+    profile = cli._resolve_profile(config)
+    closed_form = ch.exact_dual if config.method == "chp_exact" \
+        else ch.dispatchable_equilibrium
+    rows = []
+    for t in range(24):
+        try:
+            price, demand = closed_form(fleet, model, profile, t)
+        except ch.InfeasibleError:
+            price = ch.default_price_cap(fleet)
+            demand = ch.hourly_demand(model, profile, t, price)
+        phi, imbalance = ch.dual_value(fleet, model, profile, t, price)
+        supply = ch.fleet_supply(fleet, price)
+        assert imbalance == supply - demand
+        try:
+            billed = ch.settle_hour(fleet, model, profile, t, price).uplift
+        except ch.InfeasibleError:
+            billed = math.inf
+        rows.append(f"{t},0," + ",".join(map(cli._fmt, (
+            price, demand, supply, 0.0, phi, billed, 0.0))))
+    return rows
+
+
+class TestClosedFormTraceRows:
+    """A closed-form day reads supply and profit for all its prices at once;
+    every trace row is the one built hour by hour."""
+
+    @pytest.mark.parametrize("method", ["chp_exact", "dispatchable"])
+    @pytest.mark.parametrize("name, synthetic", [
+        ("gribik", (5000.0, 25000.0, 60000.0)), ("scarf", (5000.0, 30000.0, 70000.0))])
+    def test_builtin_fleets(self, name, synthetic, method, tmp_path):
+        # the day spans three steps of the staircase, so hours clear at
+        # different prices
+        params = {key: cli.FIXTURE_DEFAULTS[name][key] for key in (
+            "a", "mu1", "mu2", "nu", "utility_constant", "lambda0")}
+        rows = self.check(cli.ExperimentConfig(
+            fleet=name, method=method, out_dir=str(tmp_path), n_iters=1, step_coef=None,
+            seed=3, synthetic=synthetic, **params))
+        assert len({row.split(",")[4] for row in rows}) == 3
+
+    @pytest.mark.parametrize("method", ["chp_exact", "dispatchable"])
+    def test_uncoverable_hours(self, method, tmp_path):
+        # every hour clears inside the gap fleet's (100, 100.3) MW gap
+        profile = tmp_path / "day.csv"
+        profile.write_text("hour,d1\n" + "".join(f"{t},100\n" for t in range(24)))
+        rows = self.check(cli.ExperimentConfig(
+            fleet=str(gap_fleet_file(tmp_path)), method=method, out_dir=str(tmp_path),
+            a=1040.12, mu1=0.8, mu2=0.2, nu=1.125, utility_constant=0.0, lambda0=100.0,
+            n_iters=1, step_coef=None, no_noise=True, profile_path=str(profile)))
+        assert all(row.split(",")[7] == "inf" for row in rows)
+
+    @pytest.mark.parametrize("method", ["chp_exact", "dispatchable"])
+    def test_price_floor(self, method, tmp_path):
+        rows = self.check(cli.ExperimentConfig(
+            fleet=str(free_fleet_file(tmp_path)), method=method, out_dir=str(tmp_path),
+            a=1.0, mu1=0.8, mu2=0.0, nu=0.001, utility_constant=0.0, lambda0=100.0,
+            n_iters=1, step_coef=None, no_noise=True))
+        assert all(row.split(",")[2] == repr(PRICE_FLOOR) for row in rows)
+
+    @staticmethod
+    def check(config):
+        cli.run_experiment(config)
+        rows = (Path(config.out_dir) / "trace.csv").read_text().splitlines()[1:]
+        assert rows == per_hour_trace_rows(config)
+        return rows
+
+
 class TestErrorPaths:
     def test_missing_fleet_file(self, tmp_path):
         assert run_cli("run", "--fleet", str(tmp_path / "nope.json"),

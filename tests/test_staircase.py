@@ -21,21 +21,16 @@ from chpricing import (
     InfeasibleError,
     best_response,
     chp_fixed_demand,
-    chp_fixed_demands,
     conjugate,
-    conjugates,
     default_price_cap,
     dispatchable_price,
-    dispatchable_prices,
     dual_value,
     exact_dual,
-    fleet_supplies,
     fleet_supply,
     hourly_demand,
     hourly_utility,
     hull_value,
     relaxed_value,
-    relaxed_values,
     run_subgradient,
     settle_hour,
     ucp_value,
@@ -111,6 +106,22 @@ def test_relaxed_supply_is_best_response_supply(fleet):
             reaction.profit, abs=rounding(p * supply, dispatch.total_cost))
 
 
+def assert_reads(read, reference, probes):
+    """read == reference at every probe, one float at a time and as one array:
+    a float in gives floats out, an array in arrays of its shape."""
+    def columns(out):
+        return out if isinstance(out, tuple) else (out,)
+
+    expected = [columns(reference(x)) for x in probes]
+    got = [columns(read(x)) for x in probes]
+    assert got == expected
+    assert all(type(x) is float for row in got for x in row)
+    arrays = columns(read(np.array(probes)))
+    assert all(isinstance(column, np.ndarray) and column.shape == (len(probes),)
+               for column in arrays)
+    assert list(zip(*(column.tolist() for column in arrays))) == expected
+
+
 @PROPERTY
 @given(fleets())
 @example(BREAKEVEN_FLEET)
@@ -120,8 +131,10 @@ def test_array_reads_equal_scalar_reads(fleet):
     for p in prices:
         probes += [np.nextafter(p, -math.inf), p, np.nextafter(p, math.inf)]
     probes = [float(p) for p in probes]
-    assert fleet_supplies(fleet, probes).tolist() == [fleet_supply(fleet, p) for p in probes]
-    assert conjugates(fleet, probes).tolist() == [conjugate(fleet, p) for p in probes]
+    assert_reads(lambda p: fleet_supply(fleet, p),
+                 lambda p: oracles.fleet_supply_bisected(fleet, p), probes)
+    assert_reads(lambda p: conjugate(fleet, p),
+                 lambda p: oracles.conjugate_bisected(fleet, p), probes)
 
 
 def probe_demands(fleet):
@@ -136,6 +149,27 @@ def probe_demands(fleet):
     return sorted(probes)
 
 
+def demand_reads(fleet):
+    """Each read of the staircase at a demand, with its bisect reference."""
+    def hull_point(y):
+        point = hull_value(fleet, y)
+        return point.hull_value, point.price_lo, point.price_hi
+
+    def hull_point_bisected(y):
+        return (oracles.relaxed_value_bisected(fleet, y)[0],
+                *oracles.hull_interval_bisected(fleet, y))
+
+    return [
+        (lambda y: relaxed_value(fleet, y),
+         lambda y: oracles.relaxed_value_bisected(fleet, y)),
+        (hull_point, hull_point_bisected),
+        (lambda y: chp_fixed_demand(fleet, y),
+         lambda y: 0.5 * sum(oracles.hull_interval_bisected(fleet, y))),
+        (lambda y: dispatchable_price(fleet, y),
+         lambda y: oracles.relaxed_value_bisected(fleet, y)[1]),
+    ]
+
+
 @PROPERTY
 @given(fleets())
 @example(BREAKEVEN_FLEET)
@@ -143,31 +177,29 @@ def test_array_demand_reads_equal_scalar_reads(fleet):
     inside, refused = [], []
     for y in probe_demands(fleet):
         try:
-            relaxed_value(fleet, y)
+            oracles.relaxed_value_bisected(fleet, y)
         except InfeasibleError as exc:
             refused.append((y, str(exc)))
         else:
             inside.append(y)
     # one float below -FEAS_EPS and one above capacity + FEAS_EPS
     assert refused[0][0] < 0.0 < fleet.total_capacity < refused[-1][0]
-    values, marginal, _reach, _above = relaxed_values(fleet, inside)
-    assert list(zip(values.tolist(), marginal.tolist())) == \
-        [relaxed_value(fleet, y) for y in inside]
-    assert chp_fixed_demands(fleet, inside).tolist() == \
-        [chp_fixed_demand(fleet, y) for y in inside]
-    assert dispatchable_prices(fleet, inside).tolist() == \
-        [dispatchable_price(fleet, y) for y in inside]
-    # the first demand out of range is named, with the scalar's message
-    for y, message in refused:
-        for read in (relaxed_values, chp_fixed_demands, dispatchable_prices):
-            with pytest.raises(InfeasibleError) as info:
-                read(fleet, inside + [y, 2.0 * fleet.total_capacity])
-            assert str(info.value) == message
+    for read, reference in demand_reads(fleet):
+        assert_reads(read, reference, inside)
+        # a demand out of range is named with the reference's message; in an
+        # array, the first one
+        for y, message in refused:
+            for demands in (y, [*inside, y, 2.0 * fleet.total_capacity]):
+                with pytest.raises(InfeasibleError) as info:
+                    read(demands)
+                assert str(info.value) == message
 
 
 def test_array_demand_reads_refuse_nan():
-    with pytest.raises(InfeasibleError, match="demand nan outside"):
-        relaxed_values(BREAKEVEN_FLEET, [1.0, math.nan])
+    for read, _reference in demand_reads(BREAKEVEN_FLEET):
+        for demands in (math.nan, [1.0, math.nan]):
+            with pytest.raises(InfeasibleError, match="demand nan outside"):
+                read(demands)
 
 
 @PROPERTY
