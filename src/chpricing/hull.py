@@ -1,15 +1,15 @@
 """Convex hull of the unit commitment value function, and hull prices.
 
-Everything is read off the fleet's one supply staircase
-(``ucp.supply_staircase``).  The hull value at demand y is max over prices
-of price*y - conjugate(price), a concave piecewise linear function whose
-derivative is y minus the best-response supply.  For independent units
-the hull is the relaxed merit-order cost (``ucp.relaxed_value``), and the
-maximizing prices are breakpoints of the staircase: the first whose
-cumulative supply reaches y, up to the first whose supply exceeds y.
-The hull value and that interval come from one np.searchsorted pair per
-demand, the one the relaxed cost reads; the hull price takes a demand or
-an array of demands.
+Everything is read off the fleet's one supply staircase (``ucp._staircase``,
+read at prices by ``ucp.fleet_supply`` and ``ucp.conjugate``).  The hull
+value at demand y is max over prices of price*y - conjugate(price), a
+concave piecewise linear function whose derivative is y minus the
+best-response supply.  For independent units the hull is the relaxed
+merit-order cost (``ucp.relaxed_value``), and the maximizing prices are
+breakpoints of the staircase: the first whose cumulative supply reaches
+y, up to the first whose supply exceeds y.  The hull value and that
+interval come from one np.searchsorted pair per demand, the one the
+relaxed cost reads; the hull price takes a demand or an array of demands.
 """
 from __future__ import annotations
 

@@ -95,7 +95,7 @@ def _check_hour(t: int) -> None:
 
 def consumer_best_response(model: DemandModel, price: float) -> float:
     """Elastic demand a/price maximizing a*log(d) - price*d."""
-    if price <= 0:
+    if not price > 0:
         raise ValueError(
             f"price must be > 0 (log-utility demand is unbounded near 0), got {price}")
     return model.a / price
@@ -127,10 +127,10 @@ def hourly_utility(model: DemandModel, profile: DayProfile, t: int, demand: floa
     """
     floor, coef = demand_terms(model, profile, t)
     if coef == 0.0:
-        if demand < floor - 1e-9:
+        if not demand >= floor - 1e-9:
             raise ValueError(f"demand {demand} below the inelastic floor {floor}")
         return model.utility_constant
-    if demand <= floor:
+    if not demand > floor:
         raise ValueError(
             f"utility undefined at demand {demand} <= inelastic floor {floor}")
     return coef * math.log(demand - floor) + model.utility_constant

@@ -7,6 +7,11 @@ then re-dispatched exactly), merit-order dispatch, the continuous
 commitment relaxation, and the startup-free convex baselines used for
 LMP-style pricing.
 
+The committed side has one merit order per fleet, cached: each type's
+per-unit capacity free above its minimum output, cheapest first.  It is
+the same for every commitment, so dispatch_committed, the commitment
+table and _dispatch_costs all fill it, each block times its type's count.
+
 The fleet's convex side has one representation: the supply staircase,
 the relaxed blocks of every unit in merit order, with each step's
 cumulative supply and cost, cached once per fleet as read-only arrays.
@@ -15,7 +20,8 @@ supplier best response and the relaxed cost (relaxed_value) are all read
 off it with np.searchsorted, so at a break-even price every one of them
 takes the upper step.  Supply, the conjugate and the relaxed cost each
 take a number or a 1-D array: a float in gives a float out, an array in
-gives an array out, with the same float operations either way.
+gives an array out, with the same float operations either way.  A NaN
+price is refused with ValueError, a NaN demand with InfeasibleError.
 
 v comes one demand at a time (ucp_value, with the cheapest Dispatch) or
 for a whole set of demands (ucp_values).  The batch reads the table in
@@ -45,9 +51,7 @@ __all__ = [
     "ucp_values",
     "best_response",
     "fleet_supply",
-    "supply_staircase",
     "conjugate",
-    "relaxed_unit_cost",
     "relaxed_blocks",
     "relaxed_value",
     "relaxed_supply",
@@ -168,27 +172,25 @@ def _validate_commitment(fleet: Fleet, commitment: Commitment) -> None:
                 f"{gtype.name}: committed {n} of {gtype.unit_count} units")
 
 
-def _free_blocks(fleet: Fleet, counts: tuple[int, ...]
-                 ) -> list[tuple[float, int, int, float]]:
-    """Segment capacity left once every committed unit runs at its minimum.
+@lru_cache(maxsize=None)
+def _merit_order(fleet: Fleet) -> tuple[tuple[float, int, float], ...]:
+    """Segment capacity one unit has free once it runs at its minimum.
 
-    Returns (marginal_cost, type_idx, seg_idx, free MW) in merit order.
-    The order does not depend on the counts, since (type, segment) pairs
-    are distinct: it is the same for every commitment of a fleet.
+    Returns (marginal_cost, type_idx, free MW per unit) in merit order:
+    by cost, then type, then segment.  A commitment of n units of a type
+    has n times each of its blocks free, in the same order.
     """
     blocks = []
-    for ti, (gtype, n) in enumerate(zip(fleet.types, counts)):
-        if n == 0:
-            continue
+    for ti, gtype in enumerate(fleet.types):
         rem_min = gtype.min_output
-        for si, seg in enumerate(gtype.segments):
+        for seg in gtype.segments:
             used = min(rem_min, seg.capacity)
             rem_min -= used
-            free = (seg.capacity - used) * n
-            if free > 0.0:
-                blocks.append((seg.marginal_cost, ti, si, free))
-    blocks.sort()
-    return blocks
+            if seg.capacity - used > 0.0:
+                blocks.append((seg.marginal_cost, ti, seg.capacity - used))
+    # stable, so blocks tied on cost and type keep their segment order
+    blocks.sort(key=lambda block: block[:2])
+    return tuple(blocks)
 
 
 def dispatch_committed(fleet: Fleet, commitment: Commitment, y: float) -> Dispatch:
@@ -201,7 +203,7 @@ def dispatch_committed(fleet: Fleet, commitment: Commitment, y: float) -> Dispat
     type's allocation equally, which costs the same as any other split.
     """
     _validate_commitment(fleet, commitment)
-    if y < -FEAS_EPS:
+    if not y >= -FEAS_EPS:
         raise ValueError(f"demand must be >= 0, got {y}")
     floor_mw = sum(n * t.min_output for t, n in zip(fleet.types, commitment.counts))
     ceil_mw = sum(n * t.max_output for t, n in zip(fleet.types, commitment.counts))
@@ -212,12 +214,14 @@ def dispatch_committed(fleet: Fleet, commitment: Commitment, y: float) -> Dispat
 
     residual = max(y - floor_mw, 0.0)
     extra = [0.0] * len(fleet.types)
-    for _cost, ti, _si, free in _free_blocks(fleet, commitment.counts):
+    for _cost, ti, free in _merit_order(fleet):
         if residual <= 0.0:
             break
-        take = min(residual, free)
-        extra[ti] += take
-        residual -= take
+        n = commitment.counts[ti]
+        if n:
+            take = min(residual, free * n)
+            extra[ti] += take
+            residual -= take
 
     outputs = []
     total_cost = 0.0
@@ -244,8 +248,8 @@ class _CommitmentTable:
     r above its floor (at most ``span``) is convex piecewise linear in r,
     so it is the largest of the lines ``lines[b] + slopes[b] * r``, one
     per free block b in merit order (a block a commitment leaves empty
-    gives a supporting line at its breakpoint).  ``blocks`` are those
-    blocks as _free_blocks gives them for one unit of every type.
+    gives a supporting line at its breakpoint); the blocks are the
+    fleet's _merit_order.
     """
 
     counts: np.ndarray  # (C, T) per-type counts, small unsigned ints
@@ -256,14 +260,13 @@ class _CommitmentTable:
     base: np.ndarray    # (C,) $
     slopes: np.ndarray  # (B, 1) $/MWh
     lines: np.ndarray   # (B, C) $, each line's value at r = 0
-    blocks: tuple[tuple[float, int, int, float], ...]
     max_slope: float    # $/MWh, 0 without blocks
 
 
 # a table can reach 64 MB; a run needs two (its fleet and _zero_startup's)
 @lru_cache(maxsize=8)
 def _commitment_table(fleet: Fleet) -> _CommitmentTable:
-    blocks = _free_blocks(fleet, (1,) * len(fleet.types))
+    blocks = _merit_order(fleet)
     shape = tuple(t.unit_count + 1 for t in fleet.types)
     commitments = 1
     for size in shape:
@@ -290,14 +293,14 @@ def _commitment_table(fleet: Fleet) -> _CommitmentTable:
     lines = np.empty((len(blocks), commitments))
     start = np.zeros(commitments)
     filled = np.zeros(commitments)
-    for b, (slope, ti, _si, free) in enumerate(blocks):
+    for b, (slope, ti, free) in enumerate(blocks):
         lines[b] = filled - slope * start
         width = counts[:, ti] * free
         start += width
         filled += slope * width
     table = _CommitmentTable(counts, floor, ceil - floor, floor - FEAS_EPS,
                              ceil + FEAS_EPS, base, slopes[:, None], lines,
-                             tuple(blocks), float(slopes.max(initial=0.0)))
+                             float(slopes.max(initial=0.0)))
     for array in vars(table).values():
         if isinstance(array, np.ndarray):
             array.flags.writeable = False
@@ -351,7 +354,7 @@ def _dispatch_costs(fleet: Fleet, table: _CommitmentTable, ys: np.ndarray,
     counts = table.counts[commitments]
     residual = np.maximum(ys - table.floor[commitments], 0.0)
     extra = np.zeros((len(fleet.types), len(commitments)))
-    for _cost, ti, _si, free in table.blocks:
+    for _cost, ti, free in _merit_order(fleet):
         take = np.minimum(residual, free * counts[:, ti])
         extra[ti] += take
         residual -= take
@@ -407,7 +410,7 @@ def ucp_values(fleet: Fleet, demands) -> np.ndarray:
     if not ys.size:
         return values
     width = len(table.floor)
-    chunk = max(1, BATCH_CELLS // (width * max(len(table.blocks), 1)))
+    chunk = max(1, BATCH_CELLS // (width * max(len(_merit_order(fleet)), 1)))
     # flat indices into the (demand, commitment) grid, demand by demand
     flat = np.concatenate([
         np.flatnonzero(_near_minimal(table, ys[start:start + chunk])) + start * width
@@ -424,23 +427,25 @@ def ucp_values(fleet: Fleet, demands) -> np.ndarray:
 def _staircase(fleet: Fleet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The supply staircase as read-only arrays: (prices, supply, cost).
 
-    ``prices`` are the distinct relaxed block slopes.  ``supply`` and
+    Every unit's relaxed blocks, sorted by slope, are summed in that
+    order; ``prices`` are their distinct slopes.  ``supply`` and
     ``cost`` have a 0 step in front: ``supply[i + 1]`` is the capacity
     priced <= prices[i] and ``cost[i + 1]`` its relaxed cost, the sum of
     slope x width over those blocks.  So the np.searchsorted index of a
     price is its step's entry, 0 below the first step.
     """
+    blocks = sorted((slope, ti, bi, width * gtype.unit_count)
+                    for ti, gtype in enumerate(fleet.types)
+                    for bi, (slope, width) in enumerate(relaxed_blocks(gtype)))
     prices: list[float] = []
     supply = [0.0]
     cost = [0.0]
-    total = 0.0
-    filled = 0.0
-    for slope, _ti, _bi, width in _fleet_blocks(fleet):
+    total = filled = 0.0
+    for slope, _ti, _bi, width in blocks:
         total += width
         filled += slope * width
         if prices and prices[-1] == slope:
-            supply[-1] = total
-            cost[-1] = filled
+            supply[-1], cost[-1] = total, filled
         else:
             prices.append(slope)
             supply.append(total)
@@ -456,25 +461,22 @@ def _like(arg: np.ndarray, value):
     return value if arg.ndim else float(value)
 
 
-def supply_staircase(fleet: Fleet) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Best-response supply as a step function: (prices, cumulative MW).
-
-    Supply is the subdifferential of the conjugate of v, which is also the
-    conjugate of the relaxed cost, so it steps up at the distinct relaxed
-    block slopes ``prices``; ``supply[i]`` is the capacity priced <= prices[i].
-    """
-    prices, supply, _cost = _staircase(fleet)
-    return tuple(prices.tolist()), tuple(supply[1:].tolist())
+def _prices(price) -> np.ndarray:
+    """price as a float array; NaN, sorted above every step, raises ValueError."""
+    prices = np.asarray(price, dtype=float)
+    if np.isnan(prices).any():
+        raise ValueError("price must be a number, got nan")
+    return prices
 
 
 def fleet_supply(fleet: Fleet, price):
     """Aggregate best-response supply at a price or an array of prices (MW).
 
     Read off the staircase; at a breakpoint price the upper step is
-    supplied.
+    supplied.  Raises ValueError for a NaN price.
     """
     steps, supply, _cost = _staircase(fleet)
-    prices = np.asarray(price, dtype=float)
+    prices = _prices(price)
     return _like(prices, supply[steps.searchsorted(prices, side="right")])
 
 
@@ -508,25 +510,12 @@ def conjugate(fleet: Fleet, price):
 
     Takes a price or an array of prices.  Read off the staircase: price x
     supply minus the relaxed cost of that supply, at the last step priced
-    <= price; 0 below the first step.
+    <= price; 0 below the first step.  Raises ValueError for a NaN price.
     """
     steps, supply, cost = _staircase(fleet)
-    prices = np.asarray(price, dtype=float)
+    prices = _prices(price)
     i = steps.searchsorted(prices, side="right")
     return _like(prices, np.where(i > 0, prices * supply[i] - cost[i], 0.0))
-
-
-def relaxed_unit_cost(gtype: GeneratorType, g: float) -> float:
-    """Optimal cost of one unit at output g with a continuous commitment.
-
-    Solves min S*z + sum(c_s * g_s) over z in [0,1], 0 <= g_s <= cap_s * z,
-    m*z <= sum(g_s) = g.  Its graph is the lower convex envelope that
-    relaxed_blocks describes, so the cost is the merit fill of those blocks:
-    the relaxed value of a one-unit fleet.
-    """
-    if g < -FEAS_EPS or g > gtype.max_output + FEAS_EPS:
-        raise ValueError(f"{gtype.name}: output {g} outside [0, {gtype.max_output}]")
-    return relaxed_value(Fleet((replace(gtype, unit_count=1),)), g)[0]
 
 
 @lru_cache(maxsize=None)
@@ -559,16 +548,6 @@ def relaxed_blocks(gtype: GeneratorType) -> tuple[tuple[float, float], ...]:
     blocks = []
     for (x0, c0), (x1, c1) in zip(hull, hull[1:]):
         blocks.append(((c1 - c0) / (x1 - x0), x1 - x0))
-    return tuple(blocks)
-
-
-@lru_cache(maxsize=None)
-def _fleet_blocks(fleet: Fleet) -> tuple[tuple[float, int, int, float], ...]:
-    blocks = []
-    for ti, gtype in enumerate(fleet.types):
-        for bi, (slope, width) in enumerate(relaxed_blocks(gtype)):
-            blocks.append((slope, ti, bi, width * gtype.unit_count))
-    blocks.sort()
     return tuple(blocks)
 
 

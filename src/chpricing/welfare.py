@@ -55,7 +55,7 @@ def settle_hour(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
     demand exceeds fleet capacity, so the caller can mark the hour
     instead of losing the day.
     """
-    if price <= 0:
+    if not price > 0:
         raise ValueError(f"settlement price must be > 0, got {price}")
     demand = hourly_demand(model, profile, t, price)
     if demand > fleet.total_capacity + FEAS_EPS:

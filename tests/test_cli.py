@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -151,6 +152,18 @@ class TestDeterminism:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=60, check=True)
         assert done.stdout.strip() == "False"
+
+    def test_package_import_stays_lean(self):
+        # set-up time: the noise generator and the worker pool are imported
+        # only when a run draws noise or starts workers
+        code = ("import sys, chpricing; "
+                "print(sorted(m for m in ('numpy.random', 'concurrent.futures') "
+                "if m in sys.modules))")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ch.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "s0", tmp_path / "s1"

@@ -33,6 +33,10 @@ class TestConsumerBestResponse:
             with pytest.raises(ValueError):
                 consumer_best_response(gribik_model, price)
 
+    def test_nan_price_refused(self, gribik_model):
+        with pytest.raises(ValueError, match="price must be > 0"):
+            consumer_best_response(gribik_model, math.nan)
+
 
 class TestHourlyDemand:
     def test_mix_formula(self, gribik_model, scarf_model, mean_profile):
@@ -63,6 +67,10 @@ class TestHourlyDemand:
         elastic = scarf_model.mu2 * (1.0 + 0.03) * \
             consumer_best_response(scarf_model, 5.0)
         assert d - inel == pytest.approx(elastic, abs=1e-12)
+
+    def test_nan_price_refused(self, scarf_model, mean_profile):
+        with pytest.raises(ValueError, match="price must be > 0"):
+            hourly_demand(scarf_model, mean_profile, 0, math.nan)
 
     def test_bad_hour(self, scarf_model, mean_profile):
         with pytest.raises(ValueError):
@@ -98,6 +106,13 @@ class TestHourlyUtility:
         for d in (floor, floor - 5.0):
             with pytest.raises(ValueError):
                 hourly_utility(scarf_model, mean_profile, 0, d)
+
+    def test_nan_demand_refused(self, scarf_model, mean_profile):
+        inelastic = DemandModel(a=455.0, mu1=1.0, mu2=0.0, nu=0.0025,
+                                utility_constant=500.0)
+        for model in (scarf_model, inelastic):
+            with pytest.raises(ValueError, match="demand nan"):
+                hourly_utility(model, mean_profile, 0, math.nan)
 
     def test_zero_elastic_weight_returns_constant(self, mean_profile):
         model = DemandModel(a=455.0, mu1=1.0, mu2=0.0, nu=0.0025,

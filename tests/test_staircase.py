@@ -3,6 +3,7 @@
 Fleets have integer costs, capacities and minimum outputs, so every
 vertex of v lies on the unit demand grid and the grid oracles are exact.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -39,9 +40,14 @@ from chpricing import (
     uplifts,
 )
 from chpricing.pricing import PRICE_FLOOR
-from chpricing.ucp import FEAS_EPS, relaxed_supply, relaxed_unit_cost, supply_staircase
+from chpricing.ucp import FEAS_EPS, relaxed_supply
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+def one_unit(gtype):
+    """A fleet of one unit of gtype: its relaxed value is the unit's relaxed cost."""
+    return Fleet((dataclasses.replace(gtype, unit_count=1),))
 
 
 @st.composite
@@ -79,7 +85,7 @@ def priced_hours(draw):
 
 def probe_prices(fleet):
     """Every breakpoint, the midpoints between them, and prices beyond both ends."""
-    prices, _supply = supply_staircase(fleet)
+    prices, _supply = oracles.staircase_tuples(fleet)[:2]
     mids = [0.5 * (a + b) for a, b in zip(prices, prices[1:])]
     return list(prices) + mids + [0.5 * prices[0], prices[-1] + 1.0]
 
@@ -126,7 +132,7 @@ def assert_reads(read, reference, probes):
 @given(fleets())
 @example(BREAKEVEN_FLEET)
 def test_array_reads_equal_scalar_reads(fleet):
-    prices, _supply = supply_staircase(fleet)
+    prices, _supply = oracles.staircase_tuples(fleet)[:2]
     probes = [0.0, 0.5 * prices[0], prices[-1] + 1.0]
     for p in prices:
         probes += [np.nextafter(p, -math.inf), p, np.nextafter(p, math.inf)]
@@ -140,7 +146,7 @@ def test_array_reads_equal_scalar_reads(fleet):
 def probe_demands(fleet):
     """0, capacity and every supply level, each exactly, +-FEAS_EPS (where the
     bisections switch) and one float either side of all of those."""
-    _prices, supply = supply_staircase(fleet)
+    _prices, supply = oracles.staircase_tuples(fleet)[:2]
     probes = set()
     for level in (0.0, fleet.total_capacity) + supply:
         for y in (level - FEAS_EPS, level, level + FEAS_EPS):
@@ -202,6 +208,23 @@ def test_array_demand_reads_refuse_nan():
                 read(demands)
 
 
+def test_price_reads_refuse_nan(gribik):
+    # np.searchsorted sorts NaN above every step: unguarded, the supply
+    # would be the whole fleet and the conjugate and uplift NaN
+    calls = [
+        lambda: fleet_supply(gribik, math.nan),
+        lambda: fleet_supply(gribik, [90.0, math.nan]),
+        lambda: conjugate(gribik, math.nan),
+        lambda: conjugate(gribik, [90.0, math.nan]),
+        lambda: best_response(gribik, math.nan),
+        lambda: uplift(gribik, math.nan, 300.0),
+        lambda: uplifts(gribik, [90.0, math.nan], [300.0, 300.0]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="price must be a number, got nan"):
+            call()
+
+
 @PROPERTY
 @given(priced_hours())
 def test_exact_dual_is_the_crossing(hour):
@@ -218,7 +241,7 @@ def test_exact_dual_is_the_crossing(hour):
 @PROPERTY
 @given(fleets())
 def test_hull_value_endpoints_and_grid_biconjugate(fleet):
-    prices, _supply = supply_staircase(fleet)
+    prices, _supply = oracles.staircase_tuples(fleet)[:2]
     price_cap = default_price_cap(fleet)
     values = oracles.fleet_value_grid(fleet, 1.0)
     hull = oracles.grid_hull(values, 1.0)
@@ -248,7 +271,7 @@ def test_price_cap_elicits_full_fleet(fleet):
     # on every staircase breakpoint lying below it
     price_cap = default_price_cap(fleet)
     assert fleet_supply(fleet, price_cap) == fleet.total_capacity
-    prices, _supply = supply_staircase(fleet)
+    prices, _supply = oracles.staircase_tuples(fleet)[:2]
     assert prices[-1] < price_cap
 
 
@@ -332,7 +355,7 @@ def test_relaxed_unit_cost_matches_z_grid(gtype, frac):
     g = frac * gtype.max_output
     z_steps = 2000
     ref = oracles.relaxed_unit_grid(gtype, g, z_steps=z_steps)
-    got = relaxed_unit_cost(gtype, g)
+    got = relaxed_value(one_unit(gtype), g)[0]
     # the z grid misses the optimum by at most one grid cell of the
     # objective, whose slope in z is at most S + max_c * max_output
     z_lo = g / gtype.max_output
@@ -346,7 +369,7 @@ def test_breakeven_breakpoint_takes_upper_step():
     # the committed profit at the rounded break-even 12 + 700/13 is about
     # -1e-13, so a commitment decided by its sign would drop the step
     fleet = BREAKEVEN_FLEET
-    (breakeven,), (full,) = supply_staircase(fleet)
+    (breakeven,), (full,) = oracles.staircase_tuples(fleet)[:2]
     assert (breakeven, full) == (12.0 + 700.0 / 13.0, 13.0)
     assert fleet_supply(fleet, breakeven) == 13.0
     reaction = best_response(fleet, breakeven)

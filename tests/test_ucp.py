@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from chpricing import (
@@ -33,11 +34,9 @@ from chpricing.ucp import (
     MAX_TABLE_CELLS,
     no_startup_values,
     relaxed_supply,
-    relaxed_unit_cost,
-    supply_staircase,
     unit_variable_cost,
 )
-from test_staircase import PROPERTY, fleets
+from test_staircase import PROPERTY, fleets, one_unit
 
 
 def enumerated_value(fleet, y):
@@ -150,6 +149,10 @@ class TestDispatchCommitted:
     def test_infeasible_demand(self, gribik):
         with pytest.raises(InfeasibleError):
             dispatch_committed(gribik, Commitment((1, 0, 0)), 300.0)
+
+    def test_nan_demand_refused(self, gribik):
+        with pytest.raises(ValueError, match="demand must be >= 0, got nan"):
+            dispatch_committed(gribik, Commitment((1, 0, 1)), math.nan)
 
     def test_bad_counts(self, gribik):
         with pytest.raises(ValueError):
@@ -299,6 +302,24 @@ class TestUcpValue:
         assert relaxed_value(fleet, 555.5)[0] <= v < all_on.total_cost
 
     @PROPERTY
+    @given(fleets(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    def test_batch_dispatch_costs_every_commitment_exactly(self, fleet, fractions):
+        # the batch and dispatch_committed fill the one cached merit order,
+        # so every feasible commitment costs the same float either way
+        table = ucp._commitment_table(fleet)
+        demands = [f * fleet.total_capacity for f in fractions] + batch_demands(fleet)
+        ys, commitments = [], []
+        for y in demands:
+            feasible = np.flatnonzero((y >= table.lo) & (y <= table.hi))
+            ys += [y] * feasible.size
+            commitments += feasible.tolist()
+        costs = ucp._dispatch_costs(fleet, table, np.array(ys),
+                                    np.array(commitments, dtype=int))
+        assert costs.tolist() == [
+            dispatch_committed(fleet, Commitment(tuple(table.counts[c])), y).total_cost
+            for y, c in zip(ys, commitments)]
+
+    @PROPERTY
     @given(fleets())
     def test_batch_matches_enumeration(self, fleet):
         demands = batch_demands(fleet)
@@ -430,25 +451,25 @@ class TestRelaxed:
     def test_proportional_spread_beats_full_commit(self, gribik):
         c = by_name(gribik, "C")
         for g in (0.0, 37.5, 100.0, 153.0, 200.0):
-            assert relaxed_unit_cost(c, g) == pytest.approx(70.0 * g, abs=1e-9)
+            assert relaxed_value(one_unit(c), g)[0] == pytest.approx(70.0 * g, abs=1e-9)
 
     def test_full_commitment_endpoint(self, gribik):
-        assert relaxed_unit_cost(by_name(gribik, "B"), 200.0) == \
+        assert relaxed_value(one_unit(by_name(gribik, "B")), 200.0)[0] == \
             pytest.approx(19000.0, abs=1e-9)
 
     def test_zero(self, gribik):
-        assert relaxed_unit_cost(by_name(gribik, "A"), 0.0) == 0.0
+        assert relaxed_value(one_unit(by_name(gribik, "A")), 0.0)[0] == 0.0
 
     def test_out_of_range(self, gribik):
-        with pytest.raises(ValueError):
-            relaxed_unit_cost(by_name(gribik, "A"), 201.0)
+        with pytest.raises(InfeasibleError):
+            relaxed_value(one_unit(by_name(gribik, "A")), 201.0)
 
     def test_against_z_grid_oracle(self, gribik, scarf):
         for fleet in (gribik, scarf):
             for gtype in fleet.types:
                 for frac in (0.15, 0.4, 0.77, 1.0):
                     g = frac * gtype.max_output
-                    got = relaxed_unit_cost(gtype, g)
+                    got = relaxed_value(one_unit(gtype), g)[0]
                     ref = oracles.relaxed_unit_grid(gtype, g)
                     assert got <= ref + 1e-9
                     assert got == pytest.approx(ref, abs=0.02)
@@ -493,7 +514,7 @@ class TestRelaxed:
                                           (CostSegment(40.0 - 10.0 * i, cap),))
                             for i, cap in enumerate(caps)))
         cap_mw = fleet.total_capacity
-        assert supply_staircase(fleet)[1][-1] < cap_mw - FEAS_EPS
+        assert oracles.staircase_tuples(fleet)[1][-1] < cap_mw - FEAS_EPS
         value, price = relaxed_value(fleet, cap_mw)
         assert value == pytest.approx(sum((40.0 - 10.0 * i) * cap
                                           for i, cap in enumerate(caps)))

@@ -69,6 +69,11 @@ class TestSettleErrors:
         with pytest.raises(ValueError):
             settle_hour(gribik, gribik_model, mean_profile, 0, 0.0)
 
+    def test_nan_price(self, gribik, gribik_model, mean_profile):
+        # refused as a price, before any demand is computed from it
+        with pytest.raises(ValueError, match="price must be > 0, got nan"):
+            settle_hour(gribik, gribik_model, mean_profile, 0, math.nan)
+
     def test_demand_beyond_capacity(self, gribik):
         model = DemandModel(a=1.0, mu1=1.0, mu2=0.0, nu=0.01)
         profile = DayProfile((70000.0,) * 24)
