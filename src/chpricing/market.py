@@ -11,7 +11,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from . import _noise
 
 __all__ = [
     "DemandModel",
@@ -84,8 +84,16 @@ class DayProfile:
             raise ValueError(f"base_demand needs {HOURS} values, got {len(self.base_demand)}")
         if len(self.noise) != HOURS:
             raise ValueError(f"noise needs {HOURS} values, got {len(self.noise)}")
-        if any(x <= 0 for x in self.base_demand):
-            raise ValueError("base_demand values must be > 0")
+        for t, (d1, delta) in enumerate(zip(self.base_demand, self.noise)):
+            _check_base_demand(t, d1)
+            # 1 + delta scales the elastic share, which must stay >= 0
+            if not -1.0 <= delta < math.inf:
+                raise ValueError(f"noise at hour {t} must be finite and >= -1, got {delta}")
+
+
+def _check_base_demand(t: int, d1: float) -> None:
+    if not 0.0 < d1 < math.inf:
+        raise ValueError(f"base demand at hour {t} must be finite and > 0, got {d1}")
 
 
 def _check_hour(t: int) -> None:
@@ -151,6 +159,7 @@ def load_profile(document: str) -> DayProfile:
             continue
         try:
             hour, d1 = int(row[0]), float(row[1])
+            _check_base_demand(hour, d1)
         except (IndexError, ValueError) as exc:
             raise ValueError(f"bad profile row {row!r}: {exc}") from exc
         if hour in values:
@@ -205,8 +214,9 @@ def sample_noise(seed: int) -> tuple[float, ...]:
 
     The per-hour substream makes the draws independent of evaluation
     order, so parallel runs reproduce the sequential ones bit for bit.
+    Each draw is numpy's ``default_rng([seed, t]).normal(0, NOISE_SD)``,
+    computed by chpricing's own copy of that stream (``_noise``), which
+    does not change with the numpy version.
     """
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-    return tuple(
-        float(np.random.default_rng([seed, t]).normal(0.0, NOISE_SD))
-        for t in range(HOURS))
+    return tuple(_noise.normal([seed, t], NOISE_SD) for t in range(HOURS))

@@ -378,9 +378,8 @@ def ucp_value(fleet: Fleet, y: float) -> tuple[float, Dispatch]:
     InfeasibleError when no commitment covers y, and ValueError when the
     table would exceed MAX_TABLE_CELLS.
     """
-    if y < -FEAS_EPS or y > fleet.total_capacity + FEAS_EPS:
-        raise InfeasibleError(
-            f"demand {y} outside feasible range [0, {fleet.total_capacity}] MW")
+    if not -FEAS_EPS <= y <= fleet.total_capacity + FEAS_EPS:  # NaN included
+        raise _outside(fleet, y)
     table = _commitment_table(fleet)
     candidates = np.flatnonzero(_near_minimal(table, np.float64(y)))
     if not candidates.size:
@@ -397,7 +396,8 @@ def ucp_values(fleet: Fleet, demands) -> np.ndarray:
     """Exact unit commitment cost at each of a 1-D sequence of demands.
 
     The batched ucp_value: each value is the float ucp_value returns, and
-    +inf where ucp_value raises InfeasibleError.  Demands go through the
+    +inf where ucp_value raises InfeasibleError; the first NaN demand
+    raises InfeasibleError, as in ucp_value.  Demands go through the
     commitment table in chunks of at most BATCH_CELLS working values; the
     candidates _near_minimal keeps are costed exactly in one vectorised
     pass (_dispatch_costs) and each demand takes the least, which is the
@@ -406,6 +406,9 @@ def ucp_values(fleet: Fleet, demands) -> np.ndarray:
     """
     table = _commitment_table(fleet)
     ys = np.asarray(demands, dtype=float)
+    nan = np.isnan(ys)
+    if nan.any():
+        raise _outside(fleet, float(ys[nan.argmax()]))
     values = np.full(ys.shape, np.inf)
     if not ys.size:
         return values
@@ -551,6 +554,11 @@ def relaxed_blocks(gtype: GeneratorType) -> tuple[tuple[float, float], ...]:
     return tuple(blocks)
 
 
+def _outside(fleet: Fleet, y: float) -> InfeasibleError:
+    return InfeasibleError(
+        f"demand {y} outside feasible range [0, {fleet.total_capacity}] MW")
+
+
 def _locate(fleet: Fleet, demands
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Where demands sit on the staircase: (clamped demands, reach, above, cost).
@@ -566,9 +574,7 @@ def _locate(fleet: Fleet, demands
     ys = np.asarray(demands, dtype=float)
     inside = (ys >= -FEAS_EPS) & (ys <= capacity + FEAS_EPS)
     if not inside.all():
-        raise InfeasibleError(
-            f"demand {float(ys.flat[inside.argmin()])} outside feasible range "
-            f"[0, {capacity}] MW")
+        raise _outside(fleet, float(ys.flat[inside.argmin()]))
     ys = ys.clip(0.0, capacity)
     # searching below the top step caps the reaching step at the top one:
     # the staircase sums capacity in merit order, so its top can round

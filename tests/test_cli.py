@@ -154,8 +154,8 @@ class TestDeterminism:
         assert done.stdout.strip() == "False"
 
     def test_package_import_stays_lean(self):
-        # set-up time: the noise generator and the worker pool are imported
-        # only when a run draws noise or starts workers
+        # set-up time: the worker pool is imported only when a run starts
+        # workers, and numpy.random never (the noise is chpricing._noise)
         code = ("import sys, chpricing; "
                 "print(sorted(m for m in ('numpy.random', 'concurrent.futures') "
                 "if m in sys.modules))")
@@ -673,6 +673,19 @@ class TestErrorPaths:
                        "--a", "3.9e4", "--nu", "0.01", "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: B: segments[0]: capacity must be a number")
+
+    def test_nan_profile_row_is_refused(self, tmp_path, capsys):
+        # unchecked, the day ran until settlement failed on "utility
+        # undefined at demand nan <= inelastic floor nan"
+        profile = tmp_path / "day.csv"
+        profile.write_text("hour,d1\n" + "".join(
+            f"{t},{'nan' if t == 5 else 41086.7}\n" for t in range(24)))
+        assert run_cli("run", "--fleet", "gribik", "--method", "chp-exact",
+                       "--profile", str(profile), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            "error: bad profile row ['5', 'nan']: base demand at hour 5 "
+            "must be finite and > 0, got nan\n")
+        assert not (tmp_path / "out").exists()
 
     def test_infinite_demand_parameter(self, tmp_path, capsys):
         assert run_cli("run", "--fleet", "gribik", "--method", "chp-exact",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from chpricing import (
     hull_value,
     ucp_value,
     uplift,
+    uplifts,
 )
 
 
@@ -111,6 +114,12 @@ class TestUplift:
                 for y in np.arange(0.0, fleet.total_capacity + 1e-9, ystep):
                     assert uplift(fleet, float(p), float(y)) >= -1e-9 * max(
                         1.0, abs(ucp_value(fleet, float(y))[0]))
+
+
+    def test_batch_refuses_nan_demand(self, gribik):
+        with pytest.raises(InfeasibleError,
+                           match=r"^demand nan outside feasible range \[0, 600.0\] MW$"):
+            uplifts(gribik, [90.0, 95.0], [300.0, math.nan])
 
 
 class TestHullProperties:

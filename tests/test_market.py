@@ -1,8 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from chpricing import (
@@ -17,9 +23,11 @@ from chpricing import (
     sample_noise,
     synthetic_profile,
 )
+from chpricing import _noise
 from chpricing.market import PROFILE_HIGH, PROFILE_LOW, PROFILE_MEAN
 
 MEAN_D1 = 41086.7
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestConsumerBestResponse:
@@ -143,6 +151,34 @@ class TestProfiles:
         with pytest.raises(ValueError):
             load_profile(doc)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_demand_names_the_row(self, value):
+        doc = "hour,d1\n" + "".join(
+            f"{t},{value if t == 5 else 100.0}\n" for t in range(24))
+        with pytest.raises(ValueError) as err:
+            load_profile(doc)
+        assert str(err.value) == (
+            f"bad profile row ['5', '{value}']: base demand at hour 5 "
+            f"must be finite and > 0, got {float(value)}")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_base_demand_refused(self, value):
+        base = (100.0,) * 7 + (value,) + (100.0,) * 16
+        with pytest.raises(ValueError, match=(
+                f"^base demand at hour 7 must be finite and > 0, got {value}$")):
+            DayProfile(base)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.5])
+    def test_bad_noise_refused(self, value):
+        # 1 + noise scales the elastic share, so noise below -1 turns it negative
+        noise = (0.0,) * 11 + (value,) + (0.0,) * 12
+        with pytest.raises(ValueError, match=(
+                f"^noise at hour 11 must be finite and >= -1, got {value}$")):
+            DayProfile((100.0,) * 24, noise)
+
+    def test_noise_of_minus_one_accepted(self):
+        assert DayProfile((100.0,) * 24, (-1.0,) * 24).noise == (-1.0,) * 24
+
     def test_bad_header(self):
         with pytest.raises(ValueError):
             load_profile("t,load\n" + "".join(f"{t},1.0\n" for t in range(24)))
@@ -232,3 +268,66 @@ class TestSampleNoise:
             DemandModel(a=1.0, mu1=0.8, mu2=0.2, nu=0.0)
         with pytest.raises(ValueError):
             DemandModel(a=1.0, mu1=-0.1, mu2=0.2, nu=0.01)
+
+
+def numpy_noise(seed):
+    """The reference: numpy's own default_rng([seed, t]).normal(0, 0.01)."""
+    seed &= 2**64 - 1
+    return tuple(float(np.random.default_rng([seed, t]).normal(0.0, 0.01))
+                 for t in range(24))
+
+
+class TestNoiseStream:
+    """_noise reproduces numpy's default_rng([seed, t]).normal bit for bit."""
+
+    SEEDS = [*range(2000), 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, -1, -2**63]
+
+    def test_matches_numpy(self):
+        for seed in self.SEEDS:
+            assert sample_noise(seed) == numpy_noise(seed), seed
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**64 - 1))
+    def test_matches_numpy_on_any_seed(self, seed):
+        assert sample_noise(seed) == numpy_noise(seed)
+
+    def test_long_stream_matches_numpy(self):
+        # 200,000 draws take the ziggurat's wedge and tail branches as well
+        # as its fast path; the next raw word shows both streams read the
+        # same number of words
+        count = 200_000
+        rng = np.random.default_rng([7, 3])
+        expected = rng.standard_normal(count).tolist()
+        bits = _noise.pcg64([7, 3])
+        assert [_noise.standard_normal(bits) for _ in range(count)] == expected
+        assert next(bits) == int(rng.bit_generator.random_raw())
+        assert max(map(abs, expected)) > _noise._NOR_R
+
+    def test_entropy_beyond_the_pool_refused(self):
+        # [seed, t] is at most three uint32 words; five would need the
+        # mixing numpy does past the pool, which _noise does not copy
+        with pytest.raises(ValueError, match="entropy of 5 uint32 words"):
+            next(_noise.pcg64([2**64, 2**32]))
+
+    def test_run_never_imports_numpy_random(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from chpricing.cli import main\n"
+            "out = sys.argv[1]\n"
+            "for method in ('chp-subgradient', 'chp-exact', 'lmp', 'dispatchable'):\n"
+            "    assert main(['run', '--fleet', 'gribik', '--method', method,\n"
+            "                 '--iters', '5', '--out', out]) == 0\n"
+            "assert main(['curves', '--fleet', 'gribik', '--out', out]) == 0\n"
+            "assert main(['uplift-curve', '--fleet', 'gribik', '--rule', 'chp',\n"
+            "             '--out', out]) == 0\n"
+            "print('numpy.random' in sys.modules)\n")
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+            timeout=120, check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert done.stdout.splitlines()[-1] == "False"
+
+    def test_tables_match_installed_numpy(self):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "ziggurat_tables.py"), "--check"],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

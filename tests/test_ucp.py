@@ -218,6 +218,12 @@ class TestUcpValue:
         with pytest.raises(InfeasibleError):
             ucp_value(gribik, 600.5)
 
+    def test_nan_demand_refused(self, gribik):
+        # NaN fails every comparison, so it must not pass the range check
+        with pytest.raises(InfeasibleError,
+                           match=r"^demand nan outside feasible range \[0, 600.0\] MW$"):
+            ucp_value(gribik, math.nan)
+
     def test_full_grid_against_enumeration_oracle(self, gribik):
         grid = oracles.fleet_value_grid(gribik, 1.0)
         for i in range(grid.size):
@@ -370,6 +376,12 @@ class TestUcpValue:
 
     def test_batch_of_no_demands(self, gribik):
         assert ucp_values(gribik, []).shape == (0,)
+
+    def test_batch_refuses_nan_demand(self, gribik):
+        # unguarded, the feasibility mask reads NaN as uncoverable: +inf
+        with pytest.raises(InfeasibleError,
+                           match=r"^demand nan outside feasible range \[0, 600.0\] MW$"):
+            ucp_values(gribik, [100.0, math.nan, 700.0])
 
     def test_reduced_scarf_against_enumeration_oracle(self, scarf):
         small = oracles.reduced_scarf(scarf)
