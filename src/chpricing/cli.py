@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -21,13 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .fleet import Fleet, FleetValidationError, builtin_fleet, load_fleet
-from .hull import chp_fixed_demand, default_price_cap, uplifts
+from .hull import chp_fixed_demand, uplifts
 from .market import (
     HOURS,
     DayProfile,
     DemandModel,
     default_profile,
-    hourly_demand,
     hourly_utility,
     inelastic_share,
     load_profile,
@@ -40,23 +39,19 @@ from .pricing import (
     HarmonicStep,
     PricedHours,
     check_loop_args,
-    dispatchable_equilibrium,
     dispatchable_price,
-    exact_dual,
     price_hours,
 )
 from .ucp import (
     MAX_GRID_POINTS,
     InfeasibleError,
     QuadraticCost,
-    conjugate,
-    fleet_supply,
     no_startup_values,
     quadratic_fit,
     relaxed_value,
     ucp_values,
 )
-from .welfare import HourResult, settle_hour, summarize_day
+from .welfare import HourResult, hour_result, summarize_day
 
 __all__ = ["ExperimentConfig", "run_experiment", "emit_cost_curves",
            "emit_uplift_curves", "main", "FIXTURE_DEFAULTS"]
@@ -69,10 +64,12 @@ FIXTURE_DEFAULTS = {
                   lambda0=10.0, step_coef=0.01, n_iters=100),
 }
 
+# HourResult's fields, then the hour's status
 HOURS_COLUMNS = ("t", "price", "demand", "cost", "uplift", "utility_gross",
                  "utility_net", "profit", "welfare", "status")
 TRACE_COLUMNS = ("t", "k", "price", "demand", "supply", "step", "dual_value",
                  "uplift", "elapsed_s")
+# DaySummary's fields, then the settled-hour count
 SUMMARY_COLUMNS = ("price_min", "price_mean", "price_max", "total_demand",
                    "total_utility_gross", "total_utility_net", "total_profit",
                    "total_welfare", "total_uplift", "settled_hours")
@@ -133,70 +130,40 @@ def _reprs(values: list[float]) -> list[str]:
 
 
 def _trace_lines(priced: PricedHours) -> list[str]:
-    """trace.csv lines of a price loop's hours, each cell the repr of its float."""
+    """trace.csv lines of the priced hours, each cell the repr of its float."""
     steps, clocks = _reprs(priced.step.tolist()), _reprs(priced.elapsed_s.tolist())
     per_hour = zip(*([_reprs(hour) for hour in column.T.tolist()] for column in (
         priced.price, priced.demand, priced.supply, priced.dual_value, priced.uplift)))
     return [f"{t},{k},{price},{demand},{supply},{step},{phi},{up},{clock}"
             for t, columns in zip(priced.hours, per_hour)
             for k, (price, demand, supply, phi, up, step, clock)
-            in enumerate(zip(*columns, steps, clocks), 1)]
+            in enumerate(zip(*columns, steps, clocks), priced.first_k)]
 
 
 def _run_hours(hours, fleet: Fleet, model: DemandModel, profile: DayProfile,
                method: str, lambda0: float, n_iters: int,
                step_rule: HarmonicStep | None, quad: QuadraticCost | None
                ) -> tuple[list[str], list[str], list[HourResult]]:
-    """Price the hours with the method and settle each once at its final price.
+    """Price the hours with the method and settle each at its final row.
 
-    Returns their trace.csv and hours.csv lines and the settled hours.  The
-    iterative methods price all the hours in one array loop.  A closed-form
-    hour's trace is one k=0 line, billed the settlement's uplift, or inf
-    like an uncoverable iterate of the loops; an hour without a crossing
-    (demand above supply at every price) is written at the price cap.  An
-    hour is infeasible when no commitment covers its cleared demand.
+    Returns their trace.csv and hours.csv lines and the settled hours; an
+    hour whose final demand no commitment covers (cost inf) is infeasible.
     """
-    if method in ITERATIVE_METHODS:
-        priced = price_hours(method, fleet, model, profile, hours, lambda0, n_iters,
-                             step_rule, quad)
-        trace_lines = _trace_lines(priced)
-        finals = zip(priced.hours, priced.price[-1].tolist(), priced.demand[-1].tolist())
-    else:
-        closed_form = exact_dual if method == "chp_exact" else dispatchable_equilibrium
-        trace_lines, finals = [], []
-        for t in hours:
-            try:
-                price, demand = closed_form(fleet, model, profile, t)
-            except InfeasibleError:
-                price = default_price_cap(fleet)
-                demand = hourly_demand(model, profile, t, price)
-            finals.append((t, price, demand))
-        prices = [price for _t, price, _demand in finals]
-        responses = zip(fleet_supply(fleet, prices).tolist(),
-                        conjugate(fleet, prices).tolist())
+    priced = price_hours(method, fleet, model, profile, hours, lambda0, n_iters,
+                         step_rule, quad)
     hour_lines, settled = [], []
-    for t, price, demand in finals:
-        try:
-            result = settle_hour(fleet, model, profile, t, price)
-        except InfeasibleError:
-            result = None
-        if method not in ITERATIVE_METHODS:
-            # the k=0 row: dual_value's phi, in its operation order
-            supply, profit = next(responses)
-            phi = hourly_utility(model, profile, t, demand) - price * demand + profit
-            up = math.inf if result is None else result.uplift
-            trace_lines.append(f"{t},0," + ",".join(
-                map(_fmt, (price, demand, supply, 0.0, phi, up, 0.0))))
-        if result is None:
+    finals = (column[-1].tolist() for column in (
+        priced.price, priced.demand, priced.cost, priced.uplift))
+    for t, price, demand, cost, up in zip(priced.hours, *finals):
+        if cost == math.inf:
             cells = [_fmt(price), _fmt(demand)] + [""] * 6 + ["infeasible"]
         else:
+            result = hour_result(t, price, demand, cost, up,
+                                 hourly_utility(model, profile, t, demand))
             settled.append(result)
-            cells = [_fmt(x) for x in (
-                result.price, result.demand, result.supply_cost, result.uplift,
-                result.utility_gross, result.utility_net, result.supplier_profit,
-                result.social_welfare)] + ["ok"]
+            cells = [_fmt(x) for x in astuple(result)[1:]] + ["ok"]
         hour_lines.append(",".join([str(t)] + cells))
-    return trace_lines, hour_lines, settled
+    return _trace_lines(priced), hour_lines, settled
 
 
 def _fmt(x: float) -> str:
@@ -236,12 +203,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
                                         for part in zip(*outcomes))
 
     if len(settled) == HOURS:
-        s = summarize_day(settled)
-        summary_row = [_fmt(s.price_min), _fmt(s.price_mean), _fmt(s.price_max),
-                       _fmt(s.total_demand), _fmt(s.total_utility_gross),
-                       _fmt(s.total_utility_net), _fmt(s.total_supplier_profit),
-                       _fmt(s.total_social_welfare), _fmt(s.total_uplift),
-                       str(HOURS)]
+        summary_row = [_fmt(x) for x in astuple(summarize_day(settled))] + [str(HOURS)]
     else:
         # a broken day gets no aggregates, only the settled-hour count
         summary_row = [""] * 9 + [str(len(settled))]
@@ -295,8 +257,8 @@ def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
     are cut from one.  Cells that are undefined (utility at or below the
     inelastic floor) are left empty.
     """
-    quad = quadratic_fit(fleet)
     grid = _demand_grid(fleet.total_capacity, grid_step)
+    quad = quadratic_fit(fleet)
     values = ucp_values(fleet, grid)
     _require_feasible(grid, values)
     no_startup = no_startup_values(fleet, grid)

@@ -126,12 +126,14 @@ def uplift(fleet: Fleet, price: float, y: float) -> float:
     return conjugate(fleet, price) - (price * y - value)
 
 
-def uplifts(fleet: Fleet, prices, demands) -> np.ndarray:
+def uplifts(fleet: Fleet, prices, demands, values=None) -> np.ndarray:
     """uplift at each (price, demand) pair, from one batched v (ucp_values).
 
     Each value is the float uplift returns; a demand that no commitment
-    covers, where uplift raises InfeasibleError, gets +inf.
+    covers, where uplift raises InfeasibleError, gets +inf.  A caller that
+    has already costed the demands passes v there as values.
     """
     prices = np.asarray(prices, dtype=float)
     demands = np.asarray(demands, dtype=float)
-    return conjugate(fleet, prices) - (prices * demands - ucp_values(fleet, demands))
+    return conjugate(fleet, prices) - (
+        prices * demands - (ucp_values(fleet, demands) if values is None else values))

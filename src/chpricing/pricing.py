@@ -18,7 +18,7 @@ from .fleet import Fleet
 from .hull import default_price_cap, uplifts
 from .market import DayProfile, DemandModel, demand_terms, hourly_demand, hourly_utility
 from .ucp import (InfeasibleError, QuadraticCost, _staircase, conjugate, fleet_supply,
-                  relaxed_value)
+                  relaxed_value, ucp_values)
 
 __all__ = [
     "PRICE_FLOOR",
@@ -118,54 +118,67 @@ def dual_value(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
 
 @dataclass(frozen=True)
 class PricedHours:
-    """A price loop's iterates for several hours, as (n_iters, hours) columns.
+    """A method's rows for several hours, as (rows, hours) columns.
 
-    Row k - 1 is round k and column j is hours[j].  Every hour takes the
-    same step, and the loop's one clock times them all.
+    Column j is hours[j].  Row k - 1 is a price loop's round k, one step
+    and one clock for all the hours; a closed-form method's one row is
+    k = 0, with step and clock 0.  cost is v at each row's demand; it and
+    uplift are inf where no commitment covers the demand.
     """
 
     method: str
     hours: tuple[int, ...]
-    step: np.ndarray       # (n_iters,)
-    elapsed_s: np.ndarray  # (n_iters,) wall clock since loop start
+    step: np.ndarray       # (rows,)
+    elapsed_s: np.ndarray  # (rows,) wall clock since loop start
     price: np.ndarray
     demand: np.ndarray
     supply: np.ndarray
     dual_value: np.ndarray
+    cost: np.ndarray
     uplift: np.ndarray
+
+    @property
+    def first_k(self) -> int:
+        """The number of the first row: round 1 of a loop, 0 if closed-form."""
+        return 1 if self.method in ITERATIVE_METHODS else 0
 
     def trace(self, j: int) -> PricingTrace:
         """The iterate records of hours[j]."""
         columns = (self.price[:, j], self.demand[:, j], self.supply[:, j], self.step,
                    self.dual_value[:, j], self.uplift[:, j], self.elapsed_s)
         rows = zip(*(column.tolist() for column in columns))
-        records = tuple(IterateRecord(k, *row) for k, row in enumerate(rows, 1))
+        records = tuple(IterateRecord(k, *row) for k, row in enumerate(rows, self.first_k))
         return PricingTrace(self.method, records, records[-1].price, records[-1].demand)
 
 
+def _crossing_price(fleet: Fleet, model: DemandModel, profile: DayProfile,
+                    t: int) -> float:
+    """exact_dual's price, or the price cap for an hour without a crossing."""
+    try:
+        return exact_dual(fleet, model, profile, t)[0]
+    except InfeasibleError:
+        return default_price_cap(fleet)
+
+
 def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfile,
-                hours, price0: float, n_iters: int, step_rule: HarmonicStep,
+                hours, price0: float, n_iters: int, step_rule: HarmonicStep | None,
                 quad: QuadraticCost | None = None) -> PricedHours:
-    """An iterative method's price loop, for several hours at once.
+    """A method's rows for several hours at once, costed and billed.
 
-    The suppliers respond off the fleet's staircase (chp_subgradient) or
-    the quadratic model quad (lmp).  Each round p_k = p_{k-1} - gamma_k *
-    (supply - demand), clamped to the floor, for the vector of hours;
-    after n_iters rounds the final prices are accepted.  Each hour keeps
-    its demand floor, elastic share and noise, fixed before the loop, and
-    the float operations of hourly_demand and hourly_utility, so it prices
-    as it would alone.  Uplift is billed against the fleet, inf where
-    demand is infeasible, for every iterate in one batch after the loop;
-    elapsed_s excludes that time.
+    A price loop (chp_subgradient: supply off the fleet's staircase; lmp:
+    off the quadratic model quad) takes n_iters rounds p_k = p_{k-1} -
+    gamma_k * (supply - demand) from price0, clamped to the floor.  A
+    closed-form method takes one row at exact_dual's price, or at the
+    price cap where there is no crossing, and reads no price0, n_iters or
+    step_rule.  Each hour keeps the float operations of hourly_demand and
+    hourly_utility, so it prices as it would alone.  Every row's demand is
+    costed (ucp_values) and billed against the fleet in one batch after
+    the loop; elapsed_s excludes that time.
     """
-    check_loop_args(price0, n_iters)
-    if method not in ITERATIVE_METHODS:
-        raise ValueError(f"method must be one of {ITERATIVE_METHODS}, got {method}")
-
-    def respond(prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if method == "lmp":
-            return quad.supply(prices), quad.conjugate(prices)
-        return fleet_supply(fleet, prices), conjugate(fleet, prices)
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method}")
+    if method in ITERATIVE_METHODS:
+        check_loop_args(price0, n_iters)
 
     hours = tuple(hours)
     floor, coef = np.array([demand_terms(model, profile, t) for t in hours]).reshape(-1, 2).T
@@ -181,22 +194,31 @@ def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfi
         return np.where(inelastic, model.utility_constant,
                         coef * logs + model.utility_constant)
 
-    start = time.perf_counter()
-    price = np.full(len(hours), float(price0))
-    demand = floor + share * (model.a / price)
-    supply, _profit = respond(price)
-    rounds = []
-    for k in range(1, n_iters + 1):
-        step = step_rule(k)
-        price = np.maximum(price - step * (supply - demand), PRICE_FLOOR)
+    def respond(price: np.ndarray) -> tuple[np.ndarray, ...]:
         demand = floor + share * (model.a / price)
-        supply, profit = respond(price)
-        phi = utility(demand) - price * demand + profit
-        rounds.append((step, time.perf_counter() - start, price, demand, supply, phi))
-    steps, elapsed, *columns = (np.array(column) for column in zip(*rounds))
-    billed = uplifts(fleet, columns[0].ravel(), columns[1].ravel())
-    return PricedHours(method, hours, steps, elapsed, *columns,
-                       billed.reshape(columns[0].shape))
+        if method == "lmp":
+            supply, profit = quad.supply(price), quad.conjugate(price)
+        else:
+            supply, profit = fleet_supply(fleet, price), conjugate(fleet, price)
+        return demand, supply, utility(demand) - price * demand + profit
+
+    start = time.perf_counter()
+    if method not in ITERATIVE_METHODS:
+        price = np.array([_crossing_price(fleet, model, profile, t) for t in hours])
+        rounds = [(0.0, 0.0, price, *respond(price))]
+    else:
+        price = np.full(len(hours), float(price0))
+        demand, supply, _phi = respond(price)
+        rounds = []
+        for k in range(1, n_iters + 1):
+            step = step_rule(k)
+            price = np.maximum(price - step * (supply - demand), PRICE_FLOOR)
+            demand, supply, phi = respond(price)
+            rounds.append((step, time.perf_counter() - start, price, demand, supply, phi))
+    steps, elapsed, price, demand, supply, phi = (np.array(c) for c in zip(*rounds))
+    cost = ucp_values(fleet, demand.ravel()).reshape(demand.shape)
+    return PricedHours(method, hours, steps, elapsed, price, demand, supply, phi, cost,
+                       uplifts(fleet, price, demand, cost))
 
 
 def run_subgradient(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 from .fleet import Fleet
 from .market import DayProfile, DemandModel, hourly_demand, hourly_utility
-from .ucp import FEAS_EPS, InfeasibleError, conjugate, ucp_value
+from .ucp import conjugate, ucp_value
 
-__all__ = ["HourResult", "DaySummary", "settle_hour", "summarize_day"]
+__all__ = ["HourResult", "DaySummary", "settle_hour", "hour_result", "summarize_day"]
 
 
 @dataclass(frozen=True)
@@ -51,29 +51,34 @@ def settle_hour(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
     """Settle hour t at a posted price.
 
     Demand follows the consumer best response; supply cost is the exact
-    commitment cost of serving it.  Raises InfeasibleError when the
-    demand exceeds fleet capacity, so the caller can mark the hour
-    instead of losing the day.
+    commitment cost of serving it.  Raises InfeasibleError when no
+    commitment covers the demand, above capacity or inside a gap between
+    minimum outputs, so the caller can mark the hour instead of losing
+    the day.
     """
     if not price > 0:
         raise ValueError(f"settlement price must be > 0, got {price}")
     demand = hourly_demand(model, profile, t, price)
-    if demand > fleet.total_capacity + FEAS_EPS:
-        raise InfeasibleError(
-            f"hour {t}: demand {demand} MW exceeds capacity {fleet.total_capacity} MW")
     cost, _dispatch = ucp_value(fleet, demand)
+    return hour_result(t, price, demand, cost,
+                       conjugate(fleet, price) - (price * demand - cost),
+                       hourly_utility(model, profile, t, demand))
+
+
+def hour_result(t: int, price: float, demand: float, cost: float, uplift: float,
+                utility_gross: float) -> HourResult:
+    """The settlement of an hour cleared at (price, demand) and costing cost."""
     revenue = price * demand
-    gross = hourly_utility(model, profile, t, demand)
     return HourResult(
         t=t,
         price=price,
         demand=demand,
         supply_cost=cost,
-        uplift=conjugate(fleet, price) - (revenue - cost),
-        utility_gross=gross,
-        utility_net=gross - revenue,
+        uplift=uplift,
+        utility_gross=utility_gross,
+        utility_net=utility_gross - revenue,
         supplier_profit=revenue - cost,
-        social_welfare=gross - cost,
+        social_welfare=utility_gross - cost,
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 import chpricing as ch
 from chpricing import cli
 from chpricing.cli import main
-from chpricing.pricing import PRICE_FLOOR
+from chpricing.pricing import PRICE_FLOOR, price_hours
 
 
 def run_cli(*argv):
@@ -42,6 +42,25 @@ def gap_fleet_file(tmp_path):
     path = tmp_path / "gap.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def record_calls(monkeypatch, module_name, name):
+    """Route every chpricing binding of module.name through a recorder.
+
+    Returns the list the recorder appends each call's positional arguments to.
+    """
+    original = getattr(sys.modules[module_name], name)
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("chpricing") and \
+                getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, recorder)
+    return calls
 
 
 class RecordingPool:
@@ -127,12 +146,30 @@ class TestDeterminism:
         # trace matches except the wall-clock column
         assert strip_elapsed(a / "trace.csv") == strip_elapsed(b / "trace.csv")
 
-    def test_parallel_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize("fleet, method", [
+        ("gribik", "chp-subgradient"), ("gribik", "chp-exact"),
+        ("gribik", "dispatchable"), ("scarf", "lmp")])
+    def test_parallel_matches_serial(self, fleet, method, tmp_path):
+        # closed-form hours are priced inside the pool's chunks too
+        args = ("run", "--fleet", fleet, "--method", method, "--iters", "20")
         a, b = tmp_path / "serial", tmp_path / "par"
-        assert run_cli(*self.ARGS, "--out", str(a)) == 0
-        assert run_cli(*self.ARGS, "--out", str(b), "--jobs", "3") == 0
-        assert (a / "hours.csv").read_bytes() == (b / "hours.csv").read_bytes()
+        assert run_cli(*args, "--out", str(a)) == 0
+        assert run_cli(*args, "--out", str(b), "--jobs", "3") == 0
+        for name in ("hours.csv", "summary.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
         assert strip_elapsed(a / "trace.csv") == strip_elapsed(b / "trace.csv")
+
+    def test_module_entry_point(self, tmp_path):
+        # python3 -m chpricing runs the same command line as the console script
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ch.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "chpricing", "run", "--fleet", "gribik",
+             "--method", "chp-exact", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.split() == [str(tmp_path / f"{name}.csv")
+                                       for name in ("hours", "trace", "summary")]
 
     @pytest.mark.parametrize("jobs", ["2", "5", "24", "25", "100000"])
     def test_pool_has_at_most_one_worker_per_hour(self, tmp_path, monkeypatch, jobs):
@@ -307,6 +344,34 @@ class TestRunMethods:
         prices = {dict(zip(header, r))["price"] for r in rows}
         assert len(prices) == 1
         assert float(prices.pop()) == pytest.approx(95.0, abs=1e-6)
+
+
+class TestOneCostBatchPerWorker:
+    """A day costs all its rows' demands in one ucp_values batch per worker,
+    and settles every hour from its final row: no single-demand ucp_value and
+    no settle_hour."""
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("fleet, method, rows", [
+        ("gribik", "chp-subgradient", 5), ("gribik", "chp-exact", 1),
+        ("gribik", "dispatchable", 1), ("scarf", "lmp", 5)])
+    def test_day(self, fleet, method, rows, jobs, tmp_path, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "created", [])
+        batches = record_calls(monkeypatch, "chpricing.ucp", "ucp_values")
+        singles = record_calls(monkeypatch, "chpricing.ucp", "ucp_value")
+        settles = record_calls(monkeypatch, "chpricing.welfare", "settle_hour")
+        assert run_cli("run", "--fleet", fleet, "--method", method, "--iters", "5",
+                       "--jobs", str(jobs), "--out", str(tmp_path)) == 0
+        day_fleet = ch.builtin_fleet(fleet)
+        sizes = [len(demands) for batch_fleet, demands in batches
+                 if batch_fleet == day_fleet]
+        assert sizes == [rows * 24 // jobs] * jobs
+        # the rest is the quadratic fit's one batch, on the startup-free fleet
+        assert len(batches) - len(sizes) == (1 if method == "lmp" else 0)
+        assert singles == [] and settles == []
+        _, settled = read_rows(tmp_path / "summary.csv")
+        assert settled[0][-1] == "24"
 
 
 class TestCustomFleetFile:
@@ -564,14 +629,19 @@ def free_fleet_file(tmp_path):
     return path
 
 
-def per_hour_trace_rows(config):
-    """A closed-form day's trace.csv rows built hour by hour: the price as
-    _run_hours finds it, phi from dual_value, the supply read at the price
-    and the uplift from settle_hour (inf where the hour does not settle)."""
-    fleet = cli._resolve_fleet(config.fleet)
+def day_inputs(config):
+    """The fleet, demand model and profile that run_experiment builds."""
     model = ch.DemandModel(a=config.a, mu1=config.mu1, mu2=config.mu2, nu=config.nu,
                            utility_constant=config.utility_constant)
-    profile = cli._resolve_profile(config)
+    return cli._resolve_fleet(config.fleet), model, cli._resolve_profile(config)
+
+
+def per_hour_trace_rows(config):
+    """A closed-form day's trace.csv rows built hour by hour: the closed-form
+    price (the price cap without a crossing), phi from dual_value, the supply
+    read at the price and the uplift from settle_hour (inf where the hour
+    does not settle)."""
+    fleet, model, profile = day_inputs(config)
     closed_form = ch.exact_dual if config.method == "chp_exact" \
         else ch.dispatchable_equilibrium
     rows = []
@@ -595,7 +665,8 @@ def per_hour_trace_rows(config):
 
 class TestClosedFormTraceRows:
     """A closed-form day reads supply and profit for all its prices at once;
-    every trace row is the one built hour by hour."""
+    every trace row is the one built hour by hour, and price_hours costs and
+    bills each hour as ucp_value and settle_hour do."""
 
     @pytest.mark.parametrize("method", ["chp_exact", "dispatchable"])
     @pytest.mark.parametrize("name, synthetic", [
@@ -605,25 +676,27 @@ class TestClosedFormTraceRows:
         # different prices
         params = {key: cli.FIXTURE_DEFAULTS[name][key] for key in (
             "a", "mu1", "mu2", "nu", "utility_constant", "lambda0")}
-        rows = self.check(cli.ExperimentConfig(
+        rows, priced = self.check(cli.ExperimentConfig(
             fleet=name, method=method, out_dir=str(tmp_path), n_iters=1, step_coef=None,
             seed=3, synthetic=synthetic, **params))
         assert len({row.split(",")[4] for row in rows}) == 3
+        assert (priced.cost < math.inf).all()
 
     @pytest.mark.parametrize("method", ["chp_exact", "dispatchable"])
     def test_uncoverable_hours(self, method, tmp_path):
         # every hour clears inside the gap fleet's (100, 100.3) MW gap
         profile = tmp_path / "day.csv"
         profile.write_text("hour,d1\n" + "".join(f"{t},100\n" for t in range(24)))
-        rows = self.check(cli.ExperimentConfig(
+        rows, priced = self.check(cli.ExperimentConfig(
             fleet=str(gap_fleet_file(tmp_path)), method=method, out_dir=str(tmp_path),
             a=1040.12, mu1=0.8, mu2=0.2, nu=1.125, utility_constant=0.0, lambda0=100.0,
             n_iters=1, step_coef=None, no_noise=True, profile_path=str(profile)))
         assert all(row.split(",")[7] == "inf" for row in rows)
+        assert priced.cost.tolist() == priced.uplift.tolist() == [[math.inf] * 24]
 
     @pytest.mark.parametrize("method", ["chp_exact", "dispatchable"])
     def test_price_floor(self, method, tmp_path):
-        rows = self.check(cli.ExperimentConfig(
+        rows, _priced = self.check(cli.ExperimentConfig(
             fleet=str(free_fleet_file(tmp_path)), method=method, out_dir=str(tmp_path),
             a=1.0, mu1=0.8, mu2=0.0, nu=0.001, utility_constant=0.0, lambda0=100.0,
             n_iters=1, step_coef=None, no_noise=True))
@@ -634,7 +707,23 @@ class TestClosedFormTraceRows:
         cli.run_experiment(config)
         rows = (Path(config.out_dir) / "trace.csv").read_text().splitlines()[1:]
         assert rows == per_hour_trace_rows(config)
-        return rows
+        fleet, model, profile = day_inputs(config)
+        # a closed-form method reads no start price, round count or step
+        priced = price_hours(config.method, fleet, model, profile, range(24),
+                             math.nan, 0, None)
+        assert priced.price.shape == (1, 24) and priced.first_k == 0
+        rows_k0 = (column[0].tolist() for column in (
+            priced.price, priced.demand, priced.cost, priced.uplift))
+        for t, price, demand, cost, billed in zip(range(24), *rows_k0):
+            try:
+                settled = ch.settle_hour(fleet, model, profile, t, price)
+            except ch.InfeasibleError:
+                assert cost == billed == math.inf
+            else:
+                assert demand == settled.demand
+                assert cost == ch.ucp_value(fleet, demand)[0] == settled.supply_cost
+                assert billed == settled.uplift
+        return rows, priced
 
 
 class TestErrorPaths:
@@ -706,6 +795,14 @@ class TestErrorPaths:
         assert run_cli(*command, "--out", str(tmp_path)) == 1
         assert "MAX_GRID_POINTS = 1000000" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("step", ["0", "1e-14"])
+    def test_refused_curve_step_costs_nothing(self, tmp_path, monkeypatch, step):
+        # the grid is checked before the quadratic fit's 121-demand batch
+        batches = record_calls(monkeypatch, "chpricing.ucp", "ucp_values")
+        assert run_cli("curves", "--fleet", "gribik", "--step-mw", step,
+                       "--out", str(tmp_path)) == 1
+        assert batches == []
 
     def test_grid_at_the_limit_is_built(self):
         grid = cli._demand_grid(1.0, 1.0 / ch.ucp.MAX_GRID_POINTS)

@@ -204,12 +204,30 @@ class TestPriceHours:
             price_hours("chp_subgradient", gribik, gribik_model, day_profile,
                         range(24), 1e300, 1, lambda k: 0.0)
 
+    @pytest.mark.parametrize("method", ["chp_exact", "dispatchable"])
+    def test_closed_form_row(self, method, scarf, scarf_model, day_profile):
+        # one k = 0 row at the exact dual, costed and billed like the loops
+        day = price_hours(method, scarf, scarf_model, day_profile, range(24), 10.0, 3,
+                          HarmonicStep(0.01))
+        assert day.price.shape == (1, 24) and day.first_k == 0
+        assert day.step.tolist() == day.elapsed_s.tolist() == [0.0]
+        for j in range(24):
+            trace = day.trace(j)
+            (record,) = trace.records
+            assert record.k == 0
+            assert (trace.final_price, trace.final_demand) == \
+                ch.exact_dual(scarf, scarf_model, day_profile, j)
+            phi, imbalance = ch.dual_value(scarf, scarf_model, day_profile, j,
+                                           record.price)
+            assert (record.dual_value, record.supply - record.demand) == (phi, imbalance)
+            assert record.uplift == ch.uplift(scarf, record.price, record.demand)
+
     def test_bad_arguments(self, gribik, gribik_model, mean_profile):
         with pytest.raises(ValueError, match="MAX_ITERS"):
             run_subgradient(gribik, gribik_model, mean_profile, 0, 100.0,
                             MAX_ITERS + 1, HarmonicStep(0.1))
         with pytest.raises(ValueError, match="method must be one of"):
-            price_hours("chp_exact", gribik, gribik_model, mean_profile, [0], 100.0,
+            price_hours("newton", gribik, gribik_model, mean_profile, [0], 100.0,
                         1, HarmonicStep(0.1))
         with pytest.raises(ValueError, match="hour index 24"):
             price_hours("chp_subgradient", gribik, gribik_model, mean_profile,
