@@ -9,8 +9,9 @@ LMP-style pricing.
 
 The committed side has one merit order per fleet, cached: each type's
 per-unit capacity free above its minimum output, cheapest first.  It is
-the same for every commitment, so dispatch_committed, the commitment
-table and _dispatch_costs all fill it, each block times its type's count.
+the same for every commitment, so the commitment table and _fill, the
+one merit-order fill behind dispatch_committed, ucp_value and
+ucp_values, read it, each block times its type's count.
 
 The fleet's convex side has one representation: the supply staircase,
 the relaxed blocks of every unit in merit order, with each step's
@@ -25,13 +26,14 @@ price is refused with ValueError, a NaN demand with InfeasibleError.
 
 v comes one demand at a time (ucp_value, with the cheapest Dispatch) or
 for a whole set of demands (ucp_values).  The batch reads the table in
-chunks of demands whose working arrays hold at most BATCH_CELLS values,
-keeps the same near-minimal candidates as ucp_value, and costs them all
-in one vectorised pass that makes dispatch_committed's float operations
-in its order, so both give the same floats.
+chunks of demands whose working arrays hold at most BATCH_CELLS values
+and keeps the same near-minimal candidates as ucp_value; both cost them
+in one _fill pass.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -90,8 +92,13 @@ class Commitment:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
-        if any(n < 0 for n in self.counts):
+        try:
+            counts = tuple(operator.index(n) for n in self.counts)
+        except TypeError:
+            raise ValueError(
+                f"commitment counts must be integers, got {self.counts}") from None
+        object.__setattr__(self, "counts", counts)
+        if any(n < 0 for n in counts):
             raise ValueError(f"commitment counts must be >= 0, got {self.counts}")
 
 
@@ -130,6 +137,10 @@ class QuadraticCost:
     def __post_init__(self) -> None:
         if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
+        if not self.capacity > 0:
+            raise ValueError(f"capacity must be > 0, got {self.capacity}")
 
     def cost(self, y: float) -> float:
         return self.alpha * y * y + self.beta * y
@@ -147,17 +158,21 @@ class QuadraticCost:
 
 def unit_variable_cost(gtype: GeneratorType, g: float) -> float:
     """Variable cost of one unit producing g MW, filling segments in order."""
-    if g < -FEAS_EPS or g > gtype.max_output + FEAS_EPS:
+    if not -FEAS_EPS <= g <= gtype.max_output + FEAS_EPS:  # NaN included
         raise ValueError(
             f"{gtype.name}: output {g} outside [0, {gtype.max_output}]")
-    remaining = min(max(g, 0.0), gtype.max_output)
-    cost = 0.0
+    return float(_variable_costs(gtype, np.float64(g)))
+
+
+def _variable_costs(gtype: GeneratorType, g: np.ndarray) -> np.ndarray:
+    """Variable cost of one unit at every output of g, clamped to [0, max]."""
+    remaining = np.minimum(np.maximum(g, 0.0), gtype.max_output)
+    cost = np.zeros(g.shape)
     for seg in gtype.segments:
-        take = min(remaining, seg.capacity)
+        # once remaining is 0 every take is 0 and changes no sum
+        take = np.minimum(remaining, seg.capacity)
         cost += take * seg.marginal_cost
         remaining -= take
-        if remaining <= 0.0:
-            break
     return cost
 
 
@@ -193,48 +208,59 @@ def _merit_order(fleet: Fleet) -> tuple[tuple[float, int, float], ...]:
     return tuple(blocks)
 
 
-def dispatch_committed(fleet: Fleet, commitment: Commitment, y: float) -> Dispatch:
-    """Cheapest dispatch of a fixed commitment meeting total output y.
+def _fill(fleet: Fleet, counts: np.ndarray, floor: np.ndarray, ys: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Cheapest dispatch of each commitment counts[k] (a row) at demand ys[k].
 
-    Every committed unit first runs at its minimum output; the residual is
-    then assigned to the cheapest remaining segment capacity across the
-    committed units.  Because per-unit variable costs are convex piecewise
-    linear, this merit order is exact.  Units of one type share their
-    type's allocation equally, which costs the same as any other split.
+    Every committed unit first runs at its minimum output (floor[k] MW in
+    all); the residual then fills the fleet's _merit_order, which is exact
+    because per-unit variable costs are convex piecewise linear.  Units of
+    a type share its allocation equally, which costs the same as any
+    other split.  Returns each type's per-unit output, shape (types, k),
+    and each total cost; a type left off adds 0.0 to the cost.
     """
+    residual = np.maximum(ys - floor, 0.0)
+    per_unit = np.zeros((len(fleet.types), len(ys)))
+    for _cost, ti, free in _merit_order(fleet):
+        take = np.minimum(residual, free * counts[:, ti])
+        per_unit[ti] += take
+        residual -= take
+    total = np.zeros(len(ys))
+    for ti, gtype in enumerate(fleet.types):
+        n = counts[:, ti]
+        per_unit[ti] = gtype.min_output + per_unit[ti] / np.maximum(n, 1)
+        total += n * (gtype.startup_cost + _variable_costs(gtype, per_unit[ti]))
+    return per_unit, total
+
+
+def _dispatch(fleet: Fleet, commitment: Commitment, per_unit: list[float],
+              total_cost: float) -> Dispatch:
+    """The Dispatch whose committed units of each type run at per_unit MW."""
+    outputs, total_output = [], 0.0
+    for gtype, n, g in zip(fleet.types, commitment.counts, per_unit):
+        outputs.append((g,) * n + (0.0,) * (gtype.unit_count - n))
+        total_output += n * g
+    return Dispatch(commitment, tuple(outputs), total_output, total_cost)
+
+
+def dispatch_committed(fleet: Fleet, commitment: Commitment, y: float) -> Dispatch:
+    """Cheapest dispatch of a fixed commitment meeting total output y (_fill)."""
     _validate_commitment(fleet, commitment)
     if not y >= -FEAS_EPS:
         raise ValueError(f"demand must be >= 0, got {y}")
-    floor_mw = sum(n * t.min_output for t, n in zip(fleet.types, commitment.counts))
-    ceil_mw = sum(n * t.max_output for t, n in zip(fleet.types, commitment.counts))
+    # summed type by type as the table's floor is (sum() may compensate),
+    # so the fill gives ucp_value's floats
+    floor_mw = ceil_mw = 0.0
+    for gtype, n in zip(fleet.types, commitment.counts):
+        floor_mw += n * gtype.min_output
+        ceil_mw += n * gtype.max_output
     if y < floor_mw - FEAS_EPS or y > ceil_mw + FEAS_EPS:
         raise InfeasibleError(
             f"commitment {commitment.counts} covers [{floor_mw}, {ceil_mw}] MW, "
             f"cannot meet {y} MW")
-
-    residual = max(y - floor_mw, 0.0)
-    extra = [0.0] * len(fleet.types)
-    for _cost, ti, free in _merit_order(fleet):
-        if residual <= 0.0:
-            break
-        n = commitment.counts[ti]
-        if n:
-            take = min(residual, free * n)
-            extra[ti] += take
-            residual -= take
-
-    outputs = []
-    total_cost = 0.0
-    total_output = 0.0
-    for gtype, n, add in zip(fleet.types, commitment.counts, extra):
-        if n == 0:
-            outputs.append((0.0,) * gtype.unit_count)
-            continue
-        per_unit = gtype.min_output + add / n
-        outputs.append((per_unit,) * n + (0.0,) * (gtype.unit_count - n))
-        total_cost += n * (gtype.startup_cost + unit_variable_cost(gtype, per_unit))
-        total_output += n * per_unit
-    return Dispatch(commitment, tuple(outputs), total_output, total_cost)
+    per_unit, cost = _fill(fleet, np.array([commitment.counts]), np.array([floor_mw]),
+                           np.array([y], dtype=float))
+    return _dispatch(fleet, commitment, per_unit[:, 0].tolist(), float(cost[0]))
 
 
 @dataclass(frozen=True)
@@ -312,7 +338,7 @@ def _near_minimal(table: _CommitmentTable, ys: np.ndarray) -> np.ndarray:
 
     A mask of shape ys.shape + (commitments,), in product order.  Every
     commitment's merit-order cost at each demand comes from the table at
-    once.  The table sums in another order than dispatch_committed, so
+    once.  The table sums in another order than _fill, so
     every commitment within a rounding margin of a demand's least cost
     stays a candidate, to be decided exactly.  A demand that no
     commitment covers has none.
@@ -331,41 +357,6 @@ def _near_minimal(table: _CommitmentTable, ys: np.ndarray) -> np.ndarray:
     return (approx <= least + margin) & feasible
 
 
-def _variable_costs(gtype: GeneratorType, g: np.ndarray) -> np.ndarray:
-    """unit_variable_cost at every output of g, float for float."""
-    remaining = np.minimum(np.maximum(g, 0.0), gtype.max_output)
-    cost = np.zeros(g.shape)
-    for seg in gtype.segments:
-        # once remaining is 0 every take is 0, where the loop stops instead
-        take = np.minimum(remaining, seg.capacity)
-        cost += take * seg.marginal_cost
-        remaining -= take
-    return cost
-
-
-def _dispatch_costs(fleet: Fleet, table: _CommitmentTable, ys: np.ndarray,
-                    commitments: np.ndarray) -> np.ndarray:
-    """dispatch_committed's total_cost of commitments[k] at ys[k], float for float.
-
-    Each array operation is the one dispatch_committed makes, in its
-    order.  A type a commitment leaves off adds 0.0 where the loop skips
-    it, which changes no sum.
-    """
-    counts = table.counts[commitments]
-    residual = np.maximum(ys - table.floor[commitments], 0.0)
-    extra = np.zeros((len(fleet.types), len(commitments)))
-    for _cost, ti, free in _merit_order(fleet):
-        take = np.minimum(residual, free * counts[:, ti])
-        extra[ti] += take
-        residual -= take
-    total = np.zeros(len(commitments))
-    for ti, gtype in enumerate(fleet.types):
-        n = counts[:, ti]
-        per_unit = gtype.min_output + extra[ti] / np.maximum(n, 1)
-        total += n * (gtype.startup_cost + _variable_costs(gtype, per_unit))
-    return total
-
-
 def ucp_value(fleet: Fleet, y: float) -> tuple[float, Dispatch]:
     """Exact unit commitment cost at demand y and its cheapest dispatch.
 
@@ -373,10 +364,10 @@ def ucp_value(fleet: Fleet, y: float) -> tuple[float, Dispatch]:
     per-type counts.  Every commitment's merit-order cost is computed at
     once from the fleet's cached commitment table; the few whose cost lies
     within rounding of the minimum (_near_minimal, shared with ucp_values)
-    are then dispatched exactly with dispatch_committed, in
-    itertools.product order, and the first strict minimum wins.  Raises
-    InfeasibleError when no commitment covers y, and ValueError when the
-    table would exceed MAX_TABLE_CELLS.
+    are then costed exactly in one _fill pass, in itertools.product order,
+    and the first least cost wins.  Raises InfeasibleError when no
+    commitment covers y, and ValueError when the table would exceed
+    MAX_TABLE_CELLS.
     """
     if not -FEAS_EPS <= y <= fleet.total_capacity + FEAS_EPS:  # NaN included
         raise _outside(fleet, y)
@@ -384,12 +375,12 @@ def ucp_value(fleet: Fleet, y: float) -> tuple[float, Dispatch]:
     candidates = np.flatnonzero(_near_minimal(table, np.float64(y)))
     if not candidates.size:
         raise InfeasibleError(f"no commitment can meet {y} MW")
-    best: Dispatch | None = None
-    for i in candidates:
-        cand = dispatch_committed(fleet, Commitment(tuple(table.counts[i])), y)
-        if best is None or cand.total_cost < best.total_cost:
-            best = cand
-    return best.total_cost, best
+    per_unit, costs = _fill(fleet, table.counts[candidates], table.floor[candidates],
+                            np.full(candidates.size, y, dtype=float))
+    best = costs.argmin()  # the first of equal least costs
+    cost = float(costs[best])
+    commitment = Commitment(tuple(table.counts[candidates[best]]))
+    return cost, _dispatch(fleet, commitment, per_unit[:, best].tolist(), cost)
 
 
 def ucp_values(fleet: Fleet, demands) -> np.ndarray:
@@ -397,15 +388,17 @@ def ucp_values(fleet: Fleet, demands) -> np.ndarray:
 
     The batched ucp_value: each value is the float ucp_value returns, and
     +inf where ucp_value raises InfeasibleError; the first NaN demand
-    raises InfeasibleError, as in ucp_value.  Demands go through the
-    commitment table in chunks of at most BATCH_CELLS working values; the
-    candidates _near_minimal keeps are costed exactly in one vectorised
-    pass (_dispatch_costs) and each demand takes the least, which is the
-    value of ucp_value's first strict minimum.  Demands that no
+    raises InfeasibleError, as in ucp_value, and demands of any other
+    shape raise ValueError.  Demands go through the commitment table in
+    chunks of at most BATCH_CELLS working values; the candidates
+    _near_minimal keeps are costed exactly in one _fill pass and each
+    demand takes the least, which is ucp_value's.  Demands that no
     commitment covers are never costed.
     """
     table = _commitment_table(fleet)
     ys = np.asarray(demands, dtype=float)
+    if ys.ndim != 1:
+        raise ValueError(f"demands must be 1-D, got shape {ys.shape}")
     nan = np.isnan(ys)
     if nan.any():
         raise _outside(fleet, float(ys[nan.argmax()]))
@@ -420,7 +413,7 @@ def ucp_values(fleet: Fleet, demands) -> np.ndarray:
         for start in range(0, ys.size, chunk)])
     rows, cols = np.divmod(flat, width)
     if rows.size:
-        costs = _dispatch_costs(fleet, table, ys[rows], cols)
+        costs = _fill(fleet, table.counts[cols], table.floor[cols], ys[rows])[1]
         first = np.flatnonzero(np.diff(rows, prepend=-1))
         values[rows[first]] = np.minimum.reduceat(costs, first)
     return values
@@ -535,10 +528,9 @@ def relaxed_blocks(gtype: GeneratorType) -> tuple[tuple[float, float], ...]:
         cum += seg.capacity
         if cum >= gtype.min_output:
             xs.add(cum)
-    points = [(0.0, 0.0)]
-    for x in sorted(xs):
-        if x > 0.0:
-            points.append((x, gtype.startup_cost + unit_variable_cost(gtype, x)))
+    outputs = np.array(sorted(x for x in xs if x > 0.0))
+    costs = gtype.startup_cost + _variable_costs(gtype, outputs)
+    points = [(0.0, 0.0), *zip(outputs.tolist(), costs.tolist())]
     hull: list[tuple[float, float]] = []
     for p in points:
         while len(hull) >= 2:

@@ -30,6 +30,45 @@ def segment_fill_cost(gtype: GeneratorType, g: float) -> float:
     return cost
 
 
+def committed_cost(fleet: Fleet, counts: tuple[int, ...], y: float) -> float:
+    """Startup plus cheapest dispatch cost of one commitment at demand y.
+
+    The pure-Python merit-order fill: every committed unit runs at its
+    minimum output, and the residual takes the free segment capacity
+    cheapest first (ties by type, then segment), the units of a type
+    sharing equally.  Summed in the library's order, so the float is
+    exactly the library's.  Raises InfeasibleError when the commitment's
+    output range misses y.
+    """
+    floor = ceil = 0.0
+    for gtype, n in zip(fleet.types, counts):
+        floor += n * gtype.min_output
+        ceil += n * gtype.max_output
+    if not floor - FEAS_EPS <= y <= ceil + FEAS_EPS:
+        raise InfeasibleError(f"commitment {counts} cannot meet {y} MW")
+    blocks = []
+    for ti, gtype in enumerate(fleet.types):
+        below_min = gtype.min_output
+        for seg in gtype.segments:
+            used = min(below_min, seg.capacity)
+            below_min -= used
+            if seg.capacity - used > 0.0:
+                blocks.append((seg.marginal_cost, ti, seg.capacity - used))
+    blocks.sort(key=lambda block: block[:2])
+    residual = max(y - floor, 0.0)
+    extra = [0.0] * len(fleet.types)
+    for _cost, ti, free in blocks:
+        take = min(residual, free * counts[ti])
+        extra[ti] += take
+        residual -= take
+    cost = 0.0
+    for gtype, n, add in zip(fleet.types, counts, extra):
+        if n:
+            g = min(gtype.min_output + add / n, gtype.max_output)
+            cost += n * (gtype.startup_cost + segment_fill_cost(gtype, g))
+    return cost
+
+
 def unit_cost_grid(gtype: GeneratorType, step: float) -> np.ndarray:
     """Cost of one committed unit on the output grid; +inf below min_output."""
     n = round(gtype.max_output / step)

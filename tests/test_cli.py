@@ -348,8 +348,9 @@ class TestRunMethods:
 
 class TestOneCostBatchPerWorker:
     """A day costs all its rows' demands in one ucp_values batch per worker,
-    and settles every hour from its final row: no single-demand ucp_value and
-    no settle_hour."""
+    and settles every hour from its final row: no single-demand ucp_value,
+    dispatch_committed or settle_hour.  The curve commands cost their grids
+    in batches too."""
 
     @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize("fleet, method, rows", [
@@ -360,6 +361,7 @@ class TestOneCostBatchPerWorker:
         monkeypatch.setattr(RecordingPool, "created", [])
         batches = record_calls(monkeypatch, "chpricing.ucp", "ucp_values")
         singles = record_calls(monkeypatch, "chpricing.ucp", "ucp_value")
+        dispatches = record_calls(monkeypatch, "chpricing.ucp", "dispatch_committed")
         settles = record_calls(monkeypatch, "chpricing.welfare", "settle_hour")
         assert run_cli("run", "--fleet", fleet, "--method", method, "--iters", "5",
                        "--jobs", str(jobs), "--out", str(tmp_path)) == 0
@@ -369,9 +371,22 @@ class TestOneCostBatchPerWorker:
         assert sizes == [rows * 24 // jobs] * jobs
         # the rest is the quadratic fit's one batch, on the startup-free fleet
         assert len(batches) - len(sizes) == (1 if method == "lmp" else 0)
-        assert singles == [] and settles == []
+        assert singles == [] and dispatches == [] and settles == []
         _, settled = read_rows(tmp_path / "summary.csv")
         assert settled[0][-1] == "24"
+
+    @pytest.mark.parametrize("argv", [
+        ("curves", "--fleet", "gribik", "--step-mw", "50"),
+        ("curves", "--fleet", "scarf", "--step-mw", "0.5"),
+        ("uplift-curve", "--fleet", "gribik", "--rule", "chp", "--step-mw", "1.7"),
+        ("uplift-curve", "--fleet", "scarf", "--rule", "dispatchable")])
+    def test_curves(self, argv, tmp_path, monkeypatch):
+        batches = record_calls(monkeypatch, "chpricing.ucp", "ucp_values")
+        singles = record_calls(monkeypatch, "chpricing.ucp", "ucp_value")
+        dispatches = record_calls(monkeypatch, "chpricing.ucp", "dispatch_committed")
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        assert batches != []
+        assert singles == [] and dispatches == []
 
 
 class TestCustomFleetFile:

@@ -42,25 +42,24 @@ from test_staircase import PROPERTY, fleets, one_unit
 def enumerated_value(fleet, y):
     """v(y) by enumerating every commitment, the first strict minimum winning.
 
-    The loop ucp_value replaced, kept as its reference: ucp_value must pick
-    the same commitment and return the same float.
+    The loop ucp_value replaced, kept as its reference: every commitment
+    is costed by oracles.committed_cost, which shares no code with the
+    library, and only the winner is dispatched.  ucp_value must pick the
+    same commitment and return the same float and Dispatch.
     """
-    if y < -FEAS_EPS or y > fleet.total_capacity + FEAS_EPS:
+    if not -FEAS_EPS <= y <= fleet.total_capacity + FEAS_EPS:
         raise InfeasibleError(f"demand {y} outside [0, {fleet.total_capacity}] MW")
-    best = None
-    mins = [t.min_output for t in fleet.types]
-    maxs = [t.max_output for t in fleet.types]
+    best = best_counts = None
     for counts in product(*(range(t.unit_count + 1) for t in fleet.types)):
-        floor_mw = sum(n * m for n, m in zip(counts, mins))
-        ceil_mw = sum(n * m for n, m in zip(counts, maxs))
-        if y < floor_mw - FEAS_EPS or y > ceil_mw + FEAS_EPS:
+        try:
+            cost = oracles.committed_cost(fleet, counts, y)
+        except InfeasibleError:
             continue
-        cand = dispatch_committed(fleet, Commitment(counts), y)
-        if best is None or cand.total_cost < best.total_cost:
-            best = cand
+        if best is None or cost < best:
+            best, best_counts = cost, counts
     if best is None:
         raise InfeasibleError(f"no commitment can meet {y} MW")
-    return best.total_cost, best
+    return best, dispatch_committed(fleet, Commitment(best_counts), y)
 
 
 def value_and_counts(value_fn, fleet, y):
@@ -110,6 +109,35 @@ def commitment_edges(fleet):
     return sorted(edges)
 
 
+def drawn_fleet():
+    """Three two-unit types whose costs and sizes are not integers, so
+    their fills round."""
+    rng = np.random.default_rng(5)
+    return Fleet(tuple(
+        GeneratorType(f"T{i}", float(rng.uniform(0, 900)), float(rng.uniform(1, 9)),
+                      (CostSegment(float(c), float(rng.uniform(10, 30))),
+                       CostSegment(float(c + rng.uniform(1, 20)),
+                                   float(rng.uniform(5, 15)))), 2)
+        for i, c in enumerate(rng.uniform(5, 50, size=3))))
+
+
+def assert_fill_matches_oracle(fleet, demands):
+    """One _fill pass over every feasible commitment at each demand costs
+    each the float of the pure-Python fill, oracles.committed_cost."""
+    table = ucp._commitment_table(fleet)
+    ys, commitments = [], []
+    for y in demands:
+        feasible = np.flatnonzero((y >= table.lo) & (y <= table.hi))
+        ys += [y] * feasible.size
+        commitments += feasible.tolist()
+    commitments = np.array(commitments, dtype=int)
+    _per_unit, costs = ucp._fill(fleet, table.counts[commitments],
+                                 table.floor[commitments], np.array(ys))
+    assert costs.tolist() == [
+        oracles.committed_cost(fleet, tuple(table.counts[c].tolist()), y)
+        for y, c in zip(ys, commitments)]
+
+
 def by_name(fleet, name):
     return next(t for t in fleet.types if t.name == name)
 
@@ -129,6 +157,11 @@ class TestUnitVariableCost:
             unit_variable_cost(by_name(gribik, "A"), 200.5)
         with pytest.raises(ValueError):
             unit_variable_cost(by_name(gribik, "A"), -1.0)
+
+    def test_nan_output_refused(self, gribik):
+        # NaN fails both range comparisons, so unchecked it costs nan
+        with pytest.raises(ValueError, match=r"^A: output nan outside \[0, 200.0\]$"):
+            unit_variable_cost(by_name(gribik, "A"), math.nan)
 
 
 class TestDispatchCommitted:
@@ -159,6 +192,21 @@ class TestDispatchCommitted:
             dispatch_committed(gribik, Commitment((2, 0, 0)), 100.0)
         with pytest.raises(ValueError):
             dispatch_committed(gribik, Commitment((1, 0)), 100.0)
+
+    @pytest.mark.parametrize("counts", [(1.7, 0, True), (0.9, 1, 1), (1, 0, 1.0),
+                                        (1, 0, "1"), (1, 0, None)])
+    def test_non_integer_counts_refused(self, counts):
+        # int() would commit (1, 0, 1) for the first and (0, 1, 1) for the second
+        with pytest.raises(ValueError, match="commitment counts must be integers"):
+            Commitment(counts)
+
+    def test_numpy_integer_counts_accepted(self, gribik):
+        # the commitment table holds its counts as small unsigned numpy ints
+        commitment = Commitment((np.uint8(1), np.int64(0), np.uint8(1)))
+        assert commitment.counts == (1, 0, 1)
+        assert all(type(n) is int for n in commitment.counts)
+        assert dispatch_committed(gribik, commitment, 300.0) == \
+            dispatch_committed(gribik, Commitment((1, 0, 1)), 300.0)
 
     def test_min_output_respected(self, scarf):
         d = dispatch_committed(scarf, Commitment((1, 0, 3)), 9.0)
@@ -310,20 +358,16 @@ class TestUcpValue:
     @PROPERTY
     @given(fleets(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
     def test_batch_dispatch_costs_every_commitment_exactly(self, fleet, fractions):
-        # the batch and dispatch_committed fill the one cached merit order,
-        # so every feasible commitment costs the same float either way
-        table = ucp._commitment_table(fleet)
         demands = [f * fleet.total_capacity for f in fractions] + batch_demands(fleet)
-        ys, commitments = [], []
-        for y in demands:
-            feasible = np.flatnonzero((y >= table.lo) & (y <= table.hi))
-            ys += [y] * feasible.size
-            commitments += feasible.tolist()
-        costs = ucp._dispatch_costs(fleet, table, np.array(ys),
-                                    np.array(commitments, dtype=int))
-        assert costs.tolist() == [
-            dispatch_committed(fleet, Commitment(tuple(table.counts[c])), y).total_cost
-            for y, c in zip(ys, commitments)]
+        assert_fill_matches_oracle(fleet, demands)
+
+    def test_fill_matches_oracle_where_sums_round(self, gribik, scarf):
+        # hypothesis's fleets hold integers and at most 2 units per type,
+        # so their fills hardly round; scarf's 5-6 units and drawn_fleet's
+        # fractions do
+        for fleet in (gribik, scarf, drawn_fleet()):
+            demands = np.linspace(-1.0, fleet.total_capacity + 1, 97).tolist()
+            assert_fill_matches_oracle(fleet, demands)
 
     @PROPERTY
     @given(fleets())
@@ -332,16 +376,7 @@ class TestUcpValue:
         assert ucp_values(fleet, demands).tolist() == enumerated_values(fleet, demands)
 
     def test_batch_matches_scalar(self, gribik, scarf):
-        # the drawn fleet's costs and sizes are not integers, so its sums
-        # round, and only dispatch_committed's order reproduces them
-        rng = np.random.default_rng(5)
-        drawn = Fleet(tuple(
-            GeneratorType(f"T{i}", float(rng.uniform(0, 900)), float(rng.uniform(1, 9)),
-                          (CostSegment(float(c), float(rng.uniform(10, 30))),
-                           CostSegment(float(c + rng.uniform(1, 20)),
-                                       float(rng.uniform(5, 15)))), 2)
-            for i, c in enumerate(rng.uniform(5, 50, size=3))))
-        for fleet in (gribik, scarf, drawn):
+        for fleet in (gribik, scarf, drawn_fleet()):
             demands = [float(y) for y in np.linspace(-1.0, fleet.total_capacity + 1, 243)]
             scalar = [value_and_counts(ucp_value, fleet, y) for y in demands]
             assert ucp_values(fleet, demands).tolist() == \
@@ -360,22 +395,30 @@ class TestUcpValue:
         fleet = Fleet((GeneratorType("A", 3.0, 4.0, (CostSegment(2.0, 6.0),), 2),
                        GeneratorType("B", 1.0, 5.0, (CostSegment(1.0, 6.0),), 1)))
         costed = []
-        dispatch_costs = ucp._dispatch_costs
+        fill = ucp._fill
+        expected = ucp_value(fleet, 10.0)[0]
 
-        def spy(fleet, table, ys, commitments):
+        def spy(fleet, counts, floor, ys):
             costed.extend(ys.tolist())
-            return dispatch_costs(fleet, table, ys, commitments)
+            return fill(fleet, counts, floor, ys)
 
-        monkeypatch.setattr(ucp, "_dispatch_costs", spy)
+        monkeypatch.setattr(ucp, "_fill", spy)
         infeasible = [-1.0, 2.0, 18.5, 30.0]
         assert ucp_values(fleet, infeasible).tolist() == [math.inf] * 4
         assert costed == []
-        assert ucp_values(fleet, infeasible + [10.0]).tolist() == [math.inf] * 4 + [
-            ucp_value(fleet, 10.0)[0]]
+        assert ucp_values(fleet, infeasible + [10.0]).tolist() == \
+            [math.inf] * 4 + [expected]
         assert set(costed) == {10.0}
 
     def test_batch_of_no_demands(self, gribik):
         assert ucp_values(gribik, []).shape == (0,)
+
+    @pytest.mark.parametrize("demands, shape", [
+        (300.0, r"\(\)"), ([[100.0, 200.0], [300.0, 400.0]], r"\(2, 2\)"),
+        ([[]], r"\(1, 0\)")])
+    def test_batch_refuses_other_shapes(self, gribik, demands, shape):
+        with pytest.raises(ValueError, match=rf"^demands must be 1-D, got shape {shape}$"):
+            ucp_values(gribik, demands)
 
     def test_batch_refuses_nan_demand(self, gribik):
         # unguarded, the feasibility mask reads NaN as uncoverable: +inf
@@ -592,3 +635,12 @@ class TestQuadraticFit:
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             QuadraticCost(alpha=0.0, beta=1.0, capacity=10.0)
+
+    @pytest.mark.parametrize("beta, capacity, message", [
+        (math.nan, 10.0, "beta must be finite"), (math.inf, 10.0, "beta must be finite"),
+        (-math.inf, 10.0, "beta must be finite"), (1.0, math.nan, "capacity must be > 0"),
+        (1.0, 0.0, "capacity must be > 0"), (1.0, -5.0, "capacity must be > 0")])
+    def test_beta_and_capacity_validated(self, beta, capacity, message):
+        # unchecked, QuadraticCost(1.0, nan, 10.0).supply(5.0) is nan
+        with pytest.raises(ValueError, match=message):
+            QuadraticCost(alpha=1.0, beta=beta, capacity=capacity)
