@@ -14,16 +14,19 @@ which tree goes first.  Every run gets a fresh, empty
 PYTHONPYCACHEPREFIX with bytecode writing allowed (PYTHONDONTWRITEBYTECODE
 is dropped for the run): no run reads bytecode compiled before it, so a
 stale in-tree ``__pycache__`` cannot spare one side compile time, and
-run.py's untimed warm-up compiles what the timed commands import.
+run.py's untimed warm-up compiles what the timed commands import.  The
+BLAS thread variables are passed on as the caller set them; the ``host``
+block records their values (null where unset) and that bytecode writes
+were forced on.
 
-The output file holds, per workload, the environment line and the
-end-to-end metrics of every run, each side's median and quartiles, and
-per metric the pairs each side won (ties count for neither) and
-``gain``: the changed tree won at least nine tenths of the pairs and
-the medians differ, in its favour, by more than the parent's
-interquartile range.  Metric directions come from the changed tree's
-BENCHMARK.json.  Only the standard library is used.  Exits 1 when a run
-fails or reports a failed command.
+The output file holds, per workload, the environment line, the
+end-to-end metrics and run.py's unscaled times of every run, each
+side's median and quartiles of both, and per metric the pairs each side
+won (ties count for neither) and ``gain``: the changed tree won at
+least nine tenths of the pairs and the medians differ, in its favour,
+by more than the parent's interquartile range.  Metric directions come
+from the changed tree's BENCHMARK.json.  Only the standard library is
+used.  Exits 1 when a run fails or reports a failed command.
 """
 from __future__ import annotations
 
@@ -38,6 +41,7 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "changed")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -54,6 +58,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{tree}: {workload} exited {done.returncode}:\n{done.stderr}")
     environment = next(json.loads(line.split(":", 1)[1]) for line in lines
                        if line.startswith("environment:"))
+    # "  unscaled      wall_s W s, setup_s S s, host speed H": run.py's
+    # times before host-speed scaling, whose loop runs after set-up
+    words = next(line.split() for line in lines if line.startswith("  unscaled"))
     result = json.loads(lines[-1])
     return {
         "environment": environment,
@@ -61,6 +68,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "unscaled": {"wall_s": float(words[2]), "setup_s": float(words[5]),
+                     "host_speed": float(words[9])},
     }
 
 
@@ -109,7 +118,11 @@ def main(argv: list[str] | None = None) -> int:
 
     record = {
         "host": {"python": platform.python_version(), "nproc": os.cpu_count(),
-                 "machine": platform.machine()},
+                 "machine": platform.machine(),
+                 # passed to every run unchanged (None: unset); the BLAS
+                 # pool's size shapes set-up time
+                 "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+                 "bytecode_writes": "forced on"},
         "trees": {side: tree.name for side, tree in trees.items()},
         "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
         "workloads": {},
@@ -125,16 +138,24 @@ def main(argv: list[str] | None = None) -> int:
                 runs[side].append(run)
                 failed |= not run["correct"] or run["failed"] > 0
                 print(f"{workload} pair {pair} {side}: "
-                      + ", ".join(f"{k} {v:.6g}" for k, v in run["metrics"].items()),
+                      + ", ".join(f"{k} {v:.6g}" for k, v in run["metrics"].items())
+                      + ", unscaled " + ", ".join(f"{k} {v:.6g}"
+                                                  for k, v in run["unscaled"].items()),
                       flush=True)
         summary = summarize(runs, better)
-        record["workloads"][workload] = {"summary": summary, "runs": runs}
+        unscaled = {name: {side: spread([r["unscaled"][name] for r in runs[side]])
+                           for side in SIDES} for name in runs["parent"][0]["unscaled"]}
+        record["workloads"][workload] = {"summary": summary, "unscaled": unscaled,
+                                         "runs": runs}
         for name, s in summary.items():
             print(f"{workload} {name}: parent {s['parent']['median']:.6g} "
                   f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}] changed "
                   f"{s['changed']['median']:.6g} [{s['changed']['q1']:.6g}, "
                   f"{s['changed']['q3']:.6g}], changed better in {s['changed_wins']}"
                   f"/{args.pairs}, gain {s['gain']}")
+        for name, s in unscaled.items():
+            print(f"{workload} unscaled {name}: parent {s['parent']['median']:.6g} "
+                  f"changed {s['changed']['median']:.6g}")
         # written after every workload, so an interrupted run keeps the finished ones
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 1 if failed else 0

@@ -5,6 +5,22 @@ minimum output levels against elastic hourly demand, compares hull
 prices with marginal-cost and dispatchable benchmarks, and settles the
 resulting market outcomes.
 """
+import os
+import sys
+
+# numpy's bundled OpenBLAS starts one thread per core when numpy loads;
+# chpricing's only BLAS work is one small least-squares fit, so a pool
+# buys nothing, and its spinning thread can cost start-up time.  Pin it to
+# one thread while numpy loads, then restore the environment.  Left alone
+# when numpy is already loaded or the caller set a thread count.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        __import__("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .fleet import (
     CostSegment,
     Fleet,

@@ -77,9 +77,10 @@ class GeneratorType:
             raise FleetValidationError(
                 f"{self.name}: min_output {self.min_output} outside "
                 f"[0, {self.max_output}]")
-        if not (isinstance(self.unit_count, int) and self.unit_count >= 1):
+        count = self.unit_count
+        if isinstance(count, bool) or not (isinstance(count, int) and count >= 1):
             raise FleetValidationError(
-                f"{self.name}: unit_count must be an integer >= 1, got {self.unit_count!r}")
+                f"{self.name}: unit_count must be an integer >= 1, got {count!r}")
 
     @cached_property
     def max_output(self) -> float:

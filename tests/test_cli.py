@@ -202,6 +202,41 @@ class TestDeterminism:
                               text=True, timeout=60, check=True)
         assert done.stdout.strip() == "[]"
 
+    # the BLAS pin in chpricing/__init__.py, seen from a fresh interpreter
+    # started without any BLAS thread variable
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    THREADS = "len(os.listdir('/proc/self/task'))"
+    NEEDS_PROC = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                                    reason="counts threads in /proc/self/task")
+
+    def run_clean(self, code, **extra_env):
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS_VARS}
+        env.update(extra_env, PYTHONPATH=str(Path(ch.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", "import os\n" + code], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        return done.stdout.split()
+
+    @NEEDS_PROC
+    def test_import_pins_blas_to_one_thread(self):
+        code = ("before = dict(os.environ)\nimport chpricing\n"
+                f"print({self.THREADS}, 'OPENBLAS_NUM_THREADS' in os.environ, "
+                "dict(os.environ) == before)")
+        assert self.run_clean(code) == ["1", "False", "True"]
+
+    @NEEDS_PROC
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
+    def test_caller_thread_count_is_kept(self):
+        code = f"import chpricing\nprint({self.THREADS}, os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self.run_clean(code, OPENBLAS_NUM_THREADS="2") == ["2", "2"]
+
+    @NEEDS_PROC
+    def test_numpy_loaded_first_is_left_alone(self):
+        # os.environ writes go through os.putenv / os.unsetenv: record them
+        code = ("import numpy\ncalls = []\n"
+                "os.putenv = os.unsetenv = lambda *args: calls.append(args)\n"
+                "import chpricing\nprint(calls)")
+        assert self.run_clean(code) == ["[]"]
+
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "s0", tmp_path / "s1"
         assert run_cli(*self.ARGS, "--out", str(a)) == 0

@@ -98,6 +98,13 @@ class TestValidation:
         with pytest.raises(FleetValidationError):
             GeneratorType("X", 0.0, 0.0, (CostSegment(1.0, 1.0),), unit_count=0)
 
+    @pytest.mark.parametrize("count", [True, False])
+    def test_boolean_unit_count(self, count):
+        # bool is an int subclass; True would pass as a one-unit type
+        with pytest.raises(FleetValidationError,
+                           match=f"unit_count must be an integer >= 1, got {count}"):
+            GeneratorType("X", 0.0, 0.0, (CostSegment(1.0, 1.0),), unit_count=count)
+
     def test_negative_startup(self):
         with pytest.raises(FleetValidationError):
             GeneratorType("X", -5.0, 0.0, (CostSegment(1.0, 1.0),))
@@ -168,6 +175,12 @@ class TestSerialization:
     @pytest.mark.parametrize("count", [2.7, "3", None, INF])
     def test_load_non_integral_unit_count(self, count):
         with pytest.raises(FleetValidationError, match="unit_count"):
+            load_fleet(one_type_document(unit_count=count))
+
+    @pytest.mark.parametrize("count", [True, False])
+    def test_load_boolean_unit_count(self, count):
+        with pytest.raises(FleetValidationError,
+                           match=f"unit_count must be an integer >= 1, got {count}"):
             load_fleet(one_type_document(unit_count=count))
 
     def test_load_integral_float_unit_count(self):

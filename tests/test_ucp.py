@@ -88,15 +88,50 @@ def enumerated_values(fleet, demands):
 
 
 def batch_demands(fleet):
-    """Integer demands, commitment edges, 0, capacity and infeasible points.
+    """Integer demands, commitment edges, 0, capacity and infeasible points."""
+    return ([float(y) for y in range(int(fleet.total_capacity) + 1)]
+            + commitment_edges(fleet) + range_ends(fleet))
+
+
+def range_ends(fleet):
+    """0, capacity and infeasible points.
 
     The infeasible points lie below 0, above capacity, and (when every
     type has a minimum output) in the gap between 0 and the smallest one.
     """
     cap = fleet.total_capacity
     gap = 0.5 * min(t.min_output for t in fleet.types)
-    return ([float(y) for y in range(int(cap) + 1)] + commitment_edges(fleet)
-            + [0.0, cap, -1.0, -2 * FEAS_EPS, cap + 2 * FEAS_EPS, cap + 1.0, gap])
+    return [0.0, cap, -1.0, -2 * FEAS_EPS, cap + 2 * FEAS_EPS, cap + 1.0, gap]
+
+
+def sparse_demands(fleet, fractions):
+    """The given fractions of capacity, about nine commitment edges and
+    range_ends: few enough to enumerate a fleet of 3-5 unit types."""
+    edges = commitment_edges(fleet)
+    return ([f * fleet.total_capacity for f in fractions]
+            + edges[::max(1, len(edges) // 9)] + range_ends(fleet))
+
+
+FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)
+
+
+@st.composite
+def fractional_fleets(draw):
+    """Up to 3 types of 3-5 units whose costs and sizes are drawn as
+    floats, not integers, so that sharing a fill among a type's units
+    rounds."""
+    def real(lo, hi):
+        return draw(st.floats(lo, hi, allow_subnormal=False))
+
+    types = []
+    for i in range(draw(st.integers(1, 3))):
+        costs = sorted(real(0.0, 60.0) for _ in range(draw(st.integers(1, 2))))
+        segments = tuple(CostSegment(c, real(0.5, 6.0)) for c in costs)
+        max_output = sum(s.capacity for s in segments)
+        types.append(GeneratorType(f"T{i}", real(0.0, 400.0),
+                                   real(0.0, 1.0) * max_output, segments,
+                                   draw(st.integers(3, 5))))
+    return Fleet(tuple(types))
 
 
 def commitment_edges(fleet):
@@ -279,11 +314,12 @@ class TestUcpValue:
             assert v == pytest.approx(grid[i], abs=1e-9)
 
     @PROPERTY
-    @given(fleets())
-    def test_matches_enumeration(self, fleet):
+    @given(fleets(), fractional_fleets(), FRACTIONS)
+    def test_matches_enumeration(self, fleet, rounding_fleet, fractions):
         integers = range(int(fleet.total_capacity) + 1)
         assert_matches_enumeration(fleet, [float(y) for y in integers])
         assert_matches_enumeration(fleet, commitment_edges(fleet))
+        assert_matches_enumeration(rounding_fleet, sparse_demands(rounding_fleet, fractions))
 
     def test_builtin_fleets_match_enumeration(self, gribik, scarf):
         for fleet in (gribik, scarf):
@@ -356,24 +392,28 @@ class TestUcpValue:
         assert relaxed_value(fleet, 555.5)[0] <= v < all_on.total_cost
 
     @PROPERTY
-    @given(fleets(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
-    def test_batch_dispatch_costs_every_commitment_exactly(self, fleet, fractions):
+    @given(fleets(), fractional_fleets(), FRACTIONS)
+    def test_batch_dispatch_costs_every_commitment_exactly(self, fleet, rounding_fleet,
+                                                           fractions):
         demands = [f * fleet.total_capacity for f in fractions] + batch_demands(fleet)
         assert_fill_matches_oracle(fleet, demands)
+        assert_fill_matches_oracle(rounding_fleet, sparse_demands(rounding_fleet, fractions))
 
     def test_fill_matches_oracle_where_sums_round(self, gribik, scarf):
-        # hypothesis's fleets hold integers and at most 2 units per type,
-        # so their fills hardly round; scarf's 5-6 units and drawn_fleet's
-        # fractions do
+        # fixed fleets whose fills round (scarf's 5-6 units, drawn_fleet's
+        # fractions), on a denser demand grid than the property's
         for fleet in (gribik, scarf, drawn_fleet()):
             demands = np.linspace(-1.0, fleet.total_capacity + 1, 97).tolist()
             assert_fill_matches_oracle(fleet, demands)
 
     @PROPERTY
-    @given(fleets())
-    def test_batch_matches_enumeration(self, fleet):
+    @given(fleets(), fractional_fleets(), FRACTIONS)
+    def test_batch_matches_enumeration(self, fleet, rounding_fleet, fractions):
         demands = batch_demands(fleet)
         assert ucp_values(fleet, demands).tolist() == enumerated_values(fleet, demands)
+        demands = sparse_demands(rounding_fleet, fractions)
+        assert ucp_values(rounding_fleet, demands).tolist() == \
+            enumerated_values(rounding_fleet, demands)
 
     def test_batch_matches_scalar(self, gribik, scarf):
         for fleet in (gribik, scarf, drawn_fleet()):
