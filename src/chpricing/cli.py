@@ -26,9 +26,9 @@ from .market import (
     HOURS,
     DayProfile,
     DemandModel,
+    _hour_terms,
+    _utility,
     default_profile,
-    hourly_utility,
-    inelastic_share,
     load_profile,
     sample_noise,
     synthetic_profile,
@@ -154,12 +154,13 @@ def _run_hours(hours, fleet: Fleet, model: DemandModel, profile: DayProfile,
     hour_lines, settled = [], []
     finals = (column[-1].tolist() for column in (
         priced.price, priced.demand, priced.cost, priced.uplift))
-    for t, price, demand, cost, up in zip(priced.hours, *finals):
+    # price_hours' phi read these utilities, so none of them raises
+    gross = _utility(model, _hour_terms(model, profile, priced.hours), priced.demand[-1])
+    for t, price, demand, cost, up, utility in zip(priced.hours, *finals, gross.tolist()):
         if cost == math.inf:
             cells = [_fmt(price), _fmt(demand)] + [""] * 6 + ["infeasible"]
         else:
-            result = hour_result(t, price, demand, cost, up,
-                                 hourly_utility(model, profile, t, demand))
+            result = hour_result(t, price, demand, cost, up, utility)
             settled.append(result)
             cells = [_fmt(x) for x in astuple(result)[1:]] + ["ok"]
         hour_lines.append(",".join([str(t)] + cells))
@@ -265,11 +266,10 @@ def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
     relaxed = _reprs(relaxed_value(fleet, grid)[0].tolist())
     utility = [""] * len(grid)
     if model is not None and profile is not None:
-        floor = inelastic_share(model, profile, 0)
-        # one hourly_utility per row: np.log may differ from its math.log
-        # in the last ulp
-        utility = [_fmt(hourly_utility(model, profile, 0, y)) if y > floor else ""
-                   for y in grid]
+        terms = _hour_terms(model, profile, (0,))
+        # the grid ascends, so the rows above the inelastic floor are its tail
+        above = int(np.searchsorted(grid, terms[0][0], side="right"))
+        utility[above:] = map(_fmt, _utility(model, terms, grid[above:]).tolist())
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "curves.csv"

@@ -116,23 +116,18 @@ def chp_fixed_demand(fleet: Fleet, y):
 
 
 def uplift(fleet: Fleet, price: float, y: float) -> float:
-    """Lost-profit payment that makes the scheduled outcome incentive compatible.
-
-    The fleet's best attainable profit at the price, minus the profit it
-    earns producing y: conjugate(price) - (price*y - v(y)).  Nonnegative
-    for every price, zero exactly when the price supports v at y.
-    """
-    value, _dispatch = ucp_value(fleet, y)
-    return conjugate(fleet, price) - (price * y - value)
+    """Lost-profit payment that makes the scheduled outcome incentive compatible:
+    one pair of uplifts, costed by ucp_value, so a demand y that no
+    commitment covers raises InfeasibleError."""
+    return float(uplifts(fleet, price, y, ucp_value(fleet, y)[0]))
 
 
 def uplifts(fleet: Fleet, prices, demands, values=None) -> np.ndarray:
-    """uplift at each (price, demand) pair, from one batched v (ucp_values).
-
-    Each value is the float uplift returns; a demand that no commitment
-    covers, where uplift raises InfeasibleError, gets +inf.  A caller that
-    has already costed the demands passes v there as values.
-    """
+    """Uplift conjugate(price) - (price*y - v(y)) at each (price, demand y): the
+    fleet's best attainable profit at the price minus what it earns producing
+    y, nonnegative and zero exactly where the price supports v at y.  v comes
+    from one batched ucp_values (+inf where no commitment covers y), or from
+    values where the caller has costed y."""
     prices = np.asarray(prices, dtype=float)
     demands = np.asarray(demands, dtype=float)
     return conjugate(fleet, prices) - (

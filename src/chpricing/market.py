@@ -3,13 +3,18 @@
 Hourly demand has a price-inelastic industrial share mu1*nu*d1 plus an
 elastic share mu2*(1+delta)*a/price coming from a logarithmic utility, so
 the demand function is exactly the consumer best response to the price.
+Each formula is written once, over arrays of hours (_hour_terms, _demand,
+_utility); hourly_demand, hourly_utility and inelastic_share call it for one.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import _noise
 
@@ -20,7 +25,6 @@ __all__ = [
     "hourly_demand",
     "hourly_utility",
     "inelastic_share",
-    "demand_terms",
     "load_profile",
     "synthetic_profile",
     "default_profile",
@@ -96,52 +100,64 @@ def _check_base_demand(t: int, d1: float) -> None:
         raise ValueError(f"base demand at hour {t} must be finite and > 0, got {d1}")
 
 
-def _check_hour(t: int) -> None:
-    if not 0 <= t < HOURS:
-        raise ValueError(f"hour index {t} outside [0, {HOURS})")
-
-
-def consumer_best_response(model: DemandModel, price: float) -> float:
-    """Elastic demand a/price maximizing a*log(d) - price*d."""
-    if not price > 0:
-        raise ValueError(
-            f"price must be > 0 (log-utility demand is unbounded near 0), got {price}")
+def consumer_best_response(model: DemandModel, price):
+    """Elastic demand a/price maximizing a*log(d) - price*d (a price or an array)."""
+    prices = np.asarray(price, dtype=float)
+    if not (prices > 0).all():  # NaN included
+        raise ValueError("price must be > 0 (log-utility demand is unbounded near 0), "
+                         f"got {prices[~(prices > 0)][0].item()}")
     return model.a / price
+
+
+def _hour_terms(model: DemandModel, profile: DayProfile, hours) -> tuple[np.ndarray, ...]:
+    """(floor, share, coef) arrays of the hours: demand is floor + share*a/price,
+    utility coef*log(demand - floor) + constant, coef = a*mu2*(1 + delta)."""
+    # operator.index refuses a float hour; dtype=int keeps no hours an index array
+    hours = np.array([operator.index(t) for t in hours], dtype=int)
+    outside = (hours < 0) | (hours >= HOURS)
+    if outside.any():
+        raise ValueError(f"hour index {hours[outside][0].item()} outside [0, {HOURS})")
+    gain = 1.0 + np.array(profile.noise)[hours]
+    return (model.mu1 * model.nu * np.array(profile.base_demand)[hours],
+            model.mu2 * gain, model.a * model.mu2 * gain)
+
+
+def _demand(model: DemandModel, terms, price) -> np.ndarray:
+    """Demand of hours with terms (floor, share, coef) at their prices."""
+    return terms[0] + terms[1] * consumer_best_response(model, price)
+
+
+def _utility(model: DemandModel, terms, demand) -> np.ndarray:
+    """Gross utility of hours with terms (floor, share, coef) at their demands,
+    by math.log (np.log may miss the last ulp).  ValueError for the first demand
+    at or below its floor, less 1e-9 in a price-inelastic hour (coef 0)."""
+    floor, coef, demand = terms[0], terms[2], np.asarray(demand, dtype=float)
+    inelastic = coef == 0.0
+    refused = ~np.where(inelastic, demand >= floor - 1e-9, demand > floor)
+    if refused.any():
+        d, f, flat = (np.broadcast_to(x, refused.shape)[refused.argmax()].item()
+                      for x in (demand, floor, inelastic))
+        raise ValueError(f"demand {d} below the inelastic floor {f}" if flat else
+                         f"utility undefined at demand {d} <= inelastic floor {f}")
+    logs = [math.log(gap) if gap > 0.0 else 0.0 for gap in (demand - floor).tolist()]
+    return np.where(inelastic, model.utility_constant, coef * logs + model.utility_constant)
 
 
 def inelastic_share(model: DemandModel, profile: DayProfile, t: int) -> float:
     """mu1 * nu * d1[t]: the hour's price-insensitive demand floor (MW)."""
-    _check_hour(t)
-    return model.mu1 * model.nu * profile.base_demand[t]
-
-
-def demand_terms(model: DemandModel, profile: DayProfile, t: int) -> tuple[float, float]:
-    """(inelastic floor, elastic coefficient): demand is floor + coef/price."""
-    floor = inelastic_share(model, profile, t)  # also validates the hour
-    return floor, model.a * model.mu2 * (1.0 + profile.noise[t])
+    return _hour_terms(model, profile, (t,))[0][0].item()
 
 
 def hourly_demand(model: DemandModel, profile: DayProfile, t: int, price: float) -> float:
     """Total demand at hour t and the given price (MW)."""
-    base = inelastic_share(model, profile, t)  # also validates the hour
-    return base + model.mu2 * (1.0 + profile.noise[t]) * consumer_best_response(model, price)
+    return _demand(model, _hour_terms(model, profile, (t,)), price)[0].item()
 
 
 def hourly_utility(model: DemandModel, profile: DayProfile, t: int, demand: float) -> float:
-    """Gross consumer utility of the hour's aggregate demand ($).
-
-    Defined for demand strictly above the inelastic floor; calibrated so
-    that its marginal value at hourly_demand(price) equals the price.
-    """
-    floor, coef = demand_terms(model, profile, t)
-    if coef == 0.0:
-        if not demand >= floor - 1e-9:
-            raise ValueError(f"demand {demand} below the inelastic floor {floor}")
-        return model.utility_constant
-    if not demand > floor:
-        raise ValueError(
-            f"utility undefined at demand {demand} <= inelastic floor {floor}")
-    return coef * math.log(demand - floor) + model.utility_constant
+    """Gross consumer utility of the hour's aggregate demand ($), calibrated so
+    that its marginal value at hourly_demand(price) equals the price.  Defined
+    strictly above the inelastic floor (down to it when price-inelastic)."""
+    return _utility(model, _hour_terms(model, profile, (t,)), demand)[0].item()
 
 
 def load_profile(document: str) -> DayProfile:

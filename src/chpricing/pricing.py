@@ -3,8 +3,10 @@
 The hourly partial dual is phi(p) = [U(D(p)) - p*D(p)] + conjugate(p),
 convex in the price with subgradient supply(p) - demand(p).  The dynamic
 pricing loop walks down phi with diminishing steps; the exact dual price
-is the sign change of the subgradient, in closed form on the fleet's
-supply staircase.  Relaxed (dispatchable) supply is that same staircase.
+is the sign change of the subgradient, read for all hours at once off the
+fleet's supply staircase, which is also relaxed (dispatchable) supply.
+Each formula is written once, over arrays of hours (_respond for phi,
+_crossing_prices); dual_value and exact_dual call them for one hour.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from .fleet import Fleet
 from .hull import default_price_cap, uplifts
-from .market import DayProfile, DemandModel, demand_terms, hourly_demand, hourly_utility
+from .market import DayProfile, DemandModel, _demand, _hour_terms, _utility, hourly_demand
 from .ucp import (InfeasibleError, QuadraticCost, _staircase, conjugate, fleet_supply,
                   relaxed_value, ucp_values)
 
@@ -110,10 +112,21 @@ def dual_value(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
     if not PRICE_FLOOR <= price < math.inf:
         raise ValueError(
             f"price must be finite and at least the floor {PRICE_FLOOR}, got {price}")
-    demand = hourly_demand(model, profile, t, price)
-    utility = hourly_utility(model, profile, t, demand)
-    phi = utility - price * demand + conjugate(fleet, price)
-    return phi, fleet_supply(fleet, price) - demand
+    demand, supply, phi = _respond(fleet, model, _hour_terms(model, profile, (t,)),
+                                   np.array([price], dtype=float))
+    return phi[0].item(), (supply - demand)[0].item()
+
+
+def _respond(fleet: Fleet, model: DemandModel, terms, price: np.ndarray,
+             quad: QuadraticCost | None = None) -> tuple[np.ndarray, ...]:
+    """(demand, supply, phi) of hours with terms (floor, share, coef) at their
+    prices; supply and profit come off the fleet's staircase, or off quad."""
+    demand = _demand(model, terms, price)
+    if quad is None:
+        supply, profit = fleet_supply(fleet, price), conjugate(fleet, price)
+    else:
+        supply, profit = quad.supply(price), quad.conjugate(price)
+    return demand, supply, _utility(model, terms, demand) - price * demand + profit
 
 
 @dataclass(frozen=True)
@@ -151,13 +164,29 @@ class PricedHours:
         return PricingTrace(self.method, records, records[-1].price, records[-1].demand)
 
 
-def _crossing_price(fleet: Fleet, model: DemandModel, profile: DayProfile,
-                    t: int) -> float:
-    """exact_dual's price, or the price cap for an hour without a crossing."""
-    try:
-        return exact_dual(fleet, model, profile, t)[0]
-    except InfeasibleError:
-        return default_price_cap(fleet)
+def _crossing_prices(fleet: Fleet, model: DemandModel, terms
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact dual prices of hours with terms (floor, share, coef): the sign
+    change of supply minus demand.  Also which hours have no crossing (demand
+    at the price cap above the top level); they are priced at the cap.
+    Step i supplies levels[i] from starts[i] up to the next breakpoint.  An
+    hour crosses at the first step whose level covers demand at its start,
+    or, above the floor, inside the step at coef/(level - floor).
+    """
+    prices, levels, _cost = _staircase(fleet)
+    starts = np.maximum(np.append(PRICE_FLOOR, prices), PRICE_FLOOR)
+    floor, _share, coef = column = tuple(term[:, None] for term in terms)
+    at_start = levels >= _demand(model, column, starts)
+    above = levels > floor
+    inside = np.maximum(starts, coef / np.where(above, levels - floor, 1.0))
+    # an inside crossing lies below the next breakpoint (none above the top step)
+    crossed = at_start | (above & (inside < np.append(prices, np.inf)))
+    # an hour that crosses nowhere has no crossing at the cap either
+    first = crossed.argmax(axis=1)
+    price = np.where(at_start, starts, inside)[np.arange(len(first)), first]
+    cap = default_price_cap(fleet)
+    uncrossed = levels[-1] < _demand(model, terms, cap)
+    return np.where(uncrossed, cap, price), uncrossed
 
 
 def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfile,
@@ -168,52 +197,34 @@ def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfi
     A price loop (chp_subgradient: supply off the fleet's staircase; lmp:
     off the quadratic model quad) takes n_iters rounds p_k = p_{k-1} -
     gamma_k * (supply - demand) from price0, clamped to the floor.  A
-    closed-form method takes one row at exact_dual's price, or at the
+    closed-form method takes one row at the exact dual price, or at the
     price cap where there is no crossing, and reads no price0, n_iters or
-    step_rule.  Each hour keeps the float operations of hourly_demand and
-    hourly_utility, so it prices as it would alone.  Every row's demand is
-    costed (ucp_values) and billed against the fleet in one batch after
-    the loop; elapsed_s excludes that time.
+    step_rule.  Each hour prices as it would alone: dual_value and
+    exact_dual are the one-hour calls.  Every row's demand is costed
+    (ucp_values) and billed against the fleet in one batch after the
+    loop; elapsed_s excludes that time.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method}")
     if method in ITERATIVE_METHODS:
         check_loop_args(price0, n_iters)
+    if (quad is None) == (method == "lmp"):
+        raise ValueError("quad, the quadratic cost model, is for lmp and lmp alone")
 
     hours = tuple(hours)
-    floor, coef = np.array([demand_terms(model, profile, t) for t in hours]).reshape(-1, 2).T
-    share = np.array([model.mu2 * (1.0 + profile.noise[t]) for t in hours])
-    inelastic = coef == 0.0
-
-    def utility(demand: np.ndarray) -> np.ndarray:
-        below = np.where(inelastic, demand < floor - 1e-9, demand <= floor)
-        if below.any():
-            j = int(below.argmax())
-            hourly_utility(model, profile, hours[j], float(demand[j]))  # raises
-        logs = [math.log(gap) if gap > 0.0 else 0.0 for gap in (demand - floor).tolist()]
-        return np.where(inelastic, model.utility_constant,
-                        coef * logs + model.utility_constant)
-
-    def respond(price: np.ndarray) -> tuple[np.ndarray, ...]:
-        demand = floor + share * (model.a / price)
-        if method == "lmp":
-            supply, profit = quad.supply(price), quad.conjugate(price)
-        else:
-            supply, profit = fleet_supply(fleet, price), conjugate(fleet, price)
-        return demand, supply, utility(demand) - price * demand + profit
-
+    terms = _hour_terms(model, profile, hours)
     start = time.perf_counter()
     if method not in ITERATIVE_METHODS:
-        price = np.array([_crossing_price(fleet, model, profile, t) for t in hours])
-        rounds = [(0.0, 0.0, price, *respond(price))]
+        price = _crossing_prices(fleet, model, terms)[0]
+        rounds = [(0.0, 0.0, price, *_respond(fleet, model, terms, price))]
     else:
         price = np.full(len(hours), float(price0))
-        demand, supply, _phi = respond(price)
+        demand, supply, _phi = _respond(fleet, model, terms, price, quad)
         rounds = []
         for k in range(1, n_iters + 1):
             step = step_rule(k)
             price = np.maximum(price - step * (supply - demand), PRICE_FLOOR)
-            demand, supply, phi = respond(price)
+            demand, supply, phi = _respond(fleet, model, terms, price, quad)
             rounds.append((step, time.perf_counter() - start, price, demand, supply, phi))
     steps, elapsed, price, demand, supply, phi = (np.array(c) for c in zip(*rounds))
     cost = ucp_values(fleet, demand.ravel()).reshape(demand.shape)
@@ -236,33 +247,15 @@ def run_subgradient(fleet: Fleet, model: DemandModel, profile: DayProfile, t: in
 
 def exact_dual(fleet: Fleet, model: DemandModel, profile: DayProfile,
                t: int) -> tuple[float, float]:
-    """Exact dual price: the sign change of supply minus demand.
-
-    Returns (price, demand at that price).  The price is the smallest one
-    whose best-response supply covers the demand floor + coef/p:
-    a staircase breakpoint, or coef/(s - floor) inside a step of supply s.
-    """
-    price_cap = default_price_cap(fleet)
-    demand_at_cap = hourly_demand(model, profile, t, price_cap)
-    prices, supply, _cost = _staircase(fleet)
-    # step i supplies levels[i] from starts[i] up to the next start; every
-    # breakpoint lies below the cap, so the top level is the supply there
-    starts = [PRICE_FLOOR] + prices.tolist()
-    levels = supply.tolist()
-    if levels[-1] < demand_at_cap:
+    """(exact dual price, demand there) of hour t: the one-hour _crossing_prices.
+    Raises InfeasibleError where demand at the price cap exceeds capacity."""
+    terms = _hour_terms(model, profile, (t,))
+    price, uncrossed = _crossing_prices(fleet, model, terms)  # the cap if uncrossed
+    price, demand = price[0].item(), _demand(model, terms, price)[0].item()
+    if uncrossed[0]:
         raise InfeasibleError(
-            f"no crossing: demand {demand_at_cap} MW exceeds supply at the "
-            f"price cap {price_cap}")
-    floor, coef = demand_terms(model, profile, t)
-    for i, level in enumerate(levels):
-        price = max(starts[i], PRICE_FLOOR)
-        if level >= hourly_demand(model, profile, t, price):
-            break
-        if level > floor:
-            price = max(price, coef / (level - floor))
-            if i + 1 == len(levels) or price < starts[i + 1]:
-                break
-    return price, hourly_demand(model, profile, t, price)
+            f"no crossing: demand {demand} MW exceeds supply at the price cap {price}")
+    return price, demand
 
 
 def run_lmp(quad: QuadraticCost, model: DemandModel, profile: DayProfile, t: int,
@@ -286,7 +279,7 @@ def lmp_equilibrium(quad: QuadraticCost, model: DemandModel, profile: DayProfile
     root of p^2 - b p - c with b = beta + 2 alpha floor, c = 2 alpha coef.
     Past capacity, demand falls to capacity at p = coef/(capacity - floor).
     """
-    floor, coef = demand_terms(model, profile, t)
+    floor, _share, coef = (term.item() for term in _hour_terms(model, profile, (t,)))
     b = quad.beta + 2.0 * quad.alpha * floor
     price = 0.5 * (b + math.sqrt(b * b + 8.0 * quad.alpha * coef))
     if price > quad.beta + 2.0 * quad.alpha * quad.capacity:
@@ -306,9 +299,6 @@ def dispatchable_price(fleet: Fleet, y):
 
 def dispatchable_equilibrium(fleet: Fleet, model: DemandModel, profile: DayProfile,
                              t: int) -> tuple[float, float]:
-    """Clear the relaxed merit-order supply curve against hourly demand.
-
-    Relaxed supply is the best-response staircase, so this is the exact
-    dual price.
-    """
+    """The relaxed merit-order supply curve is the best-response staircase,
+    so it clears hourly demand at the exact dual price."""
     return exact_dual(fleet, model, profile, t)

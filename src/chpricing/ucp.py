@@ -75,6 +75,7 @@ MAX_GRID_POINTS = 10 ** 6
 # most demand x commitment x block values in one working array of
 # ucp_values (512 KB), so each chunk of demands stays in cache
 BATCH_CELLS = 1 << 16
+FIT_SAMPLES = 121  # quadratic_fit's uniform grid over [0, capacity]
 
 
 class InfeasibleError(Exception):
@@ -609,17 +610,15 @@ def no_startup_values(fleet: Fleet, demands) -> np.ndarray:
     return ucp_values(_zero_startup(fleet), demands)
 
 
-def quadratic_fit(fleet: Fleet, sample_count: int = 121) -> QuadraticCost:
+def quadratic_fit(fleet: Fleet) -> QuadraticCost:
     """Least-squares fit of alpha*y^2 + beta*y to the startup-free cost curve.
 
-    Sampled on a uniform grid over [0, capacity].  The curvature is clamped
-    to a small positive floor so the fitted model stays strictly convex
-    even for a single-segment fleet.
+    Sampled at FIT_SAMPLES evenly spaced demands over [0, capacity].  The
+    curvature is clamped to a small positive floor so the fitted model
+    stays strictly convex even for a single-segment fleet.
     """
-    if sample_count < 3:
-        raise ValueError(f"sample_count must be >= 3, got {sample_count}")
     cap = fleet.total_capacity
-    ys = np.linspace(0.0, cap, sample_count)
+    ys = np.linspace(0.0, cap, FIT_SAMPLES)
     target = no_startup_values(fleet, ys)
     if np.isinf(target).any():
         raise InfeasibleError(f"no commitment can meet {ys[np.isinf(target)][0]} MW")

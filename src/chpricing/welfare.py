@@ -5,8 +5,9 @@ import math
 from dataclasses import dataclass
 
 from .fleet import Fleet
+from .hull import uplifts
 from .market import DayProfile, DemandModel, hourly_demand, hourly_utility
-from .ucp import conjugate, ucp_value
+from .ucp import ucp_value
 
 __all__ = ["HourResult", "DaySummary", "settle_hour", "hour_result", "summarize_day"]
 
@@ -48,20 +49,18 @@ class DaySummary:
 
 def settle_hour(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
                 price: float) -> HourResult:
-    """Settle hour t at a posted price.
+    """Settle hour t at a posted price, as a day settles its final row.
 
     Demand follows the consumer best response; supply cost is the exact
     commitment cost of serving it.  Raises InfeasibleError when no
-    commitment covers the demand, above capacity or inside a gap between
-    minimum outputs, so the caller can mark the hour instead of losing
-    the day.
+    commitment covers the demand (above capacity or in a gap between
+    minimum outputs), where a day marks the hour infeasible.
     """
     if not price > 0:
         raise ValueError(f"settlement price must be > 0, got {price}")
     demand = hourly_demand(model, profile, t, price)
     cost, _dispatch = ucp_value(fleet, demand)
-    return hour_result(t, price, demand, cost,
-                       conjugate(fleet, price) - (price * demand - cost),
+    return hour_result(t, price, demand, cost, float(uplifts(fleet, price, demand, cost)),
                        hourly_utility(model, profile, t, demand))
 
 

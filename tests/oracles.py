@@ -16,7 +16,9 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from chpricing import Fleet, GeneratorType, InfeasibleError, default_price_cap
+from chpricing import (DayProfile, DemandModel, Fleet, GeneratorType, InfeasibleError,
+                       default_price_cap)
+from chpricing.pricing import PRICE_FLOOR
 from chpricing.ucp import FEAS_EPS, relaxed_blocks
 
 
@@ -269,3 +271,58 @@ def hull_interval_bisected(fleet: Fleet, y: float) -> tuple[float, float]:
     lo = 0.0 if y <= FEAS_EPS else prices[reach]
     hi = default_price_cap(fleet) if above == len(prices) else prices[above]
     return lo, hi
+
+
+def hourly_demand_scalar(model: DemandModel, profile: DayProfile, t: int,
+                         price: float) -> float:
+    """Demand at hour t and a price, in Python floats: floor + share * a/price."""
+    floor = model.mu1 * model.nu * profile.base_demand[t]
+    return floor + model.mu2 * (1.0 + profile.noise[t]) * (model.a / price)
+
+
+def hourly_utility_scalar(model: DemandModel, profile: DayProfile, t: int,
+                          demand: float) -> float:
+    """Gross utility of hour t at a demand, in Python floats; ValueError at or
+    below the floor (less 1e-9 for a price-inelastic hour)."""
+    floor = model.mu1 * model.nu * profile.base_demand[t]
+    coef = model.a * model.mu2 * (1.0 + profile.noise[t])
+    if coef == 0.0:
+        if not demand >= floor - 1e-9:
+            raise ValueError(f"demand {demand} below the inelastic floor {floor}")
+        return model.utility_constant
+    if not demand > floor:
+        raise ValueError(
+            f"utility undefined at demand {demand} <= inelastic floor {floor}")
+    return coef * math.log(demand - floor) + model.utility_constant
+
+
+def exact_dual_scanned(fleet: Fleet, model: DemandModel, profile: DayProfile,
+                       t: int) -> tuple[float, float]:
+    """The exact dual of hour t by a scan of the tuple staircase, level by level.
+
+    Level i is supplied from starts[i] (the price floor below the first
+    breakpoint) up to the next breakpoint.  The first level that covers
+    demand at its start, or that demand falls to at coef/(level - floor)
+    before the next breakpoint, is the crossing.  Raises InfeasibleError
+    where demand at the price cap exceeds the top level.
+    """
+    price_cap = default_price_cap(fleet)
+    demand_at_cap = hourly_demand_scalar(model, profile, t, price_cap)
+    prices, supply, _cost = staircase_tuples(fleet)
+    starts = [PRICE_FLOOR, *prices]
+    levels = [0.0, *supply]
+    if levels[-1] < demand_at_cap:
+        raise InfeasibleError(
+            f"no crossing: demand {demand_at_cap} MW exceeds supply at the "
+            f"price cap {price_cap}")
+    floor = model.mu1 * model.nu * profile.base_demand[t]
+    coef = model.a * model.mu2 * (1.0 + profile.noise[t])
+    for i, level in enumerate(levels):
+        price = max(starts[i], PRICE_FLOOR)
+        if level >= hourly_demand_scalar(model, profile, t, price):
+            break
+        if level > floor:
+            price = max(price, coef / (level - floor))
+            if i + 1 == len(levels) or price < starts[i + 1]:
+                break
+    return price, hourly_demand_scalar(model, profile, t, price)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from chpricing import (
+    CostSegment,
+    Fleet,
+    GeneratorType,
     InfeasibleError,
     chp_fixed_demand,
     conjugate,
@@ -115,6 +118,21 @@ class TestUplift:
                     assert uplift(fleet, float(p), float(y)) >= -1e-9 * max(
                         1.0, abs(ucp_value(fleet, float(y))[0]))
 
+
+    def test_one_pair_of_the_batch(self, gribik, scarf):
+        for fleet, price, y in ((gribik, 95.0, 450.0), (scarf, 6.3125, 96.6)):
+            assert uplift(fleet, price, y) == uplifts(fleet, [price], [y])[0]
+
+    def test_messages(self, gribik):
+        with pytest.raises(InfeasibleError,
+                           match=r"^demand 700.0 outside feasible range \[0, 600.0\] MW$"):
+            uplift(gribik, 90.0, 700.0)
+        gap = Fleet((GeneratorType("A", 0.0, 0.0, (CostSegment(10.0, 100.0),)),
+                     GeneratorType("B", 50.0, 100.3, (CostSegment(20.0, 101.0),))))
+        with pytest.raises(InfeasibleError, match=r"^no commitment can meet 100.15 MW$"):
+            uplift(gap, 20.0, 100.15)
+        with pytest.raises(ValueError, match="^price must be a number, got nan$"):
+            uplift(gribik, math.nan, 300.0)
 
     def test_batch_refuses_nan_demand(self, gribik):
         with pytest.raises(InfeasibleError,

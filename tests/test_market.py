@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from chpricing import (
     sample_noise,
     synthetic_profile,
 )
-from chpricing import _noise
+from chpricing import _noise, market
 from chpricing.market import PROFILE_HIGH, PROFILE_LOW, PROFILE_MEAN
 
 MEAN_D1 = 41086.7
@@ -84,6 +85,25 @@ class TestHourlyDemand:
         with pytest.raises(ValueError):
             hourly_demand(scarf_model, mean_profile, 24, 5.0)
 
+    @pytest.mark.parametrize("t, price, message", [
+        (24, 5.0, "hour index 24 outside [0, 24)"),
+        (-1, 5.0, "hour index -1 outside [0, 24)"),
+        (0, 0.0, "price must be > 0 (log-utility demand is unbounded near 0), got 0.0"),
+        (0, -3.0, "price must be > 0 (log-utility demand is unbounded near 0), got -3.0")])
+    def test_messages(self, t, price, message, scarf_model, mean_profile):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hourly_demand(scarf_model, mean_profile, t, price)
+
+    def test_float_hour_refused(self, scarf_model, mean_profile):
+        with pytest.raises(TypeError):
+            hourly_demand(scarf_model, mean_profile, 1.5, 5.0)
+
+    def test_one_hour_call_is_the_scalar_formula(self, scarf_model, day_profile):
+        noisy = DayProfile(day_profile.base_demand, sample_noise(7))
+        for t in range(24):
+            assert hourly_demand(scarf_model, noisy, t, 5.5) == \
+                oracles.hourly_demand_scalar(scarf_model, noisy, t, 5.5)
+
 
 class TestHourlyUtility:
     def test_log_of_one_leaves_constant(self, mean_profile):
@@ -121,6 +141,26 @@ class TestHourlyUtility:
         for model in (scarf_model, inelastic):
             with pytest.raises(ValueError, match="demand nan"):
                 hourly_utility(model, mean_profile, 0, math.nan)
+
+    def test_messages(self, scarf_model, mean_profile):
+        floor = inelastic_share(scarf_model, mean_profile, 0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"utility undefined at demand {floor - 5.0} <= inelastic floor {floor}")):
+            hourly_utility(scarf_model, mean_profile, 0, floor - 5.0)
+        inelastic = DemandModel(a=455.0, mu1=1.0, mu2=0.0, nu=0.0025)
+        floor = inelastic_share(inelastic, mean_profile, 0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"demand {floor - 1e-6} below the inelastic floor {floor}")):
+            hourly_utility(inelastic, mean_profile, 0, floor - 1e-6)
+        assert hourly_utility(inelastic, mean_profile, 0, floor - 1e-10) == 0.0
+
+    def test_array_names_the_first_hour_at_or_below_its_floor(self, scarf_model,
+                                                              day_profile):
+        terms = market._hour_terms(scarf_model, day_profile, (0, 1, 2))
+        floors = terms[0].tolist()
+        with pytest.raises(ValueError, match=re.escape(
+                f"utility undefined at demand {floors[1]} <= inelastic floor {floors[1]}")):
+            market._utility(scarf_model, terms, [floors[0] + 1.0, floors[1], floors[2] - 5.0])
 
     def test_zero_elastic_weight_returns_constant(self, mean_profile):
         model = DemandModel(a=455.0, mu1=1.0, mu2=0.0, nu=0.0025,

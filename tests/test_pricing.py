@@ -1,13 +1,14 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chpricing as ch
-from chpricing.pricing import MAX_ITERS, PRICE_FLOOR, price_hours
+from chpricing.pricing import MAX_ITERS, PRICE_FLOOR, check_loop_args, price_hours
 from chpricing import (
     DayProfile,
     DemandModel,
@@ -73,6 +74,14 @@ class TestDualValue:
     def test_price_floor(self, gribik, gribik_model, mean_profile):
         with pytest.raises(ValueError):
             dual_value(gribik, gribik_model, mean_profile, 0, 0.0)
+
+    @pytest.mark.parametrize("price", [0.0, math.inf, math.nan])
+    def test_price_must_be_finite_and_on_the_floor(self, price, gribik, gribik_model,
+                                                    mean_profile):
+        # at inf the demand would sit on the floor, where the utility is undefined
+        with pytest.raises(ValueError, match=re.escape(
+                f"price must be finite and at least the floor 1e-06, got {price}")):
+            dual_value(gribik, gribik_model, mean_profile, 0, price)
 
 
 class TestRunSubgradient:
@@ -222,6 +231,23 @@ class TestPriceHours:
             assert (record.dual_value, record.supply - record.demand) == (phi, imbalance)
             assert record.uplift == ch.uplift(scarf, record.price, record.demand)
 
+    def test_no_hours(self, gribik, gribik_model, mean_profile):
+        day = price_hours("chp_exact", gribik, gribik_model, mean_profile, (), 100.0, 1,
+                          None)
+        assert day.price.shape == day.uplift.shape == (1, 0)
+
+    def test_loop_args_boundaries(self):
+        assert check_loop_args(10.0, MAX_ITERS) is None
+        assert check_loop_args(10.0, 1) is None
+
+    @pytest.mark.parametrize("method", ["lmp", "chp_subgradient", "chp_exact"])
+    def test_quad_is_for_lmp_alone(self, method, gribik, gribik_model, mean_profile):
+        quad = None if method == "lmp" else quadratic_fit(gribik)
+        with pytest.raises(ValueError, match="^quad, the quadratic cost model, is for lmp "
+                                             "and lmp alone$"):
+            price_hours(method, gribik, gribik_model, mean_profile, [0], 100.0, 1,
+                        HarmonicStep(0.1), quad)
+
     def test_bad_arguments(self, gribik, gribik_model, mean_profile):
         with pytest.raises(ValueError, match="MAX_ITERS"):
             run_subgradient(gribik, gribik_model, mean_profile, 0, 100.0,
@@ -308,8 +334,20 @@ class TestExactDual:
     def test_demand_above_capacity(self, gribik):
         model = DemandModel(a=1.0, mu1=1.0, mu2=0.0, nu=0.01)
         profile = DayProfile((70000.0,) * 24)
-        with pytest.raises(InfeasibleError):
+        cap = ch.default_price_cap(gribik)
+        with pytest.raises(InfeasibleError, match=re.escape(
+                f"no crossing: demand 700.0 MW exceeds supply at the price cap {cap}")):
             exact_dual(gribik, model, profile, 0)
+
+    def test_one_hour_reads_are_floats(self, scarf, scarf_model, day_profile):
+        price, demand = exact_dual(scarf, scarf_model, day_profile, 3)
+        phi, imbalance = dual_value(scarf, scarf_model, day_profile, 3, price)
+        settled = ch.settle_hour(scarf, scarf_model, day_profile, 3, price)
+        values = (price, demand, phi, imbalance,
+                  ch.hourly_demand(scarf_model, day_profile, 3, price),
+                  ch.hourly_utility(scarf_model, day_profile, 3, demand),
+                  ch.uplift(scarf, price, demand), *dataclasses.astuple(settled)[1:])
+        assert [type(x) for x in values] == [float] * len(values)
 
 
 class TestLmp:

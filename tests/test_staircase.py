@@ -5,6 +5,7 @@ vertex of v lies on the unit demand grid and the grid oracles are exact.
 """
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from chpricing import (
     HarmonicStep,
     InfeasibleError,
     best_response,
+    builtin_fleet,
     chp_fixed_demand,
     conjugate,
     default_price_cap,
+    default_profile,
     dispatchable_price,
     dual_value,
     exact_dual,
@@ -33,13 +36,16 @@ from chpricing import (
     hull_value,
     relaxed_value,
     run_subgradient,
+    sample_noise,
     settle_hour,
     ucp_value,
     ucp_values,
     uplift,
     uplifts,
 )
-from chpricing.pricing import PRICE_FLOOR
+from chpricing import market
+from chpricing.market import PROFILE_HIGH
+from chpricing.pricing import PRICE_FLOOR, price_hours
 from chpricing.ucp import FEAS_EPS, relaxed_supply
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -236,6 +242,68 @@ def test_exact_dual_is_the_crossing(hour):
     if price != PRICE_FLOOR:
         below = price * (1.0 - 1e-9)
         assert fleet_supply(fleet, below) < hourly_demand(model, profile, 0, below)
+
+
+# a free unit: price-inelastic demand clears at the price floor
+FREE_FLEET = Fleet((GeneratorType("F", 0.0, 0.0, (CostSegment(0.0, 100.0),)),))
+# no commitment covers (100, 100.3) MW
+GAP_FLEET = Fleet((GeneratorType("A", 0.0, 0.0, (CostSegment(10.0, 100.0),)),
+                   GeneratorType("B", 50.0, 100.3, (CostSegment(20.0, 101.0),))))
+
+
+@st.composite
+def closed_form_days(draw):
+    """A fleet and a noisy day whose inelastic peak is 0.3-2x its capacity.
+
+    fleets() draws zero-cost steps and minimum outputs; mu2 = 0 makes the
+    day price-inelastic, and a peak above capacity leaves hours without a
+    crossing.
+    """
+    fleet = draw(fleets())
+    cap_mw = fleet.total_capacity
+    mu2 = draw(st.sampled_from([0.0, 0.2]))
+    peak = draw(st.floats(0.3, 2.0)) * cap_mw
+    elastic = draw(st.floats(0.001, 0.3))  # share of capacity at the price cap
+    model = DemandModel(a=elastic * cap_mw * default_price_cap(fleet) / 0.2, mu1=0.8,
+                        mu2=mu2, nu=peak / (0.8 * PROFILE_HIGH),
+                        utility_constant=draw(st.floats(-100.0, 100.0)))
+    noise = sample_noise(draw(st.integers(0, 2**32)))
+    return fleet, model, DayProfile(default_profile().base_demand, noise)
+
+
+@PROPERTY
+@given(closed_form_days())
+@example((FREE_FLEET, DemandModel(a=1.0, mu1=0.8, mu2=0.0, nu=0.001), default_profile()))
+@example((GAP_FLEET, DemandModel(a=1040.12, mu1=0.8, mu2=0.2, nu=1.125),
+          DayProfile((100.0,) * 24)))
+# inelastic demand of exactly 300 (a step's level), 600 (capacity) and 700 MW
+@example((builtin_fleet("gribik"), DemandModel(a=1.0, mu1=1.0, mu2=0.0, nu=0.01),
+          DayProfile((30000.0, 60000.0, 70000.0) * 8)))
+def test_array_crossing_and_utility_equal_the_scan(day):
+    # every hour of a closed-form day, and each one-hour call, is the scan's
+    # float, or its InfeasibleError and the price cap where there is no crossing
+    fleet, model, profile = day
+    cap = default_price_cap(fleet)
+    priced = price_hours("chp_exact", fleet, model, profile, range(24), math.nan, 0, None)
+    prices, demands = priced.price[0].tolist(), priced.demand[0].tolist()
+    for t in range(24):
+        try:
+            expected = oracles.exact_dual_scanned(fleet, model, profile, t)
+        except InfeasibleError as exc:
+            with pytest.raises(InfeasibleError, match=f"^{re.escape(str(exc))}$"):
+                exact_dual(fleet, model, profile, t)
+            expected = cap, oracles.hourly_demand_scalar(model, profile, t, cap)
+        else:
+            assert exact_dual(fleet, model, profile, t) == expected
+        assert (prices[t], demands[t]) == expected
+        assert hourly_demand(model, profile, t, prices[t]) == demands[t]
+    utilities = [oracles.hourly_utility_scalar(model, profile, t, demands[t])
+                 for t in range(24)]
+    terms = market._hour_terms(model, profile, range(24))
+    assert market._utility(model, terms, demands).tolist() == utilities
+    assert [hourly_utility(model, profile, t, demands[t]) for t in range(24)] == utilities
+    assert priced.dual_value[0].tolist() == [
+        u - p * d + conjugate(fleet, p) for u, p, d in zip(utilities, prices, demands)]
 
 
 @PROPERTY

@@ -651,15 +651,12 @@ class TestQuadraticFit:
     def test_zero_intercept(self, gribik):
         assert quadratic_fit(gribik).cost(0.0) == 0.0
 
-    def test_sample_count_validated(self, gribik):
-        with pytest.raises(ValueError):
-            quadratic_fit(gribik, sample_count=2)
-
     def test_uncoverable_sample_rejected(self):
-        # a 4-5 MW unit cannot serve the 1.25 MW sample of its grid
-        fleet = Fleet((GeneratorType("A", 0.0, 4.0, (CostSegment(1.0, 5.0),)),))
-        with pytest.raises(InfeasibleError, match="1.25 MW"):
-            quadratic_fit(fleet, sample_count=5)
+        # the 121 samples over 120 MW are 1 MW apart; a 4-120 MW unit cannot
+        # serve 1 MW, the first sample above 0
+        fleet = Fleet((GeneratorType("A", 0.0, 4.0, (CostSegment(1.0, 120.0),)),))
+        with pytest.raises(InfeasibleError, match=r"^no commitment can meet 1\.0 MW$"):
+            quadratic_fit(fleet)
 
     def test_degenerate_target_rejected(self):
         fleet = Fleet((GeneratorType("free", 0.0, 0.0,

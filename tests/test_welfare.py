@@ -77,8 +77,19 @@ class TestSettleErrors:
     def test_demand_beyond_capacity(self, gribik):
         model = DemandModel(a=1.0, mu1=1.0, mu2=0.0, nu=0.01)
         profile = DayProfile((70000.0,) * 24)
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError,
+                           match=r"^demand 700.0 outside feasible range \[0, 600.0\] MW$"):
             settle_hour(gribik, model, profile, 0, 95.0)
+
+    def test_messages(self, gribik, gribik_model, mean_profile):
+        with pytest.raises(ValueError, match=r"^settlement price must be > 0, got -1.0$"):
+            settle_hour(gribik, gribik_model, mean_profile, 0, -1.0)
+        with pytest.raises(ValueError, match=r"^hour index 24 outside \[0, 24\)$"):
+            settle_hour(gribik, gribik_model, mean_profile, 24, 95.0)
+
+    def test_billed_by_uplifts(self, scarf, scarf_model, day_profile):
+        r = settle_hour(scarf, scarf_model, day_profile, 15, 7.2)
+        assert r.uplift == ch.uplifts(scarf, [7.2], [r.demand])[0]
 
 
 class TestSummarizeDay:
