@@ -9,15 +9,15 @@ Usage (from anywhere):
 
 Each tree is a checkout of this repository.  Each run is the tree's own,
 unchanged ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-in a fresh interpreter.  A pair runs both trees once; pairs alternate
-which tree goes first.  Every run gets a fresh, empty
-PYTHONPYCACHEPREFIX with bytecode writing allowed (PYTHONDONTWRITEBYTECODE
-is dropped for the run): no run reads bytecode compiled before it, so a
-stale in-tree ``__pycache__`` cannot spare one side compile time, and
-run.py's untimed warm-up compiles what the timed commands import.  The
-BLAS thread variables are passed on as the caller set them; the ``host``
-block records their values (null where unset) and that bytecode writes
-were forced on.
+in a fresh interpreter.  A pair runs both trees once, one child at a
+time; pairs alternate which tree goes first.  Every run has bytecode
+off (PYTHONDONTWRITEBYTECODE=1) and no PYTHONPYCACHEPREFIX, as
+BENCHMARK.json's comparison runs of fresh checkouts do, so every
+command compiles the package and its ``setup_s`` includes that; a tree
+with a ``src/chpricing/__pycache__`` is refused, because its bytecode
+would still be read.  The BLAS thread variables are passed on as the
+caller set them, and the ``host`` block records their values (null
+where unset).
 
 The output file holds, per workload, the environment line, the
 end-to-end metrics and run.py's unscaled times of every run, each
@@ -37,22 +37,66 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
+from typing import Callable
 
 SIDES = ("parent", "changed")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
+def resolve_trees(parent: Path, changed: Path) -> dict[str, Path]:
+    """The two trees by side; exits if one holds package bytecode a run would read."""
+    trees = {"parent": parent.resolve(), "changed": changed.resolve()}
+    cached = [tree / "src" / "chpricing" / "__pycache__" for tree in trees.values()]
+    cached = [str(path) for path in cached if path.exists()]
+    if cached:
+        raise SystemExit(
+            "runs with bytecode off would read the bytecode in "
+            + ", ".join(cached) + " and not compile; remove it")
+    return trees
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment with bytecode off and no cache prefix."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **extra)
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    return env
+
+
+def host() -> dict:
+    """The machine, the BLAS variables passed to every run, and the bytecode mode."""
+    return {"python": platform.python_version(), "nproc": os.cpu_count(),
+            "machine": platform.machine(),
+            # passed to every run unchanged (None: unset); the BLAS pool's
+            # size shapes set-up time
+            "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+            "bytecode_writes": "off"}
+
+
+def run_pairs(trees: dict[str, Path], pairs: int, run_once: Callable[[Path], dict],
+              describe: Callable[[dict], str]) -> dict[str, list[dict]]:
+    """Each side's runs, one child at a time, pairs alternating who goes first.
+
+    ``run_once(tree)`` returns a run's record, to which its pair and its
+    position in the pair are added; ``describe(run)`` is printed after it.
+    """
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for pair in range(pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for position, side in enumerate(order):
+            run = run_once(trees[side])
+            run["pair"], run["position"] = pair, position
+            runs[side].append(run)
+            print(f"pair {pair} {side}: {describe(run)}", flush=True)
+    return runs
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run of ``tree``: its environment, correctness and metrics."""
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as cache:
-        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
-        env.pop("PYTHONDONTWRITEBYTECODE", None)
-        done = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", workload,
-             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-            cwd=tree, env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, env=child_env(), capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{tree}: {workload} exited {done.returncode}:\n{done.stderr}")
@@ -112,36 +156,26 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 10:
         parser.error("--pairs must be at least 10")
-    trees = {"parent": args.parent.resolve(), "changed": args.changed.resolve()}
+    trees = resolve_trees(args.parent, args.changed)
     spec = json.loads((trees["changed"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     record = {
-        "host": {"python": platform.python_version(), "nproc": os.cpu_count(),
-                 "machine": platform.machine(),
-                 # passed to every run unchanged (None: unset); the BLAS
-                 # pool's size shapes set-up time
-                 "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
-                 "bytecode_writes": "forced on"},
+        "host": host(),
         "trees": {side: tree.name for side, tree in trees.items()},
         "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
         "workloads": {},
     }
     failed = False
     for workload in args.workload:
-        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-        for pair in range(args.pairs):
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for position, side in enumerate(order):
-                run = run_once(trees[side], workload, args.seed, args.seconds)
-                run["pair"], run["position"] = pair, position
-                runs[side].append(run)
-                failed |= not run["correct"] or run["failed"] > 0
-                print(f"{workload} pair {pair} {side}: "
-                      + ", ".join(f"{k} {v:.6g}" for k, v in run["metrics"].items())
-                      + ", unscaled " + ", ".join(f"{k} {v:.6g}"
-                                                  for k, v in run["unscaled"].items()),
-                      flush=True)
+        runs = run_pairs(
+            trees, args.pairs,
+            lambda tree: run_once(tree, workload, args.seed, args.seconds),
+            lambda run: f"{workload} " + ", ".join(
+                f"{k} {v:.6g}" for k, v in run["metrics"].items())
+            + ", unscaled " + ", ".join(f"{k} {v:.6g}" for k, v in run["unscaled"].items()))
+        failed |= any(not run["correct"] or run["failed"] > 0
+                      for side in SIDES for run in runs[side])
         summary = summarize(runs, better)
         unscaled = {name: {side: spread([r["unscaled"][name] for r in runs[side]])
                            for side in SIDES} for name in runs["parent"][0]["unscaled"]}

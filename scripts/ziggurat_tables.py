@@ -3,17 +3,19 @@
 
 Usage (from anywhere):
 
-    python3 scripts/ziggurat_tables.py           # print the table literals
-    python3 scripts/ziggurat_tables.py --check   # exit 1 unless _noise.py holds them
+    python3 scripts/ziggurat_tables.py           # print the packed table literal
+    python3 scripts/ziggurat_tables.py --check   # exit 1 unless _noise.py holds it
 
 numpy ships the C sources of its samplers compiled into
 ``numpy/random/lib/libnpyrandom.a``.  Its member
 ``src_distributions_distributions.c.o`` holds ``fi_double`` and
 ``wi_double`` (256 doubles each) and ``ki_double`` (256 uint64 words) in
-``.rodata``.  The member is extracted with ``ar p``, the symbols and the
-section's file offset are read with ``readelf``, and the bytes are
-decoded with ``struct``.  ``src/chpricing/_noise.py`` embeds the printed
-literals as ``FI_DOUBLE``, ``WI_DOUBLE`` and ``KI_DOUBLE``.  Needs an
+``.rodata``.  The member is extracted with ``ar p``, and the symbols and
+the section's file offset are read with ``readelf``.
+``src/chpricing/_noise.py`` embeds the three tables' bytes, in that
+order, as the one printed ``bytes`` literal ``_TABLES``, and decodes
+``FI_DOUBLE``, ``WI_DOUBLE`` and ``KI_DOUBLE`` from it with ``struct``.
+``--check`` compares both the literal and the decoded tables.  Needs an
 installed numpy and binutils; nothing is downloaded.
 """
 from __future__ import annotations
@@ -25,7 +27,6 @@ import struct
 import subprocess
 import sys
 import tempfile
-import textwrap
 from pathlib import Path
 
 MEMBER = "src_distributions_distributions.c.o"
@@ -52,8 +53,8 @@ def readelf(option: str, path: str) -> list[str]:
                           text=True, check=True).stdout.splitlines()
 
 
-def read_tables(lib: Path) -> dict[str, tuple]:
-    """The three tables, by their _noise.py names, as read from lib."""
+def read_tables(lib: Path) -> dict[str, bytes]:
+    """The three tables' bytes, by their _noise.py names, as read from lib."""
     blob = subprocess.run(["ar", "p", str(lib), MEMBER], capture_output=True,
                           check=True).stdout
     with tempfile.NamedTemporaryFile(suffix=".o") as obj:
@@ -64,20 +65,13 @@ def read_tables(lib: Path) -> dict[str, tuple]:
         symbols = {m[4]: (int(m[1], 16), int(m[2]), int(m[3]))
                    for m in map(SYMBOL.match, readelf("-s", obj.name)) if m}
     tables = {}
-    for name, (symbol, code) in TABLES.items():
+    for name, (symbol, _code) in TABLES.items():
         if symbol not in symbols:
             raise SystemExit(f"{symbol} not found in {lib}({MEMBER})")
         value, size, section = symbols[symbol]
         start = offsets[section] + value
-        tables[name] = struct.unpack(f"<{size // 8}{code}", blob[start:start + size])
+        tables[name] = blob[start:start + size]
     return tables
-
-
-def literal(name: str, values: tuple) -> str:
-    body = textwrap.fill(", ".join(map(repr, values)) + ",", width=79,
-                         initial_indent="    ", subsequent_indent="    ",
-                         break_on_hyphens=False, break_long_words=False)
-    return f"{name} = (\n{body}\n)"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,15 +81,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     lib = library()
     tables = read_tables(lib)
+    packed = b"".join(tables.values())
     if not args.check:
-        print("\n\n".join(literal(name, values) for name, values in tables.items()))
+        print(f"_TABLES = {packed!r}")
         return 0
     sys.path.insert(0, str(SRC))
     from chpricing import _noise
-    stale = [name for name, values in tables.items() if getattr(_noise, name) != values]
+    stale = [] if _noise._TABLES == packed else ["_TABLES"]
+    for name, (_symbol, code) in TABLES.items():
+        raw = tables[name]
+        if getattr(_noise, name) != struct.unpack(f"<{len(raw) // 8}{code}", raw):
+            stale.append(name)
     for name in stale:
-        print(f"{name} in _noise.py differs from {TABLES[name][0]} in {lib}",
-              file=sys.stderr)
+        print(f"{name} in _noise.py differs from the tables in {lib}", file=sys.stderr)
     if not stale:
         print(f"_noise.py tables match {lib}")
     return 1 if stale else 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -44,6 +44,7 @@ from .pricing import (
 )
 from .ucp import (
     MAX_GRID_POINTS,
+    DegenerateCostError,
     InfeasibleError,
     QuadraticCost,
     no_startup_values,
@@ -162,7 +163,7 @@ def _run_hours(hours, fleet: Fleet, model: DemandModel, profile: DayProfile,
         else:
             result = hour_result(t, price, demand, cost, up, utility)
             settled.append(result)
-            cells = [_fmt(x) for x in astuple(result)[1:]] + ["ok"]
+            cells = [_fmt(x) for x in result[1:]] + ["ok"]
         hour_lines.append(",".join([str(t)] + cells))
     return _trace_lines(priced), hour_lines, settled
 
@@ -204,7 +205,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
                                         for part in zip(*outcomes))
 
     if len(settled) == HOURS:
-        summary_row = [_fmt(x) for x in astuple(summarize_day(settled))] + [str(HOURS)]
+        summary_row = [_fmt(x) for x in summarize_day(settled)] + [str(HOURS)]
     else:
         # a broken day gets no aggregates, only the settled-hour count
         summary_row = [""] * 9 + [str(len(settled))]
@@ -255,11 +256,16 @@ def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
 
     Every cost column is one array over the grid.  The hull value is the
     relaxed cost (hull_value returns relaxed_value's), so both columns
-    are cut from one.  Cells that are undefined (utility at or below the
-    inelastic floor) are left empty.
+    are cut from one.  Cells that are undefined are left empty: utility
+    at or below the inelastic floor, and the quadratic fit of a fleet
+    whose startup-free cost is zero everywhere.
     """
     grid = _demand_grid(fleet.total_capacity, grid_step)
-    quad = quadratic_fit(fleet)
+    quadratic = [""] * len(grid)
+    try:
+        quadratic = _reprs(quadratic_fit(fleet).cost(np.array(grid)).tolist())
+    except DegenerateCostError:
+        pass
     values = ucp_values(fleet, grid)
     _require_feasible(grid, values)
     no_startup = no_startup_values(fleet, grid)
@@ -276,8 +282,7 @@ def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
     _write_columns(path, ("y", "v", "v_relaxed", "v_no_startup", "v_quadratic",
                           "v_hull", "U_1"),
                    [_reprs(grid), _reprs(values.tolist()), relaxed,
-                    _reprs(no_startup.tolist()),
-                    _reprs(quad.cost(np.array(grid)).tolist()), relaxed, utility])
+                    _reprs(no_startup.tolist()), quadratic, relaxed, utility])
     return path
 
 

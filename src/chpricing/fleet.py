@@ -5,7 +5,6 @@ so they can be cached on and shipped to worker processes without copying.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -184,6 +183,8 @@ def load_fleet(document: str) -> Fleet:
                                                      "capacity": ...}, ...]},
                    ...]}
     """
+    import json  # here, not at the top: a builtin fleet reads no document
+
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -233,6 +234,8 @@ def load_fleet(document: str) -> Fleet:
 
 def dump_fleet(fleet: Fleet) -> str:
     """Serialize a fleet to the JSON document format accepted by load_fleet."""
+    import json
+
     doc = {"types": [
         {
             "name": t.name,

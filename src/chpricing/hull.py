@@ -13,9 +13,8 @@ relaxed cost reads; the hull price takes a demand or an array of demands.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,8 +36,7 @@ __all__ = [
 PRICE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HullPoint:
+class HullPoint(NamedTuple):
     """Hull value at one demand, with the supporting price interval.
 
     [price_lo, price_hi] is the set of prices whose best-response supply

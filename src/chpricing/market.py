@@ -8,7 +8,6 @@ _utility); hourly_demand, hourly_utility and inelastic_share call it for one.
 """
 from __future__ import annotations
 
-import csv
 import io
 import math
 import operator
@@ -162,6 +161,8 @@ def hourly_utility(model: DemandModel, profile: DayProfile, t: int, demand: floa
 
 def load_profile(document: str) -> DayProfile:
     """Parse a CSV day profile with header ``hour,d1`` and 24 rows."""
+    import csv  # here, not at the top: no other command reads a CSV
+
     reader = csv.reader(io.StringIO(document))
     try:
         header = next(reader)

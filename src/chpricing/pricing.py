@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +71,7 @@ class HarmonicStep:
         return self.coef / k
 
 
-@dataclass(frozen=True)
-class IterateRecord:
+class IterateRecord(NamedTuple):
     """One accepted iterate of a price-formation loop."""
 
     k: int
@@ -84,8 +84,7 @@ class IterateRecord:
     elapsed_s: float = 0.0  # wall clock since loop start; excluded from determinism
 
 
-@dataclass(frozen=True)
-class PricingTrace:
+class PricingTrace(NamedTuple):
     method: str
     records: tuple[IterateRecord, ...]
     final_price: float
@@ -129,8 +128,7 @@ def _respond(fleet: Fleet, model: DemandModel, terms, price: np.ndarray,
     return demand, supply, _utility(model, terms, demand) - price * demand + profit
 
 
-@dataclass(frozen=True)
-class PricedHours:
+class PricedHours(NamedTuple):
     """A method's rows for several hours, as (rows, hours) columns.
 
     Column j is hours[j].  Row k - 1 is a price loop's round k, one step

@@ -36,6 +36,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +87,10 @@ class InfeasibleError(Exception):
     """
 
 
+class DegenerateCostError(ValueError):
+    """A startup-free cost curve that is zero everywhere: no quadratic fits it."""
+
+
 @dataclass(frozen=True)
 class Commitment:
     """Number of committed units per generator type, in fleet order."""
@@ -103,8 +108,7 @@ class Commitment:
             raise ValueError(f"commitment counts must be >= 0, got {self.counts}")
 
 
-@dataclass(frozen=True)
-class Dispatch:
+class Dispatch(NamedTuple):
     """A feasible dispatch: who is on, what each unit produces, what it costs."""
 
     commitment: Commitment
@@ -113,8 +117,7 @@ class Dispatch:
     total_cost: float                       # $ (startup + variable)
 
 
-@dataclass(frozen=True)
-class BestResponse:
+class BestResponse(NamedTuple):
     """Profit-maximizing fleet reaction to a fixed price."""
 
     supply: float        # MW
@@ -264,8 +267,7 @@ def dispatch_committed(fleet: Fleet, commitment: Commitment, y: float) -> Dispat
     return _dispatch(fleet, commitment, per_unit[:, 0].tolist(), float(cost[0]))
 
 
-@dataclass(frozen=True)
-class _CommitmentTable:
+class _CommitmentTable(NamedTuple):
     """Every commitment of a fleet, in itertools.product order, as arrays.
 
     The floor and ceil are summed type by type as in dispatch_committed,
@@ -328,7 +330,7 @@ def _commitment_table(fleet: Fleet) -> _CommitmentTable:
     table = _CommitmentTable(counts, floor, ceil - floor, floor - FEAS_EPS,
                              ceil + FEAS_EPS, base, slopes[:, None], lines,
                              float(slopes.max(initial=0.0)))
-    for array in vars(table).values():
+    for array in table:
         if isinstance(array, np.ndarray):
             array.flags.writeable = False
     return table
@@ -623,7 +625,7 @@ def quadratic_fit(fleet: Fleet) -> QuadraticCost:
     if np.isinf(target).any():
         raise InfeasibleError(f"no commitment can meet {ys[np.isinf(target)][0]} MW")
     if not np.any(target > 0.0):
-        raise ValueError("degenerate cost curve: all sampled costs are zero")
+        raise DegenerateCostError("degenerate cost curve: all sampled costs are zero")
     design = np.column_stack([ys * ys, ys])
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     alpha, beta = float(coef[0]), float(coef[1])

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fleet import Fleet
 from .hull import uplifts
@@ -12,8 +12,7 @@ from .ucp import ucp_value
 __all__ = ["HourResult", "DaySummary", "settle_hour", "hour_result", "summarize_day"]
 
 
-@dataclass(frozen=True)
-class HourResult:
+class HourResult(NamedTuple):
     """Settlement of one hour at a posted price.
 
     Accounting identities, by construction:
@@ -34,8 +33,7 @@ class HourResult:
     social_welfare: float   # $
 
 
-@dataclass(frozen=True)
-class DaySummary:
+class DaySummary(NamedTuple):
     price_min: float
     price_mean: float
     price_max: float

@@ -192,15 +192,28 @@ class TestDeterminism:
 
     def test_package_import_stays_lean(self):
         # set-up time: the worker pool is imported only when a run starts
-        # workers, and numpy.random never (the noise is chpricing._noise)
-        code = ("import sys, chpricing; "
-                "print(sorted(m for m in ('numpy.random', 'concurrent.futures') "
-                "if m in sys.modules))")
+        # workers, csv and json only when a profile or a fleet file is
+        # read, and numpy.random never (the noise is chpricing._noise)
+        code = ("import sys, chpricing; chpricing.builtin_fleet('gribik'); "
+                "print(sorted(m for m in ('numpy.random', 'concurrent.futures', 'csv', "
+                "'json') if m in sys.modules))")
         env = dict(os.environ,
                    PYTHONPATH=str(Path(ch.__file__).resolve().parents[1]))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_import_creates_only_the_validated_dataclasses(self):
+        # set-up time: a frozen dataclass costs about ten times a NamedTuple
+        # to create, so only the types that validate their fields are ones
+        code = ("import dataclasses, sys, chpricing.cli\n"
+                "classes = {v for name, module in list(sys.modules.items())\n"
+                "           if name.startswith('chpricing') for v in vars(module).values()\n"
+                "           if isinstance(v, type) and v.__module__.startswith('chpricing')}\n"
+                "print(*sorted(c.__name__ for c in classes if dataclasses.is_dataclass(c)))")
+        assert self.run_clean(code) == [
+            "Commitment", "CostSegment", "DayProfile", "DemandModel", "ExperimentConfig",
+            "Fleet", "GeneratorType", "HarmonicStep", "QuadraticCost"]
 
     # the BLAS pin in chpricing/__init__.py, seen from a fresh interpreter
     # started without any BLAS thread variable
@@ -532,6 +545,35 @@ class TestCurves:
         assert run_cli("curves", "--fleet", str(gap_fleet_file(tmp_path)),
                        "--step-mw", "0.1", "--out", str(tmp_path)) == 1
         assert "error: no commitment can meet 100.09999" in capsys.readouterr().err
+
+    def test_minimum_output_gap_names_the_fit_sample(self, tmp_path, capsys):
+        # the quadratic fit runs first, so its 1 MW-apart samples name the
+        # gap of a 4-120 MW unit, not the 0.5 MW grid's first point
+        doc = {"types": [{"name": "A", "startup_cost": 0.0, "min_output": 4.0,
+                          "unit_count": 1,
+                          "segments": [{"marginal_cost": 1.0, "capacity": 120.0}]}]}
+        fleet_path = tmp_path / "gap.json"
+        fleet_path.write_text(json.dumps(doc))
+        assert run_cli("curves", "--fleet", str(fleet_path), "--step-mw", "0.5",
+                       "--out", str(tmp_path)) == 1
+        assert "error: no commitment can meet 1.0 MW\n" in capsys.readouterr().err
+        assert not (tmp_path / "curves.csv").exists()
+
+    def test_free_fleet_leaves_quadratic_empty(self, tmp_path):
+        # quadratic_fit refuses a cost that is zero everywhere; every other
+        # column is defined
+        doc = {"types": [{"name": "F", "startup_cost": 0.0, "min_output": 0.0,
+                          "unit_count": 1,
+                          "segments": [{"marginal_cost": 0.0, "capacity": 100.0}]}]}
+        fleet_path = tmp_path / "free.json"
+        fleet_path.write_text(json.dumps(doc))
+        assert run_cli("curves", "--fleet", str(fleet_path), "--a", "5", "--nu", "0.01",
+                       "--mu2", "0", "--step-mw", "25", "--out", str(tmp_path)) == 0
+        header, rows = read_rows(tmp_path / "curves.csv")
+        assert [r[0] for r in rows] == ["0.0", "25.0", "50.0", "75.0", "100.0"]
+        for name in ("v", "v_relaxed", "v_no_startup", "v_hull"):
+            assert {r[header.index(name)] for r in rows} == {"0.0"}
+        assert {r[header.index("v_quadratic")] for r in rows} == {""}
 
     def test_custom_fleet_without_model_leaves_u1_empty(self, tmp_path):
         fleet_path = tmp_path / "fleet.json"

@@ -162,7 +162,7 @@ class TestRunSubgradient:
 
 
 def without_clock(trace):
-    return [dataclasses.replace(r, elapsed_s=0.0) for r in trace.records]
+    return [r._replace(elapsed_s=0.0) for r in trace.records]
 
 
 class TestPriceHours:
@@ -346,7 +346,7 @@ class TestExactDual:
         values = (price, demand, phi, imbalance,
                   ch.hourly_demand(scarf_model, day_profile, 3, price),
                   ch.hourly_utility(scarf_model, day_profile, 3, demand),
-                  ch.uplift(scarf, price, demand), *dataclasses.astuple(settled)[1:])
+                  ch.uplift(scarf, price, demand), *tuple(settled)[1:])
         assert [type(x) for x in values] == [float] * len(values)
 
 

@@ -1,0 +1,69 @@
+"""scripts/setup_pairs.py end to end (one tree against itself, two pairs), and the
+child environment it shares with scripts/bench_pairs.py."""
+import importlib.util
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "setup_pairs.py"
+
+
+def source_tree(root):
+    """A tree holding only the package's sources, so no bytecode."""
+    package = root / "src" / "chpricing"
+    package.mkdir(parents=True)
+    for path in (ROOT / "src" / "chpricing").glob("*.py"):
+        shutil.copy(path, package)
+    return root
+
+
+def run_script(*args):
+    return subprocess.run([sys.executable, str(SCRIPT), *map(str, args)],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_two_pairs_of_one_tree(tmp_path):
+    tree = source_tree(tmp_path / "tree")
+    out = tmp_path / "setup.json"
+    done = run_script(tree, tree, "--runs", "2", "--out", out)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(out.read_text())
+    assert record["runs"] == 2 and record["host"]["bytecode_writes"] == "off"
+    for side in ("parent", "changed"):
+        samples = record["samples"][side]
+        assert [(s["pair"], s["position"]) for s in samples] == \
+            ([(0, 0), (1, 1)] if side == "parent" else [(0, 1), (1, 0)])
+        for figure in ("wall_s", "cpu_s"):
+            assert all(s["metrics"][figure] > 0 for s in samples)
+    for figure in ("wall_s", "cpu_s"):
+        summary = record["summary"][figure]
+        assert summary["changed_wins"] + summary["parent_wins"] <= 2
+        assert summary["parent"]["q1"] <= summary["parent"]["median"] <= summary["parent"]["q3"]
+    # the children compiled the package from source and wrote no bytecode
+    assert not (tree / "src" / "chpricing" / "__pycache__").exists()
+
+
+def test_tree_with_bytecode_is_refused(tmp_path):
+    tree = source_tree(tmp_path / "tree")
+    (tree / "src" / "chpricing" / "__pycache__").mkdir()
+    done = run_script(tree, tree, "--runs", "2", "--out", tmp_path / "setup.json")
+    assert done.returncode == 1
+    assert "__pycache__" in done.stderr and "remove it" in done.stderr
+    assert not (tmp_path / "setup.json").exists()
+
+
+def test_children_run_with_bytecode_off(monkeypatch):
+    # whatever the caller set, a child compiles and never reads a cache prefix
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/nonexistent")
+    env = bench_pairs.child_env(PYTHONPATH="src")
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1" and env["PYTHONPATH"] == "src"
+    assert "PYTHONPYCACHEPREFIX" not in env
+    assert bench_pairs.host()["bytecode_writes"] == "off"
