@@ -3,7 +3,7 @@
 
 Usage (from anywhere):
 
-    python3 scripts/size_report.py [TREE]
+    python3 scripts/size_report.py [TREE] [--against PARENT_TREE] [--repeats N]
 
 TREE is a checkout of this repository (default: the one holding this
 script).  Three figures are printed for ``TREE/src/chpricing``:
@@ -11,28 +11,34 @@ script).  Three figures are printed for ``TREE/src/chpricing``:
 * the lines of each module, and their total;
 * the number of names in ``chpricing.__all__``, read by importing the
   package from ``TREE/src`` in a fresh interpreter;
-* the best of 5 ``compile()`` times of each module's source, and their
-  sum: what a command pays per module where bytecode cannot be cached.
+* the best of N (default 5) ``compile()`` times of each module's
+  source, and their sum: what a command pays per module where bytecode
+  cannot be cached.
+
+With ``--against PARENT_TREE`` every figure is printed for both trees.
+The compile times are then taken in N (default 40) repetitions that
+alternate which tree goes first; each repetition compiles every module
+of both trees once.  Per module the least time is printed, and for the
+whole package the least and the median of the repetitions' totals: the
+host's speed drifts over seconds, so one tree's best of a few calls
+cannot be set against the other's.
 """
 from __future__ import annotations
 
+import argparse
 import os
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-REPEATS = 5
 
-
-def best_compile_s(source: str, filename: str) -> float:
-    """The least of REPEATS wall times of compile() on the source."""
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        compile(source, filename, "exec", dont_inherit=True)
-        times.append(time.perf_counter() - start)
-    return min(times)
+def compile_s(source: str, filename: str) -> float:
+    """The wall time of one compile() of the source."""
+    start = time.perf_counter()
+    compile(source, filename, "exec", dont_inherit=True)
+    return time.perf_counter() - start
 
 
 def public_names(src: Path) -> int:
@@ -44,27 +50,82 @@ def public_names(src: Path) -> int:
     return int(done.stdout)
 
 
-def main(argv: list[str]) -> int:
-    tree = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
+def sources(tree: Path) -> dict[str, tuple[str, str]]:
+    """Each module's name: (path, source), in name order."""
     package = tree / "src" / "chpricing"
     modules = sorted(package.glob("*.py"))
     if not modules:
-        print(f"error: no modules under {package}", file=sys.stderr)
-        return 1
-    print(f"{'module':<16}{'lines':>8}{'compile_ms':>12}")
-    total_lines = 0
-    total_s = 0.0
-    for path in modules:
-        source = path.read_text()
-        lines = len(source.splitlines())
-        seconds = best_compile_s(source, str(path))
-        total_lines += lines
-        total_s += seconds
-        print(f"{path.name:<16}{lines:>8}{seconds * 1e3:>12.2f}")
-    print(f"{'total':<16}{total_lines:>8}{total_s * 1e3:>12.2f}")
-    print(f"chpricing.__all__: {public_names(tree / 'src')} names")
+        raise SystemExit(f"error: no modules under {package}")
+    return {path.name: (str(path), path.read_text()) for path in modules}
+
+
+def compile_times(trees: list[dict[str, tuple[str, str]]], repeats: int
+                  ) -> list[dict[str, list[float]]]:
+    """Per tree, each module's compile times, repetition by repetition.
+
+    Each repetition compiles every module of every tree once; the trees
+    take turns to go first.
+    """
+    times = [{name: [] for name in modules} for modules in trees]
+    for repeat in range(repeats):
+        order = range(len(trees)) if repeat % 2 == 0 else reversed(range(len(trees)))
+        for side in order:
+            for name, (path, source) in trees[side].items():
+                times[side][name].append(compile_s(source, path))
+    return times
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--against", type=Path, metavar="PARENT_TREE")
+    parser.add_argument("--repeats", type=int)
+    args = parser.parse_args(argv)
+    trees = [args.tree] if args.against is None else [args.tree, args.against]
+    repeats = args.repeats or (5 if args.against is None else 40)
+    if repeats < 1:
+        parser.error("--repeats must be at least 1")
+    modules = [sources(tree) for tree in trees]
+    times = compile_times(modules, repeats)
+    names = sorted(set().union(*modules))
+
+    heads = ["lines", "compile_ms"]
+    if args.against is not None:
+        heads += ["parent_lines", "parent_ms"]
+    print(f"{'module':<16}" + "".join(f"{head:>14}" for head in heads))
+    totals = [[0.0] * repeats for _ in trees]
+    for name in names:
+        cells = []
+        for side, tree_modules in enumerate(modules):
+            if name not in tree_modules:
+                cells += ["-", "-"]
+                continue
+            cells += [str(len(tree_modules[name][1].splitlines())),
+                      f"{min(times[side][name]) * 1e3:.2f}"]
+            for repeat, seconds in enumerate(times[side][name]):
+                totals[side][repeat] += seconds
+        print(f"{name:<16}" + "".join(f"{cell:>14}" for cell in cells))
+    cells = []
+    for tree_modules, tree_totals in zip(modules, totals):
+        lines = sum(len(source.splitlines()) for _path, source in tree_modules.values())
+        if args.against is None:
+            # the sum of each module's best, as the module rows show it
+            least = sum(min(module_times) for module_times in times[0].values())
+        else:
+            least = min(tree_totals)
+        cells += [str(lines), f"{least * 1e3:.2f}"]
+    print(f"{'total':<16}" + "".join(f"{cell:>14}" for cell in cells))
+    if args.against is not None:
+        print(f"package compile over {repeats} alternated repetitions: least "
+              f"{min(totals[0]) * 1e3:.2f} ms (parent {min(totals[1]) * 1e3:.2f}), "
+              f"median {statistics.median(totals[0]) * 1e3:.2f} ms "
+              f"(parent {statistics.median(totals[1]) * 1e3:.2f})")
+    counts = [public_names(tree / "src") for tree in trees]
+    print(f"chpricing.__all__: {counts[0]} names"
+          + (f" (parent {counts[1]})" if args.against is not None else ""))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -25,10 +25,13 @@ gives an array out, with the same float operations either way.  A NaN
 price is refused with ValueError, a NaN demand with InfeasibleError.
 
 v comes one demand at a time (ucp_value, with the cheapest Dispatch) or
-for a whole set of demands (ucp_values).  The batch reads the table in
-chunks of demands whose working arrays hold at most BATCH_CELLS values
-and keeps the same near-minimal candidates as ucp_value; both cost them
-in one _fill pass.
+for a whole set of demands (ucp_values).  Both keep as candidates the
+commitments within a rounding margin of the least table cost
+(_candidates) and cost them in one _fill pass.  ucp_value reads the
+table at its demand.  The batch groups its demands by feasibility cell,
+the demands that share one feasible set, and reads the table once or
+twice per cell rather than once per demand, in chunks whose working
+arrays hold at most BATCH_CELLS values.
 """
 from __future__ import annotations
 
@@ -336,37 +339,147 @@ def _commitment_table(fleet: Fleet) -> _CommitmentTable:
     return table
 
 
-def _near_minimal(table: _CommitmentTable, ys: np.ndarray) -> np.ndarray:
-    """Which commitments are candidates for the cheapest at each demand.
+def _table_costs(table: _CommitmentTable, ys: np.ndarray,
+                 cols: np.ndarray | None = None) -> np.ndarray:
+    """Table cost of every commitment, or of commitments cols, at demands ys.
 
-    A mask of shape ys.shape + (commitments,), in product order.  Every
-    commitment's merit-order cost at each demand comes from the table at
-    once.  The table sums in another order than _fill, so
-    every commitment within a rounding margin of a demand's least cost
-    stays a candidate, to be decided exactly.  A demand that no
-    commitment covers has none.
+    ys broadcasts against the commitments.  The table sums in another
+    order than _fill, so this is the exact cost only within rounding; it
+    is nondecreasing in the demand, float for float.
     """
-    column = ys[..., None]
-    feasible = (column >= table.lo) & (column <= table.hi)
-    residual = np.clip(column - table.floor, 0.0, table.span)
+    floor, span, base, lines = table.floor, table.span, table.base, table.lines
+    if cols is not None:  # take gathers lines' columns faster than [:, cols]
+        floor, span, base = floor.take(cols), span.take(cols), base.take(cols)
+        lines = lines.take(cols, axis=1)
+    # np.clip(ys - floor, 0, span) at less cost; it differs only in the
+    # sign of a zero, which no comparison sees
+    residual = np.maximum(ys - floor, 0.0)
+    np.minimum(residual, span, out=residual)
     fill = residual[..., None, :] * table.slopes
-    fill += table.lines
+    fill += lines
     # costs are nonnegative, so 0 bounds the fill from below (and is the
     # fill of a commitment without free blocks)
-    approx = np.where(feasible, table.base + fill.max(axis=-2, initial=0.0), np.inf)
-    least = approx.min(axis=-1, keepdims=True)
-    margin = 1e-9 * np.maximum(np.maximum(1.0, np.abs(least)), column * table.max_slope)
-    # where no commitment is feasible, least and the margin are inf
-    return (approx <= least + margin) & feasible
+    return base + fill.max(axis=-2, initial=0.0)
+
+
+def _read(table: _CommitmentTable, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(feasible, approx) of every commitment at each demand of ys, shape
+    ys.shape + (commitments,); approx is _table_costs, +inf if infeasible."""
+    column = ys[..., None]
+    feasible = (column >= table.lo) & (column <= table.hi)
+    return feasible, np.where(feasible, _table_costs(table, column), np.inf)
+
+
+def _bound(table: _CommitmentTable, least, ys):
+    """The least table cost plus a margin, 1e-9 * max(1, least, ys *
+    max_slope), that bounds the gap between a table cost and its fill.
+    Costs are >= 0, so no abs; with nothing feasible, least is inf."""
+    return least + 1e-9 * np.maximum(np.maximum(1.0, least), ys * table.max_slope)
+
+
+def _candidates(table: _CommitmentTable, lows: np.ndarray, highs: np.ndarray,
+                least: np.ndarray | None = None) -> np.ndarray:
+    """Candidates for the cheapest commitment at the demands of each cell.
+
+    Cell j holds demands in [lows[j], highs[j]] with one feasible set.
+    Its candidates are the feasible commitments whose table cost at
+    lows[j] is within _bound of the least at highs[j]: least[j], unless
+    that is -inf or least is None, when the cell is one demand.  Table
+    costs grow with the demand, so the set holds every commitment within
+    the bound of any demand of the cell.  Returns flat indices into the
+    (cell, commitment) grid, in product order; lows and highs may be 0-d.
+    """
+    feasible, approx = _read(table, lows)
+    top = approx.min(axis=-1)
+    if least is not None:
+        top = np.maximum(top, least)
+    return np.flatnonzero((approx <= _bound(table, top, highs)[..., None]) & feasible)
+
+
+def _cells(table: _CommitmentTable, ys: np.ndarray):
+    """Group demands by feasibility cell: (order, cell, lows, highs).
+
+    ys[order] is sorted, cell[i] numbers the cell of ys[order[i]] from 0
+    up, and lows/highs are each cell's least and greatest demand.  The
+    cell index of y counts the commitments with lo <= y plus those with
+    hi < y.  Both grow with y, so a cell's demands are consecutive and
+    share one feasible set.  Python sorts the demands (numpy's sort would
+    load kernels no other path uses), unless they come sorted, as grids do.
+    """
+    if (ys[1:] < ys[:-1]).any():
+        order = np.fromiter(sorted(range(ys.size), key=ys.tolist().__getitem__),
+                            np.intp, ys.size)
+        ys = ys[order]
+    else:
+        order = np.arange(ys.size)
+    # a new cell starts at each first demand that some lo or hi admits
+    firsts = np.concatenate([ys.searchsorted(table.lo, side="left"),
+                             ys.searchsorted(table.hi, side="right")])
+    new = np.bincount(firsts, minlength=ys.size + 1)[:-1] > 0
+    new[0] = True
+    starts = np.flatnonzero(new)
+    # an integer cumsum: a bool one loads a cast kernel no other path uses
+    return (order, new.astype(np.intp).cumsum() - 1, ys[starts],
+            ys[np.append(starts[1:], ys.size) - 1])
+
+
+def _batch_candidates(table: _CommitmentTable, ys: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_candidates at every demand of ys: (order, pairs, cols).
+
+    Demand ys[order[i]] has pairs[i] candidates, listed in cols in that
+    order, each demand's in product order.  More than one demand are
+    grouped by _cells, and the table is read once per cell at its least
+    demand and once more at its greatest where they differ, unless that
+    takes as many reads as there are demands; reads go in chunks whose
+    working arrays hold at most BATCH_CELLS values.  Each demand then
+    keeps the cell candidates within _bound of its own least table cost,
+    which is among them: the set a read of its own would give.
+    """
+    if ys.size == 1:
+        cols = _candidates(table, ys[0], ys[0])
+        return np.zeros(1, dtype=np.intp), np.array([cols.size]), cols
+    width = len(table.floor)
+    chunk = max(1, BATCH_CELLS // (table.lines.size or width))
+    order, cell, lows, highs = _cells(table, ys)
+    spread = np.flatnonzero(highs != lows)
+    if lows.size + spread.size >= ys.size:
+        # the cells save no read: read each demand alone, which needs no
+        # second read and no filter
+        cell, lows = np.arange(ys.size), ys[order]
+        highs, spread = lows, spread[:0]
+    least = np.full(lows.size, -np.inf)
+    for start in range(0, spread.size, chunk):
+        at = spread[start:start + chunk]
+        least[at] = _read(table, highs[at])[1].min(axis=1)
+    owner, cols = np.divmod(np.concatenate([
+        _candidates(table, lows[start:start + chunk], highs[start:start + chunk],
+                    least[start:start + chunk]) + start * width
+        for start in range(0, lows.size, chunk)]), width)
+    # each demand takes its cell's list: where its pairs and the list start
+    count = np.bincount(owner, minlength=lows.size)
+    pairs = count[cell]
+    first = pairs.cumsum() - pairs
+    index = (count.cumsum() - count)[cell] - first
+    cols = cols[np.repeat(index, pairs) + np.arange(pairs.sum())]
+    costed = pairs > 0
+    if not (spread.size and costed.any()):
+        return order, pairs, cols
+    ys = ys[order]
+    approx = _table_costs(table, ys.repeat(pairs), cols)
+    least = np.minimum.reduceat(approx, first[costed])
+    keep = approx <= _bound(table, least, ys[costed]).repeat(pairs[costed])
+    pairs[costed] = np.add.reduceat(keep, first[costed], dtype=np.intp)
+    return order, pairs, cols[keep]
 
 
 def ucp_value(fleet: Fleet, y: float) -> tuple[float, Dispatch]:
     """Exact unit commitment cost at demand y and its cheapest dispatch.
 
     Units of a type are interchangeable, so a commitment is a vector of
-    per-type counts.  Every commitment's merit-order cost is computed at
-    once from the fleet's cached commitment table; the few whose cost lies
-    within rounding of the minimum (_near_minimal, shared with ucp_values)
+    per-type counts.  Every commitment's merit-order cost is read at once
+    from the fleet's cached commitment table; the few whose cost lies
+    within rounding of the minimum (_candidates, shared with ucp_values)
     are then costed exactly in one _fill pass, in itertools.product order,
     and the first least cost wins.  Raises InfeasibleError when no
     commitment covers y, and ValueError when the table would exceed
@@ -375,7 +488,8 @@ def ucp_value(fleet: Fleet, y: float) -> tuple[float, Dispatch]:
     if not -FEAS_EPS <= y <= fleet.total_capacity + FEAS_EPS:  # NaN included
         raise _outside(fleet, y)
     table = _commitment_table(fleet)
-    candidates = np.flatnonzero(_near_minimal(table, np.float64(y)))
+    y64 = np.float64(y)
+    candidates = _candidates(table, y64, y64)
     if not candidates.size:
         raise InfeasibleError(f"no commitment can meet {y} MW")
     per_unit, costs = _fill(fleet, table.counts[candidates], table.floor[candidates],
@@ -392,11 +506,11 @@ def ucp_values(fleet: Fleet, demands) -> np.ndarray:
     The batched ucp_value: each value is the float ucp_value returns, and
     +inf where ucp_value raises InfeasibleError; the first NaN demand
     raises InfeasibleError, as in ucp_value, and demands of any other
-    shape raise ValueError.  Demands go through the commitment table in
-    chunks of at most BATCH_CELLS working values; the candidates
-    _near_minimal keeps are costed exactly in one _fill pass and each
-    demand takes the least, which is ucp_value's.  Demands that no
-    commitment covers are never costed.
+    shape raise ValueError.  _batch_candidates reads the table once or
+    twice per feasibility cell, not once per demand; every demand's
+    candidates are costed exactly in one _fill pass and each demand takes
+    the least, which is ucp_value's.  Demands that no commitment covers
+    are never costed.
     """
     table = _commitment_table(fleet)
     ys = np.asarray(demands, dtype=float)
@@ -408,17 +522,12 @@ def ucp_values(fleet: Fleet, demands) -> np.ndarray:
     values = np.full(ys.shape, np.inf)
     if not ys.size:
         return values
-    width = len(table.floor)
-    chunk = max(1, BATCH_CELLS // (width * max(len(_merit_order(fleet)), 1)))
-    # flat indices into the (demand, commitment) grid, demand by demand
-    flat = np.concatenate([
-        np.flatnonzero(_near_minimal(table, ys[start:start + chunk])) + start * width
-        for start in range(0, ys.size, chunk)])
-    rows, cols = np.divmod(flat, width)
-    if rows.size:
-        costs = _fill(fleet, table.counts[cols], table.floor[cols], ys[rows])[1]
-        first = np.flatnonzero(np.diff(rows, prepend=-1))
-        values[rows[first]] = np.minimum.reduceat(costs, first)
+    order, pairs, cols = _batch_candidates(table, ys)
+    if cols.size:
+        costs = _fill(fleet, table.counts.take(cols, axis=0), table.floor.take(cols),
+                      ys[order].repeat(pairs))[1]
+        costed = pairs > 0
+        values[order[costed]] = np.minimum.reduceat(costs, (pairs.cumsum() - pairs)[costed])
     return values
 
 

@@ -1,0 +1,48 @@
+"""scripts/batch_pairs.py and scripts/size_report.py --against, end to end,
+each with one tree against itself."""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from test_setup_pairs import source_tree
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_batch_pairs_times_the_wide_fleet_batches(tmp_path):
+    tree = source_tree(tmp_path / "tree")
+    out = tmp_path / "batches.json"
+    done = run_script("batch_pairs.py", tree, tree, "--workload", "wide-fleet",
+                      "--pairs", "2", "--repeats", "1", "--out", out)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(out.read_text())
+    assert record["host"]["bytecode_writes"] == "off"
+    # one uplift batch per day: the hours' 24 demands
+    assert [batch["size"] for batch in record["batches"]] == [24, 24]
+    figures = [batch["figure"] for batch in record["batches"]]
+    assert sorted(record["summary"]) == sorted(figures)
+    for side in ("parent", "changed"):
+        samples = record["samples"][side]
+        assert [s["pair"] for s in samples] == [0, 1]
+        assert all(s["metrics"][figure] > 0 for s in samples for figure in figures)
+    for figure in figures:
+        assert figure in done.stdout
+    assert not (tree / "src" / "chpricing" / "__pycache__").exists()
+
+
+def test_size_report_against_a_tree(tmp_path):
+    tree = source_tree(tmp_path / "tree")
+    done = run_script("size_report.py", tree, "--against", tree, "--repeats", "2")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    total = next(line.split() for line in lines if line.startswith("total"))
+    assert total[1] == total[3]  # the same lines on both sides
+    assert "package compile over 2 alternated repetitions: least" in done.stdout
+    names = lines[-1].split()
+    assert names[1] == names[4].rstrip(")") and lines[-1].startswith("chpricing.__all__:")

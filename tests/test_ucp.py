@@ -28,7 +28,7 @@ from chpricing import (
     ucp_value,
     ucp_values,
 )
-from chpricing import ucp
+from chpricing import cli, ucp
 from chpricing.ucp import (
     FEAS_EPS,
     MAX_TABLE_CELLS,
@@ -171,6 +171,48 @@ def assert_fill_matches_oracle(fleet, demands):
     assert costs.tolist() == [
         oracles.committed_cost(fleet, tuple(table.counts[c].tolist()), y)
         for y, c in zip(ys, commitments)]
+
+
+def cell_boundaries(fleet):
+    """Every commitment's lo, hi and floor + span, and one float either side."""
+    table = ucp._commitment_table(fleet)
+    edges = np.concatenate([table.lo, table.hi, table.floor + table.span])
+    return sorted({float(y) for y in np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])})
+
+
+def priced(value_fn, fleet, y):
+    """value_fn(fleet, y), a (cost, Dispatch) pair, or None where it is infeasible."""
+    try:
+        return value_fn(fleet, y)
+    except InfeasibleError:
+        return None
+
+
+def spy_reads(monkeypatch):
+    """Record the number of demands of every commitment-table read."""
+    reads = []
+    read = ucp._read
+
+    def spy(table, ys):
+        reads.append(np.size(ys))
+        return read(table, ys)
+
+    monkeypatch.setattr(ucp, "_read", spy)
+    return reads
+
+
+def record_fills(monkeypatch):
+    """Record the number of (demand, commitment) pairs of every _fill pass."""
+    pairs = []
+    fill = ucp._fill
+
+    def spy(fleet, counts, floor, ys):
+        pairs.append(len(ys))
+        return fill(fleet, counts, floor, ys)
+
+    monkeypatch.setattr(ucp, "_fill", spy)
+    return pairs
 
 
 def by_name(fleet, name):
@@ -423,13 +465,76 @@ class TestUcpValue:
                 [math.inf if v is None else v[0] for v in scalar]
 
     def test_batch_chunks_do_not_change_values(self, scarf, monkeypatch):
-        # 252 commitments x 3 blocks: whole chunks of 86 demands by default
+        # 252 commitments x 3 blocks: a table read of one cell holds 756
+        # working values, so chunks of 86 cells by default, and one cell per
+        # chunk at 756 or fewer
         demands = [float(y) for y in np.linspace(-2.0, 163.0, 701)]
         whole = ucp_values(scarf, demands)
         assert np.isinf(whole).sum() == sum(not 0.0 <= y <= 161.0 for y in demands)
-        for cells in (1, 756 * 3, 756 * 7 + 5):
+        reads = spy_reads(monkeypatch)
+        for cells in (1, 756, 756 * 3, 756 * 7 + 5):
             monkeypatch.setattr(ucp, "BATCH_CELLS", cells)
+            reads.clear()
             assert ucp_values(scarf, demands).tolist() == whole.tolist()
+            assert max(reads) == max(1, cells // 756)
+
+    @PROPERTY
+    @given(fleets(), st.randoms(use_true_random=False))
+    def test_cell_boundaries_match_enumeration(self, fleet, rng):
+        # every table lo and hi, every floor + span, and one float either
+        # side, shuffled and each twice: the batch's cells split exactly there
+        distinct = cell_boundaries(fleet)
+        demands = distinct * 2
+        rng.shuffle(demands)
+        expected = {}
+        for y in distinct:
+            # the cost and the whole Dispatch, or None where infeasible
+            expected[y] = priced(enumerated_value, fleet, y)
+            assert priced(ucp_value, fleet, y) == expected[y], y
+        assert ucp_values(fleet, demands).tolist() == [
+            math.inf if expected[y] is None else expected[y][0] for y in demands]
+
+    def test_iterative_day_reads_once_or_twice_per_cell(self, scarf, tmp_path,
+                                                        monkeypatch):
+        # the benchmark's scarf chp-subgradient day: one batch of 24 x 50 rows
+        batches = []
+        grouped = ucp._batch_candidates
+
+        def spy(table, ys):
+            batches.append((table, ys.copy(), len(reads)))
+            return grouped(table, ys)
+
+        reads = spy_reads(monkeypatch)
+        monkeypatch.setattr(ucp, "_batch_candidates", spy)
+        costed = record_fills(monkeypatch)
+        assert cli.main(["run", "--fleet", "scarf", "--method", "chp-subgradient",
+                         "--iters", "50", "--seed", "1", "--jobs", "1",
+                         "--out", str(tmp_path)]) == 0
+        (table, ys, before), = batches
+        rows = sum(reads[before:])
+        cells = {int((y >= table.lo).sum() + (y > table.hi).sum()) for y in ys}
+        assert ys.size == 1200
+        assert len(cells) <= rows <= min(ys.size, 2 * len(cells))
+        assert rows < ys.size / 10
+        # each demand is costed over the candidates a read of its own keeps
+        assert costed == [sum(ucp._candidates(table, y, y).size for y in ys)]
+
+    def test_batch_reads_each_demand_once_where_cells_save_no_read(self, scarf,
+                                                                   monkeypatch):
+        # 12 cells of two demands each: grouped, they would take 12 + 12
+        # reads in two passes and a filter; alone, one pass of 24
+        table = ucp._commitment_table(scarf)
+        base = np.linspace(150.0, 10.0, 12)
+        demands = np.concatenate([base, np.nextafter(base, np.inf)]).tolist()
+        assert len({int((y >= table.lo).sum() + (y > table.hi).sum())
+                    for y in demands}) == 12
+        expected = [ucp_value(scarf, y)[0] for y in demands]
+        reads = spy_reads(monkeypatch)
+        costed = record_fills(monkeypatch)
+        assert ucp_values(scarf, demands).tolist() == expected
+        assert reads == [24]
+        assert costed == [sum(ucp._candidates(table, y, y).size
+                              for y in np.array(demands))]
 
     def test_batch_costs_no_infeasible_demand(self, monkeypatch):
         fleet = Fleet((GeneratorType("A", 3.0, 4.0, (CostSegment(2.0, 6.0),), 2),
