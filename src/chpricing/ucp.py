@@ -396,7 +396,8 @@ def _candidates(table: _CommitmentTable, lows: np.ndarray, highs: np.ndarray,
     return np.flatnonzero((approx <= _bound(table, top, highs)[..., None]) & feasible)
 
 
-def _cells(table: _CommitmentTable, ys: np.ndarray):
+def _cells(table: _CommitmentTable, ys: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Group demands by feasibility cell: (order, cell, lows, highs).
 
     ys[order] is sorted, cell[i] numbers the cell of ys[order[i]] from 0
