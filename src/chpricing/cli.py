@@ -55,7 +55,7 @@ from .ucp import (
 from .welfare import HourResult, hour_result, summarize_day
 
 __all__ = ["ExperimentConfig", "run_experiment", "emit_cost_curves",
-           "emit_uplift_curves", "main", "FIXTURE_DEFAULTS"]
+           "emit_uplift_curves", "main"]
 
 # demand-model and loop defaults for the builtin fleets
 FIXTURE_DEFAULTS = {
@@ -64,6 +64,9 @@ FIXTURE_DEFAULTS = {
     "scarf": dict(a=455.0, mu1=0.8, mu2=0.2, nu=0.0025, utility_constant=500.0,
                   lambda0=10.0, step_coef=0.01, n_iters=100),
 }
+# the same defaults for a fleet file; a, nu and step_coef have none there
+CUSTOM_FLEET_DEFAULTS = dict(mu1=0.8, mu2=0.2, utility_constant=0.0, lambda0=100.0,
+                             n_iters=100)
 
 # HourResult's fields, then the hour's status
 HOURS_COLUMNS = ("t", "price", "demand", "cost", "uplift", "utility_gross",
@@ -332,36 +335,30 @@ def _model_args(parser: argparse.ArgumentParser) -> None:
                         help="additive constant of the hourly utility")
 
 
+def _setting(fleet: str, key: str, given):
+    """The value given, else the builtin fleet's default, else a fleet file's."""
+    if given is not None:
+        return given
+    defaults = FIXTURE_DEFAULTS.get(fleet, CUSTOM_FLEET_DEFAULTS)
+    if key not in defaults:
+        raise ValueError(f"--{key} is required for a custom fleet file")
+    return defaults[key]
+
+
 def _resolve_model_params(args: argparse.Namespace) -> dict[str, float]:
-    defaults = FIXTURE_DEFAULTS.get(args.fleet)
-    params = {}
-    for key, fallback in (("a", None), ("nu", None), ("mu1", 0.8), ("mu2", 0.2),
-                          ("utility_constant", 0.0)):
-        given = getattr(args, key)
-        if given is not None:
-            params[key] = given
-        elif defaults is not None:
-            params[key] = defaults[key]
-        elif fallback is not None:
-            params[key] = fallback
-        else:
-            raise ValueError(f"--{key} is required for a custom fleet file")
-    return params
+    return {key: _setting(args.fleet, key, getattr(args, key))
+            for key in ("a", "nu", "mu1", "mu2", "utility_constant")}
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     params = _resolve_model_params(args)
-    defaults = FIXTURE_DEFAULTS.get(args.fleet, {})
-    lambda0 = args.lambda0 if args.lambda0 is not None \
-        else defaults.get("lambda0", 100.0)
-    n_iters = args.iters if args.iters is not None else defaults.get("n_iters", 100)
     method = args.method.replace("-", "_")
     config = ExperimentConfig(
         fleet=args.fleet,
         method=method,
         out_dir=args.out,
-        lambda0=lambda0,
-        n_iters=n_iters,
+        lambda0=_setting(args.fleet, "lambda0", args.lambda0),
+        n_iters=_setting(args.fleet, "n_iters", args.iters),
         step_coef=(_parse_step(args.step, args.fleet)
                    if method in ITERATIVE_METHODS else None),
         seed=args.seed,

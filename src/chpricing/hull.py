@@ -29,7 +29,6 @@ __all__ = [
     "chp_fixed_demand",
     "uplift",
     "uplifts",
-    "bisect_first_true",
 ]
 
 # default tolerance of bisect_first_true ($/MWh)
@@ -49,6 +48,7 @@ class HullPoint(NamedTuple):
     price_hi: float    # $/MWh
 
 
+# not public; kept because perfbench/tracing.py wraps it by name
 def bisect_first_true(pred: Callable[[float], bool], lo: float, hi: float,
                       tol: float = PRICE_TOL) -> float:
     """Smallest x in [lo, hi] with pred(x), for pred monotone false -> true.

@@ -28,10 +28,6 @@ __all__ = [
     "synthetic_profile",
     "default_profile",
     "sample_noise",
-    "HOURS",
-    "PROFILE_LOW",
-    "PROFILE_MEAN",
-    "PROFILE_HIGH",
 ]
 
 HOURS = 24

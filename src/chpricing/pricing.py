@@ -24,15 +24,10 @@ from .ucp import (InfeasibleError, QuadraticCost, _staircase, conjugate, fleet_s
                   relaxed_value, ucp_values)
 
 __all__ = [
-    "PRICE_FLOOR",
-    "MAX_ITERS",
-    "METHODS",
-    "ITERATIVE_METHODS",
     "HarmonicStep",
     "IterateRecord",
     "PricingTrace",
     "PricedHours",
-    "check_loop_args",
     "dual_value",
     "price_hours",
     "run_subgradient",

@@ -51,18 +51,14 @@ __all__ = [
     "BestResponse",
     "QuadraticCost",
     "InfeasibleError",
-    "unit_variable_cost",
     "dispatch_committed",
     "ucp_value",
     "ucp_values",
     "best_response",
     "fleet_supply",
     "conjugate",
-    "relaxed_blocks",
     "relaxed_value",
-    "relaxed_supply",
     "no_startup_value",
-    "no_startup_values",
     "quadratic_fit",
 ]
 
@@ -702,6 +698,7 @@ def relaxed_value(fleet: Fleet, y):
     return _like(ys, value), _like(ys, prices.take(above, mode="clip"))
 
 
+# not public; kept because perfbench/tracing.py wraps it by name
 def relaxed_supply(fleet: Fleet, price: float) -> float:
     """Relaxed merit-order capacity priced <= price: by duality, fleet_supply."""
     return fleet_supply(fleet, price)

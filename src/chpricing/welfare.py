@@ -6,10 +6,10 @@ from typing import NamedTuple
 
 from .fleet import Fleet
 from .hull import uplifts
-from .market import DayProfile, DemandModel, hourly_demand, hourly_utility
+from .market import HOURS, DayProfile, DemandModel, hourly_demand, hourly_utility
 from .ucp import ucp_value
 
-__all__ = ["HourResult", "DaySummary", "settle_hour", "hour_result", "summarize_day"]
+__all__ = ["HourResult", "DaySummary", "settle_hour", "summarize_day"]
 
 
 class HourResult(NamedTuple):
@@ -81,8 +81,8 @@ def hour_result(t: int, price: float, demand: float, cost: float, uplift: float,
 
 def summarize_day(results: list[HourResult]) -> DaySummary:
     """Aggregate exactly 24 hourly settlements."""
-    if len(results) != 24:
-        raise ValueError(f"a day has 24 hourly results, got {len(results)}")
+    if len(results) != HOURS:
+        raise ValueError(f"a day has {HOURS} hourly results, got {len(results)}")
     prices = [r.price for r in results]
     return DaySummary(
         price_min=min(prices),

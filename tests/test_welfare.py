@@ -96,7 +96,7 @@ class TestSummarizeDay:
     def test_requires_full_day(self, scarf, scarf_model, day_profile):
         results = [settle_hour(scarf, scarf_model, day_profile, t, 6.3125)
                    for t in range(23)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a day has 24 hourly results, got 23$"):
             summarize_day(results)
 
     def test_aggregates(self, scarf, scarf_model, day_profile):
