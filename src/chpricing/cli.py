@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.profile_path is not None and self.synthetic is not None:
+            raise ValueError("give profile_path or synthetic, not both")
         if self.method in ITERATIVE_METHODS:
             if self.step_coef is None:
                 raise ValueError(f"{self.method} needs a step coefficient")
@@ -345,9 +347,14 @@ def _setting(fleet: str, key: str, given):
     return defaults[key]
 
 
+def _model_flags(args: argparse.Namespace) -> dict[str, float | None]:
+    """The demand-model flags as given, None where left out."""
+    return {key: getattr(args, key) for key in ("a", "nu", "mu1", "mu2", "utility_constant")}
+
+
 def _resolve_model_params(args: argparse.Namespace) -> dict[str, float]:
-    return {key: _setting(args.fleet, key, getattr(args, key))
-            for key in ("a", "nu", "mu1", "mu2", "utility_constant")}
+    return {key: _setting(args.fleet, key, given)
+            for key, given in _model_flags(args).items()}
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -377,9 +384,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_curves(args: argparse.Namespace) -> int:
     fleet = _resolve_fleet(args.fleet)
     model = profile = None
-    if args.fleet in FIXTURE_DEFAULTS or (args.a is not None and args.nu is not None):
-        params = _resolve_model_params(args)
-        model = DemandModel(**params)
+    # a fleet file without model flags has no model; any flag asks for one
+    if args.fleet in FIXTURE_DEFAULTS or any(
+            given is not None for given in _model_flags(args).values()):
+        model = DemandModel(**_resolve_model_params(args))
         profile = default_profile()
     path = emit_cost_curves(fleet, args.step_mw, args.out, model, profile)
     print(path)
@@ -404,9 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="gribik, scarf, or a path to a fleet JSON file")
     run_p.add_argument("--method", required=True,
                        choices=["chp-subgradient", "chp-exact", "lmp", "dispatchable"])
-    run_p.add_argument("--profile", help="CSV day profile (hour,d1)")
-    run_p.add_argument("--synthetic", metavar="MIN,MEAN,MAX",
-                       help="synthetic diurnal profile statistics")
+    day = run_p.add_mutually_exclusive_group()
+    day.add_argument("--profile", help="CSV day profile (hour,d1)")
+    day.add_argument("--synthetic", metavar="MIN,MEAN,MAX",
+                     help="synthetic diurnal profile statistics")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--iters", type=int, default=None)
     run_p.add_argument("--step", default="paper",

@@ -124,9 +124,10 @@ def uplifts(fleet: Fleet, prices, demands, values=None) -> np.ndarray:
     """Uplift conjugate(price) - (price*y - v(y)) at each (price, demand y): the
     fleet's best attainable profit at the price minus what it earns producing
     y, nonnegative and zero exactly where the price supports v at y.  v comes
-    from one batched ucp_values (+inf where no commitment covers y), or from
-    values where the caller has costed y."""
+    from one batched ucp_values over the demands of any shape (+inf where no
+    commitment covers y), or from values where the caller has costed y."""
     prices = np.asarray(prices, dtype=float)
     demands = np.asarray(demands, dtype=float)
-    return conjugate(fleet, prices) - (
-        prices * demands - (ucp_values(fleet, demands) if values is None else values))
+    return conjugate(fleet, prices) - (prices * demands - (
+        ucp_values(fleet, demands.ravel()).reshape(demands.shape) if values is None
+        else values))

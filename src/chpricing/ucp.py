@@ -28,10 +28,12 @@ v comes one demand at a time (ucp_value, with the cheapest Dispatch) or
 for a whole set of demands (ucp_values).  Both keep as candidates the
 commitments within a rounding margin of the least table cost
 (_candidates) and cost them in one _fill pass.  ucp_value reads the
-table at its demand.  The batch groups its demands by feasibility cell,
-the demands that share one feasible set, and reads the table once or
-twice per cell rather than once per demand, in chunks whose working
-arrays hold at most BATCH_CELLS values.
+table at its demand.  The batch takes two stages.  It groups its demands
+by feasibility cell, the demands that share one feasible set, and reads
+the table once per cell at the cell's least demand and once more at its
+greatest where they differ, in chunks whose working arrays hold at most
+BATCH_CELLS values.  Then every demand of a cell is costed over the
+cell's whole candidate list in one _fill pass.
 """
 from __future__ import annotations
 
@@ -335,27 +337,22 @@ def _commitment_table(fleet: Fleet) -> _CommitmentTable:
     return table
 
 
-def _table_costs(table: _CommitmentTable, ys: np.ndarray,
-                 cols: np.ndarray | None = None) -> np.ndarray:
-    """Table cost of every commitment, or of commitments cols, at demands ys.
+def _table_costs(table: _CommitmentTable, ys: np.ndarray) -> np.ndarray:
+    """Table cost of every commitment at demands ys.
 
     ys broadcasts against the commitments.  The table sums in another
     order than _fill, so this is the exact cost only within rounding; it
     is nondecreasing in the demand, float for float.
     """
-    floor, span, base, lines = table.floor, table.span, table.base, table.lines
-    if cols is not None:  # take gathers lines' columns faster than [:, cols]
-        floor, span, base = floor.take(cols), span.take(cols), base.take(cols)
-        lines = lines.take(cols, axis=1)
     # np.clip(ys - floor, 0, span) at less cost; it differs only in the
     # sign of a zero, which no comparison sees
-    residual = np.maximum(ys - floor, 0.0)
-    np.minimum(residual, span, out=residual)
+    residual = np.maximum(ys - table.floor, 0.0)
+    np.minimum(residual, table.span, out=residual)
     fill = residual[..., None, :] * table.slopes
-    fill += lines
+    fill += table.lines
     # costs are nonnegative, so 0 bounds the fill from below (and is the
     # fill of a commitment without free blocks)
-    return base + fill.max(axis=-2, initial=0.0)
+    return table.base + fill.max(axis=-2, initial=0.0)
 
 
 def _read(table: _CommitmentTable, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,21 +371,20 @@ def _bound(table: _CommitmentTable, least, ys):
 
 
 def _candidates(table: _CommitmentTable, lows: np.ndarray, highs: np.ndarray,
-                least: np.ndarray | None = None) -> np.ndarray:
+                least: np.ndarray) -> np.ndarray:
     """Candidates for the cheapest commitment at the demands of each cell.
 
     Cell j holds demands in [lows[j], highs[j]] with one feasible set.
     Its candidates are the feasible commitments whose table cost at
-    lows[j] is within _bound of the least at highs[j]: least[j], unless
-    that is -inf or least is None, when the cell is one demand.  Table
+    lows[j] is within _bound of the least at highs[j]: least[j], or -inf
+    where the cell is one demand, which np.maximum passes over.  Table
     costs grow with the demand, so the set holds every commitment within
     the bound of any demand of the cell.  Returns flat indices into the
-    (cell, commitment) grid, in product order; lows and highs may be 0-d.
+    (cell, commitment) grid, in product order; lows, highs and least may
+    be 0-d.
     """
     feasible, approx = _read(table, lows)
-    top = approx.min(axis=-1)
-    if least is not None:
-        top = np.maximum(top, least)
+    top = np.maximum(approx.min(axis=-1), least)
     return np.flatnonzero((approx <= _bound(table, top, highs)[..., None]) & feasible)
 
 
@@ -422,29 +418,20 @@ def _cells(table: _CommitmentTable, ys: np.ndarray
 
 def _batch_candidates(table: _CommitmentTable, ys: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_candidates at every demand of ys: (order, pairs, cols).
+    """_candidates of every demand's feasibility cell: (order, pairs, cols).
 
     Demand ys[order[i]] has pairs[i] candidates, listed in cols in that
-    order, each demand's in product order.  More than one demand are
-    grouped by _cells, and the table is read once per cell at its least
-    demand and once more at its greatest where they differ, unless that
-    takes as many reads as there are demands; reads go in chunks whose
-    working arrays hold at most BATCH_CELLS values.  Each demand then
-    keeps the cell candidates within _bound of its own least table cost,
-    which is among them: the set a read of its own would give.
+    order, each demand's in product order.  The demands are grouped by
+    _cells, and the table is read once per cell at its least demand and
+    once more at its greatest where they differ, in chunks whose working
+    arrays hold at most BATCH_CELLS values.  Every demand of a cell takes
+    the cell's whole list, a superset of the list a read of its own would
+    give, so it holds the demand's least exact cost.
     """
-    if ys.size == 1:
-        cols = _candidates(table, ys[0], ys[0])
-        return np.zeros(1, dtype=np.intp), np.array([cols.size]), cols
     width = len(table.floor)
     chunk = max(1, BATCH_CELLS // (table.lines.size or width))
     order, cell, lows, highs = _cells(table, ys)
     spread = np.flatnonzero(highs != lows)
-    if lows.size + spread.size >= ys.size:
-        # the cells save no read: read each demand alone, which needs no
-        # second read and no filter
-        cell, lows = np.arange(ys.size), ys[order]
-        highs, spread = lows, spread[:0]
     least = np.full(lows.size, -np.inf)
     for start in range(0, spread.size, chunk):
         at = spread[start:start + chunk]
@@ -456,18 +443,8 @@ def _batch_candidates(table: _CommitmentTable, ys: np.ndarray
     # each demand takes its cell's list: where its pairs and the list start
     count = np.bincount(owner, minlength=lows.size)
     pairs = count[cell]
-    first = pairs.cumsum() - pairs
-    index = (count.cumsum() - count)[cell] - first
-    cols = cols[np.repeat(index, pairs) + np.arange(pairs.sum())]
-    costed = pairs > 0
-    if not (spread.size and costed.any()):
-        return order, pairs, cols
-    ys = ys[order]
-    approx = _table_costs(table, ys.repeat(pairs), cols)
-    least = np.minimum.reduceat(approx, first[costed])
-    keep = approx <= _bound(table, least, ys[costed]).repeat(pairs[costed])
-    pairs[costed] = np.add.reduceat(keep, first[costed], dtype=np.intp)
-    return order, pairs, cols[keep]
+    index = (count.cumsum() - count)[cell] - (pairs.cumsum() - pairs)
+    return order, pairs, cols[np.repeat(index, pairs) + np.arange(pairs.sum())]
 
 
 def ucp_value(fleet: Fleet, y: float) -> tuple[float, Dispatch]:
@@ -486,7 +463,7 @@ def ucp_value(fleet: Fleet, y: float) -> tuple[float, Dispatch]:
         raise _outside(fleet, y)
     table = _commitment_table(fleet)
     y64 = np.float64(y)
-    candidates = _candidates(table, y64, y64)
+    candidates = _candidates(table, y64, y64, -np.inf)
     if not candidates.size:
         raise InfeasibleError(f"no commitment can meet {y} MW")
     per_unit, costs = _fill(fleet, table.counts[candidates], table.floor[candidates],
@@ -504,8 +481,8 @@ def ucp_values(fleet: Fleet, demands) -> np.ndarray:
     +inf where ucp_value raises InfeasibleError; the first NaN demand
     raises InfeasibleError, as in ucp_value, and demands of any other
     shape raise ValueError.  _batch_candidates reads the table once or
-    twice per feasibility cell, not once per demand; every demand's
-    candidates are costed exactly in one _fill pass and each demand takes
+    twice per feasibility cell, not once per demand; every demand is
+    costed exactly over its cell's candidates in one _fill pass and takes
     the least, which is ucp_value's.  Demands that no commitment covers
     are never costed.
     """

@@ -584,6 +584,22 @@ class TestCurves:
         assert all(r[6] == "" for r in rows)
 
 
+    def test_custom_fleet_model_flag_needs_the_others(self, tmp_path, capsys):
+        # as in run, a model flag asks for the model, and a fleet file has no
+        # default --nu
+        fleet_path = tmp_path / "fleet.json"
+        fleet_path.write_text(ch.dump_fleet(ch.builtin_fleet("gribik")))
+        assert run_cli("curves", "--fleet", str(fleet_path), "--a", "39000",
+                       "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            "error: --nu is required for a custom fleet file\n")
+        assert not (tmp_path / "curves.csv").exists()
+        assert run_cli("curves", "--fleet", str(fleet_path), "--a", "39000",
+                       "--nu", "0.01", "--step-mw", "100", "--out", str(tmp_path)) == 0
+        _, rows = read_rows(tmp_path / "curves.csv")
+        assert any(r[6] != "" for r in rows)
+
+
 class TestUpliftCurve:
     def test_chp_rule_scarf(self, tmp_path):
         assert run_cli("uplift-curve", "--fleet", "scarf", "--rule", "chp",
@@ -838,6 +854,24 @@ class TestErrorPaths:
     def test_bad_synthetic_argument(self, tmp_path):
         assert run_cli("run", "--fleet", "gribik", "--method", "chp-exact",
                        "--synthetic", "1,2", "--out", str(tmp_path)) == 1
+
+    def test_profile_and_synthetic_are_exclusive(self, tmp_path, capsys):
+        profile = tmp_path / "day.csv"
+        profile.write_text("hour,d1\n" + "".join(f"{t},41086.7\n" for t in range(24)))
+        with pytest.raises(SystemExit) as err:
+            run_cli("run", "--fleet", "gribik", "--method", "chp-exact",
+                    "--profile", str(profile), "--synthetic", "100,200,300",
+                    "--out", str(tmp_path / "out"))
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        params = {key: cli.FIXTURE_DEFAULTS["gribik"][key] for key in (
+            "a", "mu1", "mu2", "nu", "utility_constant", "lambda0")}
+        with pytest.raises(ValueError, match="^give profile_path or synthetic, not both$"):
+            cli.ExperimentConfig(fleet="gribik", method="chp_exact",
+                                 out_dir=str(tmp_path), n_iters=1, step_coef=None,
+                                 profile_path=str(profile), synthetic=(100.0, 200.0, 300.0),
+                                 **params)
 
     def test_unknown_method_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -123,6 +123,16 @@ class TestUplift:
         for fleet, price, y in ((gribik, 95.0, 450.0), (scarf, 6.3125, 96.6)):
             assert uplift(fleet, price, y) == uplifts(fleet, [price], [y])[0]
 
+    def test_batch_costs_demands_of_any_shape(self, scarf):
+        # v is costed here, not passed in, for a 0-d and a 2-D batch
+        assert uplifts(scarf, 6.0, 50.0) == uplift(scarf, 6.0, 50.0)
+        prices = np.array([[6.0, 6.3125, 7.0], [0.0, 10.0, 6.0]])
+        demands = np.array([[50.0, 96.6, 161.0], [0.0, 42.0, 130.0]])
+        billed = uplifts(scarf, prices, demands)
+        assert billed.shape == (2, 3)
+        assert billed.tolist() == [[uplift(scarf, p, y) for p, y in zip(*row)]
+                                   for row in zip(prices.tolist(), demands.tolist())]
+
     def test_messages(self, gribik):
         with pytest.raises(InfeasibleError,
                            match=r"^demand 700.0 outside feasible range \[0, 600.0\] MW$"):

@@ -215,6 +215,17 @@ def record_fills(monkeypatch):
     return pairs
 
 
+def cell_of(table, y):
+    """The feasibility cell of demand y: commitments with lo <= y plus hi < y."""
+    return int((y >= table.lo).sum() + (y > table.hi).sum())
+
+
+def cell_list(table, low, high):
+    """_candidates of the cell whose least demand is low and greatest high."""
+    least = ucp._read(table, np.float64(high))[1].min() if high != low else -np.inf
+    return ucp._candidates(table, np.float64(low), np.float64(high), least)
+
+
 def by_name(fleet, name):
     return next(t for t in fleet.types if t.name == name)
 
@@ -512,29 +523,36 @@ class TestUcpValue:
                          "--out", str(tmp_path)]) == 0
         (table, ys, before), = batches
         rows = sum(reads[before:])
-        cells = {int((y >= table.lo).sum() + (y > table.hi).sum()) for y in ys}
+        cells = {}
+        for y in ys:
+            cells.setdefault(cell_of(table, y), []).append(y)
         assert ys.size == 1200
         assert len(cells) <= rows <= min(ys.size, 2 * len(cells))
         assert rows < ys.size / 10
-        # each demand is costed over the candidates a read of its own keeps
-        assert costed == [sum(ucp._candidates(table, y, y).size for y in ys)]
+        # each demand is costed over its whole cell's list, which holds the
+        # candidates a read of its own keeps
+        pairs = 0
+        for members in cells.values():
+            listed = cell_list(table, min(members), max(members))
+            for y in members:
+                assert set(ucp._candidates(table, y, y, -np.inf)) <= set(listed)
+            pairs += len(members) * listed.size
+        assert costed == [pairs]
 
-    def test_batch_reads_each_demand_once_where_cells_save_no_read(self, scarf,
-                                                                   monkeypatch):
-        # 12 cells of two demands each: grouped, they would take 12 + 12
-        # reads in two passes and a filter; alone, one pass of 24
+    def test_batch_reads_a_two_demand_cell_at_both_ends(self, scarf, monkeypatch):
+        # 12 cells of two demands each: one pass of 12 rows at their least
+        # demands and one of 12 at their greatest
         table = ucp._commitment_table(scarf)
         base = np.linspace(150.0, 10.0, 12)
         demands = np.concatenate([base, np.nextafter(base, np.inf)]).tolist()
-        assert len({int((y >= table.lo).sum() + (y > table.hi).sum())
-                    for y in demands}) == 12
+        assert len({cell_of(table, y) for y in demands}) == 12
         expected = [ucp_value(scarf, y)[0] for y in demands]
         reads = spy_reads(monkeypatch)
         costed = record_fills(monkeypatch)
         assert ucp_values(scarf, demands).tolist() == expected
-        assert reads == [24]
-        assert costed == [sum(ucp._candidates(table, y, y).size
-                              for y in np.array(demands))]
+        assert reads == [12, 12]
+        assert costed == [2 * sum(cell_list(table, y, np.nextafter(y, np.inf)).size
+                                  for y in base)]
 
     def test_batch_costs_no_infeasible_demand(self, monkeypatch):
         fleet = Fleet((GeneratorType("A", 3.0, 4.0, (CostSegment(2.0, 6.0),), 2),
