@@ -7,16 +7,21 @@ Subcommands:
 
 Outputs are byte-identical across runs with the same configuration and
 seed, except for the wall-clock column of trace.csv.
+
+The options are declared once, in _COMMANDS.  A well-formed command line
+is parsed straight from it; argparse, built from the same table, is
+imported only for --help, a usage error or a spelling the table's parser
+leaves to it (an abbreviation, --flag=value, --).
 """
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -227,8 +232,8 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
 
 
 def _demand_grid(capacity: float, step_mw: float) -> list[float]:
-    if not step_mw > 0:
-        raise ValueError(f"step-mw must be > 0, got {step_mw}")
+    if not 0 < step_mw < math.inf:
+        raise ValueError(f"step-mw must be finite and > 0, got {step_mw}")
     if capacity / step_mw > MAX_GRID_POINTS:
         raise ValueError(
             f"step-mw {step_mw} over {capacity} MW makes more than "
@@ -328,15 +333,6 @@ def _parse_synthetic(text: str) -> tuple[float, float, float]:
     return low, mean, high
 
 
-def _model_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--a", type=float, help="elastic utility scale")
-    parser.add_argument("--nu", type=float, help="profile-to-fleet demand scale")
-    parser.add_argument("--mu1", type=float, help="inelastic share weight")
-    parser.add_argument("--mu2", type=float, help="elastic share weight")
-    parser.add_argument("--utility-constant", type=float,
-                        help="additive constant of the hourly utility")
-
-
 def _setting(fleet: str, key: str, given):
     """The value given, else the builtin fleet's default, else a fleet file's."""
     if given is not None:
@@ -347,17 +343,17 @@ def _setting(fleet: str, key: str, given):
     return defaults[key]
 
 
-def _model_flags(args: argparse.Namespace) -> dict[str, float | None]:
+def _model_flags(args: SimpleNamespace) -> dict[str, float | None]:
     """The demand-model flags as given, None where left out."""
     return {key: getattr(args, key) for key in ("a", "nu", "mu1", "mu2", "utility_constant")}
 
 
-def _resolve_model_params(args: argparse.Namespace) -> dict[str, float]:
+def _resolve_model_params(args: SimpleNamespace) -> dict[str, float]:
     return {key: _setting(args.fleet, key, given)
             for key, given in _model_flags(args).items()}
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: SimpleNamespace) -> int:
     params = _resolve_model_params(args)
     method = args.method.replace("-", "_")
     config = ExperimentConfig(
@@ -381,7 +377,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_curves(args: argparse.Namespace) -> int:
+def _cmd_curves(args: SimpleNamespace) -> int:
     fleet = _resolve_fleet(args.fleet)
     model = profile = None
     # a fleet file without model flags has no model; any flag asks for one
@@ -394,59 +390,111 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_uplift_curve(args: argparse.Namespace) -> int:
+def _cmd_uplift_curve(args: SimpleNamespace) -> int:
     fleet = _resolve_fleet(args.fleet)
     path = emit_uplift_curves(fleet, args.rule, args.step_mw, args.out)
     print(path)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the demand-model options of run and curves
+_MODEL_OPTIONS = {
+    "--a": dict(type=float, help="elastic utility scale"),
+    "--nu": dict(type=float, help="profile-to-fleet demand scale"),
+    "--mu1": dict(type=float, help="inelastic share weight"),
+    "--mu2": dict(type=float, help="elastic share weight"),
+    "--utility-constant": dict(type=float, help="additive constant of the hourly utility"),
+}
+# The command line, read by both parsers: subcommand -> (help, function,
+# options), each option's dict its add_argument keywords.
+_COMMANDS = {
+    "run": ("price and settle a 24-hour day", _cmd_run, {
+        "--fleet": dict(required=True, help="gribik, scarf, or a path to a fleet JSON file"),
+        "--method": dict(required=True,
+                         choices=["chp-subgradient", "chp-exact", "lmp", "dispatchable"]),
+        "--profile": dict(help="CSV day profile (hour,d1)"),
+        "--synthetic": dict(metavar="MIN,MEAN,MAX",
+                            help="synthetic diurnal profile statistics"),
+        "--seed": dict(type=int, default=0),
+        "--iters": dict(type=int),
+        "--step": dict(default="paper", help="'paper' (builtin default) or 'c/k:VALUE'"),
+        "--lambda0": dict(type=float),
+        "--out": dict(required=True),
+        "--jobs": dict(type=int, default=1),
+        "--no-noise": dict(action="store_true", default=False),
+        **_MODEL_OPTIONS}),
+    "curves": ("tabulate cost curves over demand", _cmd_curves, {
+        "--fleet": dict(required=True),
+        "--step-mw": dict(type=float, default=1.0),
+        "--out": dict(required=True),
+        **_MODEL_OPTIONS}),
+    "uplift-curve": ("tabulate price and uplift for a rule", _cmd_uplift_curve, {
+        "--fleet": dict(required=True),
+        "--rule": dict(required=True, choices=["chp", "dispatchable"]),
+        "--step-mw": dict(type=float, default=1.0),
+        "--out": dict(required=True)}),
+}
+# a day profile comes from a file or from statistics, not both
+_EXCLUSIVE = ("--profile", "--synthetic")
+
+
+def _parse_exact(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace for a well-formed argv, read off the option table.
+
+    Takes a known subcommand, then exact flags each given once, each value
+    one token that does not start with '-' and passes the option's type and
+    choices, every required flag and not both exclusive ones.  Any other
+    argv (--help, an abbreviation, --flag=value, --, a usage error) returns
+    None and is left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = options.get(flag)
+        if spec is None or flag in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value reads as a flag
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if text.startswith("-") or value not in spec.get("choices", [value]):
+            return None
+        given[flag] = value
+    if all(flag in given for flag in _EXCLUSIVE) or any(
+            spec.get("required") and flag not in given for flag, spec in options.items()):
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **{
+        flag[2:].replace("-", "_"): given.get(flag, spec.get("default"))
+        for flag, spec in options.items()})
+
+
+def build_parser():
+    """The argparse parser of the option table: it words --help and usage errors."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="chpricing",
         description="Convex hull pricing experiments for startup-cost fleets")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="price and settle a 24-hour day")
-    run_p.add_argument("--fleet", required=True,
-                       help="gribik, scarf, or a path to a fleet JSON file")
-    run_p.add_argument("--method", required=True,
-                       choices=["chp-subgradient", "chp-exact", "lmp", "dispatchable"])
-    day = run_p.add_mutually_exclusive_group()
-    day.add_argument("--profile", help="CSV day profile (hour,d1)")
-    day.add_argument("--synthetic", metavar="MIN,MEAN,MAX",
-                     help="synthetic diurnal profile statistics")
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--iters", type=int, default=None)
-    run_p.add_argument("--step", default="paper",
-                       help="'paper' (builtin default) or 'c/k:VALUE'")
-    run_p.add_argument("--lambda0", type=float, default=None)
-    run_p.add_argument("--out", required=True)
-    run_p.add_argument("--jobs", type=int, default=1)
-    run_p.add_argument("--no-noise", action="store_true")
-    _model_args(run_p)
-    run_p.set_defaults(func=_cmd_run)
-
-    curves_p = sub.add_parser("curves", help="tabulate cost curves over demand")
-    curves_p.add_argument("--fleet", required=True)
-    curves_p.add_argument("--step-mw", type=float, default=1.0)
-    curves_p.add_argument("--out", required=True)
-    _model_args(curves_p)
-    curves_p.set_defaults(func=_cmd_curves)
-
-    uplift_p = sub.add_parser("uplift-curve",
-                              help="tabulate price and uplift for a rule")
-    uplift_p.add_argument("--fleet", required=True)
-    uplift_p.add_argument("--rule", required=True, choices=["chp", "dispatchable"])
-    uplift_p.add_argument("--step-mw", type=float, default=1.0)
-    uplift_p.add_argument("--out", required=True)
-    uplift_p.set_defaults(func=_cmd_uplift_curve)
+    for command, (help_text, func, options) in _COMMANDS.items():
+        command_p = sub.add_parser(command, help=help_text)
+        day = command_p.add_mutually_exclusive_group() if _EXCLUSIVE[0] in options else None
+        for flag, spec in options.items():
+            (day if flag in _EXCLUSIVE else command_p).add_argument(flag, **spec)
+        command_p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse is imported only for an argv the table's parser leaves to it
+    args = _parse_exact(argv) or SimpleNamespace(**vars(build_parser().parse_args(argv)))
     try:
         return args.func(args)
     except (FleetValidationError, InfeasibleError, ValueError, OSError) as exc:

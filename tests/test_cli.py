@@ -1,5 +1,11 @@
+import ast
 import concurrent.futures
+import contextlib
 import csv
+import functools
+import importlib.util
+import io
+import itertools
 import json
 import math
 import os
@@ -9,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chpricing as ch
 from chpricing import cli
@@ -202,6 +210,27 @@ class TestDeterminism:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_well_formed_commands_never_import_argparse(self, tmp_path):
+        # set-up and main time: the option table parses a well-formed argv,
+        # so argparse, gettext and the locale module they load stay out
+        code = (
+            "import sys\nfrom chpricing.cli import main\n"
+            "for argv in (['run', '--fleet', 'gribik', '--method', 'chp-exact'],\n"
+            "             ['curves', '--fleet', 'gribik', '--step-mw', '50'],\n"
+            "             ['uplift-curve', '--fleet', 'gribik', '--rule', 'chp']):\n"
+            f"    assert main([*argv, '--out', {str(tmp_path)!r} + '/' + argv[0]]) == 0\n"
+            "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))")
+        assert self.run_clean(code)[-1] == "[]"
+
+    def test_help_still_prints_usage(self):
+        # the one path that imports argparse in a fresh interpreter
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ch.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "chpricing", "run", "--help"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: chpricing run [-h] --fleet FLEET")
 
     def test_import_creates_only_the_validated_dataclasses(self):
         # set-up time: a frozen dataclass costs about ten times a NamedTuple
@@ -912,6 +941,15 @@ class TestErrorPaths:
                        "--out", str(tmp_path)) == 1
 
     @pytest.mark.parametrize("command", [
+        ("curves", "--fleet", "scarf"),
+        ("uplift-curve", "--fleet", "scarf", "--rule", "chp")])
+    def test_infinite_grid_step(self, tmp_path, capsys, command):
+        # an infinite step once made the two-row grid [0, capacity]
+        assert run_cli(*command, "--step-mw", "inf", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == "error: step-mw must be finite and > 0, got inf\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [
         ("curves", "--fleet", "gribik", "--step-mw", "1e-14"),
         ("uplift-curve", "--fleet", "gribik", "--rule", "chp", "--step-mw", "1e-7"),
         ("curves", "--fleet", "gribik", "--step-mw", "5e-324"),
@@ -951,3 +989,229 @@ class TestErrorPaths:
         with pytest.raises(SystemExit):
             run_cli("uplift-curve", "--fleet", "gribik", "--rule", "other",
                     "--out", str(tmp_path))
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli"
+
+
+def golden_cases():
+    return json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the golden bytes are Python 3.11's argparse formatting")
+@pytest.mark.parametrize("case", golden_cases(), ids=lambda case: case["name"])
+def test_help_and_usage_errors_are_golden(case, capsys, monkeypatch):
+    """--help and usage errors: the bytes of the hand-written argparse parser
+    that the option table replaced, at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main(case["argv"])
+    out, err = capsys.readouterr()
+    assert done.value.code == case["code"]
+    assert {"stdout": out, "stderr": err} == {
+        "stdout": "", "stderr": "", case["stream"]: (GOLDEN / f"{case['name']}.txt").read_text()}
+
+
+class _Unknown:
+    """A value this file computes at run time, such as a path under tmp_path."""
+
+    def __str__(self):
+        return "tmp/out"
+
+    def __call__(self, *args, **kwargs):
+        return self
+
+    __truediv__ = __getattr__ = __call__
+
+
+class _Names(dict):
+    def __missing__(self, name):
+        return str if name == "str" else _Unknown()
+
+
+def _evaluate(node, names):
+    """The expression's value from the bound names, else an _Unknown."""
+    code = compile(ast.fix_missing_locations(ast.Expression(node)), "<test_cli>", "eval")
+    try:
+        return eval(code, {"__builtins__": {"str": str}}, names)
+    except Exception:  # any expression over run-time values, say a subscript
+        return _Unknown()
+
+
+def _bindings(function):
+    """One name -> value binding per parametrized case and loop pass of the function."""
+    marks = []
+    for mark in function.decorator_list:
+        if isinstance(mark, ast.Call) and ast.unparse(mark.func) == "pytest.mark.parametrize":
+            names = [name.strip() for name in ast.literal_eval(mark.args[0]).split(",")]
+            rows = _evaluate(mark.args[1], _Names())
+            marks.append([dict(zip(names, row if len(names) > 1 else (row,)))
+                          for row in ([] if isinstance(rows, _Unknown) else rows)])
+    for loop in ast.walk(function):
+        if isinstance(loop, ast.For):
+            names = [name.id for name in ast.walk(loop.target) if isinstance(name, ast.Name)]
+            values = _evaluate(loop.iter, _Names())
+            if not isinstance(values, _Unknown):
+                marks.append([dict(zip(names, value if len(names) > 1 else (value,)))
+                              for value in values])
+    return [dict(kv for row in rows for kv in row.items())
+            for rows in itertools.product(*marks)]
+
+
+@functools.cache
+def command_lines_of_this_file():
+    """Every run_cli argv of this file, one per parametrized case.
+
+    Parametrize values, class attributes and the test's own assignments are
+    bound by name; anything else (a path under tmp_path) reads 'tmp/out'.
+    """
+    tree = ast.parse(Path(__file__).read_text())
+    scopes = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    scopes += [(globals()[cls.name], node) for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef)]
+    argvs = []
+    for cls, function in scopes:
+        nodes = sorted((node for node in ast.walk(function) if hasattr(node, "lineno")),
+                       key=lambda node: (node.lineno, node.col_offset))
+        for row in _bindings(function):
+            names = _Names(row, self=cls)
+            for node in nodes:
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                    names[node.targets[0].id] = _evaluate(node.value, names)
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "run_cli":
+                    argv = _evaluate(ast.Tuple(node.args, ast.Load()), names)
+                    argvs.append([str(token) for token in argv])
+    return argvs
+
+
+def workload_command_lines(tmp_path):
+    """The argv of every benchmark workload command at two seeds."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)  # its dataclass looks itself up there
+    return [command.argv(tmp_path / command.label)
+            for name in workloads.WORKLOADS for seed in (0, 3)
+            for command in workloads.build(name, seed, tmp_path)]
+
+
+@pytest.fixture(scope="module")
+def argparse_parser():
+    return cli.build_parser()
+
+
+def argparse_vars(parser, argv):
+    """vars() of argparse's namespace, each value's repr; None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            namespace = parser.parse_args(argv)
+        except SystemExit:
+            return None
+    return {key: repr(value) for key, value in vars(namespace).items()}
+
+
+def exact_vars(argv):
+    namespace = cli._parse_exact(argv)
+    if namespace is None:
+        return None
+    return {key: repr(value) for key, value in vars(namespace).items()}
+
+
+class TestExactParser:
+    """cli._parse_exact against argparse built from the same option table."""
+
+    def test_corpus_parses_as_argparse_does(self, argparse_parser, tmp_path):
+        corpus = command_lines_of_this_file() + workload_command_lines(tmp_path)
+        outcomes = [(exact_vars(argv), argparse_vars(argparse_parser, argv))
+                    for argv in corpus]
+        assert [argv for argv, (fast, slow) in zip(corpus, outcomes) if fast != slow] == []
+        # the file's two usage errors (--method magic, --rule other) and
+        # the one exclusive pair; everything else is well-formed
+        assert sum(fast is None for fast, _ in outcomes) == 3
+        assert len(corpus) > 100
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_perturbed_argv_is_refused_or_agrees(self, argparse_parser, data):
+        argv = list(data.draw(st.sampled_from(command_lines_of_this_file())))
+        for _ in range(data.draw(st.integers(1, 3))):
+            argv = data.draw(st.sampled_from(PERTURBATIONS))(argv, data)
+        fast = exact_vars(argv)
+        if fast is not None:
+            assert fast == argparse_vars(argparse_parser, argv), argv
+
+
+def _flag_at(argv, data):
+    """The index of one flag token of argv, or None."""
+    flags = [i for i, token in enumerate(argv) if token.startswith("--")]
+    return data.draw(st.sampled_from(flags)) if flags else None
+
+
+def _abbreviate(argv, data):
+    i = _flag_at(argv, data)
+    if i is not None:
+        argv[i] = argv[i][:data.draw(st.integers(2, max(2, len(argv[i]) - 1)))]
+    return argv
+
+
+def _join_value(argv, data):
+    i = _flag_at(argv, data)
+    if i is not None and i + 1 < len(argv):
+        argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    return argv
+
+
+def _repeat(argv, data):
+    i = _flag_at(argv, data)
+    return argv if i is None else argv + argv[i:i + 2]
+
+
+def _drop(argv, data):
+    i = _flag_at(argv, data)
+    if i is not None:
+        del argv[i:i + data.draw(st.integers(1, 2))]
+    return argv
+
+
+def _insert(argv, data):
+    token = data.draw(st.sampled_from(["--", "-h", "--help", "-x", "stray"]))
+    argv.insert(data.draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+def _replace_value(argv, data):
+    i = _flag_at(argv, data)
+    if i is not None and i + 1 < len(argv):
+        argv[i + 1] = data.draw(st.sampled_from(
+            ["-1", "-0.5", "-", "-x", "--", "abc", "1e5", "nan", "", " 7", "xyz",
+             "chp", "lmp", "chp-exact", "dispatchable", "3", "0x10", "1_0"])
+            | st.text(max_size=4))
+    return argv
+
+
+def _move_to_end(argv, data):
+    # argparse takes options in any order
+    i = _flag_at(argv, data)
+    if i is None:
+        return argv
+    pair = argv[i:i + 2] if i + 1 < len(argv) and not argv[i + 1].startswith("-") else argv[i:i + 1]
+    return argv[:i] + argv[i + len(pair):] + pair
+
+
+def _both_exclusive(argv, data):
+    return argv + ["--profile", "day.csv", "--synthetic", "1,2,3"]
+
+
+def _replace_command(argv, data):
+    command = data.draw(st.sampled_from(["price", "Run", "curve", "uplift", "-h", ""]))
+    return [command] + argv[1:]
+
+
+def _empty(argv, data):
+    return []
+
+
+PERTURBATIONS = [_abbreviate, _join_value, _repeat, _drop, _insert, _replace_value,
+                 _move_to_end, _both_exclusive, _replace_command, _empty]
