@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the size of the chpricing package: lines, public names, compile time.
+"""Print the size of the chpricing package: lines, public names, settable
+values, compile time.
 
 Usage (from anywhere):
 
@@ -9,8 +10,10 @@ TREE is a checkout of this repository (default: the one holding this
 script).  Three figures are printed for ``TREE/src/chpricing``:
 
 * the lines of each module, and their total;
-* the number of names in ``chpricing.__all__``, read by importing the
-  package from ``TREE/src`` in a fresh interpreter;
+* the number of names in ``chpricing.__all__``, and the number of values
+  a caller can set through them: the parameters of every public function
+  plus the fields of every public dataclass.  Both are read by importing
+  the package from ``TREE/src`` in a fresh interpreter;
 * the best of N (default 5) ``compile()`` times of each module's
   source, and their sum: what a command pays per module where bytecode
   cannot be cached.
@@ -41,13 +44,25 @@ def compile_s(source: str, filename: str) -> float:
     return time.perf_counter() - start
 
 
-def public_names(src: Path) -> int:
-    """len(chpricing.__all__), imported from src in a fresh interpreter."""
-    code = "import chpricing; print(len(chpricing.__all__))"
+# prints len(chpricing.__all__), then the parameters of its functions plus
+# the fields of its dataclasses
+PUBLIC_CODE = """
+import dataclasses, inspect, chpricing
+public = [getattr(chpricing, name) for name in chpricing.__all__]
+print(len(public), sum(len(inspect.signature(obj).parameters) for obj in public
+                       if inspect.isfunction(obj))
+      + sum(len(dataclasses.fields(obj)) for obj in public
+            if inspect.isclass(obj) and dataclasses.is_dataclass(obj)))
+"""
+
+
+def public_counts(src: Path) -> tuple[int, int]:
+    """(public names, settable values), imported from src in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-B", "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-B", "-c", PUBLIC_CODE], env=env,
                           capture_output=True, text=True, check=True)
-    return int(done.stdout)
+    names, values = done.stdout.split()
+    return int(names), int(values)
 
 
 def sources(tree: Path) -> dict[str, tuple[str, str]]:
@@ -121,9 +136,10 @@ def main(argv: list[str] | None = None) -> int:
               f"{min(totals[0]) * 1e3:.2f} ms (parent {min(totals[1]) * 1e3:.2f}), "
               f"median {statistics.median(totals[0]) * 1e3:.2f} ms "
               f"(parent {statistics.median(totals[1]) * 1e3:.2f})")
-    counts = [public_names(tree / "src") for tree in trees]
-    print(f"chpricing.__all__: {counts[0]} names"
-          + (f" (parent {counts[1]})" if args.against is not None else ""))
+    counts = [public_counts(tree / "src") for tree in trees]
+    parent = ["" if args.against is None else f" (parent {n})" for n in counts[-1]]
+    print(f"chpricing.__all__: {counts[0][0]} names{parent[0]}")
+    print(f"settable values: {counts[0][1]}{parent[1]}")
     return 0
 
 

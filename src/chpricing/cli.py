@@ -43,6 +43,7 @@ from .pricing import (
     METHODS,
     HarmonicStep,
     PricedHours,
+    check_integer,
     check_loop_args,
     dispatchable_price,
     price_hours,
@@ -51,7 +52,6 @@ from .ucp import (
     MAX_GRID_POINTS,
     DegenerateCostError,
     InfeasibleError,
-    QuadraticCost,
     no_startup_values,
     quadratic_fit,
     relaxed_value,
@@ -108,6 +108,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method}")
+        check_integer("seed", self.seed)
+        check_integer("jobs", self.jobs)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.profile_path is not None and self.synthetic is not None:
@@ -153,7 +155,7 @@ def _trace_lines(priced: PricedHours) -> list[str]:
 
 def _run_hours(hours, fleet: Fleet, model: DemandModel, profile: DayProfile,
                method: str, lambda0: float, n_iters: int,
-               step_rule: HarmonicStep | None, quad: QuadraticCost | None
+               step_rule: HarmonicStep | None
                ) -> tuple[list[str], list[str], list[HourResult]]:
     """Price the hours with the method and settle each at its final row.
 
@@ -161,7 +163,7 @@ def _run_hours(hours, fleet: Fleet, model: DemandModel, profile: DayProfile,
     hour whose final demand no commitment covers (cost inf) is infeasible.
     """
     priced = price_hours(method, fleet, model, profile, hours, lambda0, n_iters,
-                         step_rule, quad)
+                         step_rule)
     hour_lines, settled = [], []
     finals = (column[-1].tolist() for column in (
         priced.price, priced.demand, priced.cost, priced.uplift))
@@ -193,13 +195,9 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
                         utility_constant=config.utility_constant)
     profile = _resolve_profile(config)
     step_rule = None if config.step_coef is None else HarmonicStep(config.step_coef)
-    quad = quadratic_fit(fleet) if config.method == "lmp" else None
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     worker = partial(_run_hours, fleet=fleet, model=model, profile=profile,
                      method=config.method, lambda0=config.lambda0,
-                     n_iters=config.n_iters, step_rule=step_rule, quad=quad)
+                     n_iters=config.n_iters, step_rule=step_rule)
     if config.jobs > 1:
         # imported here: the pool module costs every command's set-up, and
         # a pool forks all its workers at once, so more than HOURS would idle
@@ -220,6 +218,9 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
         # a broken day gets no aggregates, only the settled-hour count
         summary_row = [""] * 9 + [str(len(settled))]
 
+    # made only now, so a day that fails (say, an lmp fit refused) leaves none
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "hours": out / "hours.csv",
         "trace": out / "trace.csv",
@@ -260,15 +261,15 @@ def _write_columns(path: Path, header: tuple[str, ...], columns: list[list[str]]
 
 
 def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
-                     model: DemandModel | None = None,
-                     profile: DayProfile | None = None) -> Path:
-    """Write curves.csv: the cost curves and the first hour's gross utility.
+                     model: DemandModel | None = None) -> Path:
+    """Write curves.csv: the cost curves and the bundled day's first-hour utility.
 
     Every cost column is one array over the grid.  The hull value is the
     relaxed cost (hull_value returns relaxed_value's), so both columns
-    are cut from one.  Cells that are undefined are left empty: utility
-    at or below the inelastic floor, and the quadratic fit of a fleet
-    whose startup-free cost is zero everywhere.
+    are cut from one.  Utility U_1 is the model's in the first hour of
+    default_profile().  Cells that are undefined are left empty: utility
+    without a model or at or below the inelastic floor, and the quadratic
+    fit of a fleet whose startup-free cost is zero everywhere.
     """
     grid = _demand_grid(fleet.total_capacity, grid_step)
     quadratic = [""] * len(grid)
@@ -281,8 +282,8 @@ def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
     no_startup = no_startup_values(fleet, grid)
     relaxed = _reprs(relaxed_value(fleet, grid)[0].tolist())
     utility = [""] * len(grid)
-    if model is not None and profile is not None:
-        terms = _hour_terms(model, profile, (0,))
+    if model is not None:
+        terms = _hour_terms(model, default_profile(), (0,))
         # the grid ascends, so the rows above the inelastic floor are its tail
         above = int(np.searchsorted(grid, terms[0][0], side="right"))
         utility[above:] = map(_fmt, _utility(model, terms, grid[above:]).tolist())
@@ -379,13 +380,12 @@ def _cmd_run(args: SimpleNamespace) -> int:
 
 def _cmd_curves(args: SimpleNamespace) -> int:
     fleet = _resolve_fleet(args.fleet)
-    model = profile = None
+    model = None
     # a fleet file without model flags has no model; any flag asks for one
     if args.fleet in FIXTURE_DEFAULTS or any(
             given is not None for given in _model_flags(args).values()):
         model = DemandModel(**_resolve_model_params(args))
-        profile = default_profile()
-    path = emit_cost_curves(fleet, args.step_mw, args.out, model, profile)
+    path = emit_cost_curves(fleet, args.step_mw, args.out, model)
     print(path)
     return 0
 

@@ -11,6 +11,7 @@ _crossing_prices); dual_value and exact_dual call them for one hour.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,7 +22,7 @@ from .fleet import Fleet
 from .hull import default_price_cap, uplifts
 from .market import DayProfile, DemandModel, _demand, _hour_terms, _utility, hourly_demand
 from .ucp import (InfeasibleError, QuadraticCost, _staircase, conjugate, fleet_supply,
-                  relaxed_value, ucp_values)
+                  quadratic_fit, relaxed_value, ucp_values)
 
 __all__ = [
     "HarmonicStep",
@@ -86,11 +87,20 @@ class PricingTrace(NamedTuple):
     final_demand: float
 
 
+def check_integer(name: str, value) -> None:
+    """Refuse a count that range() would not take and int() would truncate."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_loop_args(price0: float, n_iters: int) -> None:
     """Refuse a price loop's start price or round count before it allocates."""
     if not PRICE_FLOOR < price0 < math.inf:
         raise ValueError(
             f"start price must be finite and exceed the floor {PRICE_FLOOR}, got {price0}")
+    check_integer("n_iters", n_iters)
     if not 1 <= n_iters <= MAX_ITERS:
         raise ValueError(f"n_iters must be in [1, MAX_ITERS = {MAX_ITERS}], got {n_iters}")
 
@@ -183,29 +193,27 @@ def _crossing_prices(fleet: Fleet, model: DemandModel, terms
 
 
 def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfile,
-                hours, price0: float, n_iters: int, step_rule: HarmonicStep | None,
-                quad: QuadraticCost | None = None) -> PricedHours:
+                hours, price0: float, n_iters: int, step_rule: HarmonicStep | None
+                ) -> PricedHours:
     """A method's rows for several hours at once, costed and billed.
 
     A price loop (chp_subgradient: supply off the fleet's staircase; lmp:
-    off the quadratic model quad) takes n_iters rounds p_k = p_{k-1} -
-    gamma_k * (supply - demand) from price0, clamped to the floor.  A
-    closed-form method takes one row at the exact dual price, or at the
-    price cap where there is no crossing, and reads no price0, n_iters or
-    step_rule.  Each hour prices as it would alone: dual_value and
-    exact_dual are the one-hour calls.  Every row's demand is costed
-    (ucp_values) and billed against the fleet in one batch after the
-    loop; elapsed_s excludes that time.
+    off quadratic_fit(fleet), fitted before the clock starts) takes n_iters
+    rounds p_k = p_{k-1} - gamma_k * (supply - demand) from price0, clamped
+    to the floor.  A closed-form method takes one row at the exact dual
+    price, or at the price cap where there is no crossing, and reads no
+    price0, n_iters or step_rule.  Each hour prices as it would alone:
+    dual_value and exact_dual are the one-hour calls.  Every row's demand
+    is costed (ucp_values) and billed against the fleet in one batch after
+    the loop; elapsed_s excludes that time.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method}")
     if method in ITERATIVE_METHODS:
         check_loop_args(price0, n_iters)
-    if (quad is None) == (method == "lmp"):
-        raise ValueError("quad, the quadratic cost model, is for lmp and lmp alone")
-
     hours = tuple(hours)
     terms = _hour_terms(model, profile, hours)
+    quad = quadratic_fit(fleet) if method == "lmp" else None
     start = time.perf_counter()
     if method not in ITERATIVE_METHODS:
         price = _crossing_prices(fleet, model, terms)[0]
@@ -251,17 +259,16 @@ def exact_dual(fleet: Fleet, model: DemandModel, profile: DayProfile,
     return price, demand
 
 
-def run_lmp(quad: QuadraticCost, model: DemandModel, profile: DayProfile, t: int,
-            price0: float, n_iters: int, step_rule: HarmonicStep,
-            uplift_fleet: Fleet) -> PricingTrace:
-    """The same price iteration with the fitted convex cost model supplying.
+def run_lmp(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
+            price0: float, n_iters: int, step_rule: HarmonicStep) -> PricingTrace:
+    """The same price iteration with the fleet's fitted convex cost model supplying.
 
-    Supply comes from the quadratic marginal-cost curve.  The per-iterate
-    uplift is priced against uplift_fleet, the true nonconvex fleet, which
-    is what the convex model's prices will actually have to pay.
+    Supply comes from the marginal-cost curve of quadratic_fit(fleet).  The
+    per-iterate uplift is priced against the true nonconvex fleet, which is
+    what the convex model's prices will actually have to pay.
     """
-    return price_hours("lmp", uplift_fleet, model, profile, (t,), price0, n_iters,
-                       step_rule, quad).trace(0)
+    return price_hours("lmp", fleet, model, profile, (t,), price0, n_iters,
+                       step_rule).trace(0)
 
 
 def lmp_equilibrium(quad: QuadraticCost, model: DemandModel, profile: DayProfile,

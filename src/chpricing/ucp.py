@@ -113,9 +113,9 @@ class Dispatch(NamedTuple):
     """A feasible dispatch: who is on, what each unit produces, what it costs."""
 
     commitment: Commitment
-    outputs: tuple[tuple[float, ...], ...]  # per type, per unit; 0.0 when off
-    total_output: float                     # MW
-    total_cost: float                       # $ (startup + variable)
+    unit_outputs: tuple[float, ...]  # per type, each committed unit's MW; 0.0 if none
+    total_output: float              # MW
+    total_cost: float                # $ (startup + variable)
 
 
 class BestResponse(NamedTuple):
@@ -238,12 +238,11 @@ def _fill(fleet: Fleet, counts: np.ndarray, floor: np.ndarray, ys: np.ndarray
     return per_unit, total
 
 
-def _dispatch(fleet: Fleet, commitment: Commitment, per_unit: list[float],
-              total_cost: float) -> Dispatch:
+def _dispatch(commitment: Commitment, per_unit: list[float], total_cost: float) -> Dispatch:
     """The Dispatch whose committed units of each type run at per_unit MW."""
     outputs, total_output = [], 0.0
-    for gtype, n, g in zip(fleet.types, commitment.counts, per_unit):
-        outputs.append((g,) * n + (0.0,) * (gtype.unit_count - n))
+    for n, g in zip(commitment.counts, per_unit):
+        outputs.append(g if n else 0.0)
         total_output += n * g
     return Dispatch(commitment, tuple(outputs), total_output, total_cost)
 
@@ -265,7 +264,7 @@ def dispatch_committed(fleet: Fleet, commitment: Commitment, y: float) -> Dispat
             f"cannot meet {y} MW")
     per_unit, cost = _fill(fleet, np.array([commitment.counts]), np.array([floor_mw]),
                            np.array([y], dtype=float))
-    return _dispatch(fleet, commitment, per_unit[:, 0].tolist(), float(cost[0]))
+    return _dispatch(commitment, per_unit[:, 0].tolist(), float(cost[0]))
 
 
 class _CommitmentTable(NamedTuple):
@@ -471,7 +470,7 @@ def ucp_value(fleet: Fleet, y: float) -> tuple[float, Dispatch]:
     best = costs.argmin()  # the first of equal least costs
     cost = float(costs[best])
     commitment = Commitment(tuple(table.counts[candidates[best]]))
-    return cost, _dispatch(fleet, commitment, per_unit[:, best].tolist(), cost)
+    return cost, _dispatch(commitment, per_unit[:, best].tolist(), cost)
 
 
 def ucp_values(fleet: Fleet, demands) -> np.ndarray:
@@ -579,7 +578,7 @@ def best_response(fleet: Fleet, price: float) -> BestResponse:
         n = gtype.unit_count if g > 0.0 else 0
         if n:
             cost_total += n * (gtype.startup_cost + unit_variable_cost(gtype, g))
-        outputs.append((g,) * n + (0.0,) * (gtype.unit_count - n))
+        outputs.append(g if n else 0.0)
         counts.append(n)
     supply = fleet_supply(fleet, price)
     commitment = Commitment(tuple(counts))

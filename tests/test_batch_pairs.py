@@ -44,5 +44,8 @@ def test_size_report_against_a_tree(tmp_path):
     total = next(line.split() for line in lines if line.startswith("total"))
     assert total[1] == total[3]  # the same lines on both sides
     assert "package compile over 2 alternated repetitions: least" in done.stdout
-    names = lines[-1].split()
-    assert names[1] == names[4].rstrip(")") and lines[-1].startswith("chpricing.__all__:")
+    names, values = lines[-2].split(), lines[-1].split()
+    assert names[1] == names[4].rstrip(")") and lines[-2].startswith("chpricing.__all__:")
+    # each public function's parameters plus each public dataclass's fields
+    assert lines[-1].startswith("settable values:")
+    assert int(values[2]) == int(values[4].rstrip(")")) > int(names[1])

@@ -52,6 +52,16 @@ def gap_fleet_file(tmp_path):
     return path
 
 
+def min_output_gap_fleet_file(tmp_path):
+    """One 4-120 MW unit: the quadratic fit's sample at 1 MW has no commitment."""
+    doc = {"types": [{"name": "A", "startup_cost": 0.0, "min_output": 4.0,
+                      "unit_count": 1,
+                      "segments": [{"marginal_cost": 1.0, "capacity": 120.0}]}]}
+    path = tmp_path / "min_gap.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def record_calls(monkeypatch, module_name, name):
     """Route every chpricing binding of module.name through a recorder.
 
@@ -305,13 +315,10 @@ class TestRunMethods:
         assert all(not math.isnan(float(r[7])) for r in trace)
 
     def test_lmp_fits_once_per_day(self, tmp_path, monkeypatch):
-        fits = []
-        fit = cli.quadratic_fit
-        monkeypatch.setattr(cli, "quadratic_fit",
-                            lambda fleet: fits.append(fleet) or fit(fleet))
+        fits = record_calls(monkeypatch, "chpricing.ucp", "quadratic_fit")
         assert run_cli("run", "--fleet", "gribik", "--method", "lmp", "--iters", "1",
                        "--out", str(tmp_path)) == 0
-        assert len(fits) == 1
+        assert fits == [(ch.builtin_fleet("gribik"),)]
 
     def test_dispatchable_day(self, tmp_path):
         assert run_cli("run", "--fleet", "gribik", "--method", "dispatchable",
@@ -446,8 +453,9 @@ class TestOneCostBatchPerWorker:
         sizes = [len(demands) for batch_fleet, demands in batches
                  if batch_fleet == day_fleet]
         assert sizes == [rows * 24 // jobs] * jobs
-        # the rest is the quadratic fit's one batch, on the startup-free fleet
-        assert len(batches) - len(sizes) == (1 if method == "lmp" else 0)
+        # the rest is the quadratic fit's one batch per worker, on the
+        # startup-free fleet
+        assert len(batches) - len(sizes) == (jobs if method == "lmp" else 0)
         assert singles == [] and dispatches == [] and settles == []
         _, settled = read_rows(tmp_path / "summary.csv")
         assert settled[0][-1] == "24"
@@ -578,11 +586,7 @@ class TestCurves:
     def test_minimum_output_gap_names_the_fit_sample(self, tmp_path, capsys):
         # the quadratic fit runs first, so its 1 MW-apart samples name the
         # gap of a 4-120 MW unit, not the 0.5 MW grid's first point
-        doc = {"types": [{"name": "A", "startup_cost": 0.0, "min_output": 4.0,
-                          "unit_count": 1,
-                          "segments": [{"marginal_cost": 1.0, "capacity": 120.0}]}]}
-        fleet_path = tmp_path / "gap.json"
-        fleet_path.write_text(json.dumps(doc))
+        fleet_path = min_output_gap_fleet_file(tmp_path)
         assert run_cli("curves", "--fleet", str(fleet_path), "--step-mw", "0.5",
                        "--out", str(tmp_path)) == 1
         assert "error: no commitment can meet 1.0 MW\n" in capsys.readouterr().err
@@ -735,8 +739,8 @@ class TestCurveWritersMatchScalarRows:
         if with_model:
             model = ch.DemandModel(**{key: params[key] for key in (
                 "a", "mu1", "mu2", "nu", "utility_constant")})
-            profile = ch.default_profile()
-        path = cli.emit_cost_curves(fleet, step_mw, tmp_path, model, profile)
+            profile = ch.default_profile()  # U_1 is read in the bundled day
+        path = cli.emit_cost_curves(fleet, step_mw, tmp_path, model)
         assert path.read_text().splitlines()[1:] == \
             scalar_cost_rows(fleet, step_mw, model, profile)
 
@@ -984,6 +988,24 @@ class TestErrorPaths:
         # refused before any worker, array or output directory
         assert RecordingPool.created == []
         assert not (tmp_path / "out").exists()
+
+    def test_refused_lmp_fit_leaves_no_output(self, tmp_path, capsys):
+        # the fit runs with the day's pricing, before any file is written
+        assert run_cli("run", "--fleet", str(min_output_gap_fleet_file(tmp_path)),
+                       "--method", "lmp", "--a", "100", "--nu", "0.001",
+                       "--step", "c/k:0.1", "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == "error: no commitment can meet 1.0 MW\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [("jobs", 2.5), ("seed", 1.5), ("jobs", "2")])
+    def test_non_integer_counts_refused(self, tmp_path, field, value):
+        # jobs 2.5 once raised TypeError in range(), and seed 1.5 ran as seed 1
+        params = {key: cli.FIXTURE_DEFAULTS["gribik"][key] for key in (
+            "a", "mu1", "mu2", "nu", "utility_constant", "lambda0", "n_iters")}
+        message = f"^{field} must be an integer, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            cli.ExperimentConfig(fleet="gribik", method="chp_exact", out_dir=str(tmp_path),
+                                 step_coef=None, **{field: value}, **params)
 
     def test_bad_uplift_rule_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):

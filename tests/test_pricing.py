@@ -183,19 +183,15 @@ class TestPriceHours:
     def test_day_equals_one_hour_loops(self, method, fleet_name, mu2, seed, price0,
                                        coef, n_iters):
         fleet = ch.builtin_fleet(fleet_name)
-        quad = quadratic_fit(fleet) if method == "lmp" else None
         a, nu = (3.9e4, 0.01) if fleet_name == "gribik" else (455.0, 0.0025)
         model = DemandModel(a=a, mu1=0.8, mu2=mu2, nu=nu, utility_constant=7.0)
         profile = DayProfile(ch.default_profile().base_demand, ch.sample_noise(seed))
         rule = HarmonicStep(coef)
         day = price_hours(method, fleet, model, profile, range(24), price0, n_iters,
-                          rule, quad)
+                          rule)
+        one_hour = run_lmp if method == "lmp" else run_subgradient
         for t in range(24):
-            if method == "lmp":
-                one = run_lmp(quad, model, profile, t, price0, n_iters, rule,
-                              uplift_fleet=fleet)
-            else:
-                one = run_subgradient(fleet, model, profile, t, price0, n_iters, rule)
+            one = one_hour(fleet, model, profile, t, price0, n_iters, rule)
             vector = day.trace(t)
             assert without_clock(vector) == without_clock(one)
             assert (vector.method, vector.final_price, vector.final_demand) == \
@@ -240,13 +236,17 @@ class TestPriceHours:
         assert check_loop_args(10.0, MAX_ITERS) is None
         assert check_loop_args(10.0, 1) is None
 
-    @pytest.mark.parametrize("method", ["lmp", "chp_subgradient", "chp_exact"])
-    def test_quad_is_for_lmp_alone(self, method, gribik, gribik_model, mean_profile):
-        quad = None if method == "lmp" else quadratic_fit(gribik)
-        with pytest.raises(ValueError, match="^quad, the quadratic cost model, is for lmp "
-                                             "and lmp alone$"):
-            price_hours(method, gribik, gribik_model, mean_profile, [0], 100.0, 1,
-                        HarmonicStep(0.1), quad)
+    @pytest.mark.parametrize("n_iters", [2.5, 2.0, "2"])
+    def test_non_integer_round_count_refused(self, n_iters, gribik, gribik_model,
+                                             mean_profile):
+        # range() once raised TypeError on 2.5 after the check let it through
+        message = f"^n_iters must be an integer, got {n_iters!r}$"
+        with pytest.raises(ValueError, match=message):
+            check_loop_args(100.0, n_iters)
+        for method in ("chp_subgradient", "lmp"):
+            with pytest.raises(ValueError, match=message):
+                price_hours(method, gribik, gribik_model, mean_profile, [0], 100.0,
+                            n_iters, HarmonicStep(0.1))
 
     def test_bad_arguments(self, gribik, gribik_model, mean_profile):
         with pytest.raises(ValueError, match="MAX_ITERS"):
@@ -360,22 +360,19 @@ class TestLmp:
     def test_fixed_point_stays(self, scarf, scarf_model, day_profile):
         quad = quadratic_fit(scarf)
         star, _ = lmp_equilibrium(quad, scarf_model, day_profile, 9)
-        trace = run_lmp(quad, scarf_model, day_profile, 9, star, 1,
-                        HarmonicStep(0.01), uplift_fleet=scarf)
+        trace = run_lmp(scarf, scarf_model, day_profile, 9, star, 1, HarmonicStep(0.01))
         assert abs(trace.final_price - star) < 1e-6
 
     def test_converges_within_one_percent(self, gribik, gribik_model,
                                           day_profile):
-        quad = quadratic_fit(gribik)
-        trace = run_lmp(quad, gribik_model, day_profile, 0, 100.0, 100,
-                        HarmonicStep(0.1), uplift_fleet=gribik)
+        trace = run_lmp(gribik, gribik_model, day_profile, 0, 100.0, 100,
+                        HarmonicStep(0.1))
         last = trace.records[-1]
         assert abs(last.supply - last.demand) < 0.01 * last.demand
 
     def test_uplift_column(self, gribik, gribik_model, day_profile):
-        quad = quadratic_fit(gribik)
-        priced = run_lmp(quad, gribik_model, day_profile, 0, 100.0, 5,
-                         HarmonicStep(0.1), uplift_fleet=gribik)
+        priced = run_lmp(gribik, gribik_model, day_profile, 0, 100.0, 5,
+                         HarmonicStep(0.1))
         for rec in priced.records:
             assert rec.uplift == ch.uplift(gribik, rec.price, rec.demand)
             assert rec.uplift >= -1e-9
@@ -392,9 +389,8 @@ class TestLmp:
                 ch.uplift(gribik, rec.price, rec.demand)
 
     def test_method_tag(self, gribik, gribik_model, mean_profile):
-        quad = quadratic_fit(gribik)
-        trace = run_lmp(quad, gribik_model, mean_profile, 0, 100.0, 2,
-                        HarmonicStep(0.1), uplift_fleet=gribik)
+        trace = run_lmp(gribik, gribik_model, mean_profile, 0, 100.0, 2,
+                        HarmonicStep(0.1))
         assert trace.method == "lmp"
 
 

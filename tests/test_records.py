@@ -22,7 +22,7 @@ FIELDS = {
     "PricedHours": ("method", "hours", "step", "elapsed_s", "price", "demand",
                     "supply", "dual_value", "cost", "uplift"),
     "BestResponse": ("supply", "profit", "commitment", "dispatch"),
-    "Dispatch": ("commitment", "outputs", "total_output", "total_cost"),
+    "Dispatch": ("commitment", "unit_outputs", "total_output", "total_cost"),
     "_CommitmentTable": ("counts", "floor", "span", "lo", "hi", "base", "slopes",
                          "lines", "max_slope"),
     "HourResult": ("t", "price", "demand", "supply_cost", "uplift", "utility_gross",

@@ -112,7 +112,8 @@ def test_relaxed_supply_is_best_response_supply(fleet):
         assert reaction.profit == conjugate(fleet, p)
         dispatch = reaction.dispatch
         assert dispatch.total_output == supply
-        assert math.fsum(map(sum, dispatch.outputs)) == pytest.approx(
+        assert math.fsum(n * g for n, g in zip(
+            dispatch.commitment.counts, dispatch.unit_outputs)) == pytest.approx(
             supply, abs=rounding(supply))
         assert p * supply - dispatch.total_cost == pytest.approx(
             reaction.profit, abs=rounding(p * supply, dispatch.total_cost))

@@ -265,7 +265,7 @@ class TestDispatchCommitted:
     def test_identical_units_share(self, scarf):
         d = dispatch_committed(scarf, Commitment((0, 5, 0)), 35.0)
         assert d.total_cost == pytest.approx(5 * (30 + 14), abs=1e-9)
-        assert d.outputs[1] == (7.0,) * 5
+        assert d.commitment.counts[1] == 5 and d.unit_outputs[1] == 7.0
 
     def test_infeasible_demand(self, gribik):
         with pytest.raises(InfeasibleError):
@@ -298,11 +298,26 @@ class TestDispatchCommitted:
 
     def test_min_output_respected(self, scarf):
         d = dispatch_committed(scarf, Commitment((1, 0, 3)), 9.0)
-        # three committed units at their minimum, two uncommitted slots at 0
-        assert d.outputs[2][:3] == (2.0, 2.0, 2.0)
-        assert d.outputs[2][3:] == (0.0, 0.0)
-        assert d.outputs[0] == (3.0,) + (0.0,) * 5
+        # three committed units at their minimum; a type with none on reads 0
+        assert d.commitment.counts == (1, 0, 3)
+        assert d.unit_outputs == (3.0, 0.0, 2.0)
         assert d.total_output == pytest.approx(9.0, abs=1e-12)
+
+    def test_work_is_bounded_by_the_type_count(self):
+        # one output per type: a million units once built an 8 MB tuple per call
+        fleet = Fleet((GeneratorType("U", 10.0, 1.0, (CostSegment(5.0, 10.0),), 10 ** 6),))
+        tracemalloc.start()
+        try:
+            reaction = best_response(fleet, 6.0)
+            d = dispatch_committed(fleet, Commitment((500_000,)), 2.0e6)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert reaction.commitment.counts == (10 ** 6,)
+        assert reaction.dispatch.unit_outputs == (10.0,)
+        assert reaction.supply == 1.0e7
+        assert d.unit_outputs == (4.0,) and d.total_output == 2.0e6
 
     @pytest.mark.parametrize("counts", [(1, 0, 0), (0, 1, 0), (1, 1, 1),
                                         (1, 0, 1), (0, 1, 1)])
