@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Paired in-process timings of every v(y) batch the benchmark's commands make.
+"""Paired in-process timings of every v(y) batch and price_hours call the
+benchmark's commands make.
 
 Usage (from anywhere):
 
@@ -11,24 +12,33 @@ all three) are those of ``perfbench/workloads.py`` in the repository
 holding this script, built for the seed.
 
 Capture: each command runs once, in a fresh interpreter importing
-PARENT_TREE's ``src/``, with ``chpricing.ucp.ucp_values`` wrapped in
-every chpricing module that binds it.  Each call's fleet (as
-``dump_fleet`` writes it) and demands are kept; JSON floats round-trip
-exactly, so the batches are the calls' own.
+PARENT_TREE's ``src/``, with ``chpricing.ucp.ucp_values`` and
+``chpricing.pricing.price_hours`` wrapped in every chpricing module that
+binds them.  Each ``ucp_values`` call's fleet (as ``dump_fleet`` writes
+it) and demands are kept.  Each ``price_hours`` call's method, fleet
+document, demand model fields, profile (base demands and noise), hours,
+start price, rounds and step coefficient (null for no step rule) are
+kept; both trees' ``price_hours`` must take (method, fleet, model,
+profile, hours, price0, n_iters, step_rule).  JSON floats round-trip
+exactly, so the calls are the commands' own.
 
 Timing: a run is one fresh interpreter importing one tree's ``src/``.
-For every captured batch it calls ``ucp_values`` once, which builds the
-fleet's commitment table, then times ``--repeats`` more calls and keeps
-the least.  Runs are paired, alternated and run one child at a time,
-with bytecode off, by bench_pairs.py's ``run_pairs``; a tree with a
+For every captured call it calls the function once, which builds the
+fleet's caches (the commitment table, the staircase), then times
+``--repeats`` more calls and keeps the least.  Runs are paired,
+alternated and run one child at a time, with bytecode off, by
+bench_pairs.py's ``run_pairs``; a tree with a
 ``src/chpricing/__pycache__`` is refused.
 
-A run's figure per (command, batch size) is the sum of its batches'
-times.  FILE gets the captured batches' sizes, every run, and per
-figure each side's median and quartiles over the pairs and the pairs
-each side won (lower is better), with bench_pairs.py's ``gain`` rule.
-Only the standard library is used here; the children use numpy.  Exits
-1 when a child fails.
+A run's figures are, per (command, batch size), the sum of its v(y)
+batches' times, and per command its price_hours time: the whole day
+loop with its reporting pass, costing and billing, the layer that
+perfbench's tracer does not wrap.  FILE gets the captured batches'
+sizes, the price_hours calls' methods, hour counts and n_iters, every
+run, and per figure each side's median and quartiles over the pairs and
+the pairs each side won (lower is better), with bench_pairs.py's
+``gain`` rule.  Only the standard library is used here; the children
+use numpy.  Exits 1 when a child fails.
 """
 from __future__ import annotations
 
@@ -45,62 +55,87 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads as benchmark  # noqa: E402  (perfbench is not a package)
 
-# argv: OUT_JSON CLI_ARGS...; writes [[fleet document, demands], ...]
+# argv: OUT_JSON CLI_ARGS...; writes {"batches": [[fleet document, demands],
+# ...], "days": [[method, fleet document, model, base demand, noise, hours,
+# price0, n_iters, step coef], ...]}
 CAPTURE_CODE = r"""
-import json, sys
+import dataclasses, json, sys
 import chpricing, chpricing.cli
-from chpricing import ucp
+from chpricing import pricing, ucp
 
-batches = []
-original = ucp.ucp_values
+captured = {"batches": [], "days": []}
+ucp_values, price_hours = ucp.ucp_values, pricing.price_hours
 
-def spy(fleet, demands):
-    values = original(fleet, demands)
-    batches.append([chpricing.dump_fleet(fleet),
-                    [float(y) for y in (demands.tolist() if hasattr(demands, "tolist")
-                                        else demands)]])
-    return values
+def values_spy(fleet, demands):
+    result = ucp_values(fleet, demands)
+    ys = demands.tolist() if hasattr(demands, "tolist") else demands
+    captured["batches"].append([chpricing.dump_fleet(fleet), [float(y) for y in ys]])
+    return result
+
+def day_spy(method, fleet, model, profile, hours, price0, n_iters, step_rule):
+    hours = [int(t) for t in hours]
+    captured["days"].append([
+        method, chpricing.dump_fleet(fleet), dataclasses.asdict(model),
+        list(profile.base_demand), list(profile.noise), hours, price0, n_iters,
+        None if step_rule is None else step_rule.coef])
+    return price_hours(method, fleet, model, profile, hours, price0, n_iters, step_rule)
 
 for name, module in list(sys.modules.items()):
     if name == "chpricing" or name.startswith("chpricing."):
         for attr, value in list(vars(module).items()):
-            if value is original:
-                setattr(module, attr, spy)
+            for function, spy in ((ucp_values, values_spy), (price_hours, day_spy)):
+                if value is function:
+                    setattr(module, attr, spy)
 code = chpricing.cli.main(sys.argv[2:])
 with open(sys.argv[1], "w") as out:
-    json.dump(batches, out)
+    json.dump(captured, out)
 sys.exit(code)
 """
 
-# argv: BATCHES_JSON REPEATS; prints the least time of each batch, in order
+# argv: CAPTURED_JSON REPEATS; prints {"batches": [...], "days": [...]}, the
+# least time of each captured call, in order
 TIME_CODE = r"""
 import json, sys, time
 import numpy as np
 import chpricing
-from chpricing import ucp
+from chpricing import pricing, ucp
 
 with open(sys.argv[1]) as source:
-    batches = json.load(source)
+    captured = json.load(source)
 fleets = {}
-times = []
-for document, demands in batches:
+
+def fleet_of(document):
     if document not in fleets:
         fleets[document] = chpricing.load_fleet(document)
-    fleet, ys = fleets[document], np.array(demands)
-    ucp.ucp_values(fleet, ys)
+    return fleets[document]
+
+def least(call):
+    call()
     best = float("inf")
     for _ in range(int(sys.argv[2])):
         start = time.perf_counter()
-        ucp.ucp_values(fleet, ys)
+        call()
         best = min(best, time.perf_counter() - start)
-    times.append(best)
+    return best
+
+times = {"batches": [], "days": []}
+for document, demands in captured["batches"]:
+    fleet, ys = fleet_of(document), np.array(demands)
+    times["batches"].append(least(lambda: ucp.ucp_values(fleet, ys)))
+for method, document, model, base, noise, hours, price0, n_iters, coef in captured["days"]:
+    args = (method, fleet_of(document), chpricing.DemandModel(**model),
+            chpricing.DayProfile(tuple(base), tuple(noise)), hours, price0, n_iters,
+            None if coef is None else chpricing.HarmonicStep(coef))
+    times["days"].append(least(lambda: pricing.price_hours(*args)))
 print(json.dumps(times))
 """
 
 
-def capture(tree: Path, workloads: list[str], seed: int, work: Path) -> list[dict]:
-    """Every ucp_values batch of the workloads' commands, run from ``tree``."""
-    batches = []
+def capture(tree: Path, workloads: list[str], seed: int, work: Path
+            ) -> tuple[list[dict], list[dict]]:
+    """Every ucp_values batch and price_hours call of the workloads'
+    commands, run from ``tree``."""
+    batches, days = [], []
     for workload in workloads:
         for command in benchmark.build(workload, seed, work):
             out = work / f"{command.label}.json"
@@ -111,26 +146,37 @@ def capture(tree: Path, workloads: list[str], seed: int, work: Path) -> list[dic
             if done.returncode != 0:
                 raise SystemExit(f"{tree}: {command.label} exited {done.returncode}:\n"
                                  f"{done.stderr}")
-            for document, demands in json.loads(out.read_text()):
+            captured = json.loads(out.read_text())
+            for document, demands in captured["batches"]:
                 batches.append({"workload": workload, "command": command.label,
                                 "fleet": document, "demands": demands})
-    return batches
+            for call in captured["days"]:
+                days.append({"workload": workload, "command": command.label,
+                             "call": call})
+    return batches, days
 
 
 def figure(batch: dict) -> str:
     return f"{batch['workload']}/{batch['command']} n={len(batch['demands'])}"
 
 
-def time_once(tree: Path, batches_file: Path, names: list[str], repeats: int) -> dict:
-    """One run: each figure's summed least time over its batches, from ``tree``."""
-    done = subprocess.run([sys.executable, "-c", TIME_CODE, str(batches_file), str(repeats)],
-                          env=child_env(PYTHONPATH=str(tree / "src")),
-                          capture_output=True, text=True)
+def day_figure(day: dict) -> str:
+    return f"{day['workload']}/{day['command']} price_hours"
+
+
+def time_once(tree: Path, captured_file: Path, names: dict[str, list[str]],
+              repeats: int) -> dict:
+    """One run: each figure's summed least time over its calls, from ``tree``."""
+    done = subprocess.run(
+        [sys.executable, "-c", TIME_CODE, str(captured_file), str(repeats)],
+        env=child_env(PYTHONPATH=str(tree / "src")), capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{tree}: timing exited {done.returncode}:\n{done.stderr}")
-    metrics = dict.fromkeys(names, 0.0)
-    for name, seconds in zip(names, json.loads(done.stdout)):
-        metrics[name] += seconds
+    times = json.loads(done.stdout)
+    metrics = dict.fromkeys(names["batches"] + names["days"], 0.0)
+    for kind in ("batches", "days"):
+        for name, seconds in zip(names[kind], times[kind]):
+            metrics[name] += seconds
     return {"metrics": metrics}
 
 
@@ -150,25 +196,32 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload or list(benchmark.WORKLOADS)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        batches = capture(trees["parent"], workloads, args.seed, work)
-        names = [figure(batch) for batch in batches]
-        batches_file = work / "batches.json"
-        batches_file.write_text(json.dumps([[b["fleet"], b["demands"]] for b in batches]))
+        batches, days = capture(trees["parent"], workloads, args.seed, work)
+        names = {"batches": [figure(batch) for batch in batches],
+                 "days": [day_figure(day) for day in days]}
+        captured_file = work / "captured.json"
+        captured_file.write_text(json.dumps({
+            "batches": [[b["fleet"], b["demands"]] for b in batches],
+            "days": [day["call"] for day in days]}))
         runs = run_pairs(trees, args.pairs,
-                         lambda tree: time_once(tree, batches_file, names, args.repeats),
+                         lambda tree: time_once(tree, captured_file, names, args.repeats),
                          lambda run: f"{sum(run['metrics'].values()) * 1e3:.3f} ms in all")
-    figures = list(dict.fromkeys(names))
+    listed = names["batches"] + names["days"]
+    figures = list(dict.fromkeys(listed))
     summary = summarize(runs, dict.fromkeys(figures, "lower"))
-    print(f"{'figure':<52}{'batches':>8}{'parent_ms':>11}{'changed_ms':>12}{'wins':>7}")
+    print(f"{'figure':<60}{'calls':>8}{'parent_ms':>11}{'changed_ms':>12}{'wins':>7}")
     for name in figures:
         s = summary[name]
-        print(f"{name:<52}{names.count(name):>8}{s['parent']['median'] * 1e3:>11.3f}"
+        print(f"{name:<60}{listed.count(name):>8}{s['parent']['median'] * 1e3:>11.3f}"
               f"{s['changed']['median'] * 1e3:>12.3f}{s['changed_wins']:>4}/{args.pairs}")
     record = {
         "host": host(),
         "trees": {side: tree.name for side, tree in trees.items()},
         "seed": args.seed, "pairs": args.pairs, "repeats": args.repeats,
         "batches": [{"figure": figure(b), "size": len(b["demands"])} for b in batches],
+        "price_hours": [{"figure": day_figure(d), "method": d["call"][0],
+                         "hours": len(d["call"][5]), "n_iters": d["call"][7]}
+                        for d in days],
         "summary": summary,
         "samples": runs,
     }

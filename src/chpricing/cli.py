@@ -166,10 +166,8 @@ def _run_hours(hours, fleet: Fleet, model: DemandModel, profile: DayProfile,
                          step_rule)
     hour_lines, settled = [], []
     finals = (column[-1].tolist() for column in (
-        priced.price, priced.demand, priced.cost, priced.uplift))
-    # price_hours' phi read these utilities, so none of them raises
-    gross = _utility(model, _hour_terms(model, profile, priced.hours), priced.demand[-1])
-    for t, price, demand, cost, up, utility in zip(priced.hours, *finals, gross.tolist()):
+        priced.price, priced.demand, priced.cost, priced.uplift, priced.utility))
+    for t, price, demand, cost, up, utility in zip(priced.hours, *finals):
         if cost == math.inf:
             cells = [_fmt(price), _fmt(demand)] + [""] * 6 + ["infeasible"]
         else:

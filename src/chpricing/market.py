@@ -123,18 +123,20 @@ def _demand(model: DemandModel, terms, price) -> np.ndarray:
 
 
 def _utility(model: DemandModel, terms, demand) -> np.ndarray:
-    """Gross utility of hours with terms (floor, share, coef) at their demands,
-    by math.log (np.log may miss the last ulp).  ValueError for the first demand
-    at or below its floor, less 1e-9 in a price-inelastic hour (coef 0)."""
+    """Gross utility of hours with terms (floor, share, coef) at demands whose
+    last axis is the hours, by math.log (np.log may miss the last ulp).  ValueError
+    for the first demand in row order at or below its floor, less 1e-9 in a
+    price-inelastic hour (coef 0)."""
     floor, coef, demand = terms[0], terms[2], np.asarray(demand, dtype=float)
     inelastic = coef == 0.0
     refused = ~np.where(inelastic, demand >= floor - 1e-9, demand > floor)
     if refused.any():
-        d, f, flat = (np.broadcast_to(x, refused.shape)[refused.argmax()].item()
+        d, f, flat = (np.broadcast_to(x, refused.shape).flat[refused.argmax()].item()
                       for x in (demand, floor, inelastic))
         raise ValueError(f"demand {d} below the inelastic floor {f}" if flat else
                          f"utility undefined at demand {d} <= inelastic floor {f}")
-    logs = [math.log(gap) if gap > 0.0 else 0.0 for gap in (demand - floor).tolist()]
+    gaps = (demand - floor).ravel().tolist()
+    logs = np.reshape([math.log(gap) if gap > 0.0 else 0.0 for gap in gaps], refused.shape)
     return np.where(inelastic, model.utility_constant, coef * logs + model.utility_constant)
 
 

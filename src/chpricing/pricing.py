@@ -11,9 +11,11 @@ _crossing_prices); dual_value and exact_dual call them for one hour.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +62,7 @@ class HarmonicStep:
     coef: float
 
     def __post_init__(self) -> None:
+        check_number("coef", self.coef)
         if not 0 < self.coef < math.inf:
             raise ValueError(f"step coefficient must be finite and > 0, got {self.coef}")
 
@@ -95,8 +98,15 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def check_number(name: str, value) -> None:
+    """Refuse a non-number, which a range comparison would meet as TypeError."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def check_loop_args(price0: float, n_iters: int) -> None:
     """Refuse a price loop's start price or round count before it allocates."""
+    check_number("price0", price0)
     if not PRICE_FLOOR < price0 < math.inf:
         raise ValueError(
             f"start price must be finite and exceed the floor {PRICE_FLOOR}, got {price0}")
@@ -113,24 +123,27 @@ def dual_value(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
     supply minus demand, positive when the price is above the crossing.
     The price may sit on the floor, where a closed-form crossing can land.
     """
+    check_number("price", price)
     if not PRICE_FLOOR <= price < math.inf:
         raise ValueError(
             f"price must be finite and at least the floor {PRICE_FLOOR}, got {price}")
-    demand, supply, phi = _respond(fleet, model, _hour_terms(model, profile, (t,)),
-                                   np.array([price], dtype=float))
+    demand, supply, phi, _gross = _respond(
+        fleet, model, _hour_terms(model, profile, (t,)), np.array([price], dtype=float))
     return phi[0].item(), (supply - demand)[0].item()
 
 
 def _respond(fleet: Fleet, model: DemandModel, terms, price: np.ndarray,
              quad: QuadraticCost | None = None) -> tuple[np.ndarray, ...]:
-    """(demand, supply, phi) of hours with terms (floor, share, coef) at their
-    prices; supply and profit come off the fleet's staircase, or off quad."""
+    """(demand, supply, phi, gross utility) of hours with terms (floor, share,
+    coef) at prices whose last axis is the hours; supply and profit come off
+    the fleet's staircase, or off quad."""
     demand = _demand(model, terms, price)
     if quad is None:
         supply, profit = fleet_supply(fleet, price), conjugate(fleet, price)
     else:
         supply, profit = quad.supply(price), quad.conjugate(price)
-    return demand, supply, _utility(model, terms, demand) - price * demand + profit
+    utility = _utility(model, terms, demand)
+    return demand, supply, utility - price * demand + profit, utility
 
 
 class PricedHours(NamedTuple):
@@ -138,8 +151,8 @@ class PricedHours(NamedTuple):
 
     Column j is hours[j].  Row k - 1 is a price loop's round k, one step
     and one clock for all the hours; a closed-form method's one row is
-    k = 0, with step and clock 0.  cost is v at each row's demand; it and
-    uplift are inf where no commitment covers the demand.
+    k = 0, with step and clock 0.  utility (gross) and cost (v) are of each
+    row's demand; cost and uplift are inf where no commitment covers it.
     """
 
     method: str
@@ -150,6 +163,7 @@ class PricedHours(NamedTuple):
     demand: np.ndarray
     supply: np.ndarray
     dual_value: np.ndarray
+    utility: np.ndarray
     cost: np.ndarray
     uplift: np.ndarray
 
@@ -200,12 +214,12 @@ def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfi
     A price loop (chp_subgradient: supply off the fleet's staircase; lmp:
     off quadratic_fit(fleet), fitted before the clock starts) takes n_iters
     rounds p_k = p_{k-1} - gamma_k * (supply - demand) from price0, clamped
-    to the floor.  A closed-form method takes one row at the exact dual
-    price, or at the price cap where there is no crossing, and reads no
-    price0, n_iters or step_rule.  Each hour prices as it would alone:
-    dual_value and exact_dual are the one-hour calls.  Every row's demand
-    is costed (ucp_values) and billed against the fleet in one batch after
-    the loop; elapsed_s excludes that time.
+    to the floor; a round only steps, and elapsed_s clocks the steps.  A
+    closed-form method takes one row at the exact dual price, or at the
+    price cap where there is no crossing, and reads no price0, n_iters or
+    step_rule.  Each hour prices as it would alone: dual_value and
+    exact_dual are the one-hour calls.  Then one _respond pass reports
+    every row, and one ucp_values batch costs every row's demand.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method}")
@@ -216,21 +230,21 @@ def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfi
     quad = quadratic_fit(fleet) if method == "lmp" else None
     start = time.perf_counter()
     if method not in ITERATIVE_METHODS:
-        price = _crossing_prices(fleet, model, terms)[0]
-        rounds = [(0.0, 0.0, price, *_respond(fleet, model, terms, price))]
+        rounds = [(0.0, 0.0, _crossing_prices(fleet, model, terms)[0])]
     else:
+        supply_at = partial(fleet_supply, fleet) if quad is None else quad.supply
         price = np.full(len(hours), float(price0))
-        demand, supply, _phi = _respond(fleet, model, terms, price, quad)
         rounds = []
         for k in range(1, n_iters + 1):
             step = step_rule(k)
-            price = np.maximum(price - step * (supply - demand), PRICE_FLOOR)
-            demand, supply, phi = _respond(fleet, model, terms, price, quad)
-            rounds.append((step, time.perf_counter() - start, price, demand, supply, phi))
-    steps, elapsed, price, demand, supply, phi = (np.array(c) for c in zip(*rounds))
+            excess = supply_at(price) - _demand(model, terms, price)
+            price = np.maximum(price - step * excess, PRICE_FLOOR)
+            rounds.append((step, time.perf_counter() - start, price))
+    steps, elapsed, price = (np.array(c) for c in zip(*rounds))
+    demand, supply, phi, utility = _respond(fleet, model, terms, price, quad)
     cost = ucp_values(fleet, demand.ravel()).reshape(demand.shape)
-    return PricedHours(method, hours, steps, elapsed, price, demand, supply, phi, cost,
-                       uplifts(fleet, price, demand, cost))
+    return PricedHours(method, hours, steps, elapsed, price, demand, supply, phi, utility,
+                       cost, uplifts(fleet, price, demand, cost))
 
 
 def run_subgradient(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,

@@ -25,15 +25,15 @@ gives an array out, with the same float operations either way.  A NaN
 price is refused with ValueError, a NaN demand with InfeasibleError.
 
 v comes one demand at a time (ucp_value, with the cheapest Dispatch) or
-for a whole set of demands (ucp_values).  Both keep as candidates the
-commitments within a rounding margin of the least table cost
-(_candidates) and cost them in one _fill pass.  ucp_value reads the
-table at its demand.  The batch takes two stages.  It groups its demands
-by feasibility cell, the demands that share one feasible set, and reads
-the table once per cell at the cell's least demand and once more at its
-greatest where they differ, in chunks whose working arrays hold at most
-BATCH_CELLS values.  Then every demand of a cell is costed over the
-cell's whole candidate list in one _fill pass.
+for a whole set of demands (ucp_values).  ucp_value is v by its
+definition: it costs every feasible commitment in one _fill pass.  The
+batch keeps as candidates only the commitments within a rounding margin
+of the least table cost (_batch_candidates), in two stages.  It groups
+its demands by feasibility cell, the demands that share one feasible
+set, and reads the table once per cell at the cell's least demand and
+once more at its greatest where they differ, in chunks whose working
+arrays hold at most BATCH_CELLS values.  Then every demand of a cell is
+costed over the cell's whole candidate list in one _fill pass.
 """
 from __future__ import annotations
 
@@ -362,31 +362,6 @@ def _read(table: _CommitmentTable, ys: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return feasible, np.where(feasible, _table_costs(table, column), np.inf)
 
 
-def _bound(table: _CommitmentTable, least, ys):
-    """The least table cost plus a margin, 1e-9 * max(1, least, ys *
-    max_slope), that bounds the gap between a table cost and its fill.
-    Costs are >= 0, so no abs; with nothing feasible, least is inf."""
-    return least + 1e-9 * np.maximum(np.maximum(1.0, least), ys * table.max_slope)
-
-
-def _candidates(table: _CommitmentTable, lows: np.ndarray, highs: np.ndarray,
-                least: np.ndarray) -> np.ndarray:
-    """Candidates for the cheapest commitment at the demands of each cell.
-
-    Cell j holds demands in [lows[j], highs[j]] with one feasible set.
-    Its candidates are the feasible commitments whose table cost at
-    lows[j] is within _bound of the least at highs[j]: least[j], or -inf
-    where the cell is one demand, which np.maximum passes over.  Table
-    costs grow with the demand, so the set holds every commitment within
-    the bound of any demand of the cell.  Returns flat indices into the
-    (cell, commitment) grid, in product order; lows, highs and least may
-    be 0-d.
-    """
-    feasible, approx = _read(table, lows)
-    top = np.maximum(approx.min(axis=-1), least)
-    return np.flatnonzero((approx <= _bound(table, top, highs)[..., None]) & feasible)
-
-
 def _cells(table: _CommitmentTable, ys: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Group demands by feasibility cell: (order, cell, lows, highs).
@@ -417,15 +392,17 @@ def _cells(table: _CommitmentTable, ys: np.ndarray
 
 def _batch_candidates(table: _CommitmentTable, ys: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_candidates of every demand's feasibility cell: (order, pairs, cols).
+    """Candidates for the cheapest commitment at each demand: (order, pairs, cols).
 
     Demand ys[order[i]] has pairs[i] candidates, listed in cols in that
-    order, each demand's in product order.  The demands are grouped by
-    _cells, and the table is read once per cell at its least demand and
-    once more at its greatest where they differ, in chunks whose working
-    arrays hold at most BATCH_CELLS values.  Every demand of a cell takes
-    the cell's whole list, a superset of the list a read of its own would
-    give, so it holds the demand's least exact cost.
+    order, each demand's in product order.  The table is read once per
+    _cells cell at its least demand, and once more at its greatest where
+    they differ, in chunks whose working arrays hold at most BATCH_CELLS
+    values.  A cell lists its feasible commitments whose table cost at the
+    least demand is within a margin of the least cost at the greatest: 1e-9
+    * max(1, least, demand x max_slope) bounds the gap between a table cost
+    and its fill (costs are >= 0, so no abs).  Table costs grow with the
+    demand, so the list holds every demand's least exact cost.
     """
     width = len(table.floor)
     chunk = max(1, BATCH_CELLS // (table.lines.size or width))
@@ -435,10 +412,16 @@ def _batch_candidates(table: _CommitmentTable, ys: np.ndarray
     for start in range(0, spread.size, chunk):
         at = spread[start:start + chunk]
         least[at] = _read(table, highs[at])[1].min(axis=1)
-    owner, cols = np.divmod(np.concatenate([
-        _candidates(table, lows[start:start + chunk], highs[start:start + chunk],
-                    least[start:start + chunk]) + start * width
-        for start in range(0, lows.size, chunk)]), width)
+    lists = []
+    for start in range(0, lows.size, chunk):
+        part = slice(start, start + chunk)
+        feasible, approx = _read(table, lows[part])
+        # -inf where a cell is one demand, which np.maximum passes over
+        top = np.maximum(approx.min(axis=-1), least[part])
+        bound = top + 1e-9 * np.maximum(np.maximum(1.0, top), highs[part] * table.max_slope)
+        listed = np.flatnonzero((approx <= bound[..., None]) & feasible)
+        lists.append(listed + start * width)
+    owner, cols = np.divmod(np.concatenate(lists), width)
     # each demand takes its cell's list: where its pairs and the list start
     count = np.bincount(owner, minlength=lows.size)
     pairs = count[cell]
@@ -450,26 +433,23 @@ def ucp_value(fleet: Fleet, y: float) -> tuple[float, Dispatch]:
     """Exact unit commitment cost at demand y and its cheapest dispatch.
 
     Units of a type are interchangeable, so a commitment is a vector of
-    per-type counts.  Every commitment's merit-order cost is read at once
-    from the fleet's cached commitment table; the few whose cost lies
-    within rounding of the minimum (_candidates, shared with ucp_values)
-    are then costed exactly in one _fill pass, in itertools.product order,
-    and the first least cost wins.  Raises InfeasibleError when no
-    commitment covers y, and ValueError when the table would exceed
-    MAX_TABLE_CELLS.
+    per-type counts.  By definition: every feasible commitment of the
+    fleet's cached commitment table is costed exactly in one _fill pass,
+    in itertools.product order, and the first least cost wins.  Raises
+    InfeasibleError when no commitment covers y, and ValueError when the
+    table would exceed MAX_TABLE_CELLS.
     """
     if not -FEAS_EPS <= y <= fleet.total_capacity + FEAS_EPS:  # NaN included
         raise _outside(fleet, y)
     table = _commitment_table(fleet)
-    y64 = np.float64(y)
-    candidates = _candidates(table, y64, y64, -np.inf)
-    if not candidates.size:
+    feasible = np.flatnonzero((y >= table.lo) & (y <= table.hi))
+    if not feasible.size:
         raise InfeasibleError(f"no commitment can meet {y} MW")
-    per_unit, costs = _fill(fleet, table.counts[candidates], table.floor[candidates],
-                            np.full(candidates.size, y, dtype=float))
+    per_unit, costs = _fill(fleet, table.counts[feasible], table.floor[feasible],
+                            np.full(feasible.size, y, dtype=float))
     best = costs.argmin()  # the first of equal least costs
     cost = float(costs[best])
-    commitment = Commitment(tuple(table.counts[candidates[best]]))
+    commitment = Commitment(tuple(table.counts[feasible[best]]))
     return cost, _dispatch(commitment, per_unit[:, best].tolist(), cost)
 
 

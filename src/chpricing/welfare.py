@@ -7,6 +7,7 @@ from typing import NamedTuple
 from .fleet import Fleet
 from .hull import uplifts
 from .market import HOURS, DayProfile, DemandModel, hourly_demand, hourly_utility
+from .pricing import check_number
 from .ucp import ucp_value
 
 __all__ = ["HourResult", "DaySummary", "settle_hour", "summarize_day"]
@@ -54,6 +55,7 @@ def settle_hour(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
     commitment covers the demand (above capacity or in a gap between
     minimum outputs), where a day marks the hour infeasible.
     """
+    check_number("price", price)
     if not price > 0:
         raise ValueError(f"settlement price must be > 0, got {price}")
     demand = hourly_demand(model, profile, t, price)

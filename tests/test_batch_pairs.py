@@ -25,7 +25,13 @@ def test_batch_pairs_times_the_wide_fleet_batches(tmp_path):
     assert record["host"]["bytecode_writes"] == "off"
     # one uplift batch per day: the hours' 24 demands
     assert [batch["size"] for batch in record["batches"]] == [24, 24]
-    figures = [batch["figure"] for batch in record["batches"]]
+    # and one price_hours call per day, all 24 hours of a closed-form method
+    days = record["price_hours"]
+    assert [(d["method"], d["hours"]) for d in days] == [("chp_exact", 24),
+                                                          ("dispatchable", 24)]
+    assert [d["figure"] for d in days] == ["wide-fleet/run-wide-chp-exact price_hours",
+                                           "wide-fleet/run-wide-dispatchable price_hours"]
+    figures = [item["figure"] for item in record["batches"] + days]
     assert sorted(record["summary"]) == sorted(figures)
     for side in ("parent", "changed"):
         samples = record["samples"][side]

@@ -162,6 +162,22 @@ class TestHourlyUtility:
                 f"utility undefined at demand {floors[1]} <= inelastic floor {floors[1]}")):
             market._utility(scarf_model, terms, [floors[0] + 1.0, floors[1], floors[2] - 5.0])
 
+    def test_rows_of_hours_name_the_first_refused_demand_in_row_order(
+            self, scarf_model, day_profile):
+        terms = market._hour_terms(scarf_model, day_profile, (0, 1, 2))
+        floors = terms[0].tolist()
+        above = [f + 1.0 for f in floors]
+        demand = [above, [floors[0] + 2.0, floors[1] + 2.0, floors[2] - 5.0],
+                  [floors[0] - 1.0, *above[1:]]]
+        with pytest.raises(ValueError, match=re.escape(
+                f"utility undefined at demand {floors[2] - 5.0} <= inelastic floor "
+                f"{floors[2]}")):
+            market._utility(scarf_model, terms, demand)
+        # each row is the utility of its hours, float for float
+        rows = [above, [f + 2.0 for f in floors]]
+        assert market._utility(scarf_model, terms, rows).tolist() == \
+            [market._utility(scarf_model, terms, row).tolist() for row in rows]
+
     def test_zero_elastic_weight_returns_constant(self, mean_profile):
         model = DemandModel(a=455.0, mu1=1.0, mu2=0.0, nu=0.0025,
                             utility_constant=500.0)

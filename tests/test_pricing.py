@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chpricing as ch
+from chpricing import pricing
 from chpricing.pricing import MAX_ITERS, PRICE_FLOOR, check_loop_args, price_hours
 from chpricing import (
     DayProfile,
@@ -46,6 +47,11 @@ class TestHarmonicStep:
             with pytest.raises(ValueError):
                 HarmonicStep(coef)
 
+    def test_coef_that_is_not_a_number(self):
+        # unchecked, the range comparison raises TypeError
+        with pytest.raises(ValueError, match=r"^coef must be a number, got '0.1'$"):
+            HarmonicStep("0.1")
+
 
 class TestDualValue:
     def test_mean_hour_components(self, gribik, gribik_model, mean_profile):
@@ -82,6 +88,10 @@ class TestDualValue:
         with pytest.raises(ValueError, match=re.escape(
                 f"price must be finite and at least the floor 1e-06, got {price}")):
             dual_value(gribik, gribik_model, mean_profile, 0, price)
+
+    def test_price_that_is_not_a_number(self, gribik, gribik_model, mean_profile):
+        with pytest.raises(ValueError, match=r"^price must be a number, got '5'$"):
+            dual_value(gribik, gribik_model, mean_profile, 0, "5")
 
 
 class TestRunSubgradient:
@@ -235,6 +245,41 @@ class TestPriceHours:
     def test_loop_args_boundaries(self):
         assert check_loop_args(10.0, MAX_ITERS) is None
         assert check_loop_args(10.0, 1) is None
+
+    def test_start_price_that_is_not_a_number(self):
+        with pytest.raises(ValueError, match=r"^price0 must be a number, got '10'$"):
+            check_loop_args("10", 5)
+
+    @pytest.mark.parametrize("method", ["chp_subgradient", "lmp"])
+    def test_loop_only_steps(self, method, scarf, scarf_model, day_profile,
+                             monkeypatch):
+        # phi and the utility are evaluated once, over every row, after the loop
+        calls = {"utility": 0, "profit": 0}
+
+        def counted(key, function):
+            def spy(*args):
+                calls[key] += 1
+                return function(*args)
+            return spy
+
+        expected = price_hours(method, scarf, scarf_model, day_profile, range(24), 10.0,
+                               50, HarmonicStep(0.01))
+        monkeypatch.setattr(pricing, "_utility", counted("utility", pricing._utility))
+        if method == "lmp":
+            monkeypatch.setattr(ch.QuadraticCost, "conjugate",
+                                counted("profit", ch.QuadraticCost.conjugate))
+        else:
+            monkeypatch.setattr(pricing, "conjugate", counted("profit", pricing.conjugate))
+        day = price_hours(method, scarf, scarf_model, day_profile, range(24), 10.0, 50,
+                          HarmonicStep(0.01))
+        assert calls == {"utility": 1, "profit": 1}
+        assert day.price.shape == day.utility.shape == (50, 24)
+        for got, want in zip(day[2:], expected[2:]):
+            if got is not day.elapsed_s:
+                assert got.tolist() == want.tolist()
+        assert day.utility[-1].tolist() == [
+            ch.hourly_utility(scarf_model, day_profile, t, demand)
+            for t, demand in enumerate(day.demand[-1].tolist())]
 
     @pytest.mark.parametrize("n_iters", [2.5, 2.0, "2"])
     def test_non_integer_round_count_refused(self, n_iters, gribik, gribik_model,

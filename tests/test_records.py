@@ -20,7 +20,7 @@ FIELDS = {
                       "uplift", "elapsed_s"),
     "PricingTrace": ("method", "records", "final_price", "final_demand"),
     "PricedHours": ("method", "hours", "step", "elapsed_s", "price", "demand",
-                    "supply", "dual_value", "cost", "uplift"),
+                    "supply", "dual_value", "utility", "cost", "uplift"),
     "BestResponse": ("supply", "profit", "commitment", "dispatch"),
     "Dispatch": ("commitment", "unit_outputs", "total_output", "total_cost"),
     "_CommitmentTable": ("counts", "floor", "span", "lo", "hi", "base", "slopes",

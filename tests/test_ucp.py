@@ -220,10 +220,12 @@ def cell_of(table, y):
     return int((y >= table.lo).sum() + (y > table.hi).sum())
 
 
-def cell_list(table, low, high):
-    """_candidates of the cell whose least demand is low and greatest high."""
-    least = ucp._read(table, np.float64(high))[1].min() if high != low else -np.inf
-    return ucp._candidates(table, np.float64(low), np.float64(high), least)
+def cell_list(table, *demands):
+    """The candidate list of the one cell that holds the demands, as
+    _batch_candidates gives it to each of them."""
+    _order, pairs, cols = ucp._batch_candidates(table, np.array(demands, dtype=float))
+    assert (pairs == pairs[0]).all()
+    return cols[:pairs[0]]
 
 
 def by_name(fleet, name):
@@ -536,6 +538,7 @@ class TestUcpValue:
         assert cli.main(["run", "--fleet", "scarf", "--method", "chp-subgradient",
                          "--iters", "50", "--seed", "1", "--jobs", "1",
                          "--out", str(tmp_path)]) == 0
+        monkeypatch.undo()
         (table, ys, before), = batches
         rows = sum(reads[before:])
         cells = {}
@@ -550,7 +553,7 @@ class TestUcpValue:
         for members in cells.values():
             listed = cell_list(table, min(members), max(members))
             for y in members:
-                assert set(ucp._candidates(table, y, y, -np.inf)) <= set(listed)
+                assert set(cell_list(table, y)) <= set(listed)
             pairs += len(members) * listed.size
         assert costed == [pairs]
 
@@ -603,6 +606,21 @@ class TestUcpValue:
         with pytest.raises(InfeasibleError,
                            match=r"^demand nan outside feasible range \[0, 600.0\] MW$"):
             ucp_values(gribik, [100.0, math.nan, 700.0])
+
+    def test_value_costs_every_feasible_commitment_without_a_table_read(
+            self, gribik, scarf, monkeypatch):
+        # v(y) by its definition: no approximate table cost, no margin
+        reads = spy_reads(monkeypatch)
+        costed = record_fills(monkeypatch)
+        for fleet in (gribik, scarf, drawn_fleet()):
+            table = ucp._commitment_table(fleet)
+            for y in sparse_demands(fleet, (0.1, 0.45, 0.8)):
+                expected = priced(enumerated_value, fleet, y)  # fills its winner
+                costed.clear()
+                assert priced(ucp_value, fleet, y) == expected, y
+                feasible = int(((y >= table.lo) & (y <= table.hi)).sum())
+                assert costed == ([feasible] if expected else []), y
+        assert reads == []
 
     def test_reduced_scarf_against_enumeration_oracle(self, scarf):
         small = oracles.reduced_scarf(scarf)

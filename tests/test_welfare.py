@@ -74,6 +74,11 @@ class TestSettleErrors:
         with pytest.raises(ValueError, match="price must be > 0, got nan"):
             settle_hour(gribik, gribik_model, mean_profile, 0, math.nan)
 
+    def test_price_that_is_not_a_number(self, gribik, gribik_model, mean_profile):
+        # unchecked, the comparison with 0 raises TypeError
+        with pytest.raises(ValueError, match=r"^price must be a number, got '5'$"):
+            settle_hour(gribik, gribik_model, mean_profile, 0, "5")
+
     def test_demand_beyond_capacity(self, gribik):
         model = DemandModel(a=1.0, mu1=1.0, mu2=0.0, nu=0.01)
         profile = DayProfile((70000.0,) * 24)
