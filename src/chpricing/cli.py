@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .fleet import Fleet, FleetValidationError, builtin_fleet, load_fleet
+from .fleet import Fleet, FleetValidationError, builtin_fleet, check_integer, load_fleet
 from .hull import chp_fixed_demand, uplifts
 from .market import (
     HOURS,
@@ -43,7 +43,6 @@ from .pricing import (
     METHODS,
     HarmonicStep,
     PricedHours,
-    check_integer,
     check_loop_args,
     dispatchable_price,
     price_hours,
@@ -73,6 +72,8 @@ FIXTURE_DEFAULTS = {
 CUSTOM_FLEET_DEFAULTS = dict(mu1=0.8, mu2=0.2, utility_constant=0.0, lambda0=100.0,
                              n_iters=100)
 
+# the pricing rules of an uplift curve
+RULES = ("chp", "dispatchable")
 # HourResult's fields, then the hour's status
 HOURS_COLUMNS = ("t", "price", "demand", "cost", "uplift", "utility_gross",
                  "utility_net", "profit", "welfare", "status")
@@ -89,7 +90,7 @@ class ExperimentConfig:
     """Everything needed to reproduce one day run."""
 
     fleet: str              # 'gribik', 'scarf', or a path to a fleet file
-    method: str             # chp_subgradient | chp_exact | lmp | dispatchable
+    method: str             # one of pricing.METHODS
     out_dir: str
     a: float
     mu1: float
@@ -182,8 +183,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header: tuple[str, ...], lines: list[str]) -> None:
+def _write_csv(out_dir: str | Path, name: str, header: tuple[str, ...],
+               lines: list[str]) -> Path:
+    """Write the header and the lines to name in out_dir, made if missing."""
+    path = Path(out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join([",".join(header)] + lines) + "\n")
+    return path
 
 
 def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
@@ -216,18 +222,12 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
         # a broken day gets no aggregates, only the settled-hour count
         summary_row = [""] * 9 + [str(len(settled))]
 
-    # made only now, so a day that fails (say, an lmp fit refused) leaves none
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "hours": out / "hours.csv",
-        "trace": out / "trace.csv",
-        "summary": out / "summary.csv",
-    }
-    _write_csv(paths["hours"], HOURS_COLUMNS, hour_lines)
-    _write_csv(paths["trace"], TRACE_COLUMNS, trace_lines)
-    _write_csv(paths["summary"], SUMMARY_COLUMNS, [",".join(summary_row)])
-    return paths
+    # written only now, so a day that fails (say, an lmp fit refused)
+    # leaves no directory
+    files = (("hours", HOURS_COLUMNS, hour_lines), ("trace", TRACE_COLUMNS, trace_lines),
+             ("summary", SUMMARY_COLUMNS, [",".join(summary_row)]))
+    return {name: _write_csv(config.out_dir, f"{name}.csv", header, lines)
+            for name, header, lines in files}
 
 
 def _demand_grid(capacity: float, step_mw: float) -> list[float]:
@@ -251,11 +251,6 @@ def _require_feasible(grid: list[float], values: np.ndarray) -> None:
     uncovered = np.flatnonzero(np.isinf(values))
     if uncovered.size:
         raise InfeasibleError(f"no commitment can meet {grid[uncovered[0]]} MW")
-
-
-def _write_columns(path: Path, header: tuple[str, ...], columns: list[list[str]]
-                   ) -> None:
-    _write_csv(path, header, [",".join(row) for row in zip(*columns)])
 
 
 def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
@@ -285,31 +280,25 @@ def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
         # the grid ascends, so the rows above the inelastic floor are its tail
         above = int(np.searchsorted(grid, terms[0][0], side="right"))
         utility[above:] = map(_fmt, _utility(model, terms, grid[above:]).tolist())
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "curves.csv"
-    _write_columns(path, ("y", "v", "v_relaxed", "v_no_startup", "v_quadratic",
-                          "v_hull", "U_1"),
-                   [_reprs(grid), _reprs(values.tolist()), relaxed,
-                    _reprs(no_startup.tolist()), quadratic, relaxed, utility])
-    return path
+    rows = zip(_reprs(grid), _reprs(values.tolist()), relaxed,
+               _reprs(no_startup.tolist()), quadratic, relaxed, utility)
+    return _write_csv(out_dir, "curves.csv", ("y", "v", "v_relaxed", "v_no_startup",
+                                              "v_quadratic", "v_hull", "U_1"),
+                      [",".join(row) for row in rows])
 
 
 def emit_uplift_curves(fleet: Fleet, rule: str, grid_step: float,
                        out_dir: str | Path) -> Path:
     """Write uplift_curve.csv: price and uplift over demand for one rule."""
-    if rule not in ("chp", "dispatchable"):
-        raise ValueError(f"rule must be 'chp' or 'dispatchable', got {rule}")
+    if rule not in RULES:
+        raise ValueError(f"rule must be one of {RULES}, got {rule}")
     grid = _demand_grid(fleet.total_capacity, grid_step)
     prices = (chp_fixed_demand if rule == "chp" else dispatchable_price)(fleet, grid)
     billed = uplifts(fleet, prices, grid)
     _require_feasible(grid, billed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "uplift_curve.csv"
-    _write_columns(path, ("y", "price", "uplift"),
-                   [_reprs(grid), _reprs(prices.tolist()), _reprs(billed.tolist())])
-    return path
+    rows = zip(_reprs(grid), _reprs(prices.tolist()), _reprs(billed.tolist()))
+    return _write_csv(out_dir, "uplift_curve.csv", ("y", "price", "uplift"),
+                      [",".join(row) for row in rows])
 
 
 def _parse_step(text: str, fleet: str) -> float:
@@ -409,7 +398,7 @@ _COMMANDS = {
     "run": ("price and settle a 24-hour day", _cmd_run, {
         "--fleet": dict(required=True, help="gribik, scarf, or a path to a fleet JSON file"),
         "--method": dict(required=True,
-                         choices=["chp-subgradient", "chp-exact", "lmp", "dispatchable"]),
+                         choices=[method.replace("_", "-") for method in METHODS]),
         "--profile": dict(help="CSV day profile (hour,d1)"),
         "--synthetic": dict(metavar="MIN,MEAN,MAX",
                             help="synthetic diurnal profile statistics"),
@@ -428,7 +417,7 @@ _COMMANDS = {
         **_MODEL_OPTIONS}),
     "uplift-curve": ("tabulate price and uplift for a rule", _cmd_uplift_curve, {
         "--fleet": dict(required=True),
-        "--rule": dict(required=True, choices=["chp", "dispatchable"]),
+        "--rule": dict(required=True, choices=RULES),
         "--step-mw": dict(type=float, default=1.0),
         "--out": dict(required=True)}),
 }

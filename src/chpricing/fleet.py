@@ -5,6 +5,8 @@ so they can be cached on and shipped to worker processes without copying.
 """
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +28,24 @@ class FleetValidationError(ValueError):
     """A fleet document or constructor argument breaks a structural invariant."""
 
 
+def check_number(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Refuse a non-number, which a range comparison would meet as TypeError,
+    and a bool, which it would read as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+
+
+def check_integer(name: str, value) -> int:
+    """value as an int, refusing a bool and a count that range() would not
+    take and int() would truncate."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CostSegment:
     """One linear piece of a unit's variable cost curve."""
@@ -34,6 +54,8 @@ class CostSegment:
     capacity: float       # MW
 
     def __post_init__(self) -> None:
+        for field in ("marginal_cost", "capacity"):
+            check_number(f"segment {field}", getattr(self, field), FleetValidationError)
         # chained comparisons are False for NaN, so NaN is rejected too
         if not 0 < self.capacity < _INF:
             raise FleetValidationError(
@@ -63,6 +85,8 @@ class GeneratorType:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.name:
             raise FleetValidationError("generator type name must be nonempty")
+        for field in ("startup_cost", "min_output"):
+            check_number(f"{self.name}: {field}", getattr(self, field), FleetValidationError)
         if not 0 <= self.startup_cost < _INF:
             raise FleetValidationError(
                 f"{self.name}: startup_cost must be finite and >= 0, got {self.startup_cost}")
@@ -165,8 +189,7 @@ def builtin_fleet(name: str) -> Fleet:
 def _number(raw: dict, key: str, label: str) -> float:
     """A JSON number field as a float; null, strings, booleans and containers are refused."""
     value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FleetValidationError(f"{label}: {key} must be a number, got {value!r}")
+    check_number(f"{label}: {key}", value, FleetValidationError)
     try:
         return float(value)
     except OverflowError:  # an integer literal beyond float range

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _noise
+from .fleet import check_number
 
 __all__ = [
     "DemandModel",
@@ -58,6 +59,7 @@ class DemandModel:
 
     def __post_init__(self) -> None:
         for name in ("a", "mu1", "mu2", "nu", "utility_constant"):
+            check_number(name, getattr(self, name))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.a > 0:
@@ -77,8 +79,8 @@ class DayProfile:
     noise: tuple[float, ...] = field(default=(0.0,) * HOURS)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base_demand", tuple(float(x) for x in self.base_demand))
-        object.__setattr__(self, "noise", tuple(float(x) for x in self.noise))
+        object.__setattr__(self, "base_demand", _floats("base demand", self.base_demand))
+        object.__setattr__(self, "noise", _floats("noise", self.noise))
         if len(self.base_demand) != HOURS:
             raise ValueError(f"base_demand needs {HOURS} values, got {len(self.base_demand)}")
         if len(self.noise) != HOURS:
@@ -88,6 +90,14 @@ class DayProfile:
             # 1 + delta scales the elastic share, which must stay >= 0
             if not -1.0 <= delta < math.inf:
                 raise ValueError(f"noise at hour {t} must be finite and >= -1, got {delta}")
+
+
+def _floats(name: str, values) -> tuple[float, ...]:
+    """The hourly values as floats; a value that is not a number is refused."""
+    values = tuple(values)
+    for t, x in enumerate(values):
+        check_number(f"{name} at hour {t}", x)
+    return tuple(map(float, values))
 
 
 def _check_base_demand(t: int, d1: float) -> None:

@@ -11,8 +11,6 @@ _crossing_prices); dual_value and exact_dual call them for one hour.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -20,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fleet import Fleet
+from .fleet import Fleet, check_integer, check_number
 from .hull import default_price_cap, uplifts
 from .market import DayProfile, DemandModel, _demand, _hour_terms, _utility, hourly_demand
 from .ucp import (InfeasibleError, QuadraticCost, _staircase, conjugate, fleet_supply,
@@ -90,20 +88,6 @@ class PricingTrace(NamedTuple):
     final_demand: float
 
 
-def check_integer(name: str, value) -> None:
-    """Refuse a count that range() would not take and int() would truncate."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def check_number(name: str, value) -> None:
-    """Refuse a non-number, which a range comparison would meet as TypeError."""
-    if not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-
-
 def check_loop_args(price0: float, n_iters: int) -> None:
     """Refuse a price loop's start price or round count before it allocates."""
     check_number("price0", price0)
@@ -128,20 +112,17 @@ def dual_value(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
         raise ValueError(
             f"price must be finite and at least the floor {PRICE_FLOOR}, got {price}")
     demand, supply, phi, _gross = _respond(
-        fleet, model, _hour_terms(model, profile, (t,)), np.array([price], dtype=float))
+        model, _hour_terms(model, profile, (t,)), np.array([price], dtype=float),
+        partial(fleet_supply, fleet), partial(conjugate, fleet))
     return phi[0].item(), (supply - demand)[0].item()
 
 
-def _respond(fleet: Fleet, model: DemandModel, terms, price: np.ndarray,
-             quad: QuadraticCost | None = None) -> tuple[np.ndarray, ...]:
+def _respond(model: DemandModel, terms, price: np.ndarray, supply_at, profit_at
+             ) -> tuple[np.ndarray, ...]:
     """(demand, supply, phi, gross utility) of hours with terms (floor, share,
-    coef) at prices whose last axis is the hours; supply and profit come off
-    the fleet's staircase, or off quad."""
-    demand = _demand(model, terms, price)
-    if quad is None:
-        supply, profit = fleet_supply(fleet, price), conjugate(fleet, price)
-    else:
-        supply, profit = quad.supply(price), quad.conjugate(price)
+    coef) at prices whose last axis is the hours, with the supplier's reads
+    of supply and profit at a price."""
+    demand, supply, profit = _demand(model, terms, price), supply_at(price), profit_at(price)
     utility = _utility(model, terms, demand)
     return demand, supply, utility - price * demand + profit, utility
 
@@ -227,12 +208,15 @@ def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfi
         check_loop_args(price0, n_iters)
     hours = tuple(hours)
     terms = _hour_terms(model, profile, hours)
-    quad = quadratic_fit(fleet) if method == "lmp" else None
+    if method == "lmp":
+        quad = quadratic_fit(fleet)
+        supply_at, profit_at = quad.supply, quad.conjugate
+    else:
+        supply_at, profit_at = partial(fleet_supply, fleet), partial(conjugate, fleet)
     start = time.perf_counter()
     if method not in ITERATIVE_METHODS:
         rounds = [(0.0, 0.0, _crossing_prices(fleet, model, terms)[0])]
     else:
-        supply_at = partial(fleet_supply, fleet) if quad is None else quad.supply
         price = np.full(len(hours), float(price0))
         rounds = []
         for k in range(1, n_iters + 1):
@@ -241,7 +225,7 @@ def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfi
             price = np.maximum(price - step * excess, PRICE_FLOOR)
             rounds.append((step, time.perf_counter() - start, price))
     steps, elapsed, price = (np.array(c) for c in zip(*rounds))
-    demand, supply, phi, utility = _respond(fleet, model, terms, price, quad)
+    demand, supply, phi, utility = _respond(model, terms, price, supply_at, profit_at)
     cost = ucp_values(fleet, demand.ravel()).reshape(demand.shape)
     return PricedHours(method, hours, steps, elapsed, price, demand, supply, phi, utility,
                        cost, uplifts(fleet, price, demand, cost))

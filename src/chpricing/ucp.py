@@ -38,14 +38,13 @@ costed over the cell's whole candidate list in one _fill pass.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .fleet import Fleet, GeneratorType
+from .fleet import Fleet, GeneratorType, check_integer, check_number
 
 __all__ = [
     "Commitment",
@@ -100,8 +99,8 @@ class Commitment:
 
     def __post_init__(self) -> None:
         try:
-            counts = tuple(operator.index(n) for n in self.counts)
-        except TypeError:
+            counts = tuple(check_integer("count", n) for n in self.counts)
+        except ValueError:
             raise ValueError(
                 f"commitment counts must be integers, got {self.counts}") from None
         object.__setattr__(self, "counts", counts)
@@ -140,6 +139,8 @@ class QuadraticCost:
     capacity: float  # MW
 
     def __post_init__(self) -> None:
+        for field in ("alpha", "beta", "capacity"):
+            check_number(field, getattr(self, field))
         if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if not math.isfinite(self.beta):
@@ -159,14 +160,6 @@ class QuadraticCost:
         """Maximum profit at a price (or an array of prices) under this model."""
         y = self.supply(price)
         return price * y - self.cost(y)
-
-
-def unit_variable_cost(gtype: GeneratorType, g: float) -> float:
-    """Variable cost of one unit producing g MW, filling segments in order."""
-    if not -FEAS_EPS <= g <= gtype.max_output + FEAS_EPS:  # NaN included
-        raise ValueError(
-            f"{gtype.name}: output {g} outside [0, {gtype.max_output}]")
-    return float(_variable_costs(gtype, np.float64(g)))
 
 
 def _variable_costs(gtype: GeneratorType, g: np.ndarray) -> np.ndarray:
@@ -213,6 +206,15 @@ def _merit_order(fleet: Fleet) -> tuple[tuple[float, int, float], ...]:
     return tuple(blocks)
 
 
+def _bounds(fleet: Fleet, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(floor, ceil) MW of each commitment counts[k] (a row), summed type by type."""
+    floor, ceil = np.zeros(len(counts)), np.zeros(len(counts))
+    for ti, gtype in enumerate(fleet.types):
+        floor += counts[:, ti] * gtype.min_output
+        ceil += counts[:, ti] * gtype.max_output
+    return floor, ceil
+
+
 def _fill(fleet: Fleet, counts: np.ndarray, floor: np.ndarray, ys: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray]:
     """Cheapest dispatch of each commitment counts[k] (a row) at demand ys[k].
@@ -252,27 +254,22 @@ def dispatch_committed(fleet: Fleet, commitment: Commitment, y: float) -> Dispat
     _validate_commitment(fleet, commitment)
     if not y >= -FEAS_EPS:
         raise ValueError(f"demand must be >= 0, got {y}")
-    # summed type by type as the table's floor is (sum() may compensate),
-    # so the fill gives ucp_value's floats
-    floor_mw = ceil_mw = 0.0
-    for gtype, n in zip(fleet.types, commitment.counts):
-        floor_mw += n * gtype.min_output
-        ceil_mw += n * gtype.max_output
-    if y < floor_mw - FEAS_EPS or y > ceil_mw + FEAS_EPS:
+    counts = np.array([commitment.counts])
+    floor, ceil = _bounds(fleet, counts)
+    if y < floor[0] - FEAS_EPS or y > ceil[0] + FEAS_EPS:
         raise InfeasibleError(
-            f"commitment {commitment.counts} covers [{floor_mw}, {ceil_mw}] MW, "
+            f"commitment {commitment.counts} covers [{floor[0]}, {ceil[0]}] MW, "
             f"cannot meet {y} MW")
-    per_unit, cost = _fill(fleet, np.array([commitment.counts]), np.array([floor_mw]),
-                           np.array([y], dtype=float))
+    per_unit, cost = _fill(fleet, counts, floor, np.array([y], dtype=float))
     return _dispatch(commitment, per_unit[:, 0].tolist(), float(cost[0]))
 
 
 class _CommitmentTable(NamedTuple):
     """Every commitment of a fleet, in itertools.product order, as arrays.
 
-    The floor and ceil are summed type by type as in dispatch_committed,
-    and ``lo``/``hi`` are them minus/plus FEAS_EPS, so feasibility is
-    decided bit for bit as there.  ``base`` is the startup plus
+    The floor and ceil are dispatch_committed's (_bounds), and
+    ``lo``/``hi`` are them minus/plus FEAS_EPS, so feasibility is decided
+    bit for bit as there.  ``base`` is the startup plus
     minimum-output cost.  A commitment's merit-order cost of the residual
     r above its floor (at most ``span``) is convex piecewise linear in r,
     so it is the largest of the lines ``lines[b] + slopes[b] * r``, one
@@ -310,14 +307,11 @@ def _commitment_table(fleet: Fleet) -> _CommitmentTable:
             f"{MAX_TABLE_CELLS}")
     counts = np.indices(shape, dtype=np.min_scalar_type(max(shape)))
     counts = counts.reshape(len(shape), commitments).T
-    floor = np.zeros(commitments)
-    ceil = np.zeros(commitments)
+    floor, ceil = _bounds(fleet, counts)
     base = np.zeros(commitments)
     for ti, gtype in enumerate(fleet.types):
-        n = counts[:, ti]
-        floor += n * gtype.min_output
-        ceil += n * gtype.max_output
-        base += n * (gtype.startup_cost + unit_variable_cost(gtype, gtype.min_output))
+        base += counts[:, ti] * (gtype.startup_cost
+                                 + _variable_costs(gtype, np.float64(gtype.min_output)))
     slopes = np.array([b[0] for b in blocks])
     lines = np.empty((len(blocks), commitments))
     start = np.zeros(commitments)
@@ -557,7 +551,8 @@ def best_response(fleet: Fleet, price: float) -> BestResponse:
         g = sum(width for slope, width in relaxed_blocks(gtype) if slope <= price)
         n = gtype.unit_count if g > 0.0 else 0
         if n:
-            cost_total += n * (gtype.startup_cost + unit_variable_cost(gtype, g))
+            cost_total += n * (gtype.startup_cost
+                               + float(_variable_costs(gtype, np.float64(g))))
         outputs.append(g if n else 0.0)
         counts.append(n)
     supply = fleet_supply(fleet, price)

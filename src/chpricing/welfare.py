@@ -4,10 +4,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .fleet import Fleet
+from .fleet import Fleet, check_number
 from .hull import uplifts
 from .market import HOURS, DayProfile, DemandModel, hourly_demand, hourly_utility
-from .pricing import check_number
 from .ucp import ucp_value
 
 __all__ = ["HourResult", "DaySummary", "settle_hour", "summarize_day"]

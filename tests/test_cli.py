@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1000,17 +1001,45 @@ class TestErrorPaths:
     @pytest.mark.parametrize("field, value", [("jobs", 2.5), ("seed", 1.5), ("jobs", "2")])
     def test_non_integer_counts_refused(self, tmp_path, field, value):
         # jobs 2.5 once raised TypeError in range(), and seed 1.5 ran as seed 1
-        params = {key: cli.FIXTURE_DEFAULTS["gribik"][key] for key in (
-            "a", "mu1", "mu2", "nu", "utility_constant", "lambda0", "n_iters")}
         message = f"^{field} must be an integer, got {value!r}$"
         with pytest.raises(ValueError, match=message):
-            cli.ExperimentConfig(fleet="gribik", method="chp_exact", out_dir=str(tmp_path),
-                                 step_coef=None, **{field: value}, **params)
+            gribik_config(tmp_path, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [("seed", False), ("jobs", True)])
+    def test_bool_counts_refused(self, tmp_path, field, value):
+        # bool is an int subclass; True once ran as one job and False as seed 0
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+            gribik_config(tmp_path, **{field: value})
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(method="chp-exact"), "method must be one of ('chp_subgradient', "
+                                   "'chp_exact', 'lmp', 'dispatchable'), got chp-exact"),
+        (dict(jobs=0), "jobs must be >= 1, got 0"),
+        (dict(method="chp_subgradient"), "chp_subgradient needs a step coefficient"),
+    ])
+    def test_config_refusals(self, tmp_path, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gribik_config(tmp_path, **fields)
 
     def test_bad_uplift_rule_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("uplift-curve", "--fleet", "gribik", "--rule", "other",
                     "--out", str(tmp_path))
+
+    def test_unknown_uplift_rule_writes_nothing(self, gribik, tmp_path):
+        with pytest.raises(ValueError, match=re.escape(
+                "rule must be one of ('chp', 'dispatchable'), got other")):
+            cli.emit_uplift_curves(gribik, "other", 1.0, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+
+def gribik_config(tmp_path, **fields):
+    """A closed-form gribik day's ExperimentConfig with the given fields."""
+    params = {key: cli.FIXTURE_DEFAULTS["gribik"][key] for key in (
+        "a", "mu1", "mu2", "nu", "utility_constant", "lambda0", "n_iters")}
+    return cli.ExperimentConfig(**{"fleet": "gribik", "method": "chp_exact",
+                                   "out_dir": str(tmp_path), "step_coef": None,
+                                   **params, **fields})
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli"

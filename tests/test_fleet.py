@@ -129,6 +129,35 @@ class TestValidation:
             GeneratorType("X", value, 0.0, (CostSegment(1.0, 1.0),))
 
 
+    @pytest.mark.parametrize("value", ["5", True, None])
+    @pytest.mark.parametrize("field", ["marginal_cost", "capacity"])
+    def test_segment_field_that_is_not_a_number(self, field, value):
+        # "5" once met a comparison as TypeError, and True passed as 1
+        fields = {"marginal_cost": 1.0, "capacity": 1.0, field: value}
+        with pytest.raises(FleetValidationError,
+                           match=f"^segment {field} must be a number, got {value!r}$"):
+            CostSegment(**fields)
+
+    @pytest.mark.parametrize("value", ["5", True, None])
+    @pytest.mark.parametrize("field", ["startup_cost", "min_output"])
+    def test_type_field_that_is_not_a_number(self, field, value):
+        fields = {"startup_cost": 0.0, "min_output": 0.0, field: value}
+        with pytest.raises(FleetValidationError,
+                           match=f"^X: {field} must be a number, got {value!r}$"):
+            GeneratorType("X", segments=(CostSegment(1.0, 1.0),), **fields)
+
+    def test_empty_name(self):
+        with pytest.raises(FleetValidationError,
+                           match="^generator type name must be nonempty$"):
+            GeneratorType("", 0.0, 0.0, (CostSegment(1.0, 1.0),))
+
+    def test_duplicate_type_names(self):
+        gtype = GeneratorType("X", 0.0, 0.0, (CostSegment(1.0, 1.0),))
+        with pytest.raises(FleetValidationError,
+                           match=r"^duplicate type names in fleet: \['X', 'X'\]$"):
+            Fleet((gtype, gtype))
+
+
 class TestSerialization:
     @pytest.mark.parametrize("name", ["gribik", "scarf"])
     def test_round_trip(self, name):
@@ -210,6 +239,27 @@ class TestSerialization:
     def test_load_non_string_name(self, name):
         with pytest.raises(FleetValidationError, match=r"types\[0\]: name must be a string"):
             load_fleet(one_type_document(name=name))
+
+
+    def test_load_empty_types(self):
+        with pytest.raises(FleetValidationError, match="^'types' must be a nonempty list$"):
+            load_fleet(json.dumps({"types": []}))
+
+    def test_load_type_entry_that_is_not_an_object(self):
+        with pytest.raises(FleetValidationError,
+                           match=r"^types\[0\]: type entry must be an object$"):
+            load_fleet(json.dumps({"types": [["X"]]}))
+
+    def test_load_empty_segments(self):
+        with pytest.raises(FleetValidationError,
+                           match="^X: 'segments' must be a nonempty list$"):
+            load_fleet(one_type_document(segments=[]))
+
+    @pytest.mark.parametrize("seg", [{}, {"capacity": 1.0}, [1.0, 1.0]])
+    def test_load_segment_without_its_keys(self, seg):
+        with pytest.raises(FleetValidationError, match=(
+                r"^X: segments\[0\] must have marginal_cost and capacity$")):
+            load_fleet(one_type_document(segments=[seg]))
 
 
 class TestHash:

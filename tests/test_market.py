@@ -232,6 +232,26 @@ class TestProfiles:
                 f"^noise at hour 11 must be finite and >= -1, got {value}$")):
             DayProfile((100.0,) * 24, noise)
 
+    @pytest.mark.parametrize("field", ["base_demand", "noise"])
+    @pytest.mark.parametrize("value", ["5", True])
+    def test_value_that_is_not_a_number(self, field, value):
+        # float() once read the string "5" as 5.0 MW, and True as 1.0
+        values = {"base_demand": (100.0,) * 24, "noise": (0.0,) * 24}
+        values[field] = values[field][:3] + (value,) + values[field][4:]
+        name = field.replace("_", " ")
+        with pytest.raises(ValueError,
+                           match=f"^{name} at hour 3 must be a number, got {value!r}$"):
+            DayProfile(**values)
+
+    def test_empty_document(self):
+        with pytest.raises(ValueError, match="^empty profile document$"):
+            load_profile("")
+
+    def test_blank_rows_are_skipped(self):
+        rows = [f"{t},{100.0 + t}" for t in range(24)]
+        doc = "hour,d1\n\n" + "\n ,  \n".join(rows) + "\n\n"
+        assert load_profile(doc).base_demand == tuple(100.0 + t for t in range(24))
+
     def test_noise_of_minus_one_accepted(self):
         assert DayProfile((100.0,) * 24, (-1.0,) * 24).noise == (-1.0,) * 24
 
@@ -280,9 +300,16 @@ class TestSyntheticProfile:
 
     def test_unreachable_mean_rejected(self):
         # a 24-point curve with one point at each extreme cannot average
-        # closer to an endpoint than 1/24 of the range
-        with pytest.raises(ValueError):
+        # closer to an endpoint than 1/24 of the range; a low of 0 is
+        # refused before the shape is tried
+        with pytest.raises(ValueError, match=re.escape(
+                "need 0 < low < mean < high, got 0.0, 1.0, 100.0")):
             synthetic_profile(0.0, 1.0, 100.0)
+        for low, mean, high in ((10.0, 11.0, 100.0), (10.0, 99.0, 100.0)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"mean {mean} not achievable with this diurnal shape for "
+                    f"range [{low}, {high}]")):
+                synthetic_profile(low, mean, high)
 
 
 class TestSampleNoise:
@@ -315,6 +342,15 @@ class TestSampleNoise:
         params = dict(a=1.0, mu1=0.8, mu2=0.2, nu=0.01, utility_constant=0.0)
         params[field] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DemandModel(**params)
+
+    @pytest.mark.parametrize("value", ["5", True])
+    @pytest.mark.parametrize("field", ["a", "mu1", "mu2", "nu", "utility_constant"])
+    def test_model_field_that_is_not_a_number(self, field, value):
+        # unchecked, "5" met math.isfinite as TypeError and True passed as 1
+        params = dict(a=1.0, mu1=0.8, mu2=0.2, nu=0.01, utility_constant=0.0)
+        params[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {value!r}$"):
             DemandModel(**params)
 
     def test_model_validation(self):

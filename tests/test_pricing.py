@@ -52,6 +52,11 @@ class TestHarmonicStep:
         with pytest.raises(ValueError, match=r"^coef must be a number, got '0.1'$"):
             HarmonicStep("0.1")
 
+    def test_bool_coef_refused(self):
+        # bool is an int subclass; True once ran as coefficient 1
+        with pytest.raises(ValueError, match=r"^coef must be a number, got True$"):
+            HarmonicStep(True)
+
 
 class TestDualValue:
     def test_mean_hour_components(self, gribik, gribik_model, mean_profile):
@@ -92,6 +97,10 @@ class TestDualValue:
     def test_price_that_is_not_a_number(self, gribik, gribik_model, mean_profile):
         with pytest.raises(ValueError, match=r"^price must be a number, got '5'$"):
             dual_value(gribik, gribik_model, mean_profile, 0, "5")
+
+    def test_bool_price_refused(self, gribik, gribik_model, mean_profile):
+        with pytest.raises(ValueError, match=r"^price must be a number, got True$"):
+            dual_value(gribik, gribik_model, mean_profile, 0, True)
 
 
 class TestRunSubgradient:
@@ -249,6 +258,13 @@ class TestPriceHours:
     def test_start_price_that_is_not_a_number(self):
         with pytest.raises(ValueError, match=r"^price0 must be a number, got '10'$"):
             check_loop_args("10", 5)
+
+    def test_bool_loop_args_refused(self):
+        # True once passed as start price 1 and as one round
+        with pytest.raises(ValueError, match=r"^n_iters must be an integer, got True$"):
+            check_loop_args(10.0, True)
+        with pytest.raises(ValueError, match=r"^price0 must be a number, got True$"):
+            check_loop_args(True, 5)
 
     @pytest.mark.parametrize("method", ["chp_subgradient", "lmp"])
     def test_loop_only_steps(self, method, scarf, scarf_model, day_profile,
@@ -437,6 +453,26 @@ class TestLmp:
         trace = run_lmp(gribik, gribik_model, mean_profile, 0, 100.0, 2,
                         HarmonicStep(0.1))
         assert trace.method == "lmp"
+
+
+class TestLmpEquilibriumAtCapacity:
+    """Past the fit's capacity, demand falls to capacity at coef/(capacity - floor)."""
+
+    FLAT = DayProfile((100.0,) * 24)
+
+    def test_demand_clears_at_capacity(self, scarf):
+        # floor 0.8 * 1.9 * 100 = 152 MW, coef 455 * 0.2 = 91, capacity 161 MW
+        model = DemandModel(a=455.0, mu1=0.8, mu2=0.2, nu=1.9)
+        price, demand = lmp_equilibrium(quadratic_fit(scarf), model, self.FLAT, 0)
+        assert price == pytest.approx(91.0 / (161.0 - 152.0), rel=1e-12)
+        assert demand == pytest.approx(161.0, rel=1e-12)
+
+    def test_floor_above_capacity_has_no_crossing(self, scarf):
+        # floor 0.8 * 2.5 * 100 = 200 MW is past the 161 MW capacity
+        model = DemandModel(a=455.0, mu1=0.8, mu2=0.2, nu=2.5)
+        with pytest.raises(InfeasibleError,
+                           match=r"^no crossing for the quadratic supply curve$"):
+            lmp_equilibrium(quadratic_fit(scarf), model, self.FLAT, 0)
 
 
 class TestDispatchable:

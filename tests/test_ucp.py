@@ -34,7 +34,6 @@ from chpricing.ucp import (
     MAX_TABLE_CELLS,
     no_startup_values,
     relaxed_supply,
-    unit_variable_cost,
 )
 from test_staircase import PROPERTY, fleets, one_unit
 
@@ -233,25 +232,17 @@ def by_name(fleet, name):
 
 
 class TestUnitVariableCost:
+    """One unit's variable cost, as the table's base and best_response read it."""
+
     def test_two_segment_fill(self, gribik):
-        assert unit_variable_cost(by_name(gribik, "A"), 150.0) == 65 * 100 + 110 * 50
+        cost = ucp._variable_costs(by_name(gribik, "A"), np.float64(150.0))
+        assert cost == 65 * 100 + 110 * 50
 
     def test_zero_output(self, gribik):
-        assert unit_variable_cost(by_name(gribik, "A"), 0.0) == 0.0
+        assert ucp._variable_costs(by_name(gribik, "A"), np.float64(0.0)) == 0.0
 
     def test_single_segment(self, scarf):
-        assert unit_variable_cost(by_name(scarf, "MedTech"), 2.0) == 14.0
-
-    def test_out_of_range(self, gribik):
-        with pytest.raises(ValueError):
-            unit_variable_cost(by_name(gribik, "A"), 200.5)
-        with pytest.raises(ValueError):
-            unit_variable_cost(by_name(gribik, "A"), -1.0)
-
-    def test_nan_output_refused(self, gribik):
-        # NaN fails both range comparisons, so unchecked it costs nan
-        with pytest.raises(ValueError, match=r"^A: output nan outside \[0, 200.0\]$"):
-            unit_variable_cost(by_name(gribik, "A"), math.nan)
+        assert ucp._variable_costs(by_name(scarf, "MedTech"), np.float64(2.0)) == 14.0
 
 
 class TestDispatchCommitted:
@@ -289,6 +280,11 @@ class TestDispatchCommitted:
         # int() would commit (1, 0, 1) for the first and (0, 1, 1) for the second
         with pytest.raises(ValueError, match="commitment counts must be integers"):
             Commitment(counts)
+
+    def test_bool_counts_refused(self):
+        # bool is an int subclass; (True, False, 1) once committed (1, 0, 1)
+        with pytest.raises(ValueError, match="commitment counts must be integers"):
+            Commitment((True, False, 1))
 
     def test_numpy_integer_counts_accepted(self, gribik):
         # the commitment table holds its counts as small unsigned numpy ints
@@ -837,3 +833,11 @@ class TestQuadraticFit:
         # unchecked, QuadraticCost(1.0, nan, 10.0).supply(5.0) is nan
         with pytest.raises(ValueError, match=message):
             QuadraticCost(alpha=1.0, beta=beta, capacity=capacity)
+
+    @pytest.mark.parametrize("value", ["5", True])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "capacity"])
+    def test_field_that_is_not_a_number(self, field, value):
+        # unchecked, "5" met a comparison as TypeError and True passed as 1
+        fields = {"alpha": 1.0, "beta": 1.0, "capacity": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {value!r}$"):
+            QuadraticCost(**fields)

@@ -79,6 +79,11 @@ class TestSettleErrors:
         with pytest.raises(ValueError, match=r"^price must be a number, got '5'$"):
             settle_hour(gribik, gribik_model, mean_profile, 0, "5")
 
+    def test_bool_price_refused(self, gribik, gribik_model, mean_profile):
+        # bool is an int subclass; True once settled at 1 $/MWh
+        with pytest.raises(ValueError, match=r"^price must be a number, got True$"):
+            settle_hour(gribik, gribik_model, mean_profile, 0, True)
+
     def test_demand_beyond_capacity(self, gribik):
         model = DemandModel(a=1.0, mu1=1.0, mu2=0.0, nu=0.01)
         profile = DayProfile((70000.0,) * 24)
