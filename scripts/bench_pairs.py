@@ -16,8 +16,8 @@ BENCHMARK.json's comparison runs of fresh checkouts do, so every
 command compiles the package and its ``setup_s`` includes that; a tree
 with a ``src/chpricing/__pycache__`` is refused, because its bytecode
 would still be read.  The BLAS thread variables are passed on as the
-caller set them, and the ``host`` block records their values (null
-where unset).
+caller set them, as is glibc's ``MALLOC_MMAP_THRESHOLD_``, and the
+``host`` block records their values (null where unset).
 
 The output file holds, per workload, the environment line, the
 end-to-end metrics and run.py's unscaled times of every run, each
@@ -64,12 +64,16 @@ def child_env(**extra: str) -> dict[str, str]:
 
 
 def host() -> dict:
-    """The machine, the BLAS variables passed to every run, and the bytecode mode."""
+    """The machine, the BLAS and allocator variables passed to every run, and
+    the bytecode mode."""
     return {"python": platform.python_version(), "nproc": os.cpu_count(),
             "machine": platform.machine(),
             # passed to every run unchanged (None: unset); the BLAS pool's
             # size shapes set-up time
             "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+            # glibc's mmap threshold, fixed when set, else dynamic: it moves
+            # timings of code that allocates large arrays
+            "malloc_mmap_threshold": os.environ.get("MALLOC_MMAP_THRESHOLD_"),
             "bytecode_writes": "off"}
 
 

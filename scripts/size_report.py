@@ -45,12 +45,13 @@ def compile_s(source: str, filename: str) -> float:
 
 
 # prints len(chpricing.__all__), then the parameters of its functions plus
-# the fields of its dataclasses
+# the fields of its dataclasses; a function is any callable that is not a
+# class, and inspect.signature sees through a decorator such as lru_cache
 PUBLIC_CODE = """
 import dataclasses, inspect, chpricing
 public = [getattr(chpricing, name) for name in chpricing.__all__]
 print(len(public), sum(len(inspect.signature(obj).parameters) for obj in public
-                       if inspect.isfunction(obj))
+                       if callable(obj) and not inspect.isclass(obj))
       + sum(len(dataclasses.fields(obj)) for obj in public
             if inspect.isclass(obj) and dataclasses.is_dataclass(obj)))
 """

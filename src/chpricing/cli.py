@@ -140,7 +140,7 @@ def _resolve_profile(config: ExperimentConfig) -> DayProfile:
 
 def _reprs(values: list[float]) -> list[str]:
     """The repr of each float, cut from one repr of the whole list."""
-    return repr(values)[1:-1].split(", ")
+    return repr(values)[1:-1].split(", ") if values else []
 
 
 def _trace_lines(priced: PricedHours) -> list[str]:
@@ -170,17 +170,13 @@ def _run_hours(hours, fleet: Fleet, model: DemandModel, profile: DayProfile,
         priced.price, priced.demand, priced.cost, priced.uplift, priced.utility))
     for t, price, demand, cost, up, utility in zip(priced.hours, *finals):
         if cost == math.inf:
-            cells = [_fmt(price), _fmt(demand)] + [""] * 6 + ["infeasible"]
+            cells = _reprs([price, demand]) + [""] * 6 + ["infeasible"]
         else:
             result = hour_result(t, price, demand, cost, up, utility)
             settled.append(result)
-            cells = [_fmt(x) for x in result[1:]] + ["ok"]
+            cells = _reprs(list(result[1:])) + ["ok"]
         hour_lines.append(",".join([str(t)] + cells))
     return _trace_lines(priced), hour_lines, settled
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _write_csv(out_dir: str | Path, name: str, header: tuple[str, ...],
@@ -217,7 +213,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
                                         for part in zip(*outcomes))
 
     if len(settled) == HOURS:
-        summary_row = [_fmt(x) for x in summarize_day(settled)] + [str(HOURS)]
+        summary_row = _reprs(list(summarize_day(settled))) + [str(HOURS)]
     else:
         # a broken day gets no aggregates, only the settled-hour count
         summary_row = [""] * 9 + [str(len(settled))]
@@ -279,7 +275,7 @@ def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
         terms = _hour_terms(model, default_profile(), (0,))
         # the grid ascends, so the rows above the inelastic floor are its tail
         above = int(np.searchsorted(grid, terms[0][0], side="right"))
-        utility[above:] = map(_fmt, _utility(model, terms, grid[above:]).tolist())
+        utility[above:] = _reprs(_utility(model, terms, grid[above:]).tolist())
     rows = zip(_reprs(grid), _reprs(values.tolist()), relaxed,
                _reprs(no_startup.tolist()), quadratic, relaxed, utility)
     return _write_csv(out_dir, "curves.csv", ("y", "v", "v_relaxed", "v_no_startup",

@@ -100,10 +100,14 @@ class GeneratorType:
             raise FleetValidationError(
                 f"{self.name}: min_output {self.min_output} outside "
                 f"[0, {self.max_output}]")
-        count = self.unit_count
-        if isinstance(count, bool) or not (isinstance(count, int) and count >= 1):
+        try:
+            count = check_integer("unit_count", self.unit_count)
+        except ValueError:
+            count = 0  # refused below, with the range in the message
+        if count < 1:
             raise FleetValidationError(
-                f"{self.name}: unit_count must be an integer >= 1, got {count!r}")
+                f"{self.name}: unit_count must be an integer >= 1, got {self.unit_count!r}")
+        object.__setattr__(self, "unit_count", count)
 
     @cached_property
     def max_output(self) -> float:
@@ -124,21 +128,6 @@ class Fleet:
         names = [t.name for t in self.types]
         if len(set(names)) != len(names):
             raise FleetValidationError(f"duplicate type names in fleet: {names}")
-
-    # Fleets key every per-fleet cache, so the hash is computed once.  It
-    # hashes type names, and str hashes differ between processes, so the
-    # cached value is left out of the pickled state.
-    def __hash__(self) -> int:
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            value = self.__dict__["_hash"] = hash((self.types,))
-            return value
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
 
     @cached_property
     def total_capacity(self) -> float:

@@ -13,7 +13,6 @@ relaxed cost reads; the hull price takes a demand or an array of demands.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -66,7 +65,6 @@ def bisect_first_true(pred: Callable[[float], bool], lo: float, hi: float,
     return hi
 
 
-@lru_cache(maxsize=None)
 def default_price_cap(fleet: Fleet) -> float:
     """A price at which every unit runs flat out.
 

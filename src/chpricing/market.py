@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import io
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _noise
-from .fleet import check_number
+from .fleet import check_integer, check_number
 
 __all__ = [
     "DemandModel",
@@ -117,8 +116,8 @@ def consumer_best_response(model: DemandModel, price):
 def _hour_terms(model: DemandModel, profile: DayProfile, hours) -> tuple[np.ndarray, ...]:
     """(floor, share, coef) arrays of the hours: demand is floor + share*a/price,
     utility coef*log(demand - floor) + constant, coef = a*mu2*(1 + delta)."""
-    # operator.index refuses a float hour; dtype=int keeps no hours an index array
-    hours = np.array([operator.index(t) for t in hours], dtype=int)
+    # check_integer refuses a float or bool hour; dtype=int keeps no hours an index array
+    hours = np.array([check_integer("hour", t) for t in hours], dtype=int)
     outside = (hours < 0) | (hours >= HOURS)
     if outside.any():
         raise ValueError(f"hour index {hours[outside][0].item()} outside [0, {HOURS})")

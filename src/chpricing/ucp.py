@@ -286,10 +286,9 @@ class _CommitmentTable(NamedTuple):
     base: np.ndarray    # (C,) $
     slopes: np.ndarray  # (B, 1) $/MWh
     lines: np.ndarray   # (B, C) $, each line's value at r = 0
-    max_slope: float    # $/MWh, 0 without blocks
 
 
-# a table can reach 64 MB; a run needs two (its fleet and _zero_startup's)
+# a table can reach 64 MB; a run needs two (its fleet and its startup-free copy)
 @lru_cache(maxsize=8)
 def _commitment_table(fleet: Fleet) -> _CommitmentTable:
     blocks = _merit_order(fleet)
@@ -322,11 +321,9 @@ def _commitment_table(fleet: Fleet) -> _CommitmentTable:
         start += width
         filled += slope * width
     table = _CommitmentTable(counts, floor, ceil - floor, floor - FEAS_EPS,
-                             ceil + FEAS_EPS, base, slopes[:, None], lines,
-                             float(slopes.max(initial=0.0)))
+                             ceil + FEAS_EPS, base, slopes[:, None], lines)
     for array in table:
-        if isinstance(array, np.ndarray):
-            array.flags.writeable = False
+        array.flags.writeable = False
     return table
 
 
@@ -395,11 +392,13 @@ def _batch_candidates(table: _CommitmentTable, ys: np.ndarray
     values.  A cell lists its feasible commitments whose table cost at the
     least demand is within a margin of the least cost at the greatest: 1e-9
     * max(1, least, demand x max_slope) bounds the gap between a table cost
-    and its fill (costs are >= 0, so no abs).  Table costs grow with the
-    demand, so the list holds every demand's least exact cost.
+    and its fill (costs are >= 0, so no abs; max_slope is the table's
+    largest slope).  Table costs grow with the demand, so the list holds
+    every demand's least exact cost.
     """
     width = len(table.floor)
     chunk = max(1, BATCH_CELLS // (table.lines.size or width))
+    max_slope = table.slopes.max(initial=0.0)
     order, cell, lows, highs = _cells(table, ys)
     spread = np.flatnonzero(highs != lows)
     least = np.full(lows.size, -np.inf)
@@ -412,7 +411,7 @@ def _batch_candidates(table: _CommitmentTable, ys: np.ndarray
         feasible, approx = _read(table, lows[part])
         # -inf where a cell is one demand, which np.maximum passes over
         top = np.maximum(approx.min(axis=-1), least[part])
-        bound = top + 1e-9 * np.maximum(np.maximum(1.0, top), highs[part] * table.max_slope)
+        bound = top + 1e-9 * np.maximum(np.maximum(1.0, top), highs[part] * max_slope)
         listed = np.flatnonzero((approx <= bound[..., None]) & feasible)
         lists.append(listed + start * width)
     owner, cols = np.divmod(np.concatenate(lists), width)
@@ -574,7 +573,6 @@ def conjugate(fleet: Fleet, price):
     return _like(prices, np.where(i > 0, prices * supply[i] - cost[i], 0.0))
 
 
-@lru_cache(maxsize=None)
 def relaxed_blocks(gtype: GeneratorType) -> tuple[tuple[float, float], ...]:
     """(slope, width) pieces of the relaxed per-unit cost, slopes increasing.
 
@@ -655,7 +653,6 @@ def relaxed_supply(fleet: Fleet, price: float) -> float:
     return fleet_supply(fleet, price)
 
 
-@lru_cache(maxsize=None)
 def _zero_startup(fleet: Fleet) -> Fleet:
     return Fleet(tuple(replace(t, startup_cost=0.0) for t in fleet.types))
 

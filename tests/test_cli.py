@@ -35,6 +35,11 @@ def read_rows(path):
     return rows[0], rows[1:]
 
 
+def fmt(x):
+    """A CSV cell: the repr of the value as a float."""
+    return repr(float(x))
+
+
 def strip_elapsed(path):
     lines = Path(path).read_text().splitlines()
     return [line.rsplit(",", 1)[0] for line in lines]
@@ -698,7 +703,7 @@ def scalar_uplift_rows(fleet, rule, step_mw):
             billed = ch.uplift(fleet, price, y)
         except ch.InfeasibleError:
             raise ch.InfeasibleError(f"no commitment can meet {y} MW") from None
-        rows.append(",".join(map(cli._fmt, (y, price, billed))))
+        rows.append(",".join(map(fmt, (y, price, billed))))
     return rows
 
 
@@ -713,8 +718,8 @@ def scalar_cost_rows(fleet, step_mw, model, profile):
             raise ch.InfeasibleError(f"no commitment can meet {y} MW") from None
         u1 = ""
         if model is not None and y > ch.inelastic_share(model, profile, 0):
-            u1 = cli._fmt(ch.hourly_utility(model, profile, 0, y))
-        rows.append(",".join([cli._fmt(x) for x in (
+            u1 = fmt(ch.hourly_utility(model, profile, 0, y))
+        rows.append(",".join([fmt(x) for x in (
             y, value, ch.relaxed_value(fleet, y)[0], ch.no_startup_value(fleet, y),
             quad.cost(y), ch.hull_value(fleet, y).hull_value)] + [u1]))
     return rows
@@ -800,7 +805,7 @@ def per_hour_trace_rows(config):
             billed = ch.settle_hour(fleet, model, profile, t, price).uplift
         except ch.InfeasibleError:
             billed = math.inf
-        rows.append(f"{t},0," + ",".join(map(cli._fmt, (
+        rows.append(f"{t},0," + ",".join(map(fmt, (
             price, demand, supply, 0.0, phi, billed, 0.0))))
     return rows
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chpricing
@@ -104,6 +105,22 @@ class TestValidation:
         with pytest.raises(FleetValidationError,
                            match=f"unit_count must be an integer >= 1, got {count}"):
             GeneratorType("X", 0.0, 0.0, (CostSegment(1.0, 1.0),), unit_count=count)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, 0, -1, "2"])
+    def test_unit_count_message(self, count):
+        with pytest.raises(FleetValidationError,
+                           match=f"^X: unit_count must be an integer >= 1, got {count!r}$"):
+            GeneratorType("X", 0.0, 0.0, (CostSegment(1.0, 1.0),), unit_count=count)
+
+    def test_numpy_integer_unit_count(self):
+        # the count rule is fleet.check_integer's, as for commitment counts
+        segments = (CostSegment(1.0, 1.0),)
+        gtype = GeneratorType("X", 0.0, 0.0, segments, unit_count=np.int64(2))
+        assert type(gtype.unit_count) is int
+        assert gtype == GeneratorType("X", 0.0, 0.0, segments, unit_count=2)
+        fleet = Fleet((gtype,))
+        assert hash(fleet) == hash(Fleet((GeneratorType("X", 0.0, 0.0, segments, 2),)))
+        assert load_fleet(dump_fleet(fleet)) == fleet
 
     def test_negative_startup(self):
         with pytest.raises(FleetValidationError):

@@ -89,14 +89,22 @@ class TestHourlyDemand:
         (24, 5.0, "hour index 24 outside [0, 24)"),
         (-1, 5.0, "hour index -1 outside [0, 24)"),
         (0, 0.0, "price must be > 0 (log-utility demand is unbounded near 0), got 0.0"),
-        (0, -3.0, "price must be > 0 (log-utility demand is unbounded near 0), got -3.0")])
+        (0, -3.0, "price must be > 0 (log-utility demand is unbounded near 0), got -3.0"),
+        # a bool is not an hour (True would price hour 1), nor is an integral float
+        (True, 5.0, "hour must be an integer, got True"),
+        (False, 5.0, "hour must be an integer, got False"),
+        (3.0, 5.0, "hour must be an integer, got 3.0")])
     def test_messages(self, t, price, message, scarf_model, mean_profile):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             hourly_demand(scarf_model, mean_profile, t, price)
 
     def test_float_hour_refused(self, scarf_model, mean_profile):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"^hour must be an integer, got 1\.5$"):
             hourly_demand(scarf_model, mean_profile, 1.5, 5.0)
+
+    def test_numpy_integer_hour(self, scarf_model, mean_profile):
+        assert hourly_demand(scarf_model, mean_profile, np.int64(3), 5.0) == \
+            hourly_demand(scarf_model, mean_profile, 3, 5.0)
 
     def test_one_hour_call_is_the_scalar_formula(self, scarf_model, day_profile):
         noisy = DayProfile(day_profile.base_demand, sample_noise(7))

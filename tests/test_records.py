@@ -24,7 +24,7 @@ FIELDS = {
     "BestResponse": ("supply", "profit", "commitment", "dispatch"),
     "Dispatch": ("commitment", "unit_outputs", "total_output", "total_cost"),
     "_CommitmentTable": ("counts", "floor", "span", "lo", "hi", "base", "slopes",
-                         "lines", "max_slope"),
+                         "lines"),
     "HourResult": ("t", "price", "demand", "supply_cost", "uplift", "utility_gross",
                    "utility_net", "supplier_profit", "social_welfare"),
     "DaySummary": ("price_min", "price_mean", "price_max", "total_demand",

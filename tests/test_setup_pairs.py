@@ -67,3 +67,9 @@ def test_children_run_with_bytecode_off(monkeypatch):
     assert env["PYTHONDONTWRITEBYTECODE"] == "1" and env["PYTHONPATH"] == "src"
     assert "PYTHONPYCACHEPREFIX" not in env
     assert bench_pairs.host()["bytecode_writes"] == "off"
+    # glibc's mmap threshold is recorded as the children get it, null when unset
+    monkeypatch.delenv("MALLOC_MMAP_THRESHOLD_", raising=False)
+    assert bench_pairs.host()["malloc_mmap_threshold"] is None
+    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "4194304")
+    assert bench_pairs.host()["malloc_mmap_threshold"] == "4194304"
+    assert bench_pairs.child_env()["MALLOC_MMAP_THRESHOLD_"] == "4194304"

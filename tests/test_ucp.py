@@ -286,6 +286,11 @@ class TestDispatchCommitted:
         with pytest.raises(ValueError, match="commitment counts must be integers"):
             Commitment((True, False, 1))
 
+    def test_negative_counts_refused(self):
+        with pytest.raises(ValueError,
+                           match=r"^commitment counts must be >= 0, got \(-1, 0, 0\)$"):
+            Commitment((-1, 0, 0))
+
     def test_numpy_integer_counts_accepted(self, gribik):
         # the commitment table holds its counts as small unsigned numpy ints
         commitment = Commitment((np.uint8(1), np.int64(0), np.uint8(1)))
