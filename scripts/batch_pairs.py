@@ -7,9 +7,11 @@ Usage (from anywhere):
     python3 scripts/batch_pairs.py PARENT_TREE CHANGED_TREE --out FILE \
         [--workload W ...] [--pairs 10] [--repeats 5] [--seed 1]
 
-Each tree is a checkout of this repository.  The workloads (default:
-all three) are those of ``perfbench/workloads.py`` in the repository
-holding this script, built for the seed.
+Each tree is a checkout of this repository, run from bench_pairs.py's
+copies of the two trees, at paths of equal length.  Every child is
+started by bench_pairs.py's ``run_child``, with bytecode off.  The
+workloads (default: all three) are those of ``perfbench/workloads.py``
+in the repository holding this script, built for the seed.
 
 Capture: each command runs once, in a fresh interpreter importing
 PARENT_TREE's ``src/``, with ``chpricing.ucp.ucp_values`` and
@@ -26,9 +28,8 @@ Timing: a run is one fresh interpreter importing one tree's ``src/``.
 For every captured call it calls the function once, which builds the
 fleet's caches (the commitment table, the staircase), then times
 ``--repeats`` more calls and keeps the least.  Runs are paired,
-alternated and run one child at a time, with bytecode off, by
-bench_pairs.py's ``run_pairs``; a tree with a
-``src/chpricing/__pycache__`` is refused.
+alternated and run one child at a time by bench_pairs.py's
+``run_pairs``.
 
 A run's figures are, per (command, batch size), the sum of its v(y)
 batches' times, and per command its price_hours time: the whole day
@@ -44,12 +45,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-from bench_pairs import child_env, host, resolve_trees, run_pairs, summarize
+from bench_pairs import copied_trees, parse_pairs, record_head, run_child, run_pairs, summarize
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -93,12 +92,13 @@ sys.exit(code)
 """
 
 # argv: CAPTURED_JSON REPEATS; prints {"batches": [...], "days": [...]}, the
-# least time of each captured call, in order
+# least time of each captured call, in order.  chpricing is imported before
+# numpy, so that it runs OpenBLAS with one thread, as every command does
 TIME_CODE = r"""
 import json, sys, time
-import numpy as np
 import chpricing
 from chpricing import pricing, ucp
+import numpy as np
 
 with open(sys.argv[1]) as source:
     captured = json.load(source)
@@ -139,13 +139,7 @@ def capture(tree: Path, workloads: list[str], seed: int, work: Path
     for workload in workloads:
         for command in benchmark.build(workload, seed, work):
             out = work / f"{command.label}.json"
-            done = subprocess.run(
-                [sys.executable, "-c", CAPTURE_CODE, str(out),
-                 *command.argv(work / command.label)],
-                env=child_env(PYTHONPATH=str(tree / "src")), capture_output=True, text=True)
-            if done.returncode != 0:
-                raise SystemExit(f"{tree}: {command.label} exited {done.returncode}:\n"
-                                 f"{done.stderr}")
+            run_child(tree, "-c", CAPTURE_CODE, out, *command.argv(work / command.label))
             captured = json.loads(out.read_text())
             for document, demands in captured["batches"]:
                 batches.append({"workload": workload, "command": command.label,
@@ -167,12 +161,7 @@ def day_figure(day: dict) -> str:
 def time_once(tree: Path, captured_file: Path, names: dict[str, list[str]],
               repeats: int) -> dict:
     """One run: each figure's summed least time over its calls, from ``tree``."""
-    done = subprocess.run(
-        [sys.executable, "-c", TIME_CODE, str(captured_file), str(repeats)],
-        env=child_env(PYTHONPATH=str(tree / "src")), capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{tree}: timing exited {done.returncode}:\n{done.stderr}")
-    times = json.loads(done.stdout)
+    times = json.loads(run_child(tree, "-c", TIME_CODE, captured_file, repeats)[0])
     metrics = dict.fromkeys(names["batches"] + names["days"], 0.0)
     for kind in ("batches", "days"):
         for name, seconds in zip(names[kind], times[kind]):
@@ -182,20 +171,17 @@ def time_once(tree: Path, captured_file: Path, names: dict[str, list[str]],
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("changed", type=Path)
     parser.add_argument("--workload", action="append", choices=benchmark.WORKLOADS)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", type=Path, required=True)
-    args = parser.parse_args(argv)
-    if args.pairs < 2 or args.repeats < 1:
-        parser.error("--pairs must be at least 2 and --repeats at least 1")
-    trees = resolve_trees(args.parent, args.changed)
+    args = parse_pairs(parser, argv, least=2)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
     workloads = args.workload or list(benchmark.WORKLOADS)
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
+    with copied_trees(args.parent, args.changed) as trees:
+        # next to the copies, in the directory removed with them
+        work = trees["parent"].parent / "work"
+        work.mkdir()
         batches, days = capture(trees["parent"], workloads, args.seed, work)
         names = {"batches": [figure(batch) for batch in batches],
                  "days": [day_figure(day) for day in days]}
@@ -215,8 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:<60}{listed.count(name):>8}{s['parent']['median'] * 1e3:>11.3f}"
               f"{s['changed']['median'] * 1e3:>12.3f}{s['changed_wins']:>4}/{args.pairs}")
     record = {
-        "host": host(),
-        "trees": {side: tree.name for side, tree in trees.items()},
+        **record_head(args),
         "seed": args.seed, "pairs": args.pairs, "repeats": args.repeats,
         "batches": [{"figure": figure(b), "size": len(b["demands"])} for b in batches],
         "price_hours": [{"figure": day_figure(d), "method": d["call"][0],

@@ -7,16 +7,21 @@ Usage (from anywhere):
         [--workload W2 ...] [--pairs 10] [--seconds 30] [--seed 1] \
         --out BENCH_<n>.json
 
-Each tree is a checkout of this repository.  Each run is the tree's own,
-unchanged ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-in a fresh interpreter.  A pair runs both trees once, one child at a
-time; pairs alternate which tree goes first.  Every run has bytecode
-off (PYTHONDONTWRITEBYTECODE=1) and no PYTHONPYCACHEPREFIX, as
-BENCHMARK.json's comparison runs of fresh checkouts do, so every
-command compiles the package and its ``setup_s`` includes that; a tree
-with a ``src/chpricing/__pycache__`` is refused, because its bytecode
-would still be read.  The BLAS thread variables are passed on as the
-caller set them, as is glibc's ``MALLOC_MMAP_THRESHOLD_``, and the
+Each tree is a checkout of this repository.  Both are first copied to
+``<tmp>/a`` and ``<tmp>/b`` (``copied_trees``) without their bytecode,
+``.git`` or run litter: paths of equal length, so that the length of a
+path moves neither side's figures, and the given trees are left as
+they are.  Each run is the copy's own, unchanged ``perfbench/run.py
+--workload W --seed S --seconds T --trace 0``.  A pair runs both trees
+once, one child at a time; pairs alternate which tree goes first.
+
+Every child of the pair tools and of compare_outputs.py and
+size_report.py is started by ``run_child``: a fresh interpreter with the
+tree's ``src/`` on PYTHONPATH, bytecode off (PYTHONDONTWRITEBYTECODE=1)
+and no PYTHONPYCACHEPREFIX, as BENCHMARK.json's comparison runs of
+fresh checkouts run, so every command compiles the package and its
+``setup_s`` includes that.  The BLAS thread variables are passed on as
+the caller set them, as is glibc's ``MALLOC_MMAP_THRESHOLD_``, and the
 ``host`` block records their values (null where unset).
 
 The output file holds, per workload, the environment line, the
@@ -31,29 +36,36 @@ used.  Exits 1 when a run fails or reports a failed command.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
+import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 SIDES = ("parent", "changed")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# left out of a tree's copy: bytecode a run would read instead of compiling,
+# and what git, tests and perfbench runs leave behind
+LITTER = ("__pycache__", ".git", ".perfbench_work", ".pytest_cache", ".hypothesis")
 
 
-def resolve_trees(parent: Path, changed: Path) -> dict[str, Path]:
-    """The two trees by side; exits if one holds package bytecode a run would read."""
-    trees = {"parent": parent.resolve(), "changed": changed.resolve()}
-    cached = [tree / "src" / "chpricing" / "__pycache__" for tree in trees.values()]
-    cached = [str(path) for path in cached if path.exists()]
-    if cached:
-        raise SystemExit(
-            "runs with bytecode off would read the bytecode in "
-            + ", ".join(cached) + " and not compile; remove it")
-    return trees
+@contextlib.contextmanager
+def copied_trees(parent: Path, changed: Path) -> Iterator[dict[str, Path]]:
+    """The two trees by side, copied to ``<tmp>/a`` and ``<tmp>/b`` without
+    their litter; removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="pairs_") as tmp:
+        trees = {side: Path(tmp) / name for side, name in zip(SIDES, "ab")}
+        for side, tree in zip(SIDES, (parent, changed)):
+            shutil.copytree(tree, trees[side], ignore=shutil.ignore_patterns(*LITTER))
+        yield trees
 
 
 def child_env(**extra: str) -> dict[str, str]:
@@ -61,6 +73,49 @@ def child_env(**extra: str) -> dict[str, str]:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **extra)
     env.pop("PYTHONPYCACHEPREFIX", None)
     return env
+
+
+def run_child(tree: Path, *args, cwd: Path | None = None) -> tuple[str, float, float]:
+    """(stdout, wall seconds, CPU seconds) of one fresh interpreter given
+    ``args`` and importing ``tree``'s ``src/``; exits naming the tree and
+    showing the child's stderr if it fails.
+
+    CPU seconds are the child's user plus system time, the change in this
+    process's RUSAGE_CHILDREN over the run.
+    """
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *map(str, args)], cwd=cwd,
+                          env=child_env(PYTHONPATH=str(tree / "src")),
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if done.returncode != 0:
+        # a -c program is shown by its first line
+        shown = " ".join(str(arg).strip().split("\n")[0] for arg in args)
+        raise SystemExit(f"{tree}: {shown} exited {done.returncode}:\n{done.stderr}")
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return done.stdout, wall, (after.ru_utime + after.ru_stime
+                               - before.ru_utime - before.ru_stime)
+
+
+def parse_pairs(parser: argparse.ArgumentParser, argv: list[str] | None,
+                least: int) -> argparse.Namespace:
+    """``argv`` parsed with the pair tools' shared arguments added to
+    ``parser``: the two trees, ``--pairs`` (at least ``least``) and ``--out``."""
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("changed", type=Path)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < least:
+        parser.error(f"--pairs must be at least {least}")
+    return args
+
+
+def record_head(args: argparse.Namespace) -> dict:
+    """The start of a pair tool's record: the host and the given trees' names."""
+    return {"host": host(),
+            "trees": {side: getattr(args, side).resolve().name for side in SIDES}}
 
 
 def host() -> dict:
@@ -97,13 +152,10 @@ def run_pairs(trees: dict[str, Path], pairs: int, run_once: Callable[[Path], dic
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run of ``tree``: its environment, correctness and metrics."""
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, env=child_env(), capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        raise SystemExit(f"{tree}: {workload} exited {done.returncode}:\n{done.stderr}")
+    stdout, _wall, _cpu = run_child(
+        tree, "perfbench/run.py", "--workload", workload, "--seed", seed,
+        "--seconds", seconds, "--trace", 0, cwd=tree)
+    lines = stdout.strip().splitlines()
     environment = next(json.loads(line.split(":", 1)[1]) for line in lines
                        if line.startswith("environment:"))
     # "  unscaled      wall_s W s, setup_s S s, host speed H": run.py's
@@ -150,52 +202,42 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("changed", type=Path)
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", type=Path, required=True)
-    args = parser.parse_args(argv)
-    if args.pairs < 10:
-        parser.error("--pairs must be at least 10")
-    trees = resolve_trees(args.parent, args.changed)
-    spec = json.loads((trees["changed"] / "BENCHMARK.json").read_text())
+    args = parse_pairs(parser, argv, least=10)
+    spec = json.loads((args.changed / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-
-    record = {
-        "host": host(),
-        "trees": {side: tree.name for side, tree in trees.items()},
-        "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
-        "workloads": {},
-    }
+    record = {**record_head(args), "pairs": args.pairs, "seconds": args.seconds,
+              "seed": args.seed, "workloads": {}}
     failed = False
-    for workload in args.workload:
-        runs = run_pairs(
-            trees, args.pairs,
-            lambda tree: run_once(tree, workload, args.seed, args.seconds),
-            lambda run: f"{workload} " + ", ".join(
-                f"{k} {v:.6g}" for k, v in run["metrics"].items())
-            + ", unscaled " + ", ".join(f"{k} {v:.6g}" for k, v in run["unscaled"].items()))
-        failed |= any(not run["correct"] or run["failed"] > 0
-                      for side in SIDES for run in runs[side])
-        summary = summarize(runs, better)
-        unscaled = {name: {side: spread([r["unscaled"][name] for r in runs[side]])
-                           for side in SIDES} for name in runs["parent"][0]["unscaled"]}
-        record["workloads"][workload] = {"summary": summary, "unscaled": unscaled,
-                                         "runs": runs}
-        for name, s in summary.items():
-            print(f"{workload} {name}: parent {s['parent']['median']:.6g} "
-                  f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}] changed "
-                  f"{s['changed']['median']:.6g} [{s['changed']['q1']:.6g}, "
-                  f"{s['changed']['q3']:.6g}], changed better in {s['changed_wins']}"
-                  f"/{args.pairs}, gain {s['gain']}")
-        for name, s in unscaled.items():
-            print(f"{workload} unscaled {name}: parent {s['parent']['median']:.6g} "
-                  f"changed {s['changed']['median']:.6g}")
-        # written after every workload, so an interrupted run keeps the finished ones
-        args.out.write_text(json.dumps(record, indent=1) + "\n")
+    with copied_trees(args.parent, args.changed) as trees:
+        for workload in args.workload:
+            runs = run_pairs(
+                trees, args.pairs,
+                lambda tree: run_once(tree, workload, args.seed, args.seconds),
+                lambda run: f"{workload} " + ", ".join(
+                    f"{k} {v:.6g}" for k, v in run["metrics"].items())
+                + ", unscaled "
+                + ", ".join(f"{k} {v:.6g}" for k, v in run["unscaled"].items()))
+            failed |= any(not run["correct"] or run["failed"] > 0
+                          for side in SIDES for run in runs[side])
+            summary = summarize(runs, better)
+            unscaled = {name: {side: spread([r["unscaled"][name] for r in runs[side]])
+                               for side in SIDES} for name in runs["parent"][0]["unscaled"]}
+            record["workloads"][workload] = {"summary": summary, "unscaled": unscaled,
+                                             "runs": runs}
+            for name, s in summary.items():
+                print(f"{workload} {name}: parent {s['parent']['median']:.6g} "
+                      f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}] changed "
+                      f"{s['changed']['median']:.6g} [{s['changed']['q1']:.6g}, "
+                      f"{s['changed']['q3']:.6g}], changed better in {s['changed_wins']}"
+                      f"/{args.pairs}, gain {s['gain']}")
+            for name, s in unscaled.items():
+                print(f"{workload} unscaled {name}: parent {s['parent']['median']:.6g} "
+                      f"changed {s['changed']['median']:.6g}")
+            # written after every workload, so an interrupted run keeps the finished ones
+            args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 1 if failed else 0
 
 

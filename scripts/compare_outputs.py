@@ -8,7 +8,8 @@ Usage (from anywhere):
 Each tree is a checkout of this repository.  For every workload in the
 tree's ``perfbench/workloads.py`` at seeds 0 and 3, every command that
 ``workloads.build`` returns runs in a fresh interpreter against the
-tree's own ``src/``, through ``chpricing.cli.main``.  The two trees' CSV
+tree's own ``src/``, through ``chpricing.cli.main``, started by
+bench_pairs.py's ``run_child`` with bytecode off.  The two trees' CSV
 files are then compared: the script prints how many files are identical
 and how many differ, and for every (workload, command, file, column)
 that moved, the number of moved cells, the largest |a - b|, and the
@@ -21,11 +22,14 @@ from __future__ import annotations
 import csv
 import importlib.util
 import math
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# the directory holding bench_pairs.py, which a caller loading this file by
+# its path has not put on sys.path
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import run_child  # noqa: E402
 
 SEEDS = (0, 3)
 SKIPPED_COLUMNS = ("elapsed_s",)
@@ -47,18 +51,12 @@ def _load_workloads(tree: Path, name: str):
 def run_tree(tree: Path, out: Path, name: str) -> None:
     """Run every workload command of ``tree`` at every seed, outputs under ``out``."""
     workloads = _load_workloads(tree, name)
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             work = out / workload / str(seed)
             work.mkdir(parents=True)
             for command in workloads.build(workload, seed, work):
-                argv = [sys.executable, "-B", "-c", CLI_CODE,
-                        *command.argv(work / command.label)]
-                done = subprocess.run(argv, env=env, capture_output=True, text=True)
-                if done.returncode != 0:
-                    raise SystemExit(f"{tree}: {workload} seed {seed} "
-                                     f"{command.label} failed:\n{done.stderr}")
+                run_child(tree, "-c", CLI_CODE, *command.argv(work / command.label))
 
 
 def _read(path: Path) -> list[list[str]]:

@@ -29,12 +29,12 @@ cannot be set against the other's.
 from __future__ import annotations
 
 import argparse
-import os
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+from bench_pairs import run_child
 
 
 def compile_s(source: str, filename: str) -> float:
@@ -57,12 +57,10 @@ print(len(public), sum(len(inspect.signature(obj).parameters) for obj in public
 """
 
 
-def public_counts(src: Path) -> tuple[int, int]:
-    """(public names, settable values), imported from src in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-B", "-c", PUBLIC_CODE], env=env,
-                          capture_output=True, text=True, check=True)
-    names, values = done.stdout.split()
+def public_counts(tree: Path) -> tuple[int, int]:
+    """(public names, settable values), imported from tree's src/ in a fresh
+    interpreter."""
+    names, values = run_child(tree, "-c", PUBLIC_CODE)[0].split()
     return int(names), int(values)
 
 
@@ -137,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{min(totals[0]) * 1e3:.2f} ms (parent {min(totals[1]) * 1e3:.2f}), "
               f"median {statistics.median(totals[0]) * 1e3:.2f} ms "
               f"(parent {statistics.median(totals[1]) * 1e3:.2f})")
-    counts = [public_counts(tree / "src") for tree in trees]
+    counts = [public_counts(tree) for tree in trees]
     parent = ["" if args.against is None else f" (parent {n})" for n in counts[-1]]
     print(f"chpricing.__all__: {counts[0][0]} names{parent[0]}")
     print(f"settable values: {counts[0][1]}{parent[1]}")

@@ -305,15 +305,19 @@ def _parse_step(text: str, fleet: str) -> float:
         return FIXTURE_DEFAULTS[fleet]["step_coef"]
     if text.startswith("c/k:"):
         # HarmonicStep validates the value
-        return float(text[len("c/k:"):])
+        try:
+            return float(text[len("c/k:"):])
+        except ValueError:
+            raise ValueError(f"--step c/k:VALUE needs a number, got {text!r}") from None
     raise ValueError(f"--step must be 'paper' or 'c/k:VALUE', got {text!r}")
 
 
 def _parse_synthetic(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"--synthetic needs MIN,MEAN,MAX, got {text!r}")
-    low, mean, high = (float(p) for p in parts)
+    try:
+        low, mean, high = (float(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--synthetic needs three numbers MIN,MEAN,MAX, got {text!r}") from None
     return low, mean, high
 
 

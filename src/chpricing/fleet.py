@@ -96,6 +96,13 @@ class GeneratorType:
         if any(hi < lo for lo, hi in zip(costs, costs[1:])):
             raise FleetValidationError(
                 f"{self.name}: segments not sorted by nondecreasing marginal cost")
+        # finite fields can still sum to inf, which later arithmetic turns into NaN
+        if not self.max_output < _INF:
+            raise FleetValidationError(
+                f"{self.name}: max_output must be finite, got {self.max_output}")
+        if not self.full_output_cost < _INF:
+            raise FleetValidationError(
+                f"{self.name}: full-output cost must be finite, got {self.full_output_cost}")
         if not 0 <= self.min_output <= self.max_output:
             raise FleetValidationError(
                 f"{self.name}: min_output {self.min_output} outside "
@@ -114,6 +121,12 @@ class GeneratorType:
         """Maximum output of one committed unit (MW)."""
         return sum(s.capacity for s in self.segments)
 
+    @cached_property
+    def full_output_cost(self) -> float:
+        """Cost of one unit committed at maximum output: startup plus every
+        segment's cost at full capacity ($)."""
+        return self.startup_cost + sum(s.marginal_cost * s.capacity for s in self.segments)
+
 
 @dataclass(frozen=True)
 class Fleet:
@@ -128,6 +141,16 @@ class Fleet:
         names = [t.name for t in self.types]
         if len(set(names)) != len(names):
             raise FleetValidationError(f"duplicate type names in fleet: {names}")
+        try:
+            capacity = self.total_capacity
+            full_cost = sum(t.unit_count * t.full_output_cost for t in self.types)
+        except OverflowError:  # a unit count beyond float range
+            capacity = full_cost = _INF
+        if not capacity < _INF:
+            raise FleetValidationError(f"fleet total_capacity must be finite, got {capacity}")
+        if not full_cost < _INF:
+            raise FleetValidationError(
+                f"fleet full-output cost must be finite, got {full_cost}")
 
     @cached_property
     def total_capacity(self) -> float:

@@ -242,5 +242,5 @@ def sample_noise(seed: int) -> tuple[float, ...]:
     computed by chpricing's own copy of that stream (``_noise``), which
     does not change with the numpy version.
     """
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    seed = check_integer("seed", seed) & 0xFFFFFFFFFFFFFFFF
     return tuple(_noise.normal([seed, t], NOISE_SD) for t in range(HOURS))

@@ -1,5 +1,6 @@
 """scripts/batch_pairs.py and scripts/size_report.py --against, end to end,
 each with one tree against itself."""
+import ast
 import dataclasses
 import inspect
 import json
@@ -7,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import chpricing
-from test_setup_pairs import source_tree
+from test_setup_pairs import load_bench_pairs, source_tree
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,6 +62,23 @@ def test_batch_pairs_times_the_wide_fleet_batches(tmp_path):
     for figure in figures:
         assert figure in done.stdout
     assert not (tree / "src" / "chpricing" / "__pycache__").exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads are read in /proc")
+def test_timing_child_runs_one_blas_thread(tmp_path, monkeypatch):
+    # as every command does; importing numpy before chpricing ran OpenBLAS's pool
+    bench_pairs = load_bench_pairs()
+    for name in bench_pairs.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    script = ast.parse((ROOT / "scripts" / "batch_pairs.py").read_text())
+    time_code = next(ast.literal_eval(node.value) for node in script.body
+                     if isinstance(node, ast.Assign)
+                     and getattr(node.targets[0], "id", None) == "TIME_CODE")
+    captured = tmp_path / "captured.json"
+    captured.write_text(json.dumps({"batches": [], "days": []}))
+    code = time_code + "import os; print(len(os.listdir('/proc/self/task')))\n"
+    stdout, _wall, _cpu = bench_pairs.run_child(ROOT, "-c", code, captured, 1)
+    assert stdout.splitlines() == ['{"batches": [], "days": []}', "1"]
 
 
 def test_size_report_against_a_tree(tmp_path):

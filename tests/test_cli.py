@@ -889,10 +889,17 @@ class TestErrorPaths:
                            "--step", f"c/k:{coef}", "--out", str(tmp_path)) == 1
             assert capsys.readouterr().err == (
                 f"error: step coefficient must be finite and > 0, got {coef}\n")
+        assert run_cli("run", "--fleet", "gribik", "--method", "chp-subgradient",
+                       "--step", "c/k:", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            "error: --step c/k:VALUE needs a number, got 'c/k:'\n")
 
-    def test_bad_synthetic_argument(self, tmp_path):
-        assert run_cli("run", "--fleet", "gribik", "--method", "chp-exact",
-                       "--synthetic", "1,2", "--out", str(tmp_path)) == 1
+    def test_bad_synthetic_argument(self, tmp_path, capsys):
+        for text in ("1,2", "1,2,x"):
+            assert run_cli("run", "--fleet", "gribik", "--method", "chp-exact",
+                           "--synthetic", text, "--out", str(tmp_path)) == 1
+            assert capsys.readouterr().err == (
+                f"error: --synthetic needs three numbers MIN,MEAN,MAX, got {text!r}\n")
 
     def test_profile_and_synthetic_are_exclusive(self, tmp_path, capsys):
         profile = tmp_path / "day.csv"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import chpricing
+import chpricing.cli
 from chpricing import (
     CostSegment,
     Fleet,
@@ -162,6 +163,43 @@ class TestValidation:
         with pytest.raises(FleetValidationError,
                            match=f"^X: {field} must be a number, got {value!r}$"):
             GeneratorType("X", segments=(CostSegment(1.0, 1.0),), **fields)
+
+    def test_overflowing_max_output(self):
+        # each capacity is finite, their sum is not
+        segments = (CostSegment(1.0, 1e308), CostSegment(2.0, 1e308))
+        with pytest.raises(FleetValidationError,
+                           match="^A: max_output must be finite, got inf$"):
+            GeneratorType("A", 10.0, 0.0, segments)
+
+    def test_overflowing_max_output_in_a_fleet_file(self, tmp_path, capsys):
+        # it once reached the staircase as a NaN price
+        path = tmp_path / "fleet.json"
+        path.write_text(one_type_document(name="A", startup_cost=10.0, segments=[
+            {"marginal_cost": 1.0, "capacity": 1e308},
+            {"marginal_cost": 2.0, "capacity": 1e308}]))
+        assert chpricing.cli.main(["run", "--fleet", str(path), "--method", "chp-exact",
+                                   "--a", "1", "--nu", "1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: A: max_output must be finite, got inf\n"
+
+    def test_overflowing_full_output_cost(self):
+        with pytest.raises(FleetValidationError,
+                           match="^X: full-output cost must be finite, got inf$"):
+            GeneratorType("X", 0.0, 0.0, (CostSegment(1e300, 1e10),))
+
+    @pytest.mark.parametrize("capacity, count", [(1e308, 3), (1.0, 10**400)])
+    def test_overflowing_total_capacity(self, capacity, count):
+        # the second count is beyond float range, which raised OverflowError
+        gtype = GeneratorType("A", 0.0, 0.0, (CostSegment(1.0, capacity),), unit_count=count)
+        with pytest.raises(FleetValidationError,
+                           match="^fleet total_capacity must be finite, got inf$"):
+            Fleet((gtype,))
+
+    def test_overflowing_total_full_output_cost(self):
+        # 1e308 dollars a type, twice
+        types = [GeneratorType(name, 0.0, 0.0, (CostSegment(1e300, 1e8),)) for name in "AB"]
+        with pytest.raises(FleetValidationError,
+                           match="^fleet full-output cost must be finite, got inf$"):
+            Fleet(types)
 
     def test_empty_name(self):
         with pytest.raises(FleetValidationError,

@@ -330,6 +330,15 @@ class TestSampleNoise:
     def test_negative_seed_accepted(self):
         assert sample_noise(-1) == sample_noise(-1)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None])
+    def test_seed_that_is_not_an_integer_refused(self, seed):
+        # int() would read 1.5 and True as seed 1, and "3" as seed 3
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            sample_noise(seed)
+
+    def test_numpy_integer_seed(self):
+        assert sample_noise(np.int64(3)) == sample_noise(3)
+
     def test_pooled_moments(self):
         draws = np.concatenate([sample_noise(seed) for seed in range(4200)])
         assert draws.size == 100800
