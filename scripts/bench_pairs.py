@@ -11,7 +11,9 @@ Each tree is a checkout of this repository.  Both are first copied to
 ``<tmp>/a`` and ``<tmp>/b`` (``copied_trees``) without their bytecode,
 ``.git`` or run litter: paths of equal length, so that the length of a
 path moves neither side's figures, and the given trees are left as
-they are.  Each run is the copy's own, unchanged ``perfbench/run.py
+they are.  A SIGTERM while the copies exist ends the running child
+with its own children and removes the copies, as an exception would.
+Each run is the copy's own, unchanged ``perfbench/run.py
 --workload W --seed S --seconds T --trace 0``.  A pair runs both trees
 once, one child at a time; pairs alternate which tree goes first.
 
@@ -22,7 +24,10 @@ and no PYTHONPYCACHEPREFIX, as BENCHMARK.json's comparison runs of
 fresh checkouts run, so every command compiles the package and its
 ``setup_s`` includes that.  The BLAS thread variables are passed on as
 the caller set them, as is glibc's ``MALLOC_MMAP_THRESHOLD_``, and the
-``host`` block records their values (null where unset).
+``host`` block records their values (null where unset).  The
+``sources`` block names what each given tree holds: its ``git rev-parse
+HEAD`` (null without ``.git``) and its ``src/chpricing`` digest, the
+``src_sha256`` that ``perfbench/run.py`` reports.
 
 The output file holds, per workload, the environment line, the
 end-to-end metrics and run.py's unscaled times of every run, each
@@ -37,11 +42,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import platform
 import resource
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -57,15 +64,28 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 LITTER = ("__pycache__", ".git", ".perfbench_work", ".pytest_cache", ".hypothesis")
 
 
+def _terminated(signum: int, _frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 @contextlib.contextmanager
 def copied_trees(parent: Path, changed: Path) -> Iterator[dict[str, Path]]:
     """The two trees by side, copied to ``<tmp>/a`` and ``<tmp>/b`` without
-    their litter; removed on exit."""
-    with tempfile.TemporaryDirectory(prefix="pairs_") as tmp:
-        trees = {side: Path(tmp) / name for side, name in zip(SIDES, "ab")}
-        for side, tree in zip(SIDES, (parent, changed)):
-            shutil.copytree(tree, trees[side], ignore=shutil.ignore_patterns(*LITTER))
-        yield trees
+    their litter; removed on exit.
+
+    Inside the block SIGTERM raises SystemExit, so the running child's
+    group is ended (``run_child``) and the copies are removed before the
+    tool exits, where the default action would leave both behind.
+    """
+    previous = signal.signal(signal.SIGTERM, _terminated)
+    try:
+        with tempfile.TemporaryDirectory(prefix="pairs_") as tmp:
+            trees = {side: Path(tmp) / name for side, name in zip(SIDES, "ab")}
+            for side, tree in zip(SIDES, (parent, changed)):
+                shutil.copytree(tree, trees[side], ignore=shutil.ignore_patterns(*LITTER))
+            yield trees
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def child_env(**extra: str) -> dict[str, str]:
@@ -81,20 +101,30 @@ def run_child(tree: Path, *args, cwd: Path | None = None) -> tuple[str, float, f
     showing the child's stderr if it fails.
 
     CPU seconds are the child's user plus system time, the change in this
-    process's RUSAGE_CHILDREN over the run.
+    process's RUSAGE_CHILDREN over the run.  The child leads its own
+    process group; if the wait is interrupted (an exception, or SIGTERM
+    inside ``copied_trees``), the whole group is killed, so no command the
+    child started outlives it.
     """
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, *map(str, args)], cwd=cwd,
+    with subprocess.Popen([sys.executable, *map(str, args)], cwd=cwd,
                           env=child_env(PYTHONPATH=str(tree / "src")),
-                          capture_output=True, text=True)
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as child:
+        try:
+            stdout, stderr = child.communicate()
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            raise
     wall = time.perf_counter() - start
-    if done.returncode != 0:
+    if child.returncode != 0:
         # a -c program is shown by its first line
         shown = " ".join(str(arg).strip().split("\n")[0] for arg in args)
-        raise SystemExit(f"{tree}: {shown} exited {done.returncode}:\n{done.stderr}")
+        raise SystemExit(f"{tree}: {shown} exited {child.returncode}:\n{stderr}")
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return done.stdout, wall, (after.ru_utime + after.ru_stime
+    return stdout, wall, (after.ru_utime + after.ru_stime
                                - before.ru_utime - before.ru_stime)
 
 
@@ -113,9 +143,25 @@ def parse_pairs(parser: argparse.ArgumentParser, argv: list[str] | None,
 
 
 def record_head(args: argparse.Namespace) -> dict:
-    """The start of a pair tool's record: the host and the given trees' names."""
+    """The start of a pair tool's record: the host, the given trees' names
+    and what each holds (``tree_source``)."""
     return {"host": host(),
-            "trees": {side: getattr(args, side).resolve().name for side in SIDES}}
+            "trees": {side: getattr(args, side).resolve().name for side in SIDES},
+            "sources": {side: tree_source(getattr(args, side)) for side in SIDES}}
+
+
+def tree_source(tree: Path) -> dict:
+    """The tree's commit (null where it has no ``.git``) and the digest of its
+    ``src/chpricing/*.py``, taken as perfbench/run.py's ``src_sha256``."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "chpricing").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    commit = None
+    if (tree / ".git").exists():
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree,
+                              capture_output=True, text=True)
+        commit = done.stdout.strip() or None
+    return {"git_commit": commit, "src_sha256": digest.hexdigest()[:16]}
 
 
 def host() -> dict:

@@ -227,17 +227,22 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
 
 
 def _demand_grid(capacity: float, step_mw: float) -> list[float]:
+    """The multiples of the step below capacity - 1e-9, then capacity: point i
+    is the float nearest i * D, D the decimal that repr(step_mw) reads."""
     if not 0 < step_mw < math.inf:
         raise ValueError(f"step-mw must be finite and > 0, got {step_mw}")
     if capacity / step_mw > MAX_GRID_POINTS:
         raise ValueError(
             f"step-mw {step_mw} over {capacity} MW makes more than "
             f"MAX_GRID_POINTS = {MAX_GRID_POINTS} demand points")
-    grid = []
-    y = 0.0
-    while y < capacity - 1e-9:
-        grid.append(y)
-        y += step_mw
+    digits, _, exponent = repr(float(step_mw)).partition("e")
+    whole, _, fraction = digits.partition(".")
+    scale = int(exponent or 0) - len(fraction)
+    num, den = int(whole + fraction) * 10 ** max(scale, 0), 10 ** max(-scale, 0)
+    limit = capacity - 1e-9
+    grid = [i * num / den for i in range(math.ceil(limit / step_mw) + 1)]
+    while grid and grid[-1] >= limit:  # the points ascend
+        grid.pop()
     grid.append(capacity)
     return grid
 
@@ -261,21 +266,22 @@ def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
     fit of a fleet whose startup-free cost is zero everywhere.
     """
     grid = _demand_grid(fleet.total_capacity, grid_step)
+    ys = np.array(grid)
     quadratic = [""] * len(grid)
     try:
-        quadratic = _reprs(quadratic_fit(fleet).cost(np.array(grid)).tolist())
+        quadratic = _reprs(quadratic_fit(fleet).cost(ys).tolist())
     except DegenerateCostError:
         pass
-    values = ucp_values(fleet, grid)
+    values = ucp_values(fleet, ys)
     _require_feasible(grid, values)
-    no_startup = no_startup_values(fleet, grid)
-    relaxed = _reprs(relaxed_value(fleet, grid)[0].tolist())
+    no_startup = no_startup_values(fleet, ys)
+    relaxed = _reprs(relaxed_value(fleet, ys)[0].tolist())
     utility = [""] * len(grid)
     if model is not None:
         terms = _hour_terms(model, default_profile(), (0,))
         # the grid ascends, so the rows above the inelastic floor are its tail
-        above = int(np.searchsorted(grid, terms[0][0], side="right"))
-        utility[above:] = _reprs(_utility(model, terms, grid[above:]).tolist())
+        above = int(ys.searchsorted(terms[0][0], side="right"))
+        utility[above:] = _reprs(_utility(model, terms, ys[above:]).tolist())
     rows = zip(_reprs(grid), _reprs(values.tolist()), relaxed,
                _reprs(no_startup.tolist()), quadratic, relaxed, utility)
     return _write_csv(out_dir, "curves.csv", ("y", "v", "v_relaxed", "v_no_startup",
@@ -289,8 +295,9 @@ def emit_uplift_curves(fleet: Fleet, rule: str, grid_step: float,
     if rule not in RULES:
         raise ValueError(f"rule must be one of {RULES}, got {rule}")
     grid = _demand_grid(fleet.total_capacity, grid_step)
-    prices = (chp_fixed_demand if rule == "chp" else dispatchable_price)(fleet, grid)
-    billed = uplifts(fleet, prices, grid)
+    ys = np.array(grid)
+    prices = (chp_fixed_demand if rule == "chp" else dispatchable_price)(fleet, ys)
+    billed = uplifts(fleet, prices, ys)
     _require_feasible(grid, billed)
     rows = zip(_reprs(grid), _reprs(prices.tolist()), _reprs(billed.tolist()))
     return _write_csv(out_dir, "uplift_curve.csv", ("y", "price", "uplift"),

@@ -13,6 +13,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -214,18 +215,24 @@ class TestDeterminism:
                               text=True, timeout=60, check=True)
         assert done.stdout.strip() == "False"
 
-    def test_package_import_stays_lean(self):
+    def test_package_import_stays_lean(self, tmp_path):
         # set-up time: the worker pool is imported only when a run starts
         # workers, csv and json only when a profile or a fleet file is
-        # read, and numpy.random never (the noise is chpricing._noise)
+        # read, and numpy.random never (the noise is chpricing._noise);
+        # a curve's grid is built on ints, so fractions and decimal never
         code = ("import sys, chpricing; chpricing.builtin_fleet('gribik'); "
                 "print(sorted(m for m in ('numpy.random', 'concurrent.futures', 'csv', "
-                "'json') if m in sys.modules))")
+                "'json') if m in sys.modules))\n"
+                "from chpricing.cli import main\n"
+                "assert main(['uplift-curve', '--fleet', 'gribik', '--rule', 'chp', "
+                f"'--step-mw', '0.2', '--out', {str(tmp_path)!r}]) == 0\n"
+                "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))")
         env = dict(os.environ,
                    PYTHONPATH=str(Path(ch.__file__).resolve().parents[1]))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
-        assert done.stdout.strip() == "[]"
+        lines = done.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("[]", "[]")
 
     def test_well_formed_commands_never_import_argparse(self, tmp_path):
         # set-up and main time: the option table parses a well-formed argv,
@@ -587,7 +594,7 @@ class TestCurves:
     def test_uncoverable_demand_fails_loud(self, tmp_path, capsys):
         assert run_cli("curves", "--fleet", str(gap_fleet_file(tmp_path)),
                        "--step-mw", "0.1", "--out", str(tmp_path)) == 1
-        assert "error: no commitment can meet 100.09999" in capsys.readouterr().err
+        assert "error: no commitment can meet 100.1 MW\n" in capsys.readouterr().err
 
     def test_minimum_output_gap_names_the_fit_sample(self, tmp_path, capsys):
         # the quadratic fit runs first, so its 1 MW-apart samples name the
@@ -639,6 +646,33 @@ class TestCurves:
         assert any(r[6] != "" for r in rows)
 
 
+class TestDemandGrid:
+    """Point i of a curve's grid is the float nearest to i times the step's decimal."""
+
+    @pytest.mark.parametrize("step", [0.1, 0.2, 0.3, 1.0, 1.7, 2.5e-05, 123.456,
+                                      0.30000000000000004])
+    @pytest.mark.parametrize("capacity", ["gribik", "scarf", "multiple"])
+    def test_points_are_exact_multiples(self, step, capacity):
+        decimal_step = Fraction(repr(step))
+        capacity = (float(1000 * decimal_step) if capacity == "multiple"
+                    else ch.builtin_fleet(capacity).total_capacity)
+        if capacity / step > ch.ucp.MAX_GRID_POINTS:
+            with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+                cli._demand_grid(capacity, step)
+            return
+        grid = cli._demand_grid(capacity, step)
+        assert grid[:-1] == [float(i * decimal_step) for i in range(len(grid) - 1)]
+        assert grid[-1] == capacity
+        # the end rule: every point but the last lies below capacity - 1e-9,
+        # and the next multiple would not
+        assert grid[-2] < capacity - 1e-9 <= float((len(grid) - 1) * decimal_step)
+
+    def test_gribik_fine_grid_keeps_its_length(self):
+        grid = cli._demand_grid(ch.builtin_fleet("gribik").total_capacity, 0.2)
+        assert len(grid) == 3001
+        assert grid[:4] == [0.0, 0.2, 0.4, 0.6] and grid[-2:] == [599.8, 600.0]
+
+
 class TestUpliftCurve:
     def test_chp_rule_scarf(self, tmp_path):
         assert run_cli("uplift-curve", "--fleet", "scarf", "--rule", "chp",
@@ -664,7 +698,7 @@ class TestUpliftCurve:
     def test_uncoverable_demand_fails_loud(self, tmp_path, capsys):
         assert run_cli("uplift-curve", "--fleet", str(gap_fleet_file(tmp_path)),
                        "--rule", "chp", "--step-mw", "0.1", "--out", str(tmp_path)) == 1
-        assert "error: no commitment can meet 100.09999" in capsys.readouterr().err
+        assert "error: no commitment can meet 100.1 MW\n" in capsys.readouterr().err
 
     def test_chp_never_needs_more_uplift(self, tmp_path):
         a, b = tmp_path / "chp", tmp_path / "disp"
@@ -763,7 +797,7 @@ class TestCurveWritersMatchScalarRows:
         with pytest.raises(ch.InfeasibleError) as got:
             cli.emit_cost_curves(fleet, 0.1, tmp_path)
         assert str(got.value) == str(expected.value)
-        assert "100.09999" in str(got.value)
+        assert str(got.value) == "no commitment can meet 100.1 MW"
 
 
 def free_fleet_file(tmp_path):

@@ -2,9 +2,12 @@
 tree copies and child runner it shares with the other scripts in scripts/bench_pairs.py."""
 import importlib.util
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -54,6 +57,10 @@ def test_two_pairs_of_one_tree(tmp_path):
         assert summary["parent"]["q1"] <= summary["parent"]["median"] <= summary["parent"]["q3"]
     # the children compiled the package from source and wrote no bytecode
     assert not (tree / "src" / "chpricing" / "__pycache__").exists()
+    # each tree named by its sources: no .git, so no commit
+    source = {"git_commit": None,
+              "src_sha256": load_bench_pairs().tree_source(ROOT)["src_sha256"]}
+    assert record["sources"] == {"parent": source, "changed": source}
 
 
 def test_tree_with_bytecode_is_measured_and_left_as_planted(tmp_path):
@@ -110,3 +117,68 @@ def test_children_run_with_bytecode_off(monkeypatch):
     monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "4194304")
     assert bench_pairs.host()["malloc_mmap_threshold"] == "4194304"
     assert bench_pairs.child_env()["MALLOC_MMAP_THRESHOLD_"] == "4194304"
+
+
+def test_tree_source_is_what_perfbench_reports():
+    bench_pairs = load_bench_pairs()
+    code = ("import json, sys; sys.path.insert(0, 'perfbench'); import run; "
+            "print(json.dumps(run.environment(0)))")
+    stdout, _wall, _cpu = bench_pairs.run_child(ROOT, "-c", code, cwd=ROOT)
+    environment = json.loads(stdout)
+    assert bench_pairs.tree_source(ROOT) == {
+        key: environment[key] for key in ("git_commit", "src_sha256")}
+
+
+# an __init__.py that starts a grandchild, records both pids and waits
+BLOCKING_INIT = """
+import os, subprocess, sys, time
+sleeper = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(120)"])
+pids = os.environ["BLOCKING_PIDS"]
+with open(pids + ".part", "w") as handle:
+    handle.write(f"{os.getpid()} {sleeper.pid}")
+os.rename(pids + ".part", pids)
+time.sleep(120)
+"""
+
+
+def running(pid):
+    """Whether the process exists and is not a zombie waiting to be reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc/<pid>/stat")
+def test_sigterm_ends_the_children_and_removes_the_copies(tmp_path):
+    tree = tmp_path / "tree"
+    (tree / "src" / "chpricing").mkdir(parents=True)
+    (tree / "src" / "chpricing" / "__init__.py").write_text(BLOCKING_INIT)
+    temp, pids_file = tmp_path / "tmp", tmp_path / "pids"
+    temp.mkdir()
+    tool = subprocess.Popen(
+        [sys.executable, str(SCRIPT), tree, tree, "--pairs", "2", "--out", tmp_path / "out"],
+        env=dict(os.environ, TMPDIR=str(temp), BLOCKING_PIDS=str(pids_file)),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while not pids_file.exists():
+            if tool.poll() is not None:
+                pytest.fail(f"exited {tool.returncode} first: {tool.stderr.read()}")
+            assert time.monotonic() < deadline, "no child started within 60 s"
+            time.sleep(0.05)
+        pids = [int(pid) for pid in pids_file.read_text().split()]
+        assert list(temp.iterdir()) and all(running(pid) for pid in pids)
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=30) == 128 + signal.SIGTERM
+        assert list(temp.iterdir()) == []
+        assert not any(running(pid) for pid in pids)
+    finally:
+        for pid in pids:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
+        tool.kill()
+        tool.wait()
+        tool.stderr.close()
