@@ -18,7 +18,8 @@ script).  Three figures are printed for ``TREE/src/chpricing``:
   source, and their sum: what a command pays per module where bytecode
   cannot be cached.
 
-With ``--against PARENT_TREE`` every figure is printed for both trees.
+With ``--against PARENT_TREE`` every figure is printed for both trees,
+and the public names TREE adds to the parent's and removes from them.
 The compile times are then taken in N (default 40) repetitions that
 alternate which tree goes first; each repetition compiles every module
 of both trees once.  Per module the least time is printed, and for the
@@ -44,24 +45,26 @@ def compile_s(source: str, filename: str) -> float:
     return time.perf_counter() - start
 
 
-# prints len(chpricing.__all__), then the parameters of its functions plus
-# the fields of its dataclasses; a function is any callable that is not a
-# class, and inspect.signature sees through a decorator such as lru_cache
+# prints the parameters of chpricing's functions plus the fields of its
+# dataclasses, then the names of chpricing.__all__; a function is any
+# callable that is not a class, and inspect.signature sees through a
+# decorator such as lru_cache
 PUBLIC_CODE = """
 import dataclasses, inspect, chpricing
 public = [getattr(chpricing, name) for name in chpricing.__all__]
-print(len(public), sum(len(inspect.signature(obj).parameters) for obj in public
-                       if callable(obj) and not inspect.isclass(obj))
+print(sum(len(inspect.signature(obj).parameters) for obj in public
+          if callable(obj) and not inspect.isclass(obj))
       + sum(len(dataclasses.fields(obj)) for obj in public
-            if inspect.isclass(obj) and dataclasses.is_dataclass(obj)))
+            if inspect.isclass(obj) and dataclasses.is_dataclass(obj)),
+      *chpricing.__all__)
 """
 
 
-def public_counts(tree: Path) -> tuple[int, int]:
+def public_names(tree: Path) -> tuple[list[str], int]:
     """(public names, settable values), imported from tree's src/ in a fresh
     interpreter."""
-    names, values = run_child(tree, "-c", PUBLIC_CODE)[0].split()
-    return int(names), int(values)
+    values, *names = run_child(tree, "-c", PUBLIC_CODE)[0].split()
+    return names, int(values)
 
 
 def sources(tree: Path) -> dict[str, tuple[str, str]]:
@@ -135,10 +138,15 @@ def main(argv: list[str] | None = None) -> int:
               f"{min(totals[0]) * 1e3:.2f} ms (parent {min(totals[1]) * 1e3:.2f}), "
               f"median {statistics.median(totals[0]) * 1e3:.2f} ms "
               f"(parent {statistics.median(totals[1]) * 1e3:.2f})")
-    counts = [public_counts(tree) for tree in trees]
-    parent = ["" if args.against is None else f" (parent {n})" for n in counts[-1]]
-    print(f"chpricing.__all__: {counts[0][0]} names{parent[0]}")
-    print(f"settable values: {counts[0][1]}{parent[1]}")
+    reports = [public_names(tree) for tree in trees]
+    (names, values), (parent_names, parent_values) = reports[0], reports[-1]
+    parent = "" if args.against is None else " (parent {})"
+    print(f"chpricing.__all__: {len(names)} names" + parent.format(len(parent_names)))
+    if args.against is not None:
+        for label, these, those in (("added", names, parent_names),
+                                    ("removed", parent_names, names)):
+            print(f"{label}: " + (", ".join(sorted(set(these) - set(those))) or "none"))
+    print(f"settable values: {values}" + parent.format(parent_values))
     return 0
 
 

@@ -51,6 +51,7 @@ from .ucp import (
     MAX_GRID_POINTS,
     DegenerateCostError,
     InfeasibleError,
+    _require_covered,
     no_startup_values,
     quadratic_fit,
     relaxed_value,
@@ -247,13 +248,6 @@ def _demand_grid(capacity: float, step_mw: float) -> list[float]:
     return grid
 
 
-def _require_feasible(grid: list[float], values: np.ndarray) -> None:
-    """Refuse a curve with a demand that no commitment covers (value +inf)."""
-    uncovered = np.flatnonzero(np.isinf(values))
-    if uncovered.size:
-        raise InfeasibleError(f"no commitment can meet {grid[uncovered[0]]} MW")
-
-
 def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
                      model: DemandModel | None = None) -> Path:
     """Write curves.csv: the cost curves and the bundled day's first-hour utility.
@@ -263,17 +257,18 @@ def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
     are cut from one.  Utility U_1 is the model's in the first hour of
     default_profile().  Cells that are undefined are left empty: utility
     without a model or at or below the inelastic floor, and the quadratic
-    fit of a fleet whose startup-free cost is zero everywhere.
+    fit of a fleet whose startup-free cost is zero everywhere.  An
+    uncovered grid is refused (_require_covered) before any fit or cost.
     """
     grid = _demand_grid(fleet.total_capacity, grid_step)
     ys = np.array(grid)
+    _require_covered(fleet, ys)
     quadratic = [""] * len(grid)
     try:
         quadratic = _reprs(quadratic_fit(fleet).cost(ys).tolist())
     except DegenerateCostError:
         pass
     values = ucp_values(fleet, ys)
-    _require_feasible(grid, values)
     no_startup = no_startup_values(fleet, ys)
     relaxed = _reprs(relaxed_value(fleet, ys)[0].tolist())
     utility = [""] * len(grid)
@@ -291,14 +286,15 @@ def emit_cost_curves(fleet: Fleet, grid_step: float, out_dir: str | Path,
 
 def emit_uplift_curves(fleet: Fleet, rule: str, grid_step: float,
                        out_dir: str | Path) -> Path:
-    """Write uplift_curve.csv: price and uplift over demand for one rule."""
+    """Write uplift_curve.csv: price and uplift over demand for one rule; an
+    uncovered grid is refused (_require_covered) before any price or cost."""
     if rule not in RULES:
         raise ValueError(f"rule must be one of {RULES}, got {rule}")
     grid = _demand_grid(fleet.total_capacity, grid_step)
     ys = np.array(grid)
+    _require_covered(fleet, ys)
     prices = (chp_fixed_demand if rule == "chp" else dispatchable_price)(fleet, ys)
     billed = uplifts(fleet, prices, ys)
-    _require_feasible(grid, billed)
     rows = zip(_reprs(grid), _reprs(prices.tolist()), _reprs(billed.tolist()))
     return _write_csv(out_dir, "uplift_curve.csv", ("y", "price", "uplift"),
                       [",".join(row) for row in rows])

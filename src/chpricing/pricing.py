@@ -26,8 +26,6 @@ from .ucp import (InfeasibleError, QuadraticCost, _staircase, conjugate, fleet_s
 
 __all__ = [
     "HarmonicStep",
-    "IterateRecord",
-    "PricingTrace",
     "PricedHours",
     "dual_value",
     "price_hours",
@@ -66,26 +64,6 @@ class HarmonicStep:
 
     def __call__(self, k: int) -> float:
         return self.coef / k
-
-
-class IterateRecord(NamedTuple):
-    """One accepted iterate of a price-formation loop."""
-
-    k: int
-    price: float       # $/MWh, after the k-th update
-    demand: float      # MW at this price
-    supply: float      # MW at this price
-    step: float        # step size used to produce this price
-    dual_value: float  # phi at this price
-    uplift: float      # lost-profit payment at (price, demand); inf if demand infeasible
-    elapsed_s: float = 0.0  # wall clock since loop start; excluded from determinism
-
-
-class PricingTrace(NamedTuple):
-    method: str
-    records: tuple[IterateRecord, ...]
-    final_price: float
-    final_demand: float
 
 
 def check_loop_args(price0: float, n_iters: int) -> None:
@@ -152,14 +130,6 @@ class PricedHours(NamedTuple):
     def first_k(self) -> int:
         """The number of the first row: round 1 of a loop, 0 if closed-form."""
         return 1 if self.method in ITERATIVE_METHODS else 0
-
-    def trace(self, j: int) -> PricingTrace:
-        """The iterate records of hours[j]."""
-        columns = (self.price[:, j], self.demand[:, j], self.supply[:, j], self.step,
-                   self.dual_value[:, j], self.uplift[:, j], self.elapsed_s)
-        rows = zip(*(column.tolist() for column in columns))
-        records = tuple(IterateRecord(k, *row) for k, row in enumerate(rows, self.first_k))
-        return PricingTrace(self.method, records, records[-1].price, records[-1].demand)
 
 
 def _crossing_prices(fleet: Fleet, model: DemandModel, terms
@@ -233,15 +203,15 @@ def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfi
 
 def run_subgradient(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
                     price0: float, n_iters: int,
-                    step_rule: HarmonicStep) -> PricingTrace:
+                    step_rule: HarmonicStep) -> PricedHours:
     """Dynamic pricing by subgradient descent on the hourly dual.
 
     Starting from price0, each round the suppliers and the consumer report
     their best responses and the price moves against the imbalance: the
-    one-hour price_hours.
+    one-hour price_hours, whose rows are the rounds.
     """
     return price_hours("chp_subgradient", fleet, model, profile, (t,), price0,
-                       n_iters, step_rule).trace(0)
+                       n_iters, step_rule)
 
 
 def exact_dual(fleet: Fleet, model: DemandModel, profile: DayProfile,
@@ -258,15 +228,15 @@ def exact_dual(fleet: Fleet, model: DemandModel, profile: DayProfile,
 
 
 def run_lmp(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
-            price0: float, n_iters: int, step_rule: HarmonicStep) -> PricingTrace:
+            price0: float, n_iters: int, step_rule: HarmonicStep) -> PricedHours:
     """The same price iteration with the fleet's fitted convex cost model supplying.
 
     Supply comes from the marginal-cost curve of quadratic_fit(fleet).  The
     per-iterate uplift is priced against the true nonconvex fleet, which is
-    what the convex model's prices will actually have to pay.
+    what the convex model's prices will actually have to pay.  Returns the
+    one-hour price_hours.
     """
-    return price_hours("lmp", fleet, model, profile, (t,), price0, n_iters,
-                       step_rule).trace(0)
+    return price_hours("lmp", fleet, model, profile, (t,), price0, n_iters, step_rule)
 
 
 def lmp_equilibrium(quad: QuadraticCost, model: DemandModel, profile: DayProfile,

@@ -22,7 +22,8 @@ off it with np.searchsorted, so at a break-even price every one of them
 takes the upper step.  Supply, the conjugate and the relaxed cost each
 take a number or a 1-D array: a float in gives a float out, an array in
 gives an array out, with the same float operations either way.  A NaN
-price is refused with ValueError, a NaN demand with InfeasibleError.
+or infinite price is refused with ValueError, a NaN demand with
+InfeasibleError.
 
 v comes one demand at a time (ucp_value, with the cheapest Dispatch) or
 for a whole set of demands (ucp_values).  ucp_value is v by its
@@ -33,7 +34,10 @@ its demands by feasibility cell, the demands that share one feasible
 set, and reads the table once per cell at the cell's least demand and
 once more at its greatest where they differ, in chunks whose working
 arrays hold at most BATCH_CELLS values.  Then every demand of a cell is
-costed over the cell's whole candidate list in one _fill pass.
+costed over the cell's whole candidate list in one _fill pass.  Whether
+a demand is covered is decided first, in the same pass of _cells: the
+batch reads only covered cells, and _require_covered refuses a curve
+grid or the fit's samples at the least uncovered demand.
 """
 from __future__ import annotations
 
@@ -354,15 +358,17 @@ def _read(table: _CommitmentTable, ys: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _cells(table: _CommitmentTable, ys: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group demands by feasibility cell: (order, cell, lows, highs).
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group demands by feasibility cell: (order, cell, lows, highs, covered).
 
     ys[order] is sorted, cell[i] numbers the cell of ys[order[i]] from 0
-    up, and lows/highs are each cell's least and greatest demand.  The
-    cell index of y counts the commitments with lo <= y plus those with
-    hi < y.  Both grow with y, so a cell's demands are consecutive and
-    share one feasible set.  Python sorts the demands (numpy's sort would
-    load kernels no other path uses), unless they come sorted, as grids do.
+    up, lows/highs are each cell's least and greatest demand, and covered
+    says which cells some commitment covers.  The cell index of y counts
+    the commitments opened (lo <= y) plus those closed (hi < y); y is
+    covered where more are opened than closed.  Both counts grow with y,
+    so a cell's demands are consecutive and share one feasible set.
+    Python sorts the demands (numpy's sort would load kernels no other
+    path uses), unless they come sorted, as grids do.
     """
     if (ys[1:] < ys[:-1]).any():
         order = np.fromiter(sorted(range(ys.size), key=ys.tolist().__getitem__),
@@ -370,15 +376,27 @@ def _cells(table: _CommitmentTable, ys: np.ndarray
         ys = ys[order]
     else:
         order = np.arange(ys.size)
-    # a new cell starts at each first demand that some lo or hi admits
-    firsts = np.concatenate([ys.searchsorted(table.lo, side="left"),
-                             ys.searchsorted(table.hi, side="right")])
-    new = np.bincount(firsts, minlength=ys.size + 1)[:-1] > 0
+    # the commitments opened and closed at each demand
+    opened = np.bincount(ys.searchsorted(table.lo, side="left"),
+                         minlength=ys.size + 1)[:-1]
+    closed = np.bincount(ys.searchsorted(table.hi, side="right"),
+                         minlength=ys.size + 1)[:-1]
+    new = (opened + closed) > 0
     new[0] = True
     starts = np.flatnonzero(new)
-    # an integer cumsum: a bool one loads a cast kernel no other path uses
+    # integer cumsums: a bool one loads a cast kernel no other path uses
     return (order, new.astype(np.intp).cumsum() - 1, ys[starts],
-            ys[np.append(starts[1:], ys.size) - 1])
+            ys[np.append(starts[1:], ys.size) - 1],
+            (opened - closed).cumsum()[starts] > 0)
+
+
+def _require_covered(fleet: Fleet, demands: np.ndarray) -> None:
+    """Refuse demands that no commitment covers, before any table read or
+    _fill: InfeasibleError naming the least of them.  The startup-free
+    fleet has the same lo and hi, so this covers no_startup_values too."""
+    _order, _cell, lows, _highs, covered = _cells(_commitment_table(fleet), demands)
+    if not covered.all():
+        raise InfeasibleError(f"no commitment can meet {float(lows[covered.argmin()])} MW")
 
 
 def _batch_candidates(table: _CommitmentTable, ys: np.ndarray
@@ -386,9 +404,10 @@ def _batch_candidates(table: _CommitmentTable, ys: np.ndarray
     """Candidates for the cheapest commitment at each demand: (order, pairs, cols).
 
     Demand ys[order[i]] has pairs[i] candidates, listed in cols in that
-    order, each demand's in product order.  The table is read once per
-    _cells cell at its least demand, and once more at its greatest where
-    they differ, in chunks whose working arrays hold at most BATCH_CELLS
+    order, each demand's in product order; a demand no commitment covers
+    has none.  The table is read only for the covered _cells cells: once
+    at a cell's least demand, and once more at its greatest where they
+    differ, in chunks whose working arrays hold at most BATCH_CELLS
     values.  A cell lists its feasible commitments whose table cost at the
     least demand is within a margin of the least cost at the greatest: 1e-9
     * max(1, least, demand x max_slope) bounds the gap between a table cost
@@ -399,22 +418,24 @@ def _batch_candidates(table: _CommitmentTable, ys: np.ndarray
     width = len(table.floor)
     chunk = max(1, BATCH_CELLS // (table.lines.size or width))
     max_slope = table.slopes.max(initial=0.0)
-    order, cell, lows, highs = _cells(table, ys)
-    spread = np.flatnonzero(highs != lows)
+    order, cell, lows, highs, covered = _cells(table, ys)
+    live = np.flatnonzero(covered)
+    spread = live[highs[live] != lows[live]]
     least = np.full(lows.size, -np.inf)
     for start in range(0, spread.size, chunk):
         at = spread[start:start + chunk]
         least[at] = _read(table, highs[at])[1].min(axis=1)
-    lists = []
-    for start in range(0, lows.size, chunk):
-        part = slice(start, start + chunk)
-        feasible, approx = _read(table, lows[part])
+    lists = [np.empty(0, np.intp)]  # none if no cell is covered
+    for start in range(0, live.size, chunk):
+        at = live[start:start + chunk]
+        feasible, approx = _read(table, lows[at])
         # -inf where a cell is one demand, which np.maximum passes over
-        top = np.maximum(approx.min(axis=-1), least[part])
-        bound = top + 1e-9 * np.maximum(np.maximum(1.0, top), highs[part] * max_slope)
+        top = np.maximum(approx.min(axis=-1), least[at])
+        bound = top + 1e-9 * np.maximum(np.maximum(1.0, top), highs[at] * max_slope)
         listed = np.flatnonzero((approx <= bound[..., None]) & feasible)
         lists.append(listed + start * width)
     owner, cols = np.divmod(np.concatenate(lists), width)
+    owner = live[owner]
     # each demand takes its cell's list: where its pairs and the list start
     count = np.bincount(owner, minlength=lows.size)
     pairs = count[cell]
@@ -453,10 +474,10 @@ def ucp_values(fleet: Fleet, demands) -> np.ndarray:
     +inf where ucp_value raises InfeasibleError; the first NaN demand
     raises InfeasibleError, as in ucp_value, and demands of any other
     shape raise ValueError.  _batch_candidates reads the table once or
-    twice per feasibility cell, not once per demand; every demand is
-    costed exactly over its cell's candidates in one _fill pass and takes
-    the least, which is ucp_value's.  Demands that no commitment covers
-    are never costed.
+    twice per covered feasibility cell, not once per demand; every demand
+    is costed exactly over its cell's candidates in one _fill pass and
+    takes the least, which is ucp_value's.  Demands that no commitment
+    covers are neither read nor costed.
     """
     table = _commitment_table(fleet)
     ys = np.asarray(demands, dtype=float)
@@ -516,10 +537,13 @@ def _like(arg: np.ndarray, value):
 
 
 def _prices(price) -> np.ndarray:
-    """price as a float array; NaN, sorted above every step, raises ValueError."""
+    """price as a float array; NaN, sorted above every step, and +-inf,
+    whose profit is not finite, raise ValueError."""
     prices = np.asarray(price, dtype=float)
-    if np.isnan(prices).any():
-        raise ValueError("price must be a number, got nan")
+    if not np.isfinite(prices).all():
+        if np.isnan(prices).any():
+            raise ValueError("price must be a number, got nan")
+        raise ValueError(f"price must be finite, got {prices[np.isinf(prices)][0]}")
     return prices
 
 
@@ -670,15 +694,15 @@ def no_startup_values(fleet: Fleet, demands) -> np.ndarray:
 def quadratic_fit(fleet: Fleet) -> QuadraticCost:
     """Least-squares fit of alpha*y^2 + beta*y to the startup-free cost curve.
 
-    Sampled at FIT_SAMPLES evenly spaced demands over [0, capacity].  The
-    curvature is clamped to a small positive floor so the fitted model
-    stays strictly convex even for a single-segment fleet.
+    Sampled at FIT_SAMPLES evenly spaced demands over [0, capacity]; an
+    uncovered sample is refused (_require_covered) before any is costed.
+    The curvature is clamped to a small positive floor so the fitted
+    model stays strictly convex even for a single-segment fleet.
     """
     cap = fleet.total_capacity
     ys = np.linspace(0.0, cap, FIT_SAMPLES)
+    _require_covered(fleet, ys)
     target = no_startup_values(fleet, ys)
-    if np.isinf(target).any():
-        raise InfeasibleError(f"no commitment can meet {ys[np.isinf(target)][0]} MW")
     if not np.any(target > 0.0):
         raise DegenerateCostError("degenerate cost curve: all sampled costs are zero")
     design = np.column_stack([ys * ys, ys])

@@ -12,12 +12,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import random
 from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from chpricing import (DayProfile, DemandModel, Fleet, GeneratorType, InfeasibleError,
-                       default_price_cap)
+from chpricing import (CostSegment, DayProfile, DemandModel, Fleet, GeneratorType,
+                       InfeasibleError, default_price_cap)
 from chpricing.pricing import PRICE_FLOOR
 from chpricing.ucp import FEAS_EPS, relaxed_blocks
 
@@ -182,6 +183,26 @@ def relaxed_unit_grid(gtype: GeneratorType, g: float,
 def reduced_scarf(fleet: Fleet, per_type: int = 2) -> Fleet:
     return Fleet(tuple(dataclasses.replace(t, unit_count=per_type)
                        for t in fleet.types))
+
+
+def seeded_wide_fleet(min_outputs: bool) -> Fleet:
+    """The seeded fleet of 18 single-unit, one-segment types (262,144
+    commitments, a table under MAX_TABLE_CELLS on which a grid costs tens
+    of seconds).
+
+    The draws of random.seed(1), in a fixed order per type: startup cost
+    U(10, 500), minimum output U(1, 5) (drawn either way, kept only with
+    min_outputs, else 0), then the segment's cost U(5, 60) and capacity
+    U(6, 20).  With minimum outputs no commitment covers (0, 1) MW.
+    """
+    rng = random.Random(1)
+    types = []
+    for i in range(18):
+        startup, minimum = rng.uniform(10.0, 500.0), rng.uniform(1.0, 5.0)
+        segment = CostSegment(rng.uniform(5.0, 60.0), rng.uniform(6.0, 20.0))
+        types.append(GeneratorType(f"T{i}", startup, minimum if min_outputs else 0.0,
+                                   (segment,)))
+    return Fleet(tuple(types))
 
 
 def synthetic_profile_bisected(low: float, mean: float, high: float

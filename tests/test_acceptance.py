@@ -190,9 +190,9 @@ def test_criterion_08_ten_round_uplift():
         for t in range(24):
             star, _ = ch.exact_dual(fleet, model, DAY, t)
             exact_up = ch.settle_hour(fleet, model, DAY, t, star).uplift
-            trace = ch.run_subgradient(fleet, model, DAY, t, price0, 10,
-                                       ch.HarmonicStep(coef))
-            if abs(trace.records[-1].uplift - exact_up) <= 0.1 * exact_up:
+            priced = ch.run_subgradient(fleet, model, DAY, t, price0, 10,
+                                        ch.HarmonicStep(coef))
+            if abs(priced.uplift[-1, 0] - exact_up) <= 0.1 * exact_up:
                 good += 1
         counts[name] = good
     assert all(good >= 20 for good in counts.values()), \
@@ -203,9 +203,9 @@ def test_criterion_08_ten_round_uplift():
               "90.66936")
 def test_criterion_09_first_step():
     profile = ch.DayProfile((41086.7,) * 24)
-    trace = ch.run_subgradient(GRIBIK, G_MODEL, profile, 0, 100.0, 1,
-                               ch.HarmonicStep(0.1))
-    assert abs(trace.records[0].price - 90.66936) <= 1e-9
+    priced = ch.run_subgradient(GRIBIK, G_MODEL, profile, 0, 100.0, 1,
+                                ch.HarmonicStep(0.1))
+    assert abs(priced.price[0, 0] - 90.66936) <= 1e-9
 
 
 @criterion(10, "commitment enumeration matches the min-plus grid oracle")

@@ -81,6 +81,13 @@ def test_timing_child_runs_one_blas_thread(tmp_path, monkeypatch):
     assert stdout.splitlines() == ['{"batches": [], "days": []}', "1"]
 
 
+def report_lines(stdout):
+    """size_report.py's lines on the public names, by their label."""
+    labels = ("chpricing.__all__", "added", "removed", "settable values")
+    return dict(line.split(": ", 1) for line in stdout.splitlines()
+                if line.startswith(labels))
+
+
 def test_size_report_against_a_tree(tmp_path):
     tree = source_tree(tmp_path / "tree")
     done = run_script("size_report.py", tree, "--against", tree, "--repeats", "2")
@@ -89,8 +96,31 @@ def test_size_report_against_a_tree(tmp_path):
     total = next(line.split() for line in lines if line.startswith("total"))
     assert total[1] == total[3]  # the same lines on both sides
     assert "package compile over 2 alternated repetitions: least" in done.stdout
-    names, values = lines[-2].split(), lines[-1].split()
-    assert names[1] == names[4].rstrip(")") and lines[-2].startswith("chpricing.__all__:")
+    names = len(chpricing.__all__)
     # each public function's parameters plus each public dataclass's fields
-    assert lines[-1].startswith("settable values:")
-    assert int(values[2]) == int(values[4].rstrip(")")) == settable_values()
+    values = settable_values()
+    assert report_lines(done.stdout) == {
+        "chpricing.__all__": f"{names} names (parent {names})",
+        "added": "none", "removed": "none",
+        "settable values": f"{values} (parent {values})"}
+    # a copy whose welfare module no longer exports summarize_day
+    dropped = source_tree(tmp_path / "dropped")
+    welfare = dropped / "src" / "chpricing" / "welfare.py"
+    text = welfare.read_text()
+    assert text.count(', "summarize_day"]') == 1
+    welfare.write_text(text.replace(', "summarize_day"]', "]"))
+    less = values - len(inspect.signature(chpricing.summarize_day).parameters)
+    for changed, parent, added, removed, counts in (
+            (dropped, tree, "none", "summarize_day", (names - 1, names, less, values)),
+            (tree, dropped, "summarize_day", "none", (names, names - 1, values, less))):
+        done = run_script("size_report.py", changed, "--against", parent, "--repeats", "1")
+        assert done.returncode == 0, done.stderr
+        assert report_lines(done.stdout) == {
+            "chpricing.__all__": "{} names (parent {})".format(*counts[:2]),
+            "added": added, "removed": removed,
+            "settable values": "{} (parent {})".format(*counts[2:])}
+    # one tree: its counts alone
+    done = run_script("size_report.py", tree, "--repeats", "1")
+    assert done.returncode == 0, done.stderr
+    assert report_lines(done.stdout) == {"chpricing.__all__": f"{names} names",
+                                         "settable values": str(values)}

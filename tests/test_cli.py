@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import chpricing as ch
 from chpricing import cli
 from chpricing.cli import main
@@ -596,13 +597,14 @@ class TestCurves:
                        "--step-mw", "0.1", "--out", str(tmp_path)) == 1
         assert "error: no commitment can meet 100.1 MW\n" in capsys.readouterr().err
 
-    def test_minimum_output_gap_names_the_fit_sample(self, tmp_path, capsys):
-        # the quadratic fit runs first, so its 1 MW-apart samples name the
-        # gap of a 4-120 MW unit, not the 0.5 MW grid's first point
+    def test_minimum_output_gap_names_the_grid_point(self, tmp_path, capsys):
+        # the grid's coverage is decided before the quadratic fit, so the
+        # 0.5 MW grid's first point names the gap of a 4-120 MW unit, not
+        # the fit's 1 MW-apart samples
         fleet_path = min_output_gap_fleet_file(tmp_path)
         assert run_cli("curves", "--fleet", str(fleet_path), "--step-mw", "0.5",
                        "--out", str(tmp_path)) == 1
-        assert "error: no commitment can meet 1.0 MW\n" in capsys.readouterr().err
+        assert "error: no commitment can meet 0.5 MW\n" in capsys.readouterr().err
         assert not (tmp_path / "curves.csv").exists()
 
     def test_free_fleet_leaves_quadratic_empty(self, tmp_path):
@@ -742,14 +744,18 @@ def scalar_uplift_rows(fleet, rule, step_mw):
 
 
 def scalar_cost_rows(fleet, step_mw, model, profile):
-    """curves.csv rows built one demand at a time from the scalar functions."""
-    quad = ch.quadratic_fit(fleet)
-    rows = []
-    for y in cli._demand_grid(fleet.total_capacity, step_mw):
+    """curves.csv rows built one demand at a time from the scalar functions;
+    every demand is costed before the quadratic fit."""
+    grid = cli._demand_grid(fleet.total_capacity, step_mw)
+    values = []
+    for y in grid:
         try:
-            value = ch.ucp_value(fleet, y)[0]
+            values.append(ch.ucp_value(fleet, y)[0])
         except ch.InfeasibleError:
             raise ch.InfeasibleError(f"no commitment can meet {y} MW") from None
+    quad = ch.quadratic_fit(fleet)
+    rows = []
+    for y, value in zip(grid, values):
         u1 = ""
         if model is not None and y > ch.inelastic_share(model, profile, 0):
             u1 = fmt(ch.hourly_utility(model, profile, 0, y))
@@ -785,19 +791,41 @@ class TestCurveWritersMatchScalarRows:
             scalar_cost_rows(fleet, step_mw, model, profile)
 
     def test_uncoverable_demand_names_the_same_first_demand(self, tmp_path):
-        fleet = ch.load_fleet(gap_fleet_file(tmp_path).read_text())
-        for rule in ("chp", "dispatchable"):
+        # the gap fleet's first uncovered point is inside the grid; the
+        # minimum-output gap fleet's is the grid's second point, where no
+        # quadratic-fit sample lands
+        for fleet_file, step_mw, first in ((gap_fleet_file, 0.1, 100.1),
+                                           (min_output_gap_fleet_file, 0.5, 0.5)):
+            fleet = ch.load_fleet(fleet_file(tmp_path).read_text())
+            for rule in ("chp", "dispatchable"):
+                with pytest.raises(ch.InfeasibleError) as expected:
+                    scalar_uplift_rows(fleet, rule, step_mw)
+                with pytest.raises(ch.InfeasibleError) as got:
+                    cli.emit_uplift_curves(fleet, rule, step_mw, tmp_path)
+                assert str(got.value) == str(expected.value)
             with pytest.raises(ch.InfeasibleError) as expected:
-                scalar_uplift_rows(fleet, rule, 0.1)
+                scalar_cost_rows(fleet, step_mw, None, None)
             with pytest.raises(ch.InfeasibleError) as got:
-                cli.emit_uplift_curves(fleet, rule, 0.1, tmp_path)
+                cli.emit_cost_curves(fleet, step_mw, tmp_path)
             assert str(got.value) == str(expected.value)
-        with pytest.raises(ch.InfeasibleError) as expected:
-            scalar_cost_rows(fleet, 0.1, None, None)
-        with pytest.raises(ch.InfeasibleError) as got:
-            cli.emit_cost_curves(fleet, 0.1, tmp_path)
-        assert str(got.value) == str(expected.value)
-        assert str(got.value) == "no commitment can meet 100.1 MW"
+            assert str(got.value) == f"no commitment can meet {first} MW"
+
+    @pytest.mark.parametrize("write", [
+        functools.partial(cli.emit_uplift_curves, rule="chp"),
+        functools.partial(cli.emit_uplift_curves, rule="dispatchable"),
+        cli.emit_cost_curves,
+    ], ids=["uplift-chp", "uplift-dispatchable", "curves"])
+    def test_uncovered_grid_refused_before_any_read(self, write, tmp_path, monkeypatch):
+        # 18 single-unit types with 1-5 MW minimum outputs: 262,144
+        # commitments, and none covers the 0.1 MW grid's second point.
+        # Costing that grid takes some 40 s, so the refusal comes first
+        fleet = oracles.seeded_wide_fleet(min_outputs=True)
+        reads = record_calls(monkeypatch, "chpricing.ucp", "_read")
+        fills = record_calls(monkeypatch, "chpricing.ucp", "_fill")
+        with pytest.raises(ch.InfeasibleError, match=r"^no commitment can meet 0\.1 MW$"):
+            write(fleet, grid_step=0.1, out_dir=tmp_path)
+        assert reads == fills == []
+        assert list(tmp_path.iterdir()) == []
 
 
 def free_fleet_file(tmp_path):

@@ -26,6 +26,16 @@ from chpricing import (
 )
 
 
+# a PricedHours column per hour, without the shared step and clock
+HOUR_COLUMNS = ("price", "demand", "supply", "dual_value", "utility", "cost", "uplift")
+
+
+def hour_rows(priced, j=0):
+    """The rows of hours[j], each a dict of its columns' floats."""
+    columns = [getattr(priced, name)[:, j].tolist() for name in HOUR_COLUMNS]
+    return [dict(zip(HOUR_COLUMNS, row)) for row in zip(*columns)]
+
+
 class TestHarmonicStep:
     def test_call(self):
         rule = HarmonicStep(0.1)
@@ -105,39 +115,36 @@ class TestDualValue:
 
 class TestRunSubgradient:
     def test_first_iterate(self, gribik, gribik_model, mean_profile):
-        trace = run_subgradient(gribik, gribik_model, mean_profile, 0,
-                                price0=100.0, n_iters=1,
-                                step_rule=HarmonicStep(0.1))
-        assert trace.method == "chp_subgradient"
-        assert len(trace.records) == 1
-        assert trace.records[0].price == pytest.approx(90.66936, abs=1e-9)
-        assert trace.final_price == trace.records[0].price
-        assert trace.records[0].step == 0.1
+        priced = run_subgradient(gribik, gribik_model, mean_profile, 0,
+                                 price0=100.0, n_iters=1,
+                                 step_rule=HarmonicStep(0.1))
+        assert (priced.method, priced.hours) == ("chp_subgradient", (0,))
+        assert priced.price.shape == (1, 1) and priced.first_k == 1
+        assert priced.price[0, 0] == pytest.approx(90.66936, abs=1e-9)
+        assert priced.step.tolist() == [0.1]
 
     def test_zero_step_keeps_start(self, gribik, gribik_model, mean_profile):
-        trace = run_subgradient(gribik, gribik_model, mean_profile, 0,
-                                price0=100.0, n_iters=3, step_rule=lambda k: 0.0)
-        assert all(r.price == 100.0 for r in trace.records)
+        priced = run_subgradient(gribik, gribik_model, mean_profile, 0,
+                                 price0=100.0, n_iters=3, step_rule=lambda k: 0.0)
+        assert priced.price[:, 0].tolist() == [100.0] * 3
 
     def test_floor_clamp(self, scarf, scarf_model, mean_profile):
-        trace = run_subgradient(scarf, scarf_model, mean_profile, 0,
-                                price0=8.0, n_iters=1,
-                                step_rule=HarmonicStep(10.0))
-        assert trace.records[0].price == PRICE_FLOOR
+        priced = run_subgradient(scarf, scarf_model, mean_profile, 0,
+                                 price0=8.0, n_iters=1,
+                                 step_rule=HarmonicStep(10.0))
+        assert priced.price[0, 0] == PRICE_FLOOR
 
     def test_record_bookkeeping(self, scarf, scarf_model, day_profile):
-        trace = run_subgradient(scarf, scarf_model, day_profile, 3,
-                                price0=10.0, n_iters=12,
-                                step_rule=HarmonicStep(0.01))
-        assert [r.k for r in trace.records] == list(range(1, 13))
-        assert trace.final_price == trace.records[-1].price
-        assert trace.final_demand == trace.records[-1].demand
-        for rec in trace.records:
-            assert rec.demand == ch.hourly_demand(
-                scarf_model, day_profile, 3, rec.price)
-            phi, sub = dual_value(scarf, scarf_model, day_profile, 3, rec.price)
-            assert rec.dual_value == pytest.approx(phi, rel=1e-12)
-            assert rec.supply - rec.demand == pytest.approx(sub, rel=1e-12)
+        priced = run_subgradient(scarf, scarf_model, day_profile, 3,
+                                 price0=10.0, n_iters=12,
+                                 step_rule=HarmonicStep(0.01))
+        assert priced.price.shape == (12, 1) and priced.first_k == 1
+        for rec in hour_rows(priced):
+            assert rec["demand"] == ch.hourly_demand(
+                scarf_model, day_profile, 3, rec["price"])
+            phi, sub = dual_value(scarf, scarf_model, day_profile, 3, rec["price"])
+            assert rec["dual_value"] == pytest.approx(phi, rel=1e-12)
+            assert rec["supply"] - rec["demand"] == pytest.approx(sub, rel=1e-12)
 
     def test_validation(self, gribik, gribik_model, mean_profile):
         with pytest.raises(ValueError):
@@ -152,14 +159,14 @@ class TestRunSubgradient:
                                 5, HarmonicStep(0.1))
 
     def test_converges_on_trough_hour(self, scarf, scarf_model, day_profile):
-        trace = run_subgradient(scarf, scarf_model, day_profile, 3,
-                                price0=10.0, n_iters=100,
-                                step_rule=HarmonicStep(0.01))
-        assert abs(trace.final_price - 6.3125) < 0.15
+        priced = run_subgradient(scarf, scarf_model, day_profile, 3,
+                                 price0=10.0, n_iters=100,
+                                 step_rule=HarmonicStep(0.01))
+        assert abs(priced.price[-1, 0] - 6.3125) < 0.15
 
     def test_day_price_spread(self, scarf, scarf_model, day_profile):
         finals = [run_subgradient(scarf, scarf_model, day_profile, t, 10.0, 100,
-                                  HarmonicStep(0.01)).final_price
+                                  HarmonicStep(0.01)).price[-1, 0]
                   for t in range(24)]
         # peak hours stall well above the uniform exact dual price 6.3125
         assert 6.30 < min(finals) < 6.32
@@ -170,22 +177,18 @@ class TestRunSubgradient:
         cases = [(gribik, gribik_model, 100.0, 0.1, (60.0, 80.0, 95.0, 120.0)),
                  (scarf, scarf_model, 10.0, 0.01, (4.0, 5.5, 6.3125, 8.0))]
         for fleet, model, price0, coef, probes in cases:
-            trace = run_subgradient(fleet, model, day_profile, 15, price0, 20,
-                                    HarmonicStep(coef))
-            for rec in trace.records:
-                sub = rec.supply - rec.demand
+            priced = run_subgradient(fleet, model, day_profile, 15, price0, 20,
+                                     HarmonicStep(coef))
+            for rec in hour_rows(priced):
+                sub = rec["supply"] - rec["demand"]
                 for mu in probes:
                     phi_mu, _ = dual_value(fleet, model, day_profile, 15, mu)
-                    bound = rec.dual_value + sub * (mu - rec.price)
+                    bound = rec["dual_value"] + sub * (mu - rec["price"])
                     assert phi_mu >= bound - 1e-6 * max(1.0, abs(phi_mu))
 
 
-def without_clock(trace):
-    return [r._replace(elapsed_s=0.0) for r in trace.records]
-
-
 class TestPriceHours:
-    """The hours-vector loop against one-hour loops, record for record."""
+    """The hours-vector loop against one-hour loops, row for row."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(method=st.sampled_from(["chp_subgradient", "lmp"]),
@@ -211,10 +214,9 @@ class TestPriceHours:
         one_hour = run_lmp if method == "lmp" else run_subgradient
         for t in range(24):
             one = one_hour(fleet, model, profile, t, price0, n_iters, rule)
-            vector = day.trace(t)
-            assert without_clock(vector) == without_clock(one)
-            assert (vector.method, vector.final_price, vector.final_demand) == \
-                (one.method, one.final_price, one.final_demand)
+            assert (one.method, one.hours) == (method, (t,))
+            assert one.step.tolist() == day.step.tolist()
+            assert list(hour_rows(one)) == list(hour_rows(day, t))
 
     def test_floor_clamp_in_a_vector(self, scarf, scarf_model, day_profile):
         day = price_hours("chp_subgradient", scarf, scarf_model, day_profile,
@@ -236,15 +238,14 @@ class TestPriceHours:
         assert day.price.shape == (1, 24) and day.first_k == 0
         assert day.step.tolist() == day.elapsed_s.tolist() == [0.0]
         for j in range(24):
-            trace = day.trace(j)
-            (record,) = trace.records
-            assert record.k == 0
-            assert (trace.final_price, trace.final_demand) == \
+            (record,) = hour_rows(day, j)
+            assert (record["price"], record["demand"]) == \
                 ch.exact_dual(scarf, scarf_model, day_profile, j)
             phi, imbalance = ch.dual_value(scarf, scarf_model, day_profile, j,
-                                           record.price)
-            assert (record.dual_value, record.supply - record.demand) == (phi, imbalance)
-            assert record.uplift == ch.uplift(scarf, record.price, record.demand)
+                                           record["price"])
+            assert (record["dual_value"], record["supply"] - record["demand"]) == \
+                (phi, imbalance)
+            assert record["uplift"] == ch.uplift(scarf, record["price"], record["demand"])
 
     def test_no_hours(self, gribik, gribik_model, mean_profile):
         day = price_hours("chp_exact", gribik, gribik_model, mean_profile, (), 100.0, 1,
@@ -358,13 +359,13 @@ class TestBestIterateGap:
             star, _ = exact_dual(fleet, model, day_profile, t)
             phi_star, _ = dual_value(fleet, model, day_profile, t, star)
             phi0, g0 = dual_value(fleet, model, day_profile, t, price0)
-            trace = run_subgradient(fleet, model, day_profile, t, price0, 100,
-                                    rule)
-            subgradients = [g0] + [r.supply - r.demand for r in trace.records]
+            priced = run_subgradient(fleet, model, day_profile, t, price0, 100,
+                                     rule)
+            subgradients = [g0] + (priced.supply - priced.demand)[:, 0].tolist()
             bound = ((price0 - star) ** 2
                      + sum(s * s * g * g for s, g in zip(steps, subgradients))
                      ) / (2.0 * sum(steps))
-            gap = min([phi0] + [r.dual_value for r in trace.records]) - phi_star
+            gap = min([phi0] + priced.dual_value[:, 0].tolist()) - phi_star
             allowed = bound + 1e-9 * max(1.0, abs(phi_star))
             rows.append((gap / allowed, t, gap, bound))
         ratio, t, gap, bound = max(rows)
@@ -421,38 +422,38 @@ class TestLmp:
     def test_fixed_point_stays(self, scarf, scarf_model, day_profile):
         quad = quadratic_fit(scarf)
         star, _ = lmp_equilibrium(quad, scarf_model, day_profile, 9)
-        trace = run_lmp(scarf, scarf_model, day_profile, 9, star, 1, HarmonicStep(0.01))
-        assert abs(trace.final_price - star) < 1e-6
+        priced = run_lmp(scarf, scarf_model, day_profile, 9, star, 1, HarmonicStep(0.01))
+        assert abs(priced.price[-1, 0] - star) < 1e-6
 
     def test_converges_within_one_percent(self, gribik, gribik_model,
                                           day_profile):
-        trace = run_lmp(gribik, gribik_model, day_profile, 0, 100.0, 100,
-                        HarmonicStep(0.1))
-        last = trace.records[-1]
-        assert abs(last.supply - last.demand) < 0.01 * last.demand
+        priced = run_lmp(gribik, gribik_model, day_profile, 0, 100.0, 100,
+                         HarmonicStep(0.1))
+        supply, demand = priced.supply[-1, 0], priced.demand[-1, 0]
+        assert abs(supply - demand) < 0.01 * demand
 
     def test_uplift_column(self, gribik, gribik_model, day_profile):
         priced = run_lmp(gribik, gribik_model, day_profile, 0, 100.0, 5,
                          HarmonicStep(0.1))
-        for rec in priced.records:
-            assert rec.uplift == ch.uplift(gribik, rec.price, rec.demand)
-            assert rec.uplift >= -1e-9
+        for rec in hour_rows(priced):
+            assert rec["uplift"] == ch.uplift(gribik, rec["price"], rec["demand"])
+            assert rec["uplift"] >= -1e-9
 
     def test_infeasible_iterates_bill_infinite_uplift(self, gribik, gribik_model,
                                                        day_profile):
         # at about 1 $/MWh elastic demand alone is some 7800 MW, past 600 MW
-        trace = run_subgradient(gribik, gribik_model, day_profile, 0, 1.0, 3,
-                                HarmonicStep(1e-9))
-        for rec in trace.records:
-            assert rec.demand > gribik.total_capacity
-            assert rec.uplift == math.inf
+        priced = run_subgradient(gribik, gribik_model, day_profile, 0, 1.0, 3,
+                                 HarmonicStep(1e-9))
+        for rec in hour_rows(priced):
+            assert rec["demand"] > gribik.total_capacity
+            assert rec["cost"] == rec["uplift"] == math.inf
             with pytest.raises(InfeasibleError):
-                ch.uplift(gribik, rec.price, rec.demand)
+                ch.uplift(gribik, rec["price"], rec["demand"])
 
     def test_method_tag(self, gribik, gribik_model, mean_profile):
-        trace = run_lmp(gribik, gribik_model, mean_profile, 0, 100.0, 2,
-                        HarmonicStep(0.1))
-        assert trace.method == "lmp"
+        priced = run_lmp(gribik, gribik_model, mean_profile, 0, 100.0, 2,
+                         HarmonicStep(0.1))
+        assert priced.method == "lmp"
 
 
 class TestLmpEquilibriumAtCapacity:

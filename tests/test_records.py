@@ -16,9 +16,6 @@ from chpricing.pricing import HarmonicStep, price_hours
 
 FIELDS = {
     "HullPoint": ("demand", "hull_value", "price_lo", "price_hi"),
-    "IterateRecord": ("k", "price", "demand", "supply", "step", "dual_value",
-                      "uplift", "elapsed_s"),
-    "PricingTrace": ("method", "records", "final_price", "final_demand"),
     "PricedHours": ("method", "hours", "step", "elapsed_s", "price", "demand",
                     "supply", "dual_value", "utility", "cost", "uplift"),
     "BestResponse": ("supply", "profit", "commitment", "dispatch"),
@@ -43,13 +40,10 @@ SHORT = (("supply_cost", "cost"), ("supplier_profit", "profit"),
 def records(scarf, scarf_model, day_profile):
     priced = price_hours("chp_subgradient", scarf, scarf_model, day_profile, range(3),
                          10.0, 4, HarmonicStep(0.01))
-    trace = priced.trace(1)
     settled = [ch.settle_hour(scarf, scarf_model, day_profile, t, 6.3125)
                for t in range(24)]
     return {
         "HullPoint": ch.hull_value(scarf, 7.5),
-        "IterateRecord": trace.records[-1],
-        "PricingTrace": trace,
         "PricedHours": priced,
         "BestResponse": ch.best_response(scarf, 6.0),
         "Dispatch": ch.ucp_value(scarf, 7.5)[1],
@@ -90,9 +84,3 @@ def test_record_shape(records, name):
         record.note = "added"
     back = pickle.loads(pickle.dumps(record))
     assert type(back) is type(record) and same(back, record)
-
-
-def test_iterate_record_clock_defaults_to_zero():
-    record = ch.IterateRecord(1, 2.0, 3.0, 4.0, 0.5, 6.0, 7.0)
-    assert record.elapsed_s == 0.0
-    assert record._replace(elapsed_s=1.5) == (1, 2.0, 3.0, 4.0, 0.5, 6.0, 7.0, 1.5)

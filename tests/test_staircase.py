@@ -217,19 +217,23 @@ def test_array_demand_reads_refuse_nan():
 
 def test_price_reads_refuse_nan(gribik):
     # np.searchsorted sorts NaN above every step: unguarded, the supply
-    # would be the whole fleet and the conjugate and uplift NaN
-    calls = [
-        lambda: fleet_supply(gribik, math.nan),
-        lambda: fleet_supply(gribik, [90.0, math.nan]),
-        lambda: conjugate(gribik, math.nan),
-        lambda: conjugate(gribik, [90.0, math.nan]),
-        lambda: best_response(gribik, math.nan),
-        lambda: uplift(gribik, math.nan, 300.0),
-        lambda: uplifts(gribik, [90.0, math.nan], [300.0, 300.0]),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="price must be a number, got nan"):
-            call()
+    # would be the whole fleet and the conjugate and uplift NaN.  At +inf
+    # the conjugate is inf, so the uplift inf - inf would be NaN too
+    for bad, message in ((math.nan, "price must be a number, got nan"),
+                         (math.inf, "price must be finite, got inf"),
+                         (-math.inf, "price must be finite, got -inf")):
+        calls = [
+            lambda: fleet_supply(gribik, bad),
+            lambda: fleet_supply(gribik, [90.0, bad]),
+            lambda: conjugate(gribik, bad),
+            lambda: conjugate(gribik, [90.0, bad]),
+            lambda: best_response(gribik, bad),
+            lambda: uplift(gribik, bad, 300.0),
+            lambda: uplifts(gribik, [90.0, bad], [300.0, 300.0]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 @PROPERTY
@@ -454,5 +458,5 @@ def test_breakeven_breakpoint_takes_upper_step():
     point = hull_value(fleet, 6.5)
     assert point.price_lo == point.price_hi == breakeven
     # the loop reads the same staircase, so its first step goes down
-    trace = run_subgradient(fleet, model, profile, 0, breakeven, 1, HarmonicStep(1.0))
-    assert trace.records[0].price == breakeven - 6.5
+    priced = run_subgradient(fleet, model, profile, 0, breakeven, 1, HarmonicStep(1.0))
+    assert priced.price[0, 0] == breakeven - 6.5

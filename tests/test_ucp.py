@@ -592,6 +592,32 @@ class TestUcpValue:
             [math.inf] * 4 + [expected]
         assert set(costed) == {10.0}
 
+    def test_batch_reads_no_uncovered_cell(self, monkeypatch):
+        # the fleet above covers 0, [4, 6], [8, 12] and [13, 18] MW; the batch
+        # mixes in demands from every gap and past capacity
+        fleet = Fleet((GeneratorType("A", 3.0, 4.0, (CostSegment(2.0, 6.0),), 2),
+                       GeneratorType("B", 1.0, 5.0, (CostSegment(1.0, 6.0),), 1)))
+        demands = [7.0, 18.0, 2.0, 5.5, 12.5, 0.0, 10.0, 30.0, 6.5, 13.0]
+        expected = [math.inf if (value := priced(ucp_value, fleet, y)) is None
+                    else value[0] for y in demands]
+        assert expected.count(math.inf) == 5
+        read_demands = []
+        read = ucp._read
+
+        def spy(table, ys):
+            read_demands.extend(ys.tolist())
+            return read(table, ys)
+
+        monkeypatch.setattr(ucp, "_read", spy)
+        assert ucp_values(fleet, demands).tolist() == expected
+        # 13 and 18 MW share a cell, read at both ends
+        assert sorted(read_demands) == [0.0, 5.5, 10.0, 13.0, 18.0]
+        read_demands.clear()
+        # the 18-type fleet with minimum outputs: below 1 MW only 0 is covered
+        wide = oracles.seeded_wide_fleet(min_outputs=True)
+        assert ucp_values(wide, [0.5, 0.0, 0.1]).tolist() == [math.inf, 0.0, math.inf]
+        assert read_demands == [0.0]
+
     def test_batch_of_no_demands(self, gribik):
         assert ucp_values(gribik, []).shape == (0,)
 
@@ -808,12 +834,15 @@ class TestQuadraticFit:
     def test_zero_intercept(self, gribik):
         assert quadratic_fit(gribik).cost(0.0) == 0.0
 
-    def test_uncoverable_sample_rejected(self):
+    def test_uncoverable_sample_rejected(self, monkeypatch):
         # the 121 samples over 120 MW are 1 MW apart; a 4-120 MW unit cannot
-        # serve 1 MW, the first sample above 0
+        # serve 1 MW, the first sample above 0.  Refused before any is costed
         fleet = Fleet((GeneratorType("A", 0.0, 4.0, (CostSegment(1.0, 120.0),)),))
+        costed = record_fills(monkeypatch)
+        reads = spy_reads(monkeypatch)
         with pytest.raises(InfeasibleError, match=r"^no commitment can meet 1\.0 MW$"):
             quadratic_fit(fleet)
+        assert costed == reads == []
 
     def test_degenerate_target_rejected(self):
         fleet = Fleet((GeneratorType("free", 0.0, 0.0,
