@@ -19,7 +19,9 @@ script).  Three figures are printed for ``TREE/src/chpricing``:
   cannot be cached.
 
 With ``--against PARENT_TREE`` every figure is printed for both trees,
-and the public names TREE adds to the parent's and removes from them.
+the public names TREE adds to the parent's and removes from them, and
+each public name both trees export whose settable values changed (say,
+``ExperimentConfig 16 -> 11``).
 The compile times are then taken in N (default 40) repetitions that
 alternate which tree goes first; each repetition compiles every module
 of both trees once.  Per module the least time is printed, and for the
@@ -45,26 +47,27 @@ def compile_s(source: str, filename: str) -> float:
     return time.perf_counter() - start
 
 
-# prints the parameters of chpricing's functions plus the fields of its
-# dataclasses, then the names of chpricing.__all__; a function is any
-# callable that is not a class, and inspect.signature sees through a
+# prints each name of chpricing.__all__ and its settable values: the
+# parameters of a function or the fields of a dataclass, else 0; a function
+# is any callable that is not a class, and inspect.signature sees through a
 # decorator such as lru_cache
 PUBLIC_CODE = """
 import dataclasses, inspect, chpricing
-public = [getattr(chpricing, name) for name in chpricing.__all__]
-print(sum(len(inspect.signature(obj).parameters) for obj in public
-          if callable(obj) and not inspect.isclass(obj))
-      + sum(len(dataclasses.fields(obj)) for obj in public
-            if inspect.isclass(obj) and dataclasses.is_dataclass(obj)),
-      *chpricing.__all__)
+for name in chpricing.__all__:
+    obj = getattr(chpricing, name)
+    if inspect.isclass(obj):
+        values = len(dataclasses.fields(obj)) if dataclasses.is_dataclass(obj) else 0
+    else:
+        values = len(inspect.signature(obj).parameters) if callable(obj) else 0
+    print(name, values)
 """
 
 
-def public_names(tree: Path) -> tuple[list[str], int]:
-    """(public names, settable values), imported from tree's src/ in a fresh
-    interpreter."""
-    values, *names = run_child(tree, "-c", PUBLIC_CODE)[0].split()
-    return names, int(values)
+def public_names(tree: Path) -> dict[str, int]:
+    """Each public name's settable values, imported from tree's src/ in a
+    fresh interpreter."""
+    return {name: int(values) for name, values in
+            (line.split() for line in run_child(tree, "-c", PUBLIC_CODE)[0].splitlines())}
 
 
 def sources(tree: Path) -> dict[str, tuple[str, str]]:
@@ -139,14 +142,19 @@ def main(argv: list[str] | None = None) -> int:
               f"median {statistics.median(totals[0]) * 1e3:.2f} ms "
               f"(parent {statistics.median(totals[1]) * 1e3:.2f})")
     reports = [public_names(tree) for tree in trees]
-    (names, values), (parent_names, parent_values) = reports[0], reports[-1]
+    names, parent_names = reports[0], reports[-1]
     parent = "" if args.against is None else " (parent {})"
     print(f"chpricing.__all__: {len(names)} names" + parent.format(len(parent_names)))
     if args.against is not None:
         for label, these, those in (("added", names, parent_names),
                                     ("removed", parent_names, names)):
             print(f"{label}: " + (", ".join(sorted(set(these) - set(those))) or "none"))
-    print(f"settable values: {values}" + parent.format(parent_values))
+        moved = [f"{name} {parent_names[name]} -> {values}"
+                 for name, values in sorted(names.items())
+                 if parent_names.get(name, values) != values]
+        print("moved: " + (", ".join(moved) or "none"))
+    print(f"settable values: {sum(names.values())}"
+          + parent.format(sum(parent_names.values())))
     return 0
 
 

@@ -25,7 +25,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .fleet import Fleet, FleetValidationError, builtin_fleet, check_integer, load_fleet
+from .fleet import (Fleet, FleetValidationError, builtin_fleet, check_integer, check_number,
+                    load_fleet)
 from .hull import chp_fixed_demand, uplifts
 from .market import (
     HOURS,
@@ -93,31 +94,32 @@ class ExperimentConfig:
     fleet: str              # 'gribik', 'scarf', or a path to a fleet file
     method: str             # one of pricing.METHODS
     out_dir: str
-    a: float
-    mu1: float
-    mu2: float
-    nu: float
-    utility_constant: float
+    model: DemandModel
     lambda0: float
     n_iters: int
-    step_coef: float | None  # None for the closed-form methods
-    seed: int = 0
+    step_rule: HarmonicStep | None  # None for the closed-form methods
+    seed: int | None = 0    # None: the noise-free day
     jobs: int = 1
-    no_noise: bool = False
     profile_path: str | None = None
     synthetic: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method}")
-        check_integer("seed", self.seed)
+        if not isinstance(self.model, DemandModel):
+            raise ValueError(f"model must be a DemandModel, got {self.model!r}")
+        if not isinstance(self.step_rule, (HarmonicStep, type(None))):
+            raise ValueError(
+                f"step_rule must be None or a HarmonicStep, got {self.step_rule!r}")
+        if self.seed is not None:
+            check_integer("seed", self.seed)
         check_integer("jobs", self.jobs)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.profile_path is not None and self.synthetic is not None:
             raise ValueError("give profile_path or synthetic, not both")
         if self.method in ITERATIVE_METHODS:
-            if self.step_coef is None:
+            if self.step_rule is None:
                 raise ValueError(f"{self.method} needs a step coefficient")
             check_loop_args(self.lambda0, self.n_iters)
 
@@ -135,7 +137,7 @@ def _resolve_profile(config: ExperimentConfig) -> DayProfile:
         base = DayProfile(synthetic_profile(*config.synthetic))
     else:
         base = default_profile()
-    noise = (0.0,) * HOURS if config.no_noise else sample_noise(config.seed)
+    noise = (0.0,) * HOURS if config.seed is None else sample_noise(config.seed)
     return DayProfile(base.base_demand, noise)
 
 
@@ -192,13 +194,10 @@ def _write_csv(out_dir: str | Path, name: str, header: tuple[str, ...],
 def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """Price and settle the 24 hours; write hours.csv, trace.csv, summary.csv."""
     fleet = _resolve_fleet(config.fleet)
-    model = DemandModel(a=config.a, mu1=config.mu1, mu2=config.mu2, nu=config.nu,
-                        utility_constant=config.utility_constant)
     profile = _resolve_profile(config)
-    step_rule = None if config.step_coef is None else HarmonicStep(config.step_coef)
-    worker = partial(_run_hours, fleet=fleet, model=model, profile=profile,
+    worker = partial(_run_hours, fleet=fleet, model=config.model, profile=profile,
                      method=config.method, lambda0=config.lambda0,
-                     n_iters=config.n_iters, step_rule=step_rule)
+                     n_iters=config.n_iters, step_rule=config.step_rule)
     if config.jobs > 1:
         # imported here: the pool module costs every command's set-up, and
         # a pool forks all its workers at once, so more than HOURS would idle
@@ -230,6 +229,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
 def _demand_grid(capacity: float, step_mw: float) -> list[float]:
     """The multiples of the step below capacity - 1e-9, then capacity: point i
     is the float nearest i * D, D the decimal that repr(step_mw) reads."""
+    check_number("step-mw", step_mw)
     if not 0 < step_mw < math.inf:
         raise ValueError(f"step-mw must be finite and > 0, got {step_mw}")
     if capacity / step_mw > MAX_GRID_POINTS:
@@ -334,33 +334,27 @@ def _setting(fleet: str, key: str, given):
     return defaults[key]
 
 
-def _model_flags(args: SimpleNamespace) -> dict[str, float | None]:
-    """The demand-model flags as given, None where left out."""
-    return {key: getattr(args, key) for key in ("a", "nu", "mu1", "mu2", "utility_constant")}
-
-
-def _resolve_model_params(args: SimpleNamespace) -> dict[str, float]:
-    return {key: _setting(args.fleet, key, given)
-            for key, given in _model_flags(args).items()}
+def _model(args: SimpleNamespace) -> DemandModel:
+    """The demand model of the flags, the fleet's default for each left out."""
+    return DemandModel(**{key: _setting(args.fleet, key, getattr(args, key))
+                          for key in ("a", "nu", "mu1", "mu2", "utility_constant")})
 
 
 def _cmd_run(args: SimpleNamespace) -> int:
-    params = _resolve_model_params(args)
     method = args.method.replace("-", "_")
     config = ExperimentConfig(
         fleet=args.fleet,
         method=method,
         out_dir=args.out,
+        model=_model(args),
         lambda0=_setting(args.fleet, "lambda0", args.lambda0),
         n_iters=_setting(args.fleet, "n_iters", args.iters),
-        step_coef=(_parse_step(args.step, args.fleet)
+        step_rule=(HarmonicStep(_parse_step(args.step, args.fleet))
                    if method in ITERATIVE_METHODS else None),
-        seed=args.seed,
+        seed=None if args.no_noise else args.seed,
         jobs=args.jobs,
-        no_noise=args.no_noise,
         profile_path=args.profile,
         synthetic=_parse_synthetic(args.synthetic) if args.synthetic else None,
-        **params,
     )
     paths = run_experiment(config)
     for name in ("hours", "trace", "summary"):
@@ -370,11 +364,9 @@ def _cmd_run(args: SimpleNamespace) -> int:
 
 def _cmd_curves(args: SimpleNamespace) -> int:
     fleet = _resolve_fleet(args.fleet)
-    model = None
     # a fleet file without model flags has no model; any flag asks for one
-    if args.fleet in FIXTURE_DEFAULTS or any(
-            given is not None for given in _model_flags(args).values()):
-        model = DemandModel(**_resolve_model_params(args))
+    given = {args.a, args.nu, args.mu1, args.mu2, args.utility_constant}
+    model = _model(args) if args.fleet in FIXTURE_DEFAULTS or given != {None} else None
     path = emit_cost_curves(fleet, args.step_mw, args.out, model)
     print(path)
     return 0

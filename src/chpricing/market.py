@@ -110,7 +110,8 @@ def consumer_best_response(model: DemandModel, price):
     if not (prices > 0).all():  # NaN included
         raise ValueError("price must be > 0 (log-utility demand is unbounded near 0), "
                          f"got {prices[~(prices > 0)][0].item()}")
-    return model.a / price
+    demand = model.a / prices
+    return demand if prices.ndim else float(demand)
 
 
 def _hour_terms(model: DemandModel, profile: DayProfile, hours) -> tuple[np.ndarray, ...]:

@@ -135,7 +135,8 @@ class QuadraticCost:
     """Convex cost model C(y) = alpha*y^2 + beta*y fitted to a fleet.
 
     Carries the fleet capacity so the implied marginal-cost supply curve
-    can be clamped without further context.
+    can be clamped without further context.  Its reads, like fleet_supply
+    and conjugate, refuse NaN and +-inf prices (_prices).
     """
 
     alpha: float     # $/MW^2, strictly positive
@@ -157,13 +158,15 @@ class QuadraticCost:
 
     def supply(self, price):
         """Profit-maximizing output at a price (or array): clamp((p - beta)/(2 alpha))."""
-        return np.minimum(np.maximum((price - self.beta) / (2.0 * self.alpha), 0.0),
-                          self.capacity)
+        prices = _prices(price)
+        return _like(prices, np.minimum(
+            np.maximum((prices - self.beta) / (2.0 * self.alpha), 0.0), self.capacity))
 
     def conjugate(self, price):
         """Maximum profit at a price (or an array of prices) under this model."""
-        y = self.supply(price)
-        return price * y - self.cost(y)
+        prices = _prices(price)
+        y = self.supply(prices)
+        return _like(prices, prices * y - self.cost(y))
 
 
 def _variable_costs(gtype: GeneratorType, g: np.ndarray) -> np.ndarray:

@@ -347,3 +347,44 @@ def exact_dual_scanned(fleet: Fleet, model: DemandModel, profile: DayProfile,
             if i + 1 == len(levels) or price < starts[i + 1]:
                 break
     return price, hourly_demand_scalar(model, profile, t, price)
+
+
+def milp_value(fleet: Fleet, y: float) -> float:
+    """v(y) as a mixed-integer program solved by HiGHS (scipy.optimize.milp),
+    +inf where it is infeasible; independent of any commitment enumeration.
+
+    Integer n_t in [0, unit_count_t] units of each type, and MW s_tj >= 0 on
+    each segment, with s_tj <= n_t * capacity_tj, sum_j s_tj >= n_t *
+    min_output_t and sum s = y; minimise sum n_t * startup_t + sum c_tj *
+    s_tj.  Segment costs are nondecreasing, so the LP fills them in order,
+    and the units of a type share its output at no extra cost, as _fill
+    assumes.  Only mip_rel_gap is set (to 0): HiGHS's primal feasibility
+    tolerance stays at its default 1e-7, as milp takes no option for it.
+    """
+    # imported here: only the tests that compare against it pay for scipy
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    types = fleet.types
+    owner = np.array([ti for ti, gtype in enumerate(types) for _seg in gtype.segments])
+    segments = [seg for gtype in types for seg in gtype.segments]
+    # columns: n_t, then s_tj; rows: s_tj <= n_t * capacity_tj (one per
+    # segment), sum_j s_tj >= n_t * min_output_t (one per type), sum s = y
+    owned = (owner == np.arange(len(types))[:, None]).astype(float)
+    capacity_rows = np.hstack([-owned.T * [[seg.capacity] for seg in segments],
+                               np.eye(len(segments))])
+    minimum_rows = np.hstack([-np.diag([gtype.min_output for gtype in types]), owned])
+    balance_row = np.concatenate([np.zeros(len(types)), np.ones(len(segments))])
+    result = milp([gtype.startup_cost for gtype in types] + [seg.marginal_cost
+                                                              for seg in segments],
+                  integrality=[1] * len(types) + [0] * len(segments),
+                  bounds=Bounds(0.0, [gtype.unit_count for gtype in types]
+                                + [np.inf] * len(segments)),
+                  constraints=[LinearConstraint(capacity_rows, -np.inf, 0.0),
+                               LinearConstraint(minimum_rows, 0.0, np.inf),
+                               LinearConstraint(balance_row, y, y)],
+                  options={"mip_rel_gap": 0})
+    if result.status == 2:
+        return math.inf
+    if result.status != 0:
+        raise RuntimeError(f"milp did not solve v({y}): {result.message}")
+    return result.fun

@@ -235,8 +235,9 @@ def test_criterion_12_determinism(tmp_path):
     def run(out: Path):
         config = ch.ExperimentConfig(
             fleet="gribik", method="chp_subgradient", out_dir=str(out),
-            a=3.9e4, mu1=0.8, mu2=0.2, nu=0.01, utility_constant=20000.0,
-            lambda0=100.0, n_iters=25, step_coef=0.1, seed=7)
+            model=ch.DemandModel(a=3.9e4, mu1=0.8, mu2=0.2, nu=0.01,
+                                 utility_constant=20000.0),
+            lambda0=100.0, n_iters=25, step_rule=ch.HarmonicStep(0.1), seed=7)
         return ch.run_experiment(config)
 
     first = run(tmp_path / "a")

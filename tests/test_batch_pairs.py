@@ -83,7 +83,7 @@ def test_timing_child_runs_one_blas_thread(tmp_path, monkeypatch):
 
 def report_lines(stdout):
     """size_report.py's lines on the public names, by their label."""
-    labels = ("chpricing.__all__", "added", "removed", "settable values")
+    labels = ("chpricing.__all__", "added", "removed", "moved", "settable values")
     return dict(line.split(": ", 1) for line in stdout.splitlines()
                 if line.startswith(labels))
 
@@ -101,23 +101,28 @@ def test_size_report_against_a_tree(tmp_path):
     values = settable_values()
     assert report_lines(done.stdout) == {
         "chpricing.__all__": f"{names} names (parent {names})",
-        "added": "none", "removed": "none",
+        "added": "none", "removed": "none", "moved": "none",
         "settable values": f"{values} (parent {values})"}
-    # a copy whose welfare module no longer exports summarize_day
+    # a copy whose welfare module no longer exports summarize_day, and
+    # whose settle_hour takes one more parameter
     dropped = source_tree(tmp_path / "dropped")
     welfare = dropped / "src" / "chpricing" / "welfare.py"
     text = welfare.read_text()
-    assert text.count(', "summarize_day"]') == 1
-    welfare.write_text(text.replace(', "summarize_day"]', "]"))
-    less = values - len(inspect.signature(chpricing.summarize_day).parameters)
-    for changed, parent, added, removed, counts in (
-            (dropped, tree, "none", "summarize_day", (names - 1, names, less, values)),
-            (tree, dropped, "summarize_day", "none", (names, names - 1, values, less))):
+    assert text.count(', "summarize_day"]') == text.count("price: float) -> HourResult:") == 1
+    welfare.write_text(text.replace(', "summarize_day"]', "]").replace(
+        "price: float) -> HourResult:", "price: float, extra=None) -> HourResult:"))
+    less = values - len(inspect.signature(chpricing.summarize_day).parameters) + 1
+    settle = len(inspect.signature(chpricing.settle_hour).parameters)
+    for changed, parent, added, removed, moved, counts in (
+            (dropped, tree, "none", "summarize_day", f"settle_hour {settle} -> {settle + 1}",
+             (names - 1, names, less, values)),
+            (tree, dropped, "summarize_day", "none", f"settle_hour {settle + 1} -> {settle}",
+             (names, names - 1, values, less))):
         done = run_script("size_report.py", changed, "--against", parent, "--repeats", "1")
         assert done.returncode == 0, done.stderr
         assert report_lines(done.stdout) == {
             "chpricing.__all__": "{} names (parent {})".format(*counts[:2]),
-            "added": added, "removed": removed,
+            "added": added, "removed": removed, "moved": moved,
             "settable values": "{} (parent {})".format(*counts[2:])}
     # one tree: its counts alone
     done = run_script("size_report.py", tree, "--repeats", "1")

@@ -838,11 +838,15 @@ def free_fleet_file(tmp_path):
     return path
 
 
+def fixture_model(name):
+    """The builtin fleet's default demand model, as run builds it without model flags."""
+    return ch.DemandModel(**{key: cli.FIXTURE_DEFAULTS[name][key] for key in (
+        "a", "mu1", "mu2", "nu", "utility_constant")})
+
+
 def day_inputs(config):
-    """The fleet, demand model and profile that run_experiment builds."""
-    model = ch.DemandModel(a=config.a, mu1=config.mu1, mu2=config.mu2, nu=config.nu,
-                           utility_constant=config.utility_constant)
-    return cli._resolve_fleet(config.fleet), model, cli._resolve_profile(config)
+    """The fleet, demand model and profile that run_experiment prices."""
+    return cli._resolve_fleet(config.fleet), config.model, cli._resolve_profile(config)
 
 
 def per_hour_trace_rows(config):
@@ -883,11 +887,10 @@ class TestClosedFormTraceRows:
     def test_builtin_fleets(self, name, synthetic, method, tmp_path):
         # the day spans three steps of the staircase, so hours clear at
         # different prices
-        params = {key: cli.FIXTURE_DEFAULTS[name][key] for key in (
-            "a", "mu1", "mu2", "nu", "utility_constant", "lambda0")}
         rows, priced = self.check(cli.ExperimentConfig(
-            fleet=name, method=method, out_dir=str(tmp_path), n_iters=1, step_coef=None,
-            seed=3, synthetic=synthetic, **params))
+            fleet=name, method=method, out_dir=str(tmp_path), model=fixture_model(name),
+            lambda0=cli.FIXTURE_DEFAULTS[name]["lambda0"], n_iters=1, step_rule=None,
+            seed=3, synthetic=synthetic))
         assert len({row.split(",")[4] for row in rows}) == 3
         assert (priced.cost < math.inf).all()
 
@@ -898,8 +901,8 @@ class TestClosedFormTraceRows:
         profile.write_text("hour,d1\n" + "".join(f"{t},100\n" for t in range(24)))
         rows, priced = self.check(cli.ExperimentConfig(
             fleet=str(gap_fleet_file(tmp_path)), method=method, out_dir=str(tmp_path),
-            a=1040.12, mu1=0.8, mu2=0.2, nu=1.125, utility_constant=0.0, lambda0=100.0,
-            n_iters=1, step_coef=None, no_noise=True, profile_path=str(profile)))
+            model=ch.DemandModel(a=1040.12, mu1=0.8, mu2=0.2, nu=1.125, utility_constant=0.0),
+            lambda0=100.0, n_iters=1, step_rule=None, seed=None, profile_path=str(profile)))
         assert all(row.split(",")[7] == "inf" for row in rows)
         assert priced.cost.tolist() == priced.uplift.tolist() == [[math.inf] * 24]
 
@@ -907,8 +910,8 @@ class TestClosedFormTraceRows:
     def test_price_floor(self, method, tmp_path):
         rows, _priced = self.check(cli.ExperimentConfig(
             fleet=str(free_fleet_file(tmp_path)), method=method, out_dir=str(tmp_path),
-            a=1.0, mu1=0.8, mu2=0.0, nu=0.001, utility_constant=0.0, lambda0=100.0,
-            n_iters=1, step_coef=None, no_noise=True))
+            model=ch.DemandModel(a=1.0, mu1=0.8, mu2=0.0, nu=0.001, utility_constant=0.0),
+            lambda0=100.0, n_iters=1, step_rule=None, seed=None))
         assert all(row.split(",")[2] == repr(PRICE_FLOOR) for row in rows)
 
     @staticmethod
@@ -973,13 +976,12 @@ class TestErrorPaths:
         assert err.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-        params = {key: cli.FIXTURE_DEFAULTS["gribik"][key] for key in (
-            "a", "mu1", "mu2", "nu", "utility_constant", "lambda0")}
         with pytest.raises(ValueError, match="^give profile_path or synthetic, not both$"):
-            cli.ExperimentConfig(fleet="gribik", method="chp_exact",
-                                 out_dir=str(tmp_path), n_iters=1, step_coef=None,
-                                 profile_path=str(profile), synthetic=(100.0, 200.0, 300.0),
-                                 **params)
+            cli.ExperimentConfig(fleet="gribik", method="chp_exact", out_dir=str(tmp_path),
+                                 model=fixture_model("gribik"),
+                                 lambda0=cli.FIXTURE_DEFAULTS["gribik"]["lambda0"],
+                                 n_iters=1, step_rule=None, profile_path=str(profile),
+                                 synthetic=(100.0, 200.0, 300.0))
 
     def test_unknown_method_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -1014,6 +1016,19 @@ class TestErrorPaths:
         assert run_cli("run", "--fleet", "gribik", "--method", "chp-exact",
                        "--a", "inf", "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err.startswith("error: a must be finite")
+
+    @pytest.mark.parametrize("step", [True, "0.5", None])
+    @pytest.mark.parametrize("writer", ["curves", "uplift-curve"])
+    def test_grid_step_that_is_not_a_number(self, gribik, tmp_path, writer, step):
+        # True once passed the range test as 1 and made a 601-point grid;
+        # "0.5" and None met it as TypeError
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^step-mw must be a number, got {step!r}$"):
+            if writer == "curves":
+                cli.emit_cost_curves(gribik, step, out)
+            else:
+                cli.emit_uplift_curves(gribik, "chp", step, out)
+        assert not out.exists()
 
     def test_nonpositive_grid_step(self, tmp_path):
         assert run_cli("curves", "--fleet", "gribik", "--step-mw", "0",
@@ -1090,10 +1105,34 @@ class TestErrorPaths:
                                    "'chp_exact', 'lmp', 'dispatchable'), got chp-exact"),
         (dict(jobs=0), "jobs must be >= 1, got 0"),
         (dict(method="chp_subgradient"), "chp_subgradient needs a step coefficient"),
+        # a float step once reached the price loop, to fail there as TypeError
+        (dict(method="chp_subgradient", step_rule=0.1),
+         "step_rule must be None or a HarmonicStep, got 0.1"),
+        (dict(model={"a": 455.0}), "model must be a DemandModel, got {'a': 455.0}"),
+        (dict(model=None), "model must be a DemandModel, got None"),
     ])
     def test_config_refusals(self, tmp_path, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             gribik_config(tmp_path, **fields)
+
+    def test_seed_none_is_the_noise_free_day(self, tmp_path):
+        assert cli._resolve_profile(gribik_config(tmp_path, seed=None)).noise == (0.0,) * 24
+        assert cli._resolve_profile(gribik_config(tmp_path, seed=3)).noise == \
+            ch.sample_noise(3)
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--a", "0", "--nu", "0.01", "--step", "c/k:0.1"), "a must be > 0, got 0.0"),
+        (("--a", "1", "--nu", "nan", "--step", "c/k:0.1"), "nu must be finite, got nan"),
+        (("--a", "1", "--nu", "0.01", "--step", "c/k:-3"),
+         "step coefficient must be finite and > 0, got -3.0")])
+    def test_bad_model_refused_before_the_fleet_file(self, tmp_path, capsys, flags, message):
+        # the config holds the DemandModel and HarmonicStep, so their values
+        # are refused before the fleet file is read (once: No such file)
+        assert run_cli("run", "--fleet", str(tmp_path / "nope.json"),
+                       "--method", "chp-subgradient", *flags,
+                       "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_uplift_rule_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -1109,11 +1148,10 @@ class TestErrorPaths:
 
 def gribik_config(tmp_path, **fields):
     """A closed-form gribik day's ExperimentConfig with the given fields."""
-    params = {key: cli.FIXTURE_DEFAULTS["gribik"][key] for key in (
-        "a", "mu1", "mu2", "nu", "utility_constant", "lambda0", "n_iters")}
+    params = {key: cli.FIXTURE_DEFAULTS["gribik"][key] for key in ("lambda0", "n_iters")}
     return cli.ExperimentConfig(**{"fleet": "gribik", "method": "chp_exact",
-                                   "out_dir": str(tmp_path), "step_coef": None,
-                                   **params, **fields})
+                                   "out_dir": str(tmp_path), "model": fixture_model("gribik"),
+                                   "step_rule": None, **params, **fields})
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli"

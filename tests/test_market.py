@@ -46,6 +46,14 @@ class TestConsumerBestResponse:
         with pytest.raises(ValueError, match="price must be > 0"):
             consumer_best_response(gribik_model, math.nan)
 
+    def test_sequence_of_prices(self, gribik_model):
+        # the prices are validated as an array, so they are divided as one:
+        # a list once met a / [5.0, 7.0] as TypeError
+        demand = consumer_best_response(gribik_model, [5.0, 7.0])
+        assert demand.tolist() == [3.9e4 / 5.0, 3.9e4 / 7.0]
+        for price in (5.0, np.float64(5.0), 5):
+            assert type(consumer_best_response(gribik_model, price)) is float
+
 
 class TestHourlyDemand:
     def test_mix_formula(self, gribik_model, scarf_model, mean_profile):

@@ -855,6 +855,14 @@ class TestQuadraticFit:
         assert quad.supply(1e9) == gribik.total_capacity
         assert quad.supply(-1e9) == 0.0
 
+    def test_reads_take_a_price_or_a_sequence(self, gribik):
+        # as fleet_supply and conjugate do: a float for a price (once
+        # np.float64), an array for a list (once TypeError)
+        quad = quadratic_fit(gribik)
+        for read in (quad.supply, quad.conjugate):
+            assert type(read(90.0)) is float
+            assert read([90.0, 120.0]).tolist() == [read(90.0), read(120.0)]
+
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             QuadraticCost(alpha=0.0, beta=1.0, capacity=10.0)
