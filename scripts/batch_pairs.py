@@ -18,11 +18,12 @@ PARENT_TREE's ``src/``, with ``chpricing.ucp.ucp_values`` and
 ``chpricing.pricing.price_hours`` wrapped in every chpricing module that
 binds them.  Each ``ucp_values`` call's fleet (as ``dump_fleet`` writes
 it) and demands are kept.  Each ``price_hours`` call's method, fleet
-document, demand model fields, profile (base demands and noise), hours,
-start price, rounds and step coefficient (null for no step rule) are
-kept; both trees' ``price_hours`` must take (method, fleet, model,
-profile, hours, price0, n_iters, step_rule).  JSON floats round-trip
-exactly, so the calls are the commands' own.
+document, demand model fields, profile (base demands and noise), hours
+and loop (start price, rounds and step coefficient; null for a
+closed-form method) are kept; both trees' ``price_hours`` must take
+(method, fleet, model, profile, hours, loop), the loop a ``PriceLoop``
+of a ``HarmonicStep``.  JSON floats round-trip exactly, so the calls
+are the commands' own.
 
 Timing: a run is one fresh interpreter importing one tree's ``src/``.
 For every captured call it calls the function once, which builds the
@@ -35,7 +36,8 @@ A run's figures are, per (command, batch size), the sum of its v(y)
 batches' times, and per command its price_hours time: the whole day
 loop with its reporting pass, costing and billing, the layer that
 perfbench's tracer does not wrap.  FILE gets the captured batches'
-sizes, the price_hours calls' methods, hour counts and n_iters, every
+sizes, the price_hours calls' methods, hour counts and n_iters (null
+for a closed-form method), every
 run, and per figure each side's median and quartiles over the pairs and
 the pairs each side won (lower is better), with bench_pairs.py's
 ``gain`` rule.  Only the standard library is used here; the children
@@ -56,7 +58,7 @@ import workloads as benchmark  # noqa: E402  (perfbench is not a package)
 
 # argv: OUT_JSON CLI_ARGS...; writes {"batches": [[fleet document, demands],
 # ...], "days": [[method, fleet document, model, base demand, noise, hours,
-# price0, n_iters, step coef], ...]}
+# null or [price0, n_iters, step coef]], ...]}
 CAPTURE_CODE = r"""
 import dataclasses, json, sys
 import chpricing, chpricing.cli
@@ -71,13 +73,13 @@ def values_spy(fleet, demands):
     captured["batches"].append([chpricing.dump_fleet(fleet), [float(y) for y in ys]])
     return result
 
-def day_spy(method, fleet, model, profile, hours, price0, n_iters, step_rule):
+def day_spy(method, fleet, model, profile, hours, loop=None):
     hours = [int(t) for t in hours]
     captured["days"].append([
         method, chpricing.dump_fleet(fleet), dataclasses.asdict(model),
-        list(profile.base_demand), list(profile.noise), hours, price0, n_iters,
-        None if step_rule is None else step_rule.coef])
-    return price_hours(method, fleet, model, profile, hours, price0, n_iters, step_rule)
+        list(profile.base_demand), list(profile.noise), hours,
+        None if loop is None else [loop.price0, loop.n_iters, loop.step_rule.coef]])
+    return price_hours(method, fleet, model, profile, hours, loop)
 
 for name, module in list(sys.modules.items()):
     if name == "chpricing" or name.startswith("chpricing."):
@@ -122,10 +124,11 @@ times = {"batches": [], "days": []}
 for document, demands in captured["batches"]:
     fleet, ys = fleet_of(document), np.array(demands)
     times["batches"].append(least(lambda: ucp.ucp_values(fleet, ys)))
-for method, document, model, base, noise, hours, price0, n_iters, coef in captured["days"]:
+for method, document, model, base, noise, hours, loop in captured["days"]:
     args = (method, fleet_of(document), chpricing.DemandModel(**model),
-            chpricing.DayProfile(tuple(base), tuple(noise)), hours, price0, n_iters,
-            None if coef is None else chpricing.HarmonicStep(coef))
+            chpricing.DayProfile(tuple(base), tuple(noise)), hours,
+            None if loop is None else chpricing.PriceLoop(
+                loop[0], loop[1], chpricing.HarmonicStep(loop[2])))
     times["days"].append(least(lambda: pricing.price_hours(*args)))
 print(json.dumps(times))
 """
@@ -205,7 +208,8 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed, "pairs": args.pairs, "repeats": args.repeats,
         "batches": [{"figure": figure(b), "size": len(b["demands"])} for b in batches],
         "price_hours": [{"figure": day_figure(d), "method": d["call"][0],
-                         "hours": len(d["call"][5]), "n_iters": d["call"][7]}
+                         "hours": len(d["call"][5]),
+                         "n_iters": d["call"][6] and d["call"][6][1]}
                         for d in days],
         "summary": summary,
         "samples": runs,

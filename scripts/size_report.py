@@ -12,7 +12,8 @@ script).  Three figures are printed for ``TREE/src/chpricing``:
 * the lines of each module, and their total;
 * the number of names in ``chpricing.__all__``, and the number of values
   a caller can set through them: the parameters of every public function
-  plus the fields of every public dataclass.  Both are read by importing
+  plus the fields of every public dataclass and NamedTuple (a record's
+  fields are its constructor's parameters).  Both are read by importing
   the package from ``TREE/src`` in a fresh interpreter;
 * the best of N (default 5) ``compile()`` times of each module's
   source, and their sum: what a command pays per module where bytecode
@@ -21,7 +22,7 @@ script).  Three figures are printed for ``TREE/src/chpricing``:
 With ``--against PARENT_TREE`` every figure is printed for both trees,
 the public names TREE adds to the parent's and removes from them, and
 each public name both trees export whose settable values changed (say,
-``ExperimentConfig 16 -> 11``).
+``ExperimentConfig 11 -> 7``).
 The compile times are then taken in N (default 40) repetitions that
 alternate which tree goes first; each repetition compiles every module
 of both trees once.  Per module the least time is printed, and for the
@@ -48,15 +49,17 @@ def compile_s(source: str, filename: str) -> float:
 
 
 # prints each name of chpricing.__all__ and its settable values: the
-# parameters of a function or the fields of a dataclass, else 0; a function
-# is any callable that is not a class, and inspect.signature sees through a
-# decorator such as lru_cache
+# parameters of a function or the fields of a dataclass or NamedTuple, else
+# 0; a function is any callable that is not a class, and inspect.signature
+# sees through a decorator such as lru_cache
 PUBLIC_CODE = """
 import dataclasses, inspect, chpricing
 for name in chpricing.__all__:
     obj = getattr(chpricing, name)
-    if inspect.isclass(obj):
-        values = len(dataclasses.fields(obj)) if dataclasses.is_dataclass(obj) else 0
+    if dataclasses.is_dataclass(obj):
+        values = len(dataclasses.fields(obj))
+    elif inspect.isclass(obj):
+        values = len(getattr(obj, "_fields", ()))  # a NamedTuple's fields
     else:
         values = len(inspect.signature(obj).parameters) if callable(obj) else 0
     print(name, values)

@@ -16,6 +16,7 @@ leaves to it (an abbreviation, --flag=value, --).
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -43,8 +44,9 @@ from .pricing import (
     ITERATIVE_METHODS,
     METHODS,
     HarmonicStep,
+    PriceLoop,
     PricedHours,
-    check_loop_args,
+    _check_loop,
     dispatchable_price,
     price_hours,
 )
@@ -89,56 +91,34 @@ SUMMARY_COLUMNS = ("price_min", "price_mean", "price_max", "total_demand",
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one day run."""
+    """Everything one day run prices with, each field checked when made."""
 
-    fleet: str              # 'gribik', 'scarf', or a path to a fleet file
+    fleet: Fleet
     method: str             # one of pricing.METHODS
-    out_dir: str
+    out_dir: str | os.PathLike
     model: DemandModel
-    lambda0: float
-    n_iters: int
-    step_rule: HarmonicStep | None  # None for the closed-form methods
-    seed: int | None = 0    # None: the noise-free day
+    profile: DayProfile     # its noise included
+    loop: PriceLoop | None = None  # None for the closed-form methods
     jobs: int = 1
-    profile_path: str | None = None
-    synthetic: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method}")
-        if not isinstance(self.model, DemandModel):
-            raise ValueError(f"model must be a DemandModel, got {self.model!r}")
-        if not isinstance(self.step_rule, (HarmonicStep, type(None))):
-            raise ValueError(
-                f"step_rule must be None or a HarmonicStep, got {self.step_rule!r}")
-        if self.seed is not None:
-            check_integer("seed", self.seed)
+        for name, kind in (("fleet", Fleet), ("model", DemandModel),
+                           ("profile", DayProfile)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(
+                    f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ValueError(f"out_dir must be a str or os.PathLike, got {self.out_dir!r}")
+        _check_loop(self.method, self.loop)
         check_integer("jobs", self.jobs)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.profile_path is not None and self.synthetic is not None:
-            raise ValueError("give profile_path or synthetic, not both")
-        if self.method in ITERATIVE_METHODS:
-            if self.step_rule is None:
-                raise ValueError(f"{self.method} needs a step coefficient")
-            check_loop_args(self.lambda0, self.n_iters)
 
 
 def _resolve_fleet(source: str) -> Fleet:
     if source in FIXTURE_DEFAULTS:
         return builtin_fleet(source)
     return load_fleet(Path(source).read_text())
-
-
-def _resolve_profile(config: ExperimentConfig) -> DayProfile:
-    if config.profile_path is not None:
-        base = load_profile(Path(config.profile_path).read_text())
-    elif config.synthetic is not None:
-        base = DayProfile(synthetic_profile(*config.synthetic))
-    else:
-        base = default_profile()
-    noise = (0.0,) * HOURS if config.seed is None else sample_noise(config.seed)
-    return DayProfile(base.base_demand, noise)
 
 
 def _reprs(values: list[float]) -> list[str]:
@@ -157,17 +137,15 @@ def _trace_lines(priced: PricedHours) -> list[str]:
             in enumerate(zip(*columns, steps, clocks), priced.first_k)]
 
 
-def _run_hours(hours, fleet: Fleet, model: DemandModel, profile: DayProfile,
-               method: str, lambda0: float, n_iters: int,
-               step_rule: HarmonicStep | None
+def _run_hours(config: ExperimentConfig, hours
                ) -> tuple[list[str], list[str], list[HourResult]]:
-    """Price the hours with the method and settle each at its final row.
+    """Price the config's hours and settle each at its final row.
 
     Returns their trace.csv and hours.csv lines and the settled hours; an
     hour whose final demand no commitment covers (cost inf) is infeasible.
     """
-    priced = price_hours(method, fleet, model, profile, hours, lambda0, n_iters,
-                         step_rule)
+    priced = price_hours(config.method, config.fleet, config.model, config.profile,
+                         hours, config.loop)
     hour_lines, settled = [], []
     finals = (column[-1].tolist() for column in (
         priced.price, priced.demand, priced.cost, priced.uplift, priced.utility))
@@ -193,11 +171,7 @@ def _write_csv(out_dir: str | Path, name: str, header: tuple[str, ...],
 
 def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """Price and settle the 24 hours; write hours.csv, trace.csv, summary.csv."""
-    fleet = _resolve_fleet(config.fleet)
-    profile = _resolve_profile(config)
-    worker = partial(_run_hours, fleet=fleet, model=config.model, profile=profile,
-                     method=config.method, lambda0=config.lambda0,
-                     n_iters=config.n_iters, step_rule=config.step_rule)
+    worker = partial(_run_hours, config)
     if config.jobs > 1:
         # imported here: the pool module costs every command's set-up, and
         # a pool forks all its workers at once, so more than HOURS would idle
@@ -342,31 +316,32 @@ def _model(args: SimpleNamespace) -> DemandModel:
 
 def _cmd_run(args: SimpleNamespace) -> int:
     method = args.method.replace("-", "_")
-    config = ExperimentConfig(
-        fleet=args.fleet,
-        method=method,
-        out_dir=args.out,
-        model=_model(args),
-        lambda0=_setting(args.fleet, "lambda0", args.lambda0),
-        n_iters=_setting(args.fleet, "n_iters", args.iters),
-        step_rule=(HarmonicStep(_parse_step(args.step, args.fleet))
-                   if method in ITERATIVE_METHODS else None),
-        seed=None if args.no_noise else args.seed,
-        jobs=args.jobs,
-        profile_path=args.profile,
-        synthetic=_parse_synthetic(args.synthetic) if args.synthetic else None,
-    )
-    paths = run_experiment(config)
+    model = _model(args)
+    # a closed-form method reads, and so checks, no --step, --iters or --lambda0
+    loop = PriceLoop(_setting(args.fleet, "lambda0", args.lambda0),
+                     _setting(args.fleet, "n_iters", args.iters),
+                     HarmonicStep(_parse_step(args.step, args.fleet))
+                     ) if method in ITERATIVE_METHODS else None
+    fleet = _resolve_fleet(args.fleet)
+    if args.profile is not None:
+        base = load_profile(Path(args.profile).read_text()).base_demand
+    elif args.synthetic:
+        base = synthetic_profile(*_parse_synthetic(args.synthetic))
+    else:
+        base = default_profile().base_demand
+    noise = (0.0,) * HOURS if args.no_noise else sample_noise(args.seed)
+    paths = run_experiment(ExperimentConfig(fleet, method, args.out, model,
+                                            DayProfile(base, noise), loop, args.jobs))
     for name in ("hours", "trace", "summary"):
         print(paths[name])
     return 0
 
 
 def _cmd_curves(args: SimpleNamespace) -> int:
-    fleet = _resolve_fleet(args.fleet)
     # a fleet file without model flags has no model; any flag asks for one
     given = {args.a, args.nu, args.mu1, args.mu2, args.utility_constant}
     model = _model(args) if args.fleet in FIXTURE_DEFAULTS or given != {None} else None
+    fleet = _resolve_fleet(args.fleet)
     path = emit_cost_curves(fleet, args.step_mw, args.out, model)
     print(path)
     return 0

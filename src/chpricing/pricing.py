@@ -26,6 +26,7 @@ from .ucp import (InfeasibleError, QuadraticCost, _staircase, conjugate, fleet_s
 
 __all__ = [
     "HarmonicStep",
+    "PriceLoop",
     "PricedHours",
     "dual_value",
     "price_hours",
@@ -43,7 +44,7 @@ PRICE_FLOOR = 1e-6  # $/MWh; keeps the elastic demand term finite
 MAX_ITERS = 10_000
 
 METHODS = ("chp_subgradient", "chp_exact", "lmp", "dispatchable")
-# the methods that iterate, and so read a start price, n_iters and a step
+# the methods that iterate, and so take a PriceLoop
 ITERATIVE_METHODS = ("chp_subgradient", "lmp")
 
 
@@ -66,15 +67,38 @@ class HarmonicStep:
         return self.coef / k
 
 
-def check_loop_args(price0: float, n_iters: int) -> None:
-    """Refuse a price loop's start price or round count before it allocates."""
-    check_number("price0", price0)
-    if not PRICE_FLOOR < price0 < math.inf:
-        raise ValueError(
-            f"start price must be finite and exceed the floor {PRICE_FLOOR}, got {price0}")
-    check_integer("n_iters", n_iters)
-    if not 1 <= n_iters <= MAX_ITERS:
-        raise ValueError(f"n_iters must be in [1, MAX_ITERS = {MAX_ITERS}], got {n_iters}")
+@dataclass(frozen=True)
+class PriceLoop:
+    """An iterative method's start price, round count and step rule (a
+    HarmonicStep or any callable of the round k), checked before any loop."""
+
+    price0: float
+    n_iters: int
+    step_rule: HarmonicStep
+
+    def __post_init__(self) -> None:
+        check_number("price0", self.price0)
+        if not PRICE_FLOOR < self.price0 < math.inf:
+            raise ValueError(f"start price must be finite and exceed the floor "
+                             f"{PRICE_FLOOR}, got {self.price0}")
+        check_integer("n_iters", self.n_iters)
+        if not 1 <= self.n_iters <= MAX_ITERS:
+            raise ValueError(
+                f"n_iters must be in [1, MAX_ITERS = {MAX_ITERS}], got {self.n_iters}")
+        if not callable(self.step_rule):
+            raise ValueError(f"step_rule must be callable, got {self.step_rule!r}")
+
+
+def _check_loop(method: str, loop: PriceLoop | None) -> None:
+    """Refuse an unknown method, a loop on a closed-form method and a
+    missing loop on an iterative one."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method}")
+    if not isinstance(loop, (PriceLoop, type(None))):
+        raise ValueError(f"loop must be None or a PriceLoop, got {loop!r}")
+    if (loop is None) == (method in ITERATIVE_METHODS):
+        raise ValueError(f"{method} needs a PriceLoop" if loop is None
+                         else f"{method} is closed-form and takes no PriceLoop")
 
 
 def dual_value(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
@@ -158,24 +182,20 @@ def _crossing_prices(fleet: Fleet, model: DemandModel, terms
 
 
 def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfile,
-                hours, price0: float, n_iters: int, step_rule: HarmonicStep | None
-                ) -> PricedHours:
+                hours, loop: PriceLoop | None = None) -> PricedHours:
     """A method's rows for several hours at once, costed and billed.
 
     A price loop (chp_subgradient: supply off the fleet's staircase; lmp:
-    off quadratic_fit(fleet), fitted before the clock starts) takes n_iters
-    rounds p_k = p_{k-1} - gamma_k * (supply - demand) from price0, clamped
-    to the floor; a round only steps, and elapsed_s clocks the steps.  A
-    closed-form method takes one row at the exact dual price, or at the
-    price cap where there is no crossing, and reads no price0, n_iters or
-    step_rule.  Each hour prices as it would alone: dual_value and
-    exact_dual are the one-hour calls.  Then one _respond pass reports
-    every row, and one ucp_values batch costs every row's demand.
+    off quadratic_fit(fleet), fitted before the clock starts) takes the
+    loop's n_iters rounds p_k = p_{k-1} - gamma_k * (supply - demand) from
+    its price0, clamped to the floor; a round only steps, and elapsed_s
+    clocks the steps.  A closed-form method takes no loop and one row at
+    the exact dual price, or at the price cap where there is no crossing.
+    Each hour prices as it would alone: dual_value and exact_dual are the
+    one-hour calls.  Then one _respond pass reports every row, and one
+    ucp_values batch costs every row's demand.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method}")
-    if method in ITERATIVE_METHODS:
-        check_loop_args(price0, n_iters)
+    _check_loop(method, loop)
     hours = tuple(hours)
     terms = _hour_terms(model, profile, hours)
     if method == "lmp":
@@ -184,13 +204,13 @@ def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfi
     else:
         supply_at, profit_at = partial(fleet_supply, fleet), partial(conjugate, fleet)
     start = time.perf_counter()
-    if method not in ITERATIVE_METHODS:
+    if loop is None:
         rounds = [(0.0, 0.0, _crossing_prices(fleet, model, terms)[0])]
     else:
-        price = np.full(len(hours), float(price0))
+        price = np.full(len(hours), float(loop.price0))
         rounds = []
-        for k in range(1, n_iters + 1):
-            step = step_rule(k)
+        for k in range(1, loop.n_iters + 1):
+            step = loop.step_rule(k)
             excess = supply_at(price) - _demand(model, terms, price)
             price = np.maximum(price - step * excess, PRICE_FLOOR)
             rounds.append((step, time.perf_counter() - start, price))
@@ -210,8 +230,8 @@ def run_subgradient(fleet: Fleet, model: DemandModel, profile: DayProfile, t: in
     their best responses and the price moves against the imbalance: the
     one-hour price_hours, whose rows are the rounds.
     """
-    return price_hours("chp_subgradient", fleet, model, profile, (t,), price0,
-                       n_iters, step_rule)
+    return price_hours("chp_subgradient", fleet, model, profile, (t,),
+                       PriceLoop(price0, n_iters, step_rule))
 
 
 def exact_dual(fleet: Fleet, model: DemandModel, profile: DayProfile,
@@ -236,7 +256,8 @@ def run_lmp(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
     what the convex model's prices will actually have to pay.  Returns the
     one-hour price_hours.
     """
-    return price_hours("lmp", fleet, model, profile, (t,), price0, n_iters, step_rule)
+    return price_hours("lmp", fleet, model, profile, (t,),
+                       PriceLoop(price0, n_iters, step_rule))
 
 
 def lmp_equilibrium(quad: QuadraticCost, model: DemandModel, profile: DayProfile,

@@ -234,10 +234,9 @@ def test_criterion_11_gribik_day():
 def test_criterion_12_determinism(tmp_path):
     def run(out: Path):
         config = ch.ExperimentConfig(
-            fleet="gribik", method="chp_subgradient", out_dir=str(out),
-            model=ch.DemandModel(a=3.9e4, mu1=0.8, mu2=0.2, nu=0.01,
-                                 utility_constant=20000.0),
-            lambda0=100.0, n_iters=25, step_rule=ch.HarmonicStep(0.1), seed=7)
+            fleet=GRIBIK, method="chp_subgradient", out_dir=str(out), model=G_MODEL,
+            profile=ch.DayProfile(DAY.base_demand, ch.sample_noise(7)),
+            loop=ch.PriceLoop(100.0, 25, ch.HarmonicStep(0.1)))
         return ch.run_experiment(config)
 
     first = run(tmp_path / "a")

@@ -21,10 +21,18 @@ def run_script(name, *args):
                           capture_output=True, text=True, timeout=120)
 
 
+def record_fields():
+    """Each public NamedTuple record's fields, by its annotations."""
+    return {name: len(obj.__annotations__) for name, obj in
+            ((name, getattr(chpricing, name)) for name in chpricing.__all__)
+            if isinstance(obj, type) and issubclass(obj, tuple)}
+
+
 def settable_values():
     """The parameters of chpricing's public functions, read off their code
-    objects (under any decorator), plus the fields of its public dataclasses."""
-    count = 0
+    objects (under any decorator), plus the fields of its public dataclasses
+    and NamedTuple records."""
+    count = sum(record_fields().values())
     for name in chpricing.__all__:
         obj = getattr(chpricing, name)
         if dataclasses.is_dataclass(obj):
@@ -49,8 +57,8 @@ def test_batch_pairs_times_the_wide_fleet_batches(tmp_path):
     assert [batch["size"] for batch in record["batches"]] == [24, 24]
     # and one price_hours call per day, all 24 hours of a closed-form method
     days = record["price_hours"]
-    assert [(d["method"], d["hours"]) for d in days] == [("chp_exact", 24),
-                                                          ("dispatchable", 24)]
+    assert [(d["method"], d["hours"], d["n_iters"]) for d in days] == [
+        ("chp_exact", 24, None), ("dispatchable", 24, None)]
     assert [d["figure"] for d in days] == ["wide-fleet/run-wide-chp-exact price_hours",
                                            "wide-fleet/run-wide-dispatchable price_hours"]
     figures = [item["figure"] for item in record["batches"] + days]
@@ -103,20 +111,32 @@ def test_size_report_against_a_tree(tmp_path):
         "chpricing.__all__": f"{names} names (parent {names})",
         "added": "none", "removed": "none", "moved": "none",
         "settable values": f"{values} (parent {values})"}
-    # a copy whose welfare module no longer exports summarize_day, and
-    # whose settle_hour takes one more parameter
+    # the records count too (once read as 0)
+    assert record_fields() == {"HullPoint": 4, "PricedHours": 11, "Dispatch": 4,
+                               "BestResponse": 4, "HourResult": 9, "DaySummary": 9}
+    # a copy whose welfare module no longer exports summarize_day, whose
+    # settle_hour takes one more parameter and whose HullPoint record has
+    # one more field
     dropped = source_tree(tmp_path / "dropped")
     welfare = dropped / "src" / "chpricing" / "welfare.py"
     text = welfare.read_text()
     assert text.count(', "summarize_day"]') == text.count("price: float) -> HourResult:") == 1
     welfare.write_text(text.replace(', "summarize_day"]', "]").replace(
         "price: float) -> HourResult:", "price: float, extra=None) -> HourResult:"))
-    less = values - len(inspect.signature(chpricing.summarize_day).parameters) + 1
+    hull = dropped / "src" / "chpricing" / "hull.py"
+    text = hull.read_text()
+    assert text.count("    hull_value: float  # $\n") == 1
+    hull.write_text(text.replace("    hull_value: float  # $\n",
+                                 "    hull_value: float  # $\n    extra: float\n"))
+    less = values - len(inspect.signature(chpricing.summarize_day).parameters) + 2
     settle = len(inspect.signature(chpricing.settle_hour).parameters)
+    point = len(chpricing.HullPoint._fields)
     for changed, parent, added, removed, moved, counts in (
-            (dropped, tree, "none", "summarize_day", f"settle_hour {settle} -> {settle + 1}",
+            (dropped, tree, "none", "summarize_day",
+             f"HullPoint {point} -> {point + 1}, settle_hour {settle} -> {settle + 1}",
              (names - 1, names, less, values)),
-            (tree, dropped, "summarize_day", "none", f"settle_hour {settle + 1} -> {settle}",
+            (tree, dropped, "summarize_day", "none",
+             f"HullPoint {point + 1} -> {point}, settle_hour {settle + 1} -> {settle}",
              (names, names - 1, values, less))):
         done = run_script("size_report.py", changed, "--against", parent, "--repeats", "1")
         assert done.returncode == 0, done.stderr

@@ -266,7 +266,7 @@ class TestDeterminism:
                 "print(*sorted(c.__name__ for c in classes if dataclasses.is_dataclass(c)))")
         assert self.run_clean(code) == [
             "Commitment", "CostSegment", "DayProfile", "DemandModel", "ExperimentConfig",
-            "Fleet", "GeneratorType", "HarmonicStep", "QuadraticCost"]
+            "Fleet", "GeneratorType", "HarmonicStep", "PriceLoop", "QuadraticCost"]
 
     # the BLAS pin in chpricing/__init__.py, seen from a fresh interpreter
     # started without any BLAS thread variable
@@ -523,6 +523,22 @@ class TestCustomFleetFile:
         rc = run_cli("run", "--fleet", str(fleet_path), "--method", method,
                      "--a", "3.9e4", "--nu", "0.01", "--out", str(tmp_path / "out"))
         assert rc == 0
+
+    @pytest.mark.parametrize("method", ["chp-exact", "dispatchable"])
+    def test_closed_form_methods_ignore_the_loop_flags(self, tmp_path, method):
+        # README's claim, and the wide-fleet workload's --step on chp-exact:
+        # a closed-form day builds no PriceLoop, so these values go unread.
+        # main, not run_cli: the option table's parser leaves the negative
+        # --iters value to argparse, which the corpus test compares it with
+        day = ["run", "--fleet", "scarf", "--method", method, "--seed", "3"]
+        assert main(day + ["--out", str(tmp_path / "plain")]) == 0
+        assert main(day + ["--step", "xyz", "--iters", "-5", "--lambda0", "nan",
+                           "--out", str(tmp_path / "flags")]) == 0
+        for name in ("hours.csv", "summary.csv"):
+            assert (tmp_path / "plain" / name).read_bytes() == \
+                (tmp_path / "flags" / name).read_bytes()
+        assert strip_elapsed(tmp_path / "plain" / "trace.csv") == \
+            strip_elapsed(tmp_path / "flags" / "trace.csv")
 
 
 class TestCurves:
@@ -844,17 +860,12 @@ def fixture_model(name):
         "a", "mu1", "mu2", "nu", "utility_constant")})
 
 
-def day_inputs(config):
-    """The fleet, demand model and profile that run_experiment prices."""
-    return cli._resolve_fleet(config.fleet), config.model, cli._resolve_profile(config)
-
-
 def per_hour_trace_rows(config):
     """A closed-form day's trace.csv rows built hour by hour: the closed-form
     price (the price cap without a crossing), phi from dual_value, the supply
     read at the price and the uplift from settle_hour (inf where the hour
     does not settle)."""
-    fleet, model, profile = day_inputs(config)
+    fleet, model, profile = config.fleet, config.model, config.profile
     closed_form = ch.exact_dual if config.method == "chp_exact" \
         else ch.dispatchable_equilibrium
     rows = []
@@ -888,30 +899,30 @@ class TestClosedFormTraceRows:
         # the day spans three steps of the staircase, so hours clear at
         # different prices
         rows, priced = self.check(cli.ExperimentConfig(
-            fleet=name, method=method, out_dir=str(tmp_path), model=fixture_model(name),
-            lambda0=cli.FIXTURE_DEFAULTS[name]["lambda0"], n_iters=1, step_rule=None,
-            seed=3, synthetic=synthetic))
+            fleet=ch.builtin_fleet(name), method=method, out_dir=str(tmp_path),
+            model=fixture_model(name),
+            profile=ch.DayProfile(ch.synthetic_profile(*synthetic), ch.sample_noise(3))))
         assert len({row.split(",")[4] for row in rows}) == 3
         assert (priced.cost < math.inf).all()
 
     @pytest.mark.parametrize("method", ["chp_exact", "dispatchable"])
     def test_uncoverable_hours(self, method, tmp_path):
         # every hour clears inside the gap fleet's (100, 100.3) MW gap
-        profile = tmp_path / "day.csv"
-        profile.write_text("hour,d1\n" + "".join(f"{t},100\n" for t in range(24)))
         rows, priced = self.check(cli.ExperimentConfig(
-            fleet=str(gap_fleet_file(tmp_path)), method=method, out_dir=str(tmp_path),
+            fleet=ch.load_fleet(gap_fleet_file(tmp_path).read_text()), method=method,
+            out_dir=str(tmp_path),
             model=ch.DemandModel(a=1040.12, mu1=0.8, mu2=0.2, nu=1.125, utility_constant=0.0),
-            lambda0=100.0, n_iters=1, step_rule=None, seed=None, profile_path=str(profile)))
+            profile=ch.DayProfile((100.0,) * 24)))
         assert all(row.split(",")[7] == "inf" for row in rows)
         assert priced.cost.tolist() == priced.uplift.tolist() == [[math.inf] * 24]
 
     @pytest.mark.parametrize("method", ["chp_exact", "dispatchable"])
     def test_price_floor(self, method, tmp_path):
         rows, _priced = self.check(cli.ExperimentConfig(
-            fleet=str(free_fleet_file(tmp_path)), method=method, out_dir=str(tmp_path),
+            fleet=ch.load_fleet(free_fleet_file(tmp_path).read_text()), method=method,
+            out_dir=str(tmp_path),
             model=ch.DemandModel(a=1.0, mu1=0.8, mu2=0.0, nu=0.001, utility_constant=0.0),
-            lambda0=100.0, n_iters=1, step_rule=None, seed=None))
+            profile=ch.default_profile()))
         assert all(row.split(",")[2] == repr(PRICE_FLOOR) for row in rows)
 
     @staticmethod
@@ -919,10 +930,9 @@ class TestClosedFormTraceRows:
         cli.run_experiment(config)
         rows = (Path(config.out_dir) / "trace.csv").read_text().splitlines()[1:]
         assert rows == per_hour_trace_rows(config)
-        fleet, model, profile = day_inputs(config)
-        # a closed-form method reads no start price, round count or step
-        priced = price_hours(config.method, fleet, model, profile, range(24),
-                             math.nan, 0, None)
+        fleet, model, profile = config.fleet, config.model, config.profile
+        # a closed-form method takes no loop
+        priced = price_hours(config.method, fleet, model, profile, range(24))
         assert priced.price.shape == (1, 24) and priced.first_k == 0
         rows_k0 = (column[0].tolist() for column in (
             priced.price, priced.demand, priced.cost, priced.uplift))
@@ -976,12 +986,6 @@ class TestErrorPaths:
         assert err.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-        with pytest.raises(ValueError, match="^give profile_path or synthetic, not both$"):
-            cli.ExperimentConfig(fleet="gribik", method="chp_exact", out_dir=str(tmp_path),
-                                 model=fixture_model("gribik"),
-                                 lambda0=cli.FIXTURE_DEFAULTS["gribik"]["lambda0"],
-                                 n_iters=1, step_rule=None, profile_path=str(profile),
-                                 synthetic=(100.0, 200.0, 300.0))
 
     def test_unknown_method_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -1089,47 +1093,65 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("field, value", [("jobs", 2.5), ("seed", 1.5), ("jobs", "2")])
     def test_non_integer_counts_refused(self, tmp_path, field, value):
-        # jobs 2.5 once raised TypeError in range(), and seed 1.5 ran as seed 1
+        # jobs 2.5 once raised TypeError in range(), and seed 1.5 ran as seed 1;
+        # a day's seed is read by sample_noise, which draws its noise
         message = f"^{field} must be an integer, got {value!r}$"
         with pytest.raises(ValueError, match=message):
-            gribik_config(tmp_path, **{field: value})
+            ch.sample_noise(value) if field == "seed" else gribik_config(tmp_path, jobs=value)
 
     @pytest.mark.parametrize("field, value", [("seed", False), ("jobs", True)])
     def test_bool_counts_refused(self, tmp_path, field, value):
         # bool is an int subclass; True once ran as one job and False as seed 0
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
-            gribik_config(tmp_path, **{field: value})
+            ch.sample_noise(value) if field == "seed" else gribik_config(tmp_path, jobs=value)
 
     @pytest.mark.parametrize("fields, message", [
         (dict(method="chp-exact"), "method must be one of ('chp_subgradient', "
                                    "'chp_exact', 'lmp', 'dispatchable'), got chp-exact"),
         (dict(jobs=0), "jobs must be >= 1, got 0"),
-        (dict(method="chp_subgradient"), "chp_subgradient needs a step coefficient"),
+        (dict(method="chp_subgradient"), "chp_subgradient needs a PriceLoop"),
         # a float step once reached the price loop, to fail there as TypeError
-        (dict(method="chp_subgradient", step_rule=0.1),
-         "step_rule must be None or a HarmonicStep, got 0.1"),
+        (dict(method="chp_subgradient", loop=0.1), "loop must be None or a PriceLoop, got 0.1"),
         (dict(model={"a": 455.0}), "model must be a DemandModel, got {'a': 455.0}"),
         (dict(model=None), "model must be a DemandModel, got None"),
+        # a closed-form day's start price, rounds and step were once kept unread
+        (dict(loop=ch.PriceLoop(100.0, 1, ch.HarmonicStep(0.1))),
+         "chp_exact is closed-form and takes no PriceLoop"),
+        # the fleet, the day and out_dir once failed late, as raw TypeError
+        # (out_dir=None after the whole day was priced)
+        (dict(fleet=None), "fleet must be a Fleet, got None"),
+        (dict(fleet="gribik"), "fleet must be a Fleet, got 'gribik'"),
+        (dict(profile=(1.0, 2.0)), "profile must be a DayProfile, got (1.0, 2.0)"),
+        (dict(out_dir=None), "out_dir must be a str or os.PathLike, got None"),
     ])
     def test_config_refusals(self, tmp_path, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             gribik_config(tmp_path, **fields)
 
-    def test_seed_none_is_the_noise_free_day(self, tmp_path):
-        assert cli._resolve_profile(gribik_config(tmp_path, seed=None)).noise == (0.0,) * 24
-        assert cli._resolve_profile(gribik_config(tmp_path, seed=3)).noise == \
-            ch.sample_noise(3)
+    def test_no_noise_is_the_noise_free_day(self, tmp_path):
+        # run prices the bundled day with the seed's noise, or with none
+        base = ch.default_profile().base_demand
+        for flags, noise in ((("--seed", "3"), ch.sample_noise(3)),
+                             (("--no-noise",), (0.0,) * 24)):
+            cli_out, config_out = tmp_path / "cli" / flags[0], tmp_path / "config" / flags[0]
+            assert run_cli("run", "--fleet", "gribik", "--method", "chp-exact", *flags,
+                           "--out", str(cli_out)) == 0
+            cli.run_experiment(gribik_config(config_out, profile=ch.DayProfile(base, noise)))
+            for name in ("hours.csv", "summary.csv"):
+                assert (cli_out / name).read_bytes() == (config_out / name).read_bytes()
 
     @pytest.mark.parametrize("flags, message", [
-        (("--a", "0", "--nu", "0.01", "--step", "c/k:0.1"), "a must be > 0, got 0.0"),
-        (("--a", "1", "--nu", "nan", "--step", "c/k:0.1"), "nu must be finite, got nan"),
-        (("--a", "1", "--nu", "0.01", "--step", "c/k:-3"),
-         "step coefficient must be finite and > 0, got -3.0")])
+        (("run", "--method", "chp-subgradient", "--a", "0", "--nu", "0.01",
+          "--step", "c/k:0.1"), "a must be > 0, got 0.0"),
+        (("run", "--method", "chp-subgradient", "--a", "1", "--nu", "nan",
+          "--step", "c/k:0.1"), "nu must be finite, got nan"),
+        (("run", "--method", "chp-subgradient", "--a", "1", "--nu", "0.01",
+          "--step", "c/k:-3"), "step coefficient must be finite and > 0, got -3.0"),
+        (("curves", "--a", "0", "--nu", "0.01"), "a must be > 0, got 0.0")])
     def test_bad_model_refused_before_the_fleet_file(self, tmp_path, capsys, flags, message):
-        # the config holds the DemandModel and HarmonicStep, so their values
+        # the DemandModel and the PriceLoop are built first, so their values
         # are refused before the fleet file is read (once: No such file)
-        assert run_cli("run", "--fleet", str(tmp_path / "nope.json"),
-                       "--method", "chp-subgradient", *flags,
+        assert run_cli(*flags, "--fleet", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
@@ -1147,11 +1169,11 @@ class TestErrorPaths:
 
 
 def gribik_config(tmp_path, **fields):
-    """A closed-form gribik day's ExperimentConfig with the given fields."""
-    params = {key: cli.FIXTURE_DEFAULTS["gribik"][key] for key in ("lambda0", "n_iters")}
-    return cli.ExperimentConfig(**{"fleet": "gribik", "method": "chp_exact",
+    """A closed-form gribik day's ExperimentConfig with the given fields: the
+    bundled day without noise, unless a profile is given."""
+    return cli.ExperimentConfig(**{"fleet": ch.builtin_fleet("gribik"), "method": "chp_exact",
                                    "out_dir": str(tmp_path), "model": fixture_model("gribik"),
-                                   "step_rule": None, **params, **fields})
+                                   "profile": ch.default_profile(), **fields})
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli"

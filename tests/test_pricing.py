@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import chpricing as ch
 from chpricing import pricing
-from chpricing.pricing import MAX_ITERS, PRICE_FLOOR, check_loop_args, price_hours
+from chpricing.pricing import MAX_ITERS, PRICE_FLOOR, PriceLoop, price_hours
 from chpricing import (
     DayProfile,
     DemandModel,
@@ -209,8 +209,8 @@ class TestPriceHours:
         model = DemandModel(a=a, mu1=0.8, mu2=mu2, nu=nu, utility_constant=7.0)
         profile = DayProfile(ch.default_profile().base_demand, ch.sample_noise(seed))
         rule = HarmonicStep(coef)
-        day = price_hours(method, fleet, model, profile, range(24), price0, n_iters,
-                          rule)
+        day = price_hours(method, fleet, model, profile, range(24),
+                          PriceLoop(price0, n_iters, rule))
         one_hour = run_lmp if method == "lmp" else run_subgradient
         for t in range(24):
             one = one_hour(fleet, model, profile, t, price0, n_iters, rule)
@@ -220,7 +220,7 @@ class TestPriceHours:
 
     def test_floor_clamp_in_a_vector(self, scarf, scarf_model, day_profile):
         day = price_hours("chp_subgradient", scarf, scarf_model, day_profile,
-                          (0, 15), 8.0, 2, HarmonicStep(10.0))
+                          (0, 15), PriceLoop(8.0, 2, HarmonicStep(10.0)))
         assert day.price[0].tolist() == [PRICE_FLOOR, PRICE_FLOOR]
         assert day.hours == (0, 15) and day.price.shape == (2, 2)
 
@@ -228,13 +228,12 @@ class TestPriceHours:
         # a/price underflows next to the floor, so demand sits on the floor
         with pytest.raises(ValueError, match="utility undefined"):
             price_hours("chp_subgradient", gribik, gribik_model, day_profile,
-                        range(24), 1e300, 1, lambda k: 0.0)
+                        range(24), PriceLoop(1e300, 1, lambda k: 0.0))
 
     @pytest.mark.parametrize("method", ["chp_exact", "dispatchable"])
     def test_closed_form_row(self, method, scarf, scarf_model, day_profile):
         # one k = 0 row at the exact dual, costed and billed like the loops
-        day = price_hours(method, scarf, scarf_model, day_profile, range(24), 10.0, 3,
-                          HarmonicStep(0.01))
+        day = price_hours(method, scarf, scarf_model, day_profile, range(24))
         assert day.price.shape == (1, 24) and day.first_k == 0
         assert day.step.tolist() == day.elapsed_s.tolist() == [0.0]
         for j in range(24):
@@ -248,24 +247,23 @@ class TestPriceHours:
             assert record["uplift"] == ch.uplift(scarf, record["price"], record["demand"])
 
     def test_no_hours(self, gribik, gribik_model, mean_profile):
-        day = price_hours("chp_exact", gribik, gribik_model, mean_profile, (), 100.0, 1,
-                          None)
+        day = price_hours("chp_exact", gribik, gribik_model, mean_profile, ())
         assert day.price.shape == day.uplift.shape == (1, 0)
 
     def test_loop_args_boundaries(self):
-        assert check_loop_args(10.0, MAX_ITERS) is None
-        assert check_loop_args(10.0, 1) is None
+        assert PriceLoop(10.0, MAX_ITERS, HarmonicStep(0.1)).n_iters == MAX_ITERS
+        assert PriceLoop(10.0, 1, HarmonicStep(0.1)).n_iters == 1
 
     def test_start_price_that_is_not_a_number(self):
         with pytest.raises(ValueError, match=r"^price0 must be a number, got '10'$"):
-            check_loop_args("10", 5)
+            PriceLoop("10", 5, HarmonicStep(0.1))
 
     def test_bool_loop_args_refused(self):
         # True once passed as start price 1 and as one round
         with pytest.raises(ValueError, match=r"^n_iters must be an integer, got True$"):
-            check_loop_args(10.0, True)
+            PriceLoop(10.0, True, HarmonicStep(0.1))
         with pytest.raises(ValueError, match=r"^price0 must be a number, got True$"):
-            check_loop_args(True, 5)
+            PriceLoop(True, 5, HarmonicStep(0.1))
 
     @pytest.mark.parametrize("method", ["chp_subgradient", "lmp"])
     def test_loop_only_steps(self, method, scarf, scarf_model, day_profile,
@@ -279,16 +277,15 @@ class TestPriceHours:
                 return function(*args)
             return spy
 
-        expected = price_hours(method, scarf, scarf_model, day_profile, range(24), 10.0,
-                               50, HarmonicStep(0.01))
+        loop = PriceLoop(10.0, 50, HarmonicStep(0.01))
+        expected = price_hours(method, scarf, scarf_model, day_profile, range(24), loop)
         monkeypatch.setattr(pricing, "_utility", counted("utility", pricing._utility))
         if method == "lmp":
             monkeypatch.setattr(ch.QuadraticCost, "conjugate",
                                 counted("profit", ch.QuadraticCost.conjugate))
         else:
             monkeypatch.setattr(pricing, "conjugate", counted("profit", pricing.conjugate))
-        day = price_hours(method, scarf, scarf_model, day_profile, range(24), 10.0, 50,
-                          HarmonicStep(0.01))
+        day = price_hours(method, scarf, scarf_model, day_profile, range(24), loop)
         assert calls == {"utility": 1, "profit": 1}
         assert day.price.shape == day.utility.shape == (50, 24)
         for got, want in zip(day[2:], expected[2:]):
@@ -304,22 +301,49 @@ class TestPriceHours:
         # range() once raised TypeError on 2.5 after the check let it through
         message = f"^n_iters must be an integer, got {n_iters!r}$"
         with pytest.raises(ValueError, match=message):
-            check_loop_args(100.0, n_iters)
-        for method in ("chp_subgradient", "lmp"):
+            PriceLoop(100.0, n_iters, HarmonicStep(0.1))
+        for one_hour in (run_subgradient, run_lmp):
             with pytest.raises(ValueError, match=message):
-                price_hours(method, gribik, gribik_model, mean_profile, [0], 100.0,
-                            n_iters, HarmonicStep(0.1))
+                one_hour(gribik, gribik_model, mean_profile, 0, 100.0, n_iters,
+                         HarmonicStep(0.1))
 
     def test_bad_arguments(self, gribik, gribik_model, mean_profile):
         with pytest.raises(ValueError, match="MAX_ITERS"):
             run_subgradient(gribik, gribik_model, mean_profile, 0, 100.0,
                             MAX_ITERS + 1, HarmonicStep(0.1))
+        loop = PriceLoop(100.0, 1, HarmonicStep(0.1))
         with pytest.raises(ValueError, match="method must be one of"):
-            price_hours("newton", gribik, gribik_model, mean_profile, [0], 100.0,
-                        1, HarmonicStep(0.1))
+            price_hours("newton", gribik, gribik_model, mean_profile, [0], loop)
         with pytest.raises(ValueError, match="hour index 24"):
             price_hours("chp_subgradient", gribik, gribik_model, mean_profile,
-                        [0, 24], 100.0, 1, HarmonicStep(0.1))
+                        [0, 24], loop)
+
+    @pytest.mark.parametrize("method, loop, message", [
+        # a closed-form method once took, and never checked, any start
+        # price, round count and step
+        ("chp_exact", PriceLoop(100.0, 1, HarmonicStep(0.1)),
+         "chp_exact is closed-form and takes no PriceLoop"),
+        ("dispatchable", PriceLoop(100.0, 1, HarmonicStep(0.1)),
+         "dispatchable is closed-form and takes no PriceLoop"),
+        ("chp_subgradient", None, "chp_subgradient needs a PriceLoop"),
+        ("lmp", None, "lmp needs a PriceLoop"),
+        # a float step once reached the loop, to fail there as TypeError
+        ("lmp", 0.1, "loop must be None or a PriceLoop, got 0.1"),
+    ])
+    def test_loop_must_match_the_method(self, gribik, gribik_model, mean_profile,
+                                        method, loop, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            price_hours(method, gribik, gribik_model, mean_profile, [0], loop)
+
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan, -5, HarmonicStep(0.1)),
+         "start price must be finite and exceed the floor 1e-06, got nan"),
+        ((100.0, -5, HarmonicStep(0.1)), "n_iters must be in [1, MAX_ITERS = 10000], got -5"),
+        ((100.0, 1, 0.1), "step_rule must be callable, got 0.1"),
+    ])
+    def test_loop_refusals(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PriceLoop(*args)
 
 
 class TestBestIterateGap:

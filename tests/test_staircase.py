@@ -298,7 +298,7 @@ def test_array_crossing_and_utility_equal_the_scan(day):
     # float, or its InfeasibleError and the price cap where there is no crossing
     fleet, model, profile = day
     cap = default_price_cap(fleet)
-    priced = price_hours("chp_exact", fleet, model, profile, range(24), math.nan, 0, None)
+    priced = price_hours("chp_exact", fleet, model, profile, range(24))
     prices, demands = priced.price[0].tolist(), priced.demand[0].tolist()
     for t in range(24):
         try:
