@@ -21,9 +21,9 @@ it) and demands are kept.  Each ``price_hours`` call's method, fleet
 document, demand model fields, profile (base demands and noise), hours
 and loop (start price, rounds and step coefficient; null for a
 closed-form method) are kept; both trees' ``price_hours`` must take
-(method, fleet, model, profile, hours, loop), the loop a ``PriceLoop``
-of a ``HarmonicStep``.  JSON floats round-trip exactly, so the calls
-are the commands' own.
+(method, fleet, model, profile, hours, loop), the loop a
+``PriceLoop(price0, n_iters, step_coef)``.  JSON floats round-trip
+exactly, so the calls are the commands' own.
 
 Timing: a run is one fresh interpreter importing one tree's ``src/``.
 For every captured call it calls the function once, which builds the
@@ -78,7 +78,7 @@ def day_spy(method, fleet, model, profile, hours, loop=None):
     captured["days"].append([
         method, chpricing.dump_fleet(fleet), dataclasses.asdict(model),
         list(profile.base_demand), list(profile.noise), hours,
-        None if loop is None else [loop.price0, loop.n_iters, loop.step_rule.coef]])
+        None if loop is None else [loop.price0, loop.n_iters, loop.step_coef]])
     return price_hours(method, fleet, model, profile, hours, loop)
 
 for name, module in list(sys.modules.items()):
@@ -127,8 +127,7 @@ for document, demands in captured["batches"]:
 for method, document, model, base, noise, hours, loop in captured["days"]:
     args = (method, fleet_of(document), chpricing.DemandModel(**model),
             chpricing.DayProfile(tuple(base), tuple(noise)), hours,
-            None if loop is None else chpricing.PriceLoop(
-                loop[0], loop[1], chpricing.HarmonicStep(loop[2])))
+            None if loop is None else chpricing.PriceLoop(*loop))
     times["days"].append(least(lambda: pricing.price_hours(*args)))
 print(json.dumps(times))
 """

@@ -43,7 +43,6 @@ from .market import (
 from .pricing import (
     ITERATIVE_METHODS,
     METHODS,
-    HarmonicStep,
     PriceLoop,
     PricedHours,
     _check_loop,
@@ -281,7 +280,7 @@ def _parse_step(text: str, fleet: str) -> float:
                 "--step paper needs a builtin fleet; use --step c/k:VALUE")
         return FIXTURE_DEFAULTS[fleet]["step_coef"]
     if text.startswith("c/k:"):
-        # HarmonicStep validates the value
+        # PriceLoop validates the value
         try:
             return float(text[len("c/k:"):])
         except ValueError:
@@ -320,12 +319,12 @@ def _cmd_run(args: SimpleNamespace) -> int:
     # a closed-form method reads, and so checks, no --step, --iters or --lambda0
     loop = PriceLoop(_setting(args.fleet, "lambda0", args.lambda0),
                      _setting(args.fleet, "n_iters", args.iters),
-                     HarmonicStep(_parse_step(args.step, args.fleet))
+                     _parse_step(args.step, args.fleet)
                      ) if method in ITERATIVE_METHODS else None
     fleet = _resolve_fleet(args.fleet)
     if args.profile is not None:
         base = load_profile(Path(args.profile).read_text()).base_demand
-    elif args.synthetic:
+    elif args.synthetic is not None:
         base = synthetic_profile(*_parse_synthetic(args.synthetic))
     else:
         base = default_profile().base_demand

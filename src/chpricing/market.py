@@ -4,7 +4,7 @@ Hourly demand has a price-inelastic industrial share mu1*nu*d1 plus an
 elastic share mu2*(1+delta)*a/price coming from a logarithmic utility, so
 the demand function is exactly the consumer best response to the price.
 Each formula is written once, over arrays of hours (_hour_terms, _demand,
-_utility); hourly_demand, hourly_utility and inelastic_share call it for one.
+_utility); hourly_demand and hourly_utility call it for one.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ __all__ = [
     "consumer_best_response",
     "hourly_demand",
     "hourly_utility",
-    "inelastic_share",
     "load_profile",
     "synthetic_profile",
     "default_profile",
@@ -148,11 +147,6 @@ def _utility(model: DemandModel, terms, demand) -> np.ndarray:
     gaps = (demand - floor).ravel().tolist()
     logs = np.reshape([math.log(gap) if gap > 0.0 else 0.0 for gap in gaps], refused.shape)
     return np.where(inelastic, model.utility_constant, coef * logs + model.utility_constant)
-
-
-def inelastic_share(model: DemandModel, profile: DayProfile, t: int) -> float:
-    """mu1 * nu * d1[t]: the hour's price-insensitive demand floor (MW)."""
-    return _hour_terms(model, profile, (t,))[0][0].item()
 
 
 def hourly_demand(model: DemandModel, profile: DayProfile, t: int, price: float) -> float:

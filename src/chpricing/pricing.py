@@ -20,12 +20,11 @@ import numpy as np
 
 from .fleet import Fleet, check_integer, check_number
 from .hull import default_price_cap, uplifts
-from .market import DayProfile, DemandModel, _demand, _hour_terms, _utility, hourly_demand
-from .ucp import (InfeasibleError, QuadraticCost, _staircase, conjugate, fleet_supply,
-                  quadratic_fit, relaxed_value, ucp_values)
+from .market import DayProfile, DemandModel, _demand, _hour_terms, _utility
+from .ucp import (InfeasibleError, _staircase, conjugate, fleet_supply, quadratic_fit,
+                  relaxed_value, ucp_values)
 
 __all__ = [
-    "HarmonicStep",
     "PriceLoop",
     "PricedHours",
     "dual_value",
@@ -33,7 +32,6 @@ __all__ = [
     "run_subgradient",
     "exact_dual",
     "run_lmp",
-    "lmp_equilibrium",
     "dispatchable_price",
     "dispatchable_equilibrium",
 ]
@@ -49,32 +47,13 @@ ITERATIVE_METHODS = ("chp_subgradient", "lmp")
 
 
 @dataclass(frozen=True)
-class HarmonicStep:
-    """Diminishing step rule gamma_k = coef / k.
-
-    A plain object rather than a closure so traces and worker processes
-    can carry it around (picklable, printable).
-    """
-
-    coef: float
-
-    def __post_init__(self) -> None:
-        check_number("coef", self.coef)
-        if not 0 < self.coef < math.inf:
-            raise ValueError(f"step coefficient must be finite and > 0, got {self.coef}")
-
-    def __call__(self, k: int) -> float:
-        return self.coef / k
-
-
-@dataclass(frozen=True)
 class PriceLoop:
-    """An iterative method's start price, round count and step rule (a
-    HarmonicStep or any callable of the round k), checked before any loop."""
+    """An iterative method's start price, round count and step coefficient:
+    round k steps by step_coef / k.  Checked before any loop."""
 
     price0: float
     n_iters: int
-    step_rule: HarmonicStep
+    step_coef: float
 
     def __post_init__(self) -> None:
         check_number("price0", self.price0)
@@ -85,8 +64,9 @@ class PriceLoop:
         if not 1 <= self.n_iters <= MAX_ITERS:
             raise ValueError(
                 f"n_iters must be in [1, MAX_ITERS = {MAX_ITERS}], got {self.n_iters}")
-        if not callable(self.step_rule):
-            raise ValueError(f"step_rule must be callable, got {self.step_rule!r}")
+        check_number("coef", self.step_coef)
+        if not 0 < self.step_coef < math.inf:
+            raise ValueError(f"step coefficient must be finite and > 0, got {self.step_coef}")
 
 
 def _check_loop(method: str, loop: PriceLoop | None) -> None:
@@ -187,7 +167,7 @@ def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfi
 
     A price loop (chp_subgradient: supply off the fleet's staircase; lmp:
     off quadratic_fit(fleet), fitted before the clock starts) takes the
-    loop's n_iters rounds p_k = p_{k-1} - gamma_k * (supply - demand) from
+    loop's n_iters rounds p_k = p_{k-1} - step_coef/k * (supply - demand) from
     its price0, clamped to the floor; a round only steps, and elapsed_s
     clocks the steps.  A closed-form method takes no loop and one row at
     the exact dual price, or at the price cap where there is no crossing.
@@ -210,7 +190,7 @@ def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfi
         price = np.full(len(hours), float(loop.price0))
         rounds = []
         for k in range(1, loop.n_iters + 1):
-            step = loop.step_rule(k)
+            step = loop.step_coef / k
             excess = supply_at(price) - _demand(model, terms, price)
             price = np.maximum(price - step * excess, PRICE_FLOOR)
             rounds.append((step, time.perf_counter() - start, price))
@@ -222,8 +202,7 @@ def price_hours(method: str, fleet: Fleet, model: DemandModel, profile: DayProfi
 
 
 def run_subgradient(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
-                    price0: float, n_iters: int,
-                    step_rule: HarmonicStep) -> PricedHours:
+                    price0: float, n_iters: int, step_coef: float) -> PricedHours:
     """Dynamic pricing by subgradient descent on the hourly dual.
 
     Starting from price0, each round the suppliers and the consumer report
@@ -231,7 +210,7 @@ def run_subgradient(fleet: Fleet, model: DemandModel, profile: DayProfile, t: in
     one-hour price_hours, whose rows are the rounds.
     """
     return price_hours("chp_subgradient", fleet, model, profile, (t,),
-                       PriceLoop(price0, n_iters, step_rule))
+                       PriceLoop(price0, n_iters, step_coef))
 
 
 def exact_dual(fleet: Fleet, model: DemandModel, profile: DayProfile,
@@ -248,7 +227,7 @@ def exact_dual(fleet: Fleet, model: DemandModel, profile: DayProfile,
 
 
 def run_lmp(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
-            price0: float, n_iters: int, step_rule: HarmonicStep) -> PricedHours:
+            price0: float, n_iters: int, step_coef: float) -> PricedHours:
     """The same price iteration with the fleet's fitted convex cost model supplying.
 
     Supply comes from the marginal-cost curve of quadratic_fit(fleet).  The
@@ -257,26 +236,7 @@ def run_lmp(fleet: Fleet, model: DemandModel, profile: DayProfile, t: int,
     one-hour price_hours.
     """
     return price_hours("lmp", fleet, model, profile, (t,),
-                       PriceLoop(price0, n_iters, step_rule))
-
-
-def lmp_equilibrium(quad: QuadraticCost, model: DemandModel, profile: DayProfile,
-                    t: int) -> tuple[float, float]:
-    """Exact crossing of the quadratic supply curve with hourly demand.
-
-    Below capacity, (p - beta)/(2 alpha) = floor + coef/p: the positive
-    root of p^2 - b p - c with b = beta + 2 alpha floor, c = 2 alpha coef.
-    Past capacity, demand falls to capacity at p = coef/(capacity - floor).
-    """
-    floor, _share, coef = (term.item() for term in _hour_terms(model, profile, (t,)))
-    b = quad.beta + 2.0 * quad.alpha * floor
-    price = 0.5 * (b + math.sqrt(b * b + 8.0 * quad.alpha * coef))
-    if price > quad.beta + 2.0 * quad.alpha * quad.capacity:
-        if quad.capacity <= floor:
-            raise InfeasibleError("no crossing for the quadratic supply curve")
-        price = coef / (quad.capacity - floor)
-    price = max(price, PRICE_FLOOR)
-    return price, hourly_demand(model, profile, t, price)
+                       PriceLoop(price0, n_iters, step_coef))
 
 
 def dispatchable_price(fleet: Fleet, y):

@@ -34,7 +34,9 @@ its demands by feasibility cell, the demands that share one feasible
 set, and reads the table once per cell at the cell's least demand and
 once more at its greatest where they differ, in chunks whose working
 arrays hold at most BATCH_CELLS values.  Then every demand of a cell is
-costed over the cell's whole candidate list in one _fill pass.  Whether
+costed over the cell's whole candidate list, in _fill passes of whole
+demands that hold at most BATCH_CELLS pair x type values each (one
+demand with a longer list is a pass of its own).  Whether
 a demand is covered is decided first, in the same pass of _cells: the
 batch reads only covered cells, and _require_covered refuses a curve
 grid or the fit's samples at the least uncovered demand.
@@ -78,7 +80,8 @@ MAX_TABLE_CELLS = 1 << 23
 # is built, which also keeps the step above the float spacing of capacity
 MAX_GRID_POINTS = 10 ** 6
 # most demand x commitment x block values in one working array of
-# ucp_values (512 KB), so each chunk of demands stays in cache
+# ucp_values (512 KB), so each chunk of demands stays in cache; also the
+# most pair x type values of one of its _fill passes, which bounds memory
 BATCH_CELLS = 1 << 16
 FIT_SAMPLES = 121  # quadratic_fit's uniform grid over [0, capacity]
 
@@ -478,9 +481,10 @@ def ucp_values(fleet: Fleet, demands) -> np.ndarray:
     raises InfeasibleError, as in ucp_value, and demands of any other
     shape raise ValueError.  _batch_candidates reads the table once or
     twice per covered feasibility cell, not once per demand; every demand
-    is costed exactly over its cell's candidates in one _fill pass and
-    takes the least, which is ucp_value's.  Demands that no commitment
-    covers are neither read nor costed.
+    is costed exactly over its cell's candidates and takes the least,
+    which is ucp_value's.  The _fill passes take whole demands' lists, at
+    most BATCH_CELLS // types pairs a pass, or one longer list alone.
+    Demands that no commitment covers are neither read nor costed.
     """
     table = _commitment_table(fleet)
     ys = np.asarray(demands, dtype=float)
@@ -494,10 +498,20 @@ def ucp_values(fleet: Fleet, demands) -> np.ndarray:
         return values
     order, pairs, cols = _batch_candidates(table, ys)
     if cols.size:
-        costs = _fill(fleet, table.counts.take(cols, axis=0), table.floor.take(cols),
-                      ys[order].repeat(pairs))[1]
+        ends, costs = pairs.cumsum(), np.empty(cols.size)
+        limit, lo = BATCH_CELLS // len(fleet.types), 0
+        while lo < cols.size:
+            # demand first's list starts at lo; take the whole lists that
+            # end within limit pairs, or demand first's alone
+            first = ends.searchsorted(lo, "right")
+            stop = max(ends.searchsorted(lo + limit, "right"), first + 1)
+            hi = ends[stop - 1]
+            at = cols[lo:hi]
+            costs[lo:hi] = _fill(fleet, table.counts.take(at, axis=0), table.floor.take(at),
+                                 ys[order[first:stop]].repeat(pairs[first:stop]))[1]
+            lo = hi
         costed = pairs > 0
-        values[order[costed]] = np.minimum.reduceat(costs, (pairs.cumsum() - pairs)[costed])
+        values[order[costed]] = np.minimum.reduceat(costs, (ends - pairs)[costed])
     return values
 
 

@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from chpricing import (CostSegment, DayProfile, DemandModel, Fleet, GeneratorType,
-                       InfeasibleError, default_price_cap)
+                       InfeasibleError, QuadraticCost, default_price_cap)
 from chpricing.pricing import PRICE_FLOOR
 from chpricing.ucp import FEAS_EPS, relaxed_blocks
 
@@ -294,10 +294,15 @@ def hull_interval_bisected(fleet: Fleet, y: float) -> tuple[float, float]:
     return lo, hi
 
 
+def inelastic_share(model: DemandModel, profile: DayProfile, t: int) -> float:
+    """mu1 * nu * d1[t]: hour t's price-insensitive demand floor (MW)."""
+    return model.mu1 * model.nu * profile.base_demand[t]
+
+
 def hourly_demand_scalar(model: DemandModel, profile: DayProfile, t: int,
                          price: float) -> float:
     """Demand at hour t and a price, in Python floats: floor + share * a/price."""
-    floor = model.mu1 * model.nu * profile.base_demand[t]
+    floor = inelastic_share(model, profile, t)
     return floor + model.mu2 * (1.0 + profile.noise[t]) * (model.a / price)
 
 
@@ -305,7 +310,7 @@ def hourly_utility_scalar(model: DemandModel, profile: DayProfile, t: int,
                           demand: float) -> float:
     """Gross utility of hour t at a demand, in Python floats; ValueError at or
     below the floor (less 1e-9 for a price-inelastic hour)."""
-    floor = model.mu1 * model.nu * profile.base_demand[t]
+    floor = inelastic_share(model, profile, t)
     coef = model.a * model.mu2 * (1.0 + profile.noise[t])
     if coef == 0.0:
         if not demand >= floor - 1e-9:
@@ -315,6 +320,26 @@ def hourly_utility_scalar(model: DemandModel, profile: DayProfile, t: int,
         raise ValueError(
             f"utility undefined at demand {demand} <= inelastic floor {floor}")
     return coef * math.log(demand - floor) + model.utility_constant
+
+
+def lmp_equilibrium(quad: QuadraticCost, model: DemandModel, profile: DayProfile,
+                    t: int) -> tuple[float, float]:
+    """Exact crossing of the quadratic supply curve with hour t's demand.
+
+    Below capacity, (p - beta)/(2 alpha) = floor + coef/p: the positive
+    root of p^2 - b p - c with b = beta + 2 alpha floor, c = 2 alpha coef.
+    Past capacity, demand falls to capacity at p = coef/(capacity - floor).
+    """
+    floor = inelastic_share(model, profile, t)
+    coef = model.a * model.mu2 * (1.0 + profile.noise[t])
+    b = quad.beta + 2.0 * quad.alpha * floor
+    price = 0.5 * (b + math.sqrt(b * b + 8.0 * quad.alpha * coef))
+    if price > quad.beta + 2.0 * quad.alpha * quad.capacity:
+        if quad.capacity <= floor:
+            raise InfeasibleError("no crossing for the quadratic supply curve")
+        price = coef / (quad.capacity - floor)
+    price = max(price, PRICE_FLOOR)
+    return price, hourly_demand_scalar(model, profile, t, price)
 
 
 def exact_dual_scanned(fleet: Fleet, model: DemandModel, profile: DayProfile,
@@ -336,7 +361,7 @@ def exact_dual_scanned(fleet: Fleet, model: DemandModel, profile: DayProfile,
         raise InfeasibleError(
             f"no crossing: demand {demand_at_cap} MW exceeds supply at the "
             f"price cap {price_cap}")
-    floor = model.mu1 * model.nu * profile.base_demand[t]
+    floor = inelastic_share(model, profile, t)
     coef = model.a * model.mu2 * (1.0 + profile.noise[t])
     for i, level in enumerate(levels):
         price = max(starts[i], PRICE_FLOOR)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import chpricing as ch
-from oracles import fleet_value_grid, reduced_scarf
+from oracles import fleet_value_grid, inelastic_share, lmp_equilibrium, reduced_scarf
 
 
 def criterion(number: int, description: str):
@@ -44,7 +44,7 @@ def lmp_day(fleet, model, profile):
     quad = ch.quadratic_fit(fleet)
     results = []
     for t in range(24):
-        price, _ = ch.lmp_equilibrium(quad, model, profile, t)
+        price, _ = lmp_equilibrium(quad, model, profile, t)
         results.append(ch.settle_hour(fleet, model, profile, t, price))
     return results
 
@@ -133,7 +133,7 @@ def test_criterion_06_dual_equals_surplus():
         for t in (0, 15):
             star, _ = ch.exact_dual(fleet, model, DAY, t)
             phi_star, _ = ch.dual_value(fleet, model, DAY, t, star)
-            floor = ch.inelastic_share(model, DAY, t)
+            floor = inelastic_share(model, DAY, t)
 
             def surplus(d: float) -> float:
                 return (ch.hourly_utility(model, DAY, t, d)
@@ -190,8 +190,7 @@ def test_criterion_08_ten_round_uplift():
         for t in range(24):
             star, _ = ch.exact_dual(fleet, model, DAY, t)
             exact_up = ch.settle_hour(fleet, model, DAY, t, star).uplift
-            priced = ch.run_subgradient(fleet, model, DAY, t, price0, 10,
-                                        ch.HarmonicStep(coef))
+            priced = ch.run_subgradient(fleet, model, DAY, t, price0, 10, coef)
             if abs(priced.uplift[-1, 0] - exact_up) <= 0.1 * exact_up:
                 good += 1
         counts[name] = good
@@ -203,8 +202,7 @@ def test_criterion_08_ten_round_uplift():
               "90.66936")
 def test_criterion_09_first_step():
     profile = ch.DayProfile((41086.7,) * 24)
-    priced = ch.run_subgradient(GRIBIK, G_MODEL, profile, 0, 100.0, 1,
-                                ch.HarmonicStep(0.1))
+    priced = ch.run_subgradient(GRIBIK, G_MODEL, profile, 0, 100.0, 1, 0.1)
     assert abs(priced.price[0, 0] - 90.66936) <= 1e-9
 
 
@@ -236,7 +234,7 @@ def test_criterion_12_determinism(tmp_path):
         config = ch.ExperimentConfig(
             fleet=GRIBIK, method="chp_subgradient", out_dir=str(out), model=G_MODEL,
             profile=ch.DayProfile(DAY.base_demand, ch.sample_noise(7)),
-            loop=ch.PriceLoop(100.0, 25, ch.HarmonicStep(0.1)))
+            loop=ch.PriceLoop(100.0, 25, 0.1))
         return ch.run_experiment(config)
 
     first = run(tmp_path / "a")

@@ -266,7 +266,7 @@ class TestDeterminism:
                 "print(*sorted(c.__name__ for c in classes if dataclasses.is_dataclass(c)))")
         assert self.run_clean(code) == [
             "Commitment", "CostSegment", "DayProfile", "DemandModel", "ExperimentConfig",
-            "Fleet", "GeneratorType", "HarmonicStep", "PriceLoop", "QuadraticCost"]
+            "Fleet", "GeneratorType", "PriceLoop", "QuadraticCost"]
 
     # the BLAS pin in chpricing/__init__.py, seen from a fresh interpreter
     # started without any BLAS thread variable
@@ -773,7 +773,7 @@ def scalar_cost_rows(fleet, step_mw, model, profile):
     rows = []
     for y, value in zip(grid, values):
         u1 = ""
-        if model is not None and y > ch.inelastic_share(model, profile, 0):
+        if model is not None and y > oracles.inelastic_share(model, profile, 0):
             u1 = fmt(ch.hourly_utility(model, profile, 0, y))
         rows.append(",".join([fmt(x) for x in (
             y, value, ch.relaxed_value(fleet, y)[0], ch.no_startup_value(fleet, y),
@@ -970,7 +970,8 @@ class TestErrorPaths:
             "error: --step c/k:VALUE needs a number, got 'c/k:'\n")
 
     def test_bad_synthetic_argument(self, tmp_path, capsys):
-        for text in ("1,2", "1,2,x"):
+        # "" once priced the bundled day, where --profile "" is refused
+        for text in ("1,2", "1,2,x", ""):
             assert run_cli("run", "--fleet", "gribik", "--method", "chp-exact",
                            "--synthetic", text, "--out", str(tmp_path)) == 1
             assert capsys.readouterr().err == (
@@ -1115,7 +1116,7 @@ class TestErrorPaths:
         (dict(model={"a": 455.0}), "model must be a DemandModel, got {'a': 455.0}"),
         (dict(model=None), "model must be a DemandModel, got None"),
         # a closed-form day's start price, rounds and step were once kept unread
-        (dict(loop=ch.PriceLoop(100.0, 1, ch.HarmonicStep(0.1))),
+        (dict(loop=ch.PriceLoop(100.0, 1, 0.1)),
          "chp_exact is closed-form and takes no PriceLoop"),
         # the fleet, the day and out_dir once failed late, as raw TypeError
         # (out_dir=None after the whole day was priced)

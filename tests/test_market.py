@@ -19,7 +19,6 @@ from chpricing import (
     default_profile,
     hourly_demand,
     hourly_utility,
-    inelastic_share,
     load_profile,
     sample_noise,
     synthetic_profile,
@@ -68,7 +67,7 @@ class TestHourlyDemand:
         model = DemandModel(a=455.0, mu1=0.8, mu2=0.0, nu=0.0025)
         for price in (1.0, 5.0, 50.0):
             assert hourly_demand(model, mean_profile, 0, price) == \
-                inelastic_share(model, mean_profile, 0)
+                oracles.inelastic_share(model, mean_profile, 0)
 
     def test_strictly_decreasing_in_price(self, scarf_model, day_profile):
         prices = np.linspace(0.5, 8.0, 60)
@@ -80,7 +79,7 @@ class TestHourlyDemand:
     def test_noise_scales_elastic_share(self, scarf_model):
         noisy = DayProfile((MEAN_D1,) * 24, (0.03,) + (0.0,) * 23)
         d = hourly_demand(scarf_model, noisy, 0, 5.0)
-        inel = inelastic_share(scarf_model, noisy, 0)
+        inel = oracles.inelastic_share(scarf_model, noisy, 0)
         elastic = scarf_model.mu2 * (1.0 + 0.03) * \
             consumer_best_response(scarf_model, 5.0)
         assert d - inel == pytest.approx(elastic, abs=1e-12)
@@ -125,7 +124,7 @@ class TestHourlyUtility:
     def test_log_of_one_leaves_constant(self, mean_profile):
         model = DemandModel(a=3.9e4, mu1=0.8, mu2=0.2, nu=0.01,
                             utility_constant=20000.0)
-        floor = inelastic_share(model, mean_profile, 0)
+        floor = oracles.inelastic_share(model, mean_profile, 0)
         assert hourly_utility(model, mean_profile, 0, floor + 1.0) == \
             pytest.approx(20000.0, abs=1e-9)
 
@@ -138,7 +137,7 @@ class TestHourlyUtility:
     def test_argmax_recovers_demand(self, scarf_model, day_profile):
         for t, price in ((3, 6.3125), (15, 4.0)):
             target = hourly_demand(scarf_model, day_profile, t, price)
-            floor = inelastic_share(scarf_model, day_profile, t)
+            floor = oracles.inelastic_share(scarf_model, day_profile, t)
             grid = np.arange(floor + 0.01, 161.0, 0.01)
             values = [hourly_utility(scarf_model, day_profile, t, float(d))
                       - price * float(d) for d in grid]
@@ -146,7 +145,7 @@ class TestHourlyUtility:
             assert best == pytest.approx(target, abs=0.011)
 
     def test_at_or_below_floor_rejected(self, scarf_model, mean_profile):
-        floor = inelastic_share(scarf_model, mean_profile, 0)
+        floor = oracles.inelastic_share(scarf_model, mean_profile, 0)
         for d in (floor, floor - 5.0):
             with pytest.raises(ValueError):
                 hourly_utility(scarf_model, mean_profile, 0, d)
@@ -159,12 +158,12 @@ class TestHourlyUtility:
                 hourly_utility(model, mean_profile, 0, math.nan)
 
     def test_messages(self, scarf_model, mean_profile):
-        floor = inelastic_share(scarf_model, mean_profile, 0)
+        floor = oracles.inelastic_share(scarf_model, mean_profile, 0)
         with pytest.raises(ValueError, match=re.escape(
                 f"utility undefined at demand {floor - 5.0} <= inelastic floor {floor}")):
             hourly_utility(scarf_model, mean_profile, 0, floor - 5.0)
         inelastic = DemandModel(a=455.0, mu1=1.0, mu2=0.0, nu=0.0025)
-        floor = inelastic_share(inelastic, mean_profile, 0)
+        floor = oracles.inelastic_share(inelastic, mean_profile, 0)
         with pytest.raises(ValueError, match=re.escape(
                 f"demand {floor - 1e-6} below the inelastic floor {floor}")):
             hourly_utility(inelastic, mean_profile, 0, floor - 1e-6)
@@ -197,7 +196,7 @@ class TestHourlyUtility:
     def test_zero_elastic_weight_returns_constant(self, mean_profile):
         model = DemandModel(a=455.0, mu1=1.0, mu2=0.0, nu=0.0025,
                             utility_constant=500.0)
-        d = inelastic_share(model, mean_profile, 0)
+        d = oracles.inelastic_share(model, mean_profile, 0)
         assert hourly_utility(model, mean_profile, 0, d + 10.0) == 500.0
 
 

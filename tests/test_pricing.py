@@ -13,17 +13,16 @@ from chpricing.pricing import MAX_ITERS, PRICE_FLOOR, PriceLoop, price_hours
 from chpricing import (
     DayProfile,
     DemandModel,
-    HarmonicStep,
     InfeasibleError,
     dispatchable_equilibrium,
     dispatchable_price,
     dual_value,
     exact_dual,
-    lmp_equilibrium,
     quadratic_fit,
     run_lmp,
     run_subgradient,
 )
+from oracles import lmp_equilibrium
 
 
 # a PricedHours column per hour, without the shared step and clock
@@ -37,35 +36,43 @@ def hour_rows(priced, j=0):
 
 
 class TestHarmonicStep:
-    def test_call(self):
-        rule = HarmonicStep(0.1)
-        assert rule(1) == 0.1
-        assert rule(4) == 0.025
+    """A PriceLoop's harmonic step: round k steps by step_coef / k."""
+
+    def test_steps(self, gribik, gribik_model, mean_profile):
+        day = price_hours("chp_subgradient", gribik, gribik_model, mean_profile, [0],
+                          PriceLoop(100.0, 4, 0.1))
+        assert day.step[0] == 0.1
+        assert day.step[3] == 0.025
 
     def test_frozen(self):
-        rule = HarmonicStep(0.1)
+        loop = PriceLoop(100.0, 1, 0.1)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            rule.coef = 0.2
+            loop.step_coef = 0.2
 
     def test_picklable(self):
-        rule = HarmonicStep(0.01)
-        clone = pickle.loads(pickle.dumps(rule))
-        assert clone == rule and clone(3) == rule(3)
+        loop = PriceLoop(10.0, 3, 0.01)
+        clone = pickle.loads(pickle.dumps(loop))
+        assert clone == loop and clone.step_coef == 0.01
 
     def test_nonpositive_coef(self):
         for coef in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                HarmonicStep(coef)
+                PriceLoop(100.0, 1, coef)
 
     def test_coef_that_is_not_a_number(self):
         # unchecked, the range comparison raises TypeError
         with pytest.raises(ValueError, match=r"^coef must be a number, got '0.1'$"):
-            HarmonicStep("0.1")
+            PriceLoop(100.0, 1, "0.1")
 
     def test_bool_coef_refused(self):
         # bool is an int subclass; True once ran as coefficient 1
         with pytest.raises(ValueError, match=r"^coef must be a number, got True$"):
-            HarmonicStep(True)
+            PriceLoop(100.0, 1, True)
+
+    def test_step_rule_refused(self):
+        # any callable once passed, to fail only in a --jobs pool's pickling
+        with pytest.raises(ValueError, match=r"^coef must be a number, got <function "):
+            PriceLoop(100.0, 1, lambda k: 0.1 / k)
 
 
 class TestDualValue:
@@ -117,27 +124,28 @@ class TestRunSubgradient:
     def test_first_iterate(self, gribik, gribik_model, mean_profile):
         priced = run_subgradient(gribik, gribik_model, mean_profile, 0,
                                  price0=100.0, n_iters=1,
-                                 step_rule=HarmonicStep(0.1))
+                                 step_coef=0.1)
         assert (priced.method, priced.hours) == ("chp_subgradient", (0,))
         assert priced.price.shape == (1, 1) and priced.first_k == 1
         assert priced.price[0, 0] == pytest.approx(90.66936, abs=1e-9)
         assert priced.step.tolist() == [0.1]
 
     def test_zero_step_keeps_start(self, gribik, gribik_model, mean_profile):
+        # each step moves the price by less than one ulp of 100
         priced = run_subgradient(gribik, gribik_model, mean_profile, 0,
-                                 price0=100.0, n_iters=3, step_rule=lambda k: 0.0)
+                                 price0=100.0, n_iters=3, step_coef=1e-300)
         assert priced.price[:, 0].tolist() == [100.0] * 3
 
     def test_floor_clamp(self, scarf, scarf_model, mean_profile):
         priced = run_subgradient(scarf, scarf_model, mean_profile, 0,
                                  price0=8.0, n_iters=1,
-                                 step_rule=HarmonicStep(10.0))
+                                 step_coef=10.0)
         assert priced.price[0, 0] == PRICE_FLOOR
 
     def test_record_bookkeeping(self, scarf, scarf_model, day_profile):
         priced = run_subgradient(scarf, scarf_model, day_profile, 3,
                                  price0=10.0, n_iters=12,
-                                 step_rule=HarmonicStep(0.01))
+                                 step_coef=0.01)
         assert priced.price.shape == (12, 1) and priced.first_k == 1
         for rec in hour_rows(priced):
             assert rec["demand"] == ch.hourly_demand(
@@ -149,24 +157,24 @@ class TestRunSubgradient:
     def test_validation(self, gribik, gribik_model, mean_profile):
         with pytest.raises(ValueError):
             run_subgradient(gribik, gribik_model, mean_profile, 0, 100.0, 0,
-                            HarmonicStep(0.1))
+                            0.1)
         with pytest.raises(ValueError):
             run_subgradient(gribik, gribik_model, mean_profile, 0, PRICE_FLOOR,
-                            5, HarmonicStep(0.1))
+                            5, 0.1)
         for price0 in (math.nan, math.inf):
             with pytest.raises(ValueError, match="start price must be finite"):
                 run_subgradient(gribik, gribik_model, mean_profile, 0, price0,
-                                5, HarmonicStep(0.1))
+                                5, 0.1)
 
     def test_converges_on_trough_hour(self, scarf, scarf_model, day_profile):
         priced = run_subgradient(scarf, scarf_model, day_profile, 3,
                                  price0=10.0, n_iters=100,
-                                 step_rule=HarmonicStep(0.01))
+                                 step_coef=0.01)
         assert abs(priced.price[-1, 0] - 6.3125) < 0.15
 
     def test_day_price_spread(self, scarf, scarf_model, day_profile):
         finals = [run_subgradient(scarf, scarf_model, day_profile, t, 10.0, 100,
-                                  HarmonicStep(0.01)).price[-1, 0]
+                                  0.01).price[-1, 0]
                   for t in range(24)]
         # peak hours stall well above the uniform exact dual price 6.3125
         assert 6.30 < min(finals) < 6.32
@@ -178,7 +186,7 @@ class TestRunSubgradient:
                  (scarf, scarf_model, 10.0, 0.01, (4.0, 5.5, 6.3125, 8.0))]
         for fleet, model, price0, coef, probes in cases:
             priced = run_subgradient(fleet, model, day_profile, 15, price0, 20,
-                                     HarmonicStep(coef))
+                                     coef)
             for rec in hour_rows(priced):
                 sub = rec["supply"] - rec["demand"]
                 for mu in probes:
@@ -208,27 +216,27 @@ class TestPriceHours:
         a, nu = (3.9e4, 0.01) if fleet_name == "gribik" else (455.0, 0.0025)
         model = DemandModel(a=a, mu1=0.8, mu2=mu2, nu=nu, utility_constant=7.0)
         profile = DayProfile(ch.default_profile().base_demand, ch.sample_noise(seed))
-        rule = HarmonicStep(coef)
         day = price_hours(method, fleet, model, profile, range(24),
-                          PriceLoop(price0, n_iters, rule))
+                          PriceLoop(price0, n_iters, coef))
         one_hour = run_lmp if method == "lmp" else run_subgradient
         for t in range(24):
-            one = one_hour(fleet, model, profile, t, price0, n_iters, rule)
+            one = one_hour(fleet, model, profile, t, price0, n_iters, coef)
             assert (one.method, one.hours) == (method, (t,))
             assert one.step.tolist() == day.step.tolist()
             assert list(hour_rows(one)) == list(hour_rows(day, t))
 
     def test_floor_clamp_in_a_vector(self, scarf, scarf_model, day_profile):
         day = price_hours("chp_subgradient", scarf, scarf_model, day_profile,
-                          (0, 15), PriceLoop(8.0, 2, HarmonicStep(10.0)))
+                          (0, 15), PriceLoop(8.0, 2, 10.0))
         assert day.price[0].tolist() == [PRICE_FLOOR, PRICE_FLOOR]
         assert day.hours == (0, 15) and day.price.shape == (2, 2)
 
     def test_utility_error_of_an_hour(self, gribik, gribik_model, day_profile):
-        # a/price underflows next to the floor, so demand sits on the floor
+        # a/price underflows next to the floor, so demand sits on the floor;
+        # the 1e-300 step leaves the start price where it is
         with pytest.raises(ValueError, match="utility undefined"):
             price_hours("chp_subgradient", gribik, gribik_model, day_profile,
-                        range(24), PriceLoop(1e300, 1, lambda k: 0.0))
+                        range(24), PriceLoop(1e300, 1, 1e-300))
 
     @pytest.mark.parametrize("method", ["chp_exact", "dispatchable"])
     def test_closed_form_row(self, method, scarf, scarf_model, day_profile):
@@ -251,19 +259,19 @@ class TestPriceHours:
         assert day.price.shape == day.uplift.shape == (1, 0)
 
     def test_loop_args_boundaries(self):
-        assert PriceLoop(10.0, MAX_ITERS, HarmonicStep(0.1)).n_iters == MAX_ITERS
-        assert PriceLoop(10.0, 1, HarmonicStep(0.1)).n_iters == 1
+        assert PriceLoop(10.0, MAX_ITERS, 0.1).n_iters == MAX_ITERS
+        assert PriceLoop(10.0, 1, 0.1).n_iters == 1
 
     def test_start_price_that_is_not_a_number(self):
         with pytest.raises(ValueError, match=r"^price0 must be a number, got '10'$"):
-            PriceLoop("10", 5, HarmonicStep(0.1))
+            PriceLoop("10", 5, 0.1)
 
     def test_bool_loop_args_refused(self):
         # True once passed as start price 1 and as one round
         with pytest.raises(ValueError, match=r"^n_iters must be an integer, got True$"):
-            PriceLoop(10.0, True, HarmonicStep(0.1))
+            PriceLoop(10.0, True, 0.1)
         with pytest.raises(ValueError, match=r"^price0 must be a number, got True$"):
-            PriceLoop(True, 5, HarmonicStep(0.1))
+            PriceLoop(True, 5, 0.1)
 
     @pytest.mark.parametrize("method", ["chp_subgradient", "lmp"])
     def test_loop_only_steps(self, method, scarf, scarf_model, day_profile,
@@ -277,7 +285,7 @@ class TestPriceHours:
                 return function(*args)
             return spy
 
-        loop = PriceLoop(10.0, 50, HarmonicStep(0.01))
+        loop = PriceLoop(10.0, 50, 0.01)
         expected = price_hours(method, scarf, scarf_model, day_profile, range(24), loop)
         monkeypatch.setattr(pricing, "_utility", counted("utility", pricing._utility))
         if method == "lmp":
@@ -301,17 +309,17 @@ class TestPriceHours:
         # range() once raised TypeError on 2.5 after the check let it through
         message = f"^n_iters must be an integer, got {n_iters!r}$"
         with pytest.raises(ValueError, match=message):
-            PriceLoop(100.0, n_iters, HarmonicStep(0.1))
+            PriceLoop(100.0, n_iters, 0.1)
         for one_hour in (run_subgradient, run_lmp):
             with pytest.raises(ValueError, match=message):
                 one_hour(gribik, gribik_model, mean_profile, 0, 100.0, n_iters,
-                         HarmonicStep(0.1))
+                         0.1)
 
     def test_bad_arguments(self, gribik, gribik_model, mean_profile):
         with pytest.raises(ValueError, match="MAX_ITERS"):
             run_subgradient(gribik, gribik_model, mean_profile, 0, 100.0,
-                            MAX_ITERS + 1, HarmonicStep(0.1))
-        loop = PriceLoop(100.0, 1, HarmonicStep(0.1))
+                            MAX_ITERS + 1, 0.1)
+        loop = PriceLoop(100.0, 1, 0.1)
         with pytest.raises(ValueError, match="method must be one of"):
             price_hours("newton", gribik, gribik_model, mean_profile, [0], loop)
         with pytest.raises(ValueError, match="hour index 24"):
@@ -321,9 +329,9 @@ class TestPriceHours:
     @pytest.mark.parametrize("method, loop, message", [
         # a closed-form method once took, and never checked, any start
         # price, round count and step
-        ("chp_exact", PriceLoop(100.0, 1, HarmonicStep(0.1)),
+        ("chp_exact", PriceLoop(100.0, 1, 0.1),
          "chp_exact is closed-form and takes no PriceLoop"),
-        ("dispatchable", PriceLoop(100.0, 1, HarmonicStep(0.1)),
+        ("dispatchable", PriceLoop(100.0, 1, 0.1),
          "dispatchable is closed-form and takes no PriceLoop"),
         ("chp_subgradient", None, "chp_subgradient needs a PriceLoop"),
         ("lmp", None, "lmp needs a PriceLoop"),
@@ -336,10 +344,10 @@ class TestPriceHours:
             price_hours(method, gribik, gribik_model, mean_profile, [0], loop)
 
     @pytest.mark.parametrize("args, message", [
-        ((math.nan, -5, HarmonicStep(0.1)),
+        ((math.nan, -5, 0.1),
          "start price must be finite and exceed the floor 1e-06, got nan"),
-        ((100.0, -5, HarmonicStep(0.1)), "n_iters must be in [1, MAX_ITERS = 10000], got -5"),
-        ((100.0, 1, 0.1), "step_rule must be callable, got 0.1"),
+        ((100.0, -5, 0.1), "n_iters must be in [1, MAX_ITERS = 10000], got -5"),
+        ((100.0, 1, None), "coef must be a number, got None"),
     ])
     def test_loop_refusals(self, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -376,15 +384,13 @@ class TestBestIterateGap:
         fleet = request.getfixturevalue(fixture)
         model = request.getfixturevalue(f"{fixture}_model")
         price0, coef = (100.0, 0.1) if fixture == "gribik" else (10.0, 0.01)
-        rule = HarmonicStep(coef)
-        steps = [rule(k) for k in range(1, 101)]
+        steps = [coef / k for k in range(1, 101)]
         rows = []
         for t in range(24):
             star, _ = exact_dual(fleet, model, day_profile, t)
             phi_star, _ = dual_value(fleet, model, day_profile, t, star)
             phi0, g0 = dual_value(fleet, model, day_profile, t, price0)
-            priced = run_subgradient(fleet, model, day_profile, t, price0, 100,
-                                     rule)
+            priced = run_subgradient(fleet, model, day_profile, t, price0, 100, coef)
             subgradients = [g0] + (priced.supply - priced.demand)[:, 0].tolist()
             bound = ((price0 - star) ** 2
                      + sum(s * s * g * g for s, g in zip(steps, subgradients))
@@ -446,19 +452,19 @@ class TestLmp:
     def test_fixed_point_stays(self, scarf, scarf_model, day_profile):
         quad = quadratic_fit(scarf)
         star, _ = lmp_equilibrium(quad, scarf_model, day_profile, 9)
-        priced = run_lmp(scarf, scarf_model, day_profile, 9, star, 1, HarmonicStep(0.01))
+        priced = run_lmp(scarf, scarf_model, day_profile, 9, star, 1, 0.01)
         assert abs(priced.price[-1, 0] - star) < 1e-6
 
     def test_converges_within_one_percent(self, gribik, gribik_model,
                                           day_profile):
         priced = run_lmp(gribik, gribik_model, day_profile, 0, 100.0, 100,
-                         HarmonicStep(0.1))
+                         0.1)
         supply, demand = priced.supply[-1, 0], priced.demand[-1, 0]
         assert abs(supply - demand) < 0.01 * demand
 
     def test_uplift_column(self, gribik, gribik_model, day_profile):
         priced = run_lmp(gribik, gribik_model, day_profile, 0, 100.0, 5,
-                         HarmonicStep(0.1))
+                         0.1)
         for rec in hour_rows(priced):
             assert rec["uplift"] == ch.uplift(gribik, rec["price"], rec["demand"])
             assert rec["uplift"] >= -1e-9
@@ -467,7 +473,7 @@ class TestLmp:
                                                        day_profile):
         # at about 1 $/MWh elastic demand alone is some 7800 MW, past 600 MW
         priced = run_subgradient(gribik, gribik_model, day_profile, 0, 1.0, 3,
-                                 HarmonicStep(1e-9))
+                                 1e-9)
         for rec in hour_rows(priced):
             assert rec["demand"] > gribik.total_capacity
             assert rec["cost"] == rec["uplift"] == math.inf
@@ -476,7 +482,7 @@ class TestLmp:
 
     def test_method_tag(self, gribik, gribik_model, mean_profile):
         priced = run_lmp(gribik, gribik_model, mean_profile, 0, 100.0, 2,
-                         HarmonicStep(0.1))
+                         0.1)
         assert priced.method == "lmp"
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import chpricing as ch
 from chpricing import cli, ucp
-from chpricing.pricing import HarmonicStep, PriceLoop, price_hours
+from chpricing.pricing import PriceLoop, price_hours
 
 FIELDS = {
     "HullPoint": ("demand", "hull_value", "price_lo", "price_hi"),
@@ -39,7 +39,7 @@ SHORT = (("supply_cost", "cost"), ("supplier_profit", "profit"),
 @pytest.fixture(scope="module")
 def records(scarf, scarf_model, day_profile):
     priced = price_hours("chp_subgradient", scarf, scarf_model, day_profile, range(3),
-                         PriceLoop(10.0, 4, HarmonicStep(0.01)))
+                         PriceLoop(10.0, 4, 0.01))
     settled = [ch.settle_hour(scarf, scarf_model, day_profile, t, 6.3125)
                for t in range(24)]
     return {

@@ -20,7 +20,6 @@ from chpricing import (
     DemandModel,
     Fleet,
     GeneratorType,
-    HarmonicStep,
     InfeasibleError,
     best_response,
     builtin_fleet,
@@ -467,7 +466,7 @@ def test_breakeven_breakpoint_takes_upper_step():
     point = hull_value(fleet, 6.5)
     assert point.price_lo == point.price_hi == breakeven
     # the loop reads the same staircase, so its first step goes down
-    priced = run_subgradient(fleet, model, profile, 0, breakeven, 1, HarmonicStep(1.0))
+    priced = run_subgradient(fleet, model, profile, 0, breakeven, 1, 1.0)
     assert priced.price[0, 0] == breakeven - 6.5
 
 

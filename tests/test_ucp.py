@@ -506,6 +506,32 @@ class TestUcpValue:
             reads.clear()
             assert ucp_values(scarf, demands).tolist() == whole.tolist()
             assert max(reads) == max(1, cells // 756)
+        monkeypatch.undo()
+        # a _fill pass takes whole demands' lists, at most BATCH_CELLS // types
+        # pairs, or one longer list alone; without startup costs, 12 tied
+        # single-unit types list up to 4,095 commitments at a demand
+        ties = Fleet(tuple(GeneratorType(f"T{i}", 10.0 * i, 0.0, (CostSegment(5.0 + i, 10.0),))
+                           for i in range(12)))
+        for fleet, ys in ((scarf, demands),
+                          (ucp._zero_startup(ties), np.linspace(-2.0, 122.0, 301).tolist())):
+            _order, pairs, _cols = ucp._batch_candidates(ucp._commitment_table(fleet),
+                                                         np.array(ys))
+            monkeypatch.setattr(ucp, "BATCH_CELLS", 10 ** 9)
+            whole = ucp_values(fleet, ys).tolist()
+            fills = record_fills(monkeypatch)
+            for cells in (1, 12 * 1000, 1 << 16, 10 ** 9):
+                monkeypatch.setattr(ucp, "BATCH_CELLS", cells)
+                fills.clear()
+                assert ucp_values(fleet, ys).tolist() == whole
+                limit = cells // len(fleet.types)
+                assert sum(fills) == pairs.sum()
+                assert all(n <= limit or n in pairs for n in fills)
+                if cells == 1:
+                    assert fills == pairs[pairs > 0].tolist()
+                if cells == 10 ** 9:
+                    assert fills == [pairs.sum()]
+            monkeypatch.undo()
+        assert pairs.max() == 4095
 
     @PROPERTY
     @given(fleets(), st.randoms(use_true_random=False))
